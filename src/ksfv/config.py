@@ -141,10 +141,6 @@ def with_defaults(mapping: Dict[str, str]) -> Dict[str, str]:
     return merged
 
 
-def serialize_config(mapping: Dict[str, str]) -> str:
-    return "\n".join(f"{k} = {mapping[k]}" for k in sorted(mapping)) + "\n"
-
-
 def _floats(spec: str) -> Dict[str, float]:
     out = {}
     for part in spec.split(","):

@@ -23,7 +23,7 @@ from .nonlin import diffusivity_reg, sensitivity
 def grad_faces(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Face-centered gradient; zero on boundary faces (homogeneous Neumann)."""
     g = np.zeros(grid.cells + 1)
-    g[1:-1] = np.diff(values) / grid.h
+    g[1:-1] = (values[1:] - values[:-1]) / grid.h
     return g
 
 
@@ -31,6 +31,27 @@ def div_cells(flux: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell divergence of a face flux density: (A_{j+1} F_{j+1} - A_j F_j) / V_i."""
     af = grid.face_area * flux
     return (af[1:] - af[:-1]) / grid.cell_volume
+
+
+def face_flux(
+    u: np.ndarray,
+    v: np.ndarray,
+    grid: Grid,
+    phi: Callable[[np.ndarray], np.ndarray],
+    psi: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Net face flux phi(u_face) du/dx - psi(u_donor) dv/dx; zero on the boundary faces.
+
+    The scheme's flux, shared by the solver step and the steady residual. It
+    does no domain check: callers validate u >= 0 at their API boundary.
+    """
+    h = grid.h
+    du = (u[1:] - u[:-1]) / h
+    dv = (v[1:] - v[:-1]) / h
+    donor = np.where(dv > 0.0, u[:-1], u[1:])
+    flux = np.zeros(grid.cells + 1)
+    flux[1:-1] = phi(0.5 * (u[1:] + u[:-1])) * du - psi(donor) * dv
+    return flux
 
 
 def diffusive_flux(

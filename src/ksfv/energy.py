@@ -25,9 +25,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Grid, ModelParams, State, BALL
-from .discrete import chemotactic_flux, diffusive_flux, grad_faces, div_cells, laplacian_apply
+from .discrete import div_cells, face_flux, grad_faces, laplacian_apply
 from .errors import DomainError, PreconditionError
 from .nonlin import (
+    _check_nonneg,
     ConditionReport,
     FunctionalTable,
     Overrides,
@@ -93,8 +94,12 @@ def dissipation(
     table: FunctionalTable,
     ov: Optional[Overrides] = None,
 ) -> float:
-    """Right side of the energy identity evaluated at (u, v) with the step's v_t."""
+    """Right side of the energy identity evaluated at (u, v) with the step's v_t.
+
+    Raises DomainError for a negative density.
+    """
     u, v = state.u, state.v
+    _check_nonneg(u, "dissipation")
     tab = table.covering(float(np.max(u)))
     phi = effective_phi(p, ov)
     psi = effective_psi(p, ov)
@@ -129,12 +134,14 @@ def identity_residual(row0, row1, rhs: float) -> float:
 def steady_residual(
     state: State, grid: Grid, p: ModelParams, ov: Optional[Overrides] = None
 ) -> tuple[float, float]:
-    """L2 norms of the two discrete steady residuals (density and signal equations)."""
+    """L2 norms of the two discrete steady residuals (density and signal equations).
+
+    The density residual is the divergence of the scheme's own face flux.
+    Raises DomainError for a negative density.
+    """
     u, v = state.u, state.v
-    phi = ov.phi if (ov is not None and ov.phi is not None) else None
-    psi = ov.psi if (ov is not None and ov.psi is not None) else None
-    flux = diffusive_flux(u, grid, p, phi) - chemotactic_flux(u, v, grid, p, psi)
-    r1 = div_cells(flux, grid)
+    _check_nonneg(u, "steady_residual")
+    r1 = div_cells(face_flux(u, v, grid, effective_phi(p, ov), effective_psi(p, ov)), grid)
     r2 = laplacian_apply(v, grid) - v + u
     V = grid.cell_volume
     return (

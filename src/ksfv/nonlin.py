@@ -44,6 +44,35 @@ def _check_nonneg(u, what: str):
         raise DomainError(f"{what} is only defined for u >= 0")
 
 
+# Each nonlinearity has one formula, in a check-free private form that the
+# solver kernel calls on float arrays it has already validated; the public
+# function checks the domain and wraps it.
+
+
+def _diffusivity_reg(u: np.ndarray, p: ModelParams) -> np.ndarray:
+    return np.log1p(u + p.eps) ** p.alpha
+
+
+def _sensitivity(u: np.ndarray, p: ModelParams) -> np.ndarray:
+    return p.psi_c * u ** p.beta
+
+
+def _growth(u: np.ndarray, p: ModelParams) -> np.ndarray:
+    return p.a - p.b * u ** p.kappa
+
+
+def _growth_reg(u: np.ndarray, p: ModelParams) -> np.ndarray:
+    """growth_reg on a 1-D float array; the cutoff is evaluated only where it is below 1."""
+    f = _growth(u, p)
+    if p.eps > 0.0:
+        # smooth_step is exactly 0 at or below its threshold, so the window is
+        # exactly 1 on u <= 1/(2 eps) and multiplying by it there changes nothing
+        hot = u > 1.0 / (2.0 * p.eps)
+        if hot.any():
+            f[hot] *= growth_cutoff(u[hot], p)
+    return f
+
+
 def diffusivity(u, p: ModelParams):
     """ln^alpha(1+u); vanishes at u = 0."""
     _check_nonneg(u, "diffusivity")
@@ -53,25 +82,19 @@ def diffusivity(u, p: ModelParams):
 def diffusivity_reg(u, p: ModelParams):
     """ln^alpha(1+u+eps); strictly positive for eps > 0, equals diffusivity at eps = 0."""
     _check_nonneg(u, "diffusivity_reg")
-    return np.log1p(np.asarray(u, dtype=float) + p.eps) ** p.alpha
+    return _diffusivity_reg(np.asarray(u, dtype=float), p)
 
 
 def sensitivity(u, p: ModelParams):
     """psi_c * u^beta; the drift mobility of the density."""
     _check_nonneg(u, "sensitivity")
-    return p.psi_c * np.asarray(u, dtype=float) ** p.beta
-
-
-def sensitivity_slope(u, p: ModelParams):
-    """d/du of the sensitivity, used for advective CFL bounds."""
-    _check_nonneg(u, "sensitivity_slope")
-    return p.psi_c * p.beta * np.asarray(u, dtype=float) ** (p.beta - 1.0)
+    return _sensitivity(np.asarray(u, dtype=float), p)
 
 
 def growth(u, p: ModelParams):
     """Upper-envelope growth term a - b*u^kappa (set a=0 for the lower envelope)."""
     _check_nonneg(u, "growth")
-    return p.a - p.b * np.asarray(u, dtype=float) ** p.kappa
+    return _growth(np.asarray(u, dtype=float), p)
 
 
 def smooth_step(x):
@@ -101,7 +124,9 @@ def growth_reg(u, p: ModelParams):
     damping band -b u^kappa <= f <= a - b u^kappa therefore holds on the uncut
     region only (no compactly supported function can obey it for all u).
     """
-    return growth(u, p) * growth_cutoff(u, p)
+    _check_nonneg(u, "growth_reg")
+    u = np.asarray(u, dtype=float)
+    return _growth_reg(u.reshape(-1), p).reshape(u.shape)
 
 
 def damping_is_weak(p: ModelParams, n: int) -> bool:
@@ -489,19 +514,23 @@ class Overrides:
     ratio_spec: RatioSpec = RatioSpec.model()
 
 
+# The effective nonlinearities are check-free: callers validate u >= 0 once,
+# at their own API boundary, and pass 1-D float arrays.
+
+
 def effective_phi(p: ModelParams, ov: Optional[Overrides]):
     if ov is not None and ov.phi is not None:
         return ov.phi
-    return lambda u: diffusivity_reg(u, p)
+    return lambda u: _diffusivity_reg(u, p)
 
 
 def effective_psi(p: ModelParams, ov: Optional[Overrides]):
     if ov is not None and ov.psi is not None:
         return ov.psi
-    return lambda u: sensitivity(u, p)
+    return lambda u: _sensitivity(u, p)
 
 
 def effective_f(p: ModelParams, ov: Optional[Overrides]):
     if ov is not None and ov.f is not None:
         return ov.f
-    return lambda u: growth_reg(u, p)
+    return lambda u: _growth_reg(u, p)

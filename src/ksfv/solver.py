@@ -10,11 +10,20 @@ alongside the hard max-norm cap.
 
 Positivity is a property of the scheme, not an enforcement: a negative cell
 is treated as a numerical failure and terminates the run.
+
+Domain checks live at the API boundary: RunConfig.validate checks the initial
+data, and the public step() and cfl_dt() check the state they are given
+(length, finiteness, u, v >= 0). The step loop itself calls the check-free
+forms of the nonlinearities and keeps only its own checks on each new state:
+finiteness, nonnegativity (a failure ends the run as NumericalFailure) and
+the two mass-law residuals. The growth term f(u) is evaluated once per step
+and feeds both the u update and the u-mass law.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -30,9 +39,9 @@ from .core import (
     make_grid,
     validate_field,
 )
-from .discrete import grad_faces
+from .discrete import div_cells, face_flux, grad_faces
 from .energy import dissipation, lyapunov
-from .errors import ConfigError, NumericsError, ScanAbortedError
+from .errors import ConfigError, DomainError, NumericsError, ScanAbortedError
 from .nonlin import (
     Overrides,
     RatioSpec,
@@ -124,23 +133,21 @@ class RunResult:
 
 
 class _Kernel:
-    """Per-run precomputation: effective nonlinearities and grid rate factors."""
+    """Per-run precomputation: effective nonlinearities and grid rate factors.
+
+    Its methods take validated float arrays and do no domain checks.
+    """
 
     def __init__(self, grid: Grid, p: ModelParams, ov: Optional[Overrides]):
         self.grid = grid
         self.p = p
-        self.ov = ov
         self.phi = effective_phi(p, ov)
         self.psi = effective_psi(p, ov)
         self.f = effective_f(p, ov)
-        self.phi_override = ov is not None and ov.phi is not None
         self.psi_override = ov is not None and ov.psi is not None
         self.f_override = ov is not None and ov.f is not None
         V = grid.cell_volume
         T = grid.trans
-        self.h = grid.h
-        self.V = V
-        self.T = T
         self.diff_geom = float(np.max((T[:-1] + T[1:]) / V))  # = 2/h^2 on an interval
         self.adv_l = T[:-1] * grid.h / V  # A_j/V_i for the left face of each cell
         self.adv_r = T[1:] * grid.h / V
@@ -161,22 +168,19 @@ class _Kernel:
 
     def rates(self, u: np.ndarray, v: np.ndarray) -> Tuple[float, float, float]:
         p = self.p
-        umax = float(np.max(u))
-        rate_diff = float(np.max(self.phi(u))) * self.diff_geom
+        umax = float(u.max())
+        rate_diff = float(self.phi(u).max()) * self.diff_geom
 
         # donor-respecting drift rate: cell i loses mass across its left face
         # only when the drift there points left, across its right face only
         # when it points right; the positivity bound needs exactly those terms.
-        dvf = np.zeros(len(v) + 1)
-        dvf[1:-1] = np.diff(v) / self.h
-        out_left = np.where(dvf[:-1] < 0.0, -dvf[:-1], 0.0)
-        out_right = np.where(dvf[1:] > 0.0, dvf[1:], 0.0)
-        geom_dv = self.adv_l * out_left + self.adv_r * out_right
+        dvf = grad_faces(v, self.grid)
+        geom_dv = self.adv_l * np.maximum(-dvf[:-1], 0.0) + self.adv_r * np.maximum(dvf[1:], 0.0)
         if self.psi_override:
-            rate_adv = self._lipschitz(self.psi, umax) * float(np.max(geom_dv))
+            rate_adv = self._lipschitz(self.psi, umax) * float(geom_dv.max())
         else:
             slope = p.psi_c * p.beta * u ** (p.beta - 1.0)
-            rate_adv = float(np.max(slope * geom_dv))
+            rate_adv = float((slope * geom_dv).max())
 
         if self.f_override:
             rate_react = self._lipschitz(self.f, umax)
@@ -190,32 +194,48 @@ class _Kernel:
         rate = max(self.rates(u, v))
         return cfl / (rate + _RATE_GUARD)
 
-    def advance(self, u: np.ndarray, v: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
-        """One IMEX update (no validation; callers check finiteness/positivity)."""
-        h = self.h
-        du = np.diff(u) / h
-        dv = np.diff(v) / h
-        u_face = 0.5 * (u[1:] + u[:-1])
-        donor = np.where(dv > 0.0, u[:-1], u[1:])
-        flux_int = self.phi(u_face) * du - self.psi(donor) * dv  # interior faces only
-        af = self.grid.face_area[1:-1] * flux_int
-        divergence = (np.concatenate((af, (0.0,))) - np.concatenate(((0.0,), af))) / self.V
-        u_new = u + dt * (divergence + self.f(u))
-        v_new = _screened_solve(v + dt * u_new, dt, self.grid)
+    def advance(
+        self, u: np.ndarray, v: np.ndarray, dt: float, f_u: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One IMEX update from (u, v), given f_u = f(u).
+
+        No validation: callers check the result for finiteness and positivity.
+        """
+        grid = self.grid
+        u_new = u + dt * (div_cells(face_flux(u, v, grid, self.phi, self.psi), grid) + f_u)
+        v_new = _tridiag_solve(1.0 + dt, dt, v + dt * u_new, grid)
         return u_new, v_new
 
 
-def _screened_solve(rhs: np.ndarray, dt: float, grid: Grid) -> np.ndarray:
-    """Solve (I + dt(-Lap + 1)) v = rhs with Neumann boundaries (tridiagonal)."""
+def _tridiag_solve(c: float, s: float, rhs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Solve (c I - s Lap) v = rhs with Neumann boundaries (tridiagonal).
+
+    c = 1 + dt, s = dt is the screened backward-Euler step; c = s = 1 the
+    steady signal equation. The couplings are formed as (-s T) / V, in that
+    order, so every caller's matrix is rounded identically.
+    """
     V = grid.cell_volume
     T = grid.trans
-    upper = -dt * T[1:] / V  # coupling of row i to i+1
-    lower = -dt * T[:-1] / V  # coupling of row i to i-1
-    diag = 1.0 + dt - upper - lower
+    upper = -s * T[1:] / V  # coupling of row i to i+1
+    lower = -s * T[:-1] / V  # coupling of row i to i-1
+    diag = c - upper - lower
     _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs, 1, 1, 1, 0)
     if info != 0:
         raise NumericsError(f"tridiagonal solve failed (info={info})")
     return x
+
+
+def _checked_state(state: State, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """The state's fields as float arrays, after the API-boundary checks.
+
+    Raises UsageError for a wrong length or non-finite entries and
+    DomainError for a negative density or signal.
+    """
+    u = validate_field(state.u, grid, "u")
+    v = validate_field(state.v, grid, "v")
+    if u.min() < 0.0 or v.min() < 0.0:
+        raise DomainError("the state must be nonnegative")
+    return u, v
 
 
 def cfl_dt(
@@ -235,7 +255,8 @@ def cfl_dt(
     update requires. The reaction rate is the growth term's slope bound on
     [0, max u].
     """
-    return _Kernel(grid, p, ov).dt_bound(state.u, state.v, cfl)
+    u, v = _checked_state(state, grid)
+    return _Kernel(grid, p, ov).dt_bound(u, v, cfl)
 
 
 def step(
@@ -245,10 +266,16 @@ def step(
     p: ModelParams,
     ov: Optional[Overrides] = None,
 ) -> State:
-    """One IMEX step: explicit u, implicit v. Raises NumericsError on non-finite values."""
+    """One IMEX step: explicit u, implicit v.
+
+    Raises DomainError on a negative input state and NumericsError on
+    non-finite results.
+    """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
-    u_new, v_new = _Kernel(grid, p, ov).advance(state.u, state.v, dt)
+    u, v = _checked_state(state, grid)
+    kern = _Kernel(grid, p, ov)
+    u_new, v_new = kern.advance(u, v, dt, kern.f(u))
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise NumericsError(f"non-finite state after step at t={state.t:g}")
     return State(u_new, v_new, state.t + dt)
@@ -256,15 +283,7 @@ def step(
 
 def steady_signal(u: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve the steady signal equation (-Lap + 1) v = u (used for matched initial data)."""
-    V = grid.cell_volume
-    T = grid.trans
-    upper = -T[1:] / V
-    lower = -T[:-1] / V
-    diag = 1.0 - upper - lower
-    _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], np.asarray(u, dtype=float), 1, 1, 1, 0)
-    if info != 0:
-        raise NumericsError(f"steady signal solve failed (info={info})")
-    return x
+    return _tridiag_solve(1.0, 1.0, np.asarray(u, dtype=float), grid)
 
 
 def _v_w12(v: np.ndarray, grid: Grid) -> float:
@@ -342,14 +361,21 @@ def run(cfg: RunConfig, probe_times: Optional[Sequence[float]] = None) -> RunRes
 
         will_diag = (steps + 1) % cfg.diag_every == 0
         F_prev = diag_F(u, v, t) if will_diag else None
-        f_mass = float(np.dot(kern.f(u), V))
+        f_u = kern.f(u)
+        f_mass = float(np.dot(f_u, V))
 
-        u_new, v_new = kern.advance(u, v, dt)
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        u_new, v_new = kern.advance(u, v, dt, f_u)
+        min_u_new, max_u = float(u_new.min()), float(u_new.max())
+        min_v_new, max_v_new = float(v_new.min()), float(v_new.max())
+        # min and max propagate NaN (and every comparison with NaN is False),
+        # so these chains hold exactly when every cell of both fields is finite
+        finite = (
+            -math.inf < min_u_new <= max_u < math.inf
+            and -math.inf < min_v_new <= max_v_new < math.inf
+        )
+        if not finite:
             termination = TerminationInfo(Termination.NUMERICAL_FAILURE, t)
             break
-        min_u_new = float(np.min(u_new))
-        min_v_new = float(np.min(v_new))
         if min_u_new < 0.0 or min_v_new < 0.0:
             termination = TerminationInfo(Termination.NUMERICAL_FAILURE, t)
             break
@@ -374,7 +400,6 @@ def run(cfg: RunConfig, probe_times: Optional[Sequence[float]] = None) -> RunRes
             probe_states.append(State(u_new.copy(), v_new.copy(), t_new))
             pi += 1
 
-        max_u = float(np.max(u_new))
         blown = max_u > cfg.blowup_cap and max_u >= 10.0 * m0
         final_step = t_new >= t_goal
 

@@ -1,0 +1,140 @@
+"""Property tests of the scheme's invariants over random configurations.
+
+Parameters, grids and cosine/gauss initial data are drawn inside the config
+schema. The checks are the exact discrete mass laws, positivity of u and v
+after a CFL-limited step, bit-determinism of repeated runs, and a bitwise
+oracle: step() must reproduce, to the last bit, the explicit update assembled
+from the public checked functions.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import ksfv
+from ksfv.config import build_field
+from ksfv.core import State
+from ksfv.discrete import chemotactic_flux, diffusive_flux, div_cells
+from ksfv.nonlin import growth, growth_cutoff, growth_reg
+from ksfv.output import rows_to_csv
+from ksfv.solver import RunConfig, Termination, cfl_dt, run, steady_signal, step
+
+# derandomized and without an example database, so every run of the suite
+# draws the same examples
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+RUN_PROPERTY = settings(PROPERTY, max_examples=12)
+
+
+def _unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+params_st = st.builds(
+    ksfv.ModelParams,
+    alpha=_unit(1.0, 3.0),
+    beta=_unit(1.0, 3.0),
+    kappa=_unit(2.0, 5.0),
+    a=_unit(0.0, 2.0),
+    b=_unit(0.1, 2.0),
+    eps=st.one_of(st.just(0.0), _unit(1e-3, 0.5)),
+    psi_c=_unit(0.2, 2.0),
+)
+
+
+@st.composite
+def domains(draw):
+    cells = draw(st.integers(8, 48))
+    if draw(st.booleans()):
+        return ksfv.DomainSpec(ksfv.INTERVAL, draw(_unit(0.25, 1.0)), 1, cells)
+    return ksfv.DomainSpec(ksfv.BALL, draw(_unit(0.5, 1.5)), draw(st.integers(2, 3)), cells)
+
+
+@st.composite
+def field_specs(draw):
+    """A cosine or gauss spec whose field is nonnegative."""
+    if draw(st.booleans()):
+        base = draw(_unit(0.0, 3.0))
+        amp = draw(_unit(-1.0, 1.0)) * base
+        mode = draw(_unit(0.5, 3.0))
+        return f"cosine:base={base!r},amp={amp!r},mode={mode!r}"
+    base = draw(_unit(0.0, 2.0))
+    amp = draw(_unit(0.0, 5.0))
+    width = draw(_unit(0.05, 0.5))
+    center = draw(_unit(0.0, 1.0))
+    return f"gauss:base={base!r},amp={amp!r},width={width!r},center={center!r}"
+
+
+def _short_config(dom, p, spec, steps=10):
+    """RunConfig taking `steps` steps of at most the initial CFL step."""
+    g = ksfv.make_grid(dom)
+    u0 = build_field(spec, g)
+    v0 = steady_signal(u0, g)
+    dt0 = cfl_dt(State(u0, v0, 0.0), g, p, 0.4)
+    return RunConfig(dom, p, u0, v0, t_end=steps * dt0, dt_max=dt0, diag_every=3)
+
+
+@RUN_PROPERTY
+@given(dom=domains(), p=params_st, spec=field_specs())
+def test_mass_laws_hold_exactly(dom, p, spec):
+    res = run(_short_config(dom, p, spec))
+    assert res.termination.tag == Termination.COMPLETED
+    assert res.mass_law_residual_u <= 1e-12
+    assert res.mass_law_residual_v <= 1e-12
+
+
+@PROPERTY
+@given(
+    dom=domains(),
+    p=params_st,
+    u_spec=field_specs(),
+    v_spec=field_specs(),
+    cfl=_unit(0.05, 1.0 / 3.0),
+)
+def test_cfl_step_keeps_positivity(dom, p, u_spec, v_spec, cfl):
+    # cfl <= 1/3 keeps the three additive rates jointly below the bound
+    g = ksfv.make_grid(dom)
+    s = State(build_field(u_spec, g), build_field(v_spec, g), 0.0)
+    new = step(s, cfl_dt(s, g, p, cfl), g, p)
+    assert float(np.min(new.u)) >= 0.0
+    assert float(np.min(new.v)) >= 0.0
+
+
+@RUN_PROPERTY
+@given(dom=domains(), p=params_st, spec=field_specs())
+def test_repeated_runs_are_byte_identical(dom, p, spec):
+    cfg = _short_config(dom, p, spec)
+    r1, r2 = run(cfg), run(cfg)
+    assert rows_to_csv(r1.rows) == rows_to_csv(r2.rows)
+    assert r1.final_state.u.tobytes() == r2.final_state.u.tobytes()
+    assert r1.final_state.v.tobytes() == r2.final_state.v.tobytes()
+
+
+@st.composite
+def straddling_states(draw):
+    """eps > 0 and a density with cells below 1/(2 eps), inside the cutoff band and beyond 1/eps."""
+    dom = draw(domains())
+    p = draw(params_st.filter(lambda q: q.eps >= 0.05))
+    lo = 1.0 / (2.0 * p.eps)
+    cells = dom.cells
+    w = np.array(draw(st.lists(_unit(0.0, 2.4), min_size=cells, max_size=cells)))
+    w[draw(st.integers(0, cells - 1))] = draw(_unit(1.0, 2.0)) * (1.0 + 1e-9)  # in the band
+    w[draw(st.integers(0, cells - 1))] = draw(_unit(2.0, 2.4)) * (1.0 + 1e-9)  # cut off
+    v = np.array(draw(st.lists(_unit(0.0, 3.0), min_size=cells, max_size=cells)))
+    return dom, p, lo * w, v
+
+
+@PROPERTY
+@given(case=straddling_states())
+def test_step_matches_public_function_oracle_bitwise(case):
+    dom, p, u, v = case
+    g = ksfv.make_grid(dom)
+    assert np.any(u > 1.0 / p.eps)  # the cutoff branch is exercised
+
+    # the masked cutoff reproduces the full-window definition bit for bit
+    assert np.array_equal(growth_reg(u, p), growth(u, p) * growth_cutoff(u, p))
+
+    s = State(u.copy(), v.copy(), 0.0)
+    dt = cfl_dt(s, g, p, 0.4)
+    new = step(s, dt, g, p)
+    flux = diffusive_flux(u, g, p) - chemotactic_flux(u, v, g, p)
+    expected = u + dt * (div_cells(flux, g) + growth_reg(u, p))
+    assert np.array_equal(new.u, expected)

@@ -5,7 +5,7 @@ import pytest
 
 import ksfv
 from ksfv.core import State
-from ksfv.errors import ConfigError, ScanAbortedError
+from ksfv.errors import ConfigError, DomainError, ScanAbortedError, UsageError
 from ksfv.nonlin import Overrides, RatioSpec
 from ksfv.solver import (
     RunConfig,
@@ -148,6 +148,42 @@ def test_step_mass_telescopes():
     assert ksfv.integrate(new.u, g) == pytest.approx(expected, rel=1e-13)
 
 
+def _state_with_negative_cell(g, field):
+    u = np.full(g.cells, 1.0)
+    v = np.full(g.cells, 0.5)
+    (u if field == "u" else v)[g.cells // 3] = -1e-9
+    return State(u, v, 0.0)
+
+
+@pytest.mark.parametrize("field", ["u", "v"])
+def test_step_rejects_negative_state(field):
+    g = interval(16)
+    p = ksfv.ModelParams(alpha=1, beta=2, kappa=2, a=0.5, eps=0.05)
+    with pytest.raises(DomainError):
+        step(_state_with_negative_cell(g, field), 1e-4, g, p)
+
+
+@pytest.mark.parametrize("field", ["u", "v"])
+def test_cfl_dt_rejects_negative_state(field):
+    g = interval(16)
+    p = ksfv.ModelParams(alpha=1, beta=2, kappa=2, a=0.5, eps=0.05)
+    with pytest.raises(DomainError):
+        cfl_dt(_state_with_negative_cell(g, field), g, p, 0.4)
+
+
+def test_step_and_cfl_dt_reject_malformed_state():
+    g = interval(16)
+    p = ksfv.ModelParams()
+    short = State(np.ones(15), np.ones(15), 0.0)
+    nonfinite = State(np.ones(16), np.ones(16), 0.0)
+    nonfinite.u[3] = np.nan
+    for s in (short, nonfinite):
+        with pytest.raises(UsageError):
+            step(s, 1e-4, g, p)
+        with pytest.raises(UsageError):
+            cfl_dt(s, g, p, 0.4)
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -205,6 +241,28 @@ def test_run_mass_laws_with_active_growth():
     assert res.mass_law_residual_v <= 1e-12
     assert res.min_u_seen >= 0.0
     assert res.min_v_seen >= 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_ends_non_finite_step_as_numerical_failure(bad):
+    dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 16)
+    g = ksfv.make_grid(dom)
+
+    def f(u):
+        # finite on the 64-point sampling of the slope bound, non-finite on the state
+        out = np.zeros_like(u)
+        if len(u) == 16:
+            out[5] = bad
+        return out
+
+    u0 = np.full(16, 1.0)
+    cfg = RunConfig(
+        dom, ksfv.ModelParams(), u0, steady_signal(u0, g), t_end=0.01,
+        overrides=Overrides(f=f, ratio_spec=RatioSpec.model()),
+    )
+    res = run(cfg)
+    assert res.termination.tag == Termination.NUMERICAL_FAILURE
+    assert res.steps == 0
 
 
 def test_run_rejects_bad_config():
