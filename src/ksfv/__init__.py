@@ -59,6 +59,7 @@ from .solver import (
     RunConfig,
     RunResult,
     Termination,
+    TableCache,
     TerminationInfo,
     cfl_dt,
     continuous_dependence,

@@ -1,7 +1,8 @@
 """Command-line interface: run, sweep, family, check, convergence.
 
 Exit codes: 0 on success (a detected blow-up is a valid scientific outcome),
-1 on usage/configuration errors, 2 when a run ends in numerical failure.
+1 on usage/configuration errors, 2 when a run ends in numerical failure or a
+sweep point fails (its Error row is still written to sweep.csv).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .output import (
     write_text,
 )
 from .solver import Termination, epsilon_convergence_scan, run
-from .sweep import SweepSpec, run_sweep, sweep_csv, sweep_heatmap
+from .sweep import ERROR, SweepSpec, run_sweep, sweep_csv, sweep_heatmap
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,7 +178,10 @@ def _cmd_sweep(args) -> int:
     for r in rows:
         counts[r.classification] = counts.get(r.classification, 0) + 1
     print(f"{len(rows)} runs: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-    return 0
+    failed = [r for r in rows if r.classification == ERROR]
+    for r in failed:
+        print(f"error: run {r.run_id} ({r.termination}): {r.error}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def _cmd_family(args) -> int:

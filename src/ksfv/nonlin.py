@@ -20,7 +20,7 @@ error orders of magnitude below the quadrature tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -240,9 +240,19 @@ def _hermite5(x: np.ndarray, knots, y, d1, d2) -> np.ndarray:
 class FunctionalTable:
     """Tabulated G, H, Gp with quintic Hermite interpolation between knots.
 
-    Immutable; covering() returns a new, wider table instead of mutating.
-    Quadrature error at the knots is <= tol in absolute terms for O(1) values
-    (a 1e-14 relative floor applies where the integrands are enormous).
+    Immutable; covering() returns a new, wider table instead of mutating. A
+    table is a base table from build_table(), its first base_knots knots on
+    [s_min, base_s_max], followed by the upward extension covering() appends:
+    knots base_s_max * r**k, k = 1, 2, ..., with r = 10**(1/knots_per_decade).
+
+    Every segment, base or extension, is integrated once to the absolute
+    tolerance seg_tol = tol / n_base_segments, and the knot values accumulate
+    segment by segment from s0. The quadrature error at a knot is therefore at
+    most seg_tol times the number of segments between s0 and that knot, which
+    is at most tol * n_segments / n_base_segments: tol itself on a base table,
+    and growing in proportion to the knots an extension adds. Where the
+    integrands are enormous, the quadrature's 1e-14 relative floor applies per
+    segment instead of seg_tol.
     """
 
     params: ModelParams
@@ -252,6 +262,8 @@ class FunctionalTable:
     s_max: float
     tol: float
     knots_per_decade: int
+    seg_tol: float  # per-segment quadrature tolerance, fixed by the base table
+    base_knots: int  # knots of the base table; the rest are the extension
     knots: np.ndarray
     G_vals: np.ndarray
     H_vals: np.ndarray
@@ -285,19 +297,53 @@ class FunctionalTable:
         return _hermite5(s, self.knots, self.H_vals, hp, hpp)
 
     def covering(self, s: float) -> "FunctionalTable":
-        """Return a table whose range contains s, doubling s_max as often as needed."""
+        """Return a table whose range contains s, extending this one upward.
+
+        Returns self when s <= s_max. Otherwise the new table keeps every knot
+        and value of this one bitwise and appends the extension knots
+        base_s_max * r**k up to the first one >= s, integrating only the new
+        segments, each once at seg_tol. The knots come from one fixed sequence
+        and each segment is integrated from its own endpoints, so for a < b
+        t.covering(a).covering(b) is bitwise t.covering(b), and values inside
+        the old range do not change. The error bound grows with the segments
+        added (see the class docstring). Raises DivergenceError when a new
+        segment's quadrature cannot converge.
+        """
         if s <= self.s_max:
             return self
-        s_max = self.s_max
-        while s_max < s:
-            s_max *= 2.0
-        return build_table(
-            self.params,
-            self.ratio_spec,
-            s_min=self.s_min,
-            s_max=s_max,
-            tol=self.tol,
-            knots_per_decade=self.knots_per_decade,
+        if not math.isfinite(s):
+            raise UsageError(f"covering needs a finite s, got {s!r}")
+        base = float(self.knots[self.base_knots - 1])
+        r = 10.0 ** (1.0 / self.knots_per_decade)
+        k = len(self.knots) - self.base_knots  # extension knots already present
+        new = []
+        while not new or new[-1] < s:
+            k += 1
+            new.append(base * r ** k)
+
+        n = len(self.knots)
+        knots = np.concatenate([self.knots, new])
+        pad = np.zeros(len(new))
+        G = np.concatenate([self.G_vals, pad])
+        H = np.concatenate([self.H_vals, pad])
+        Gp = np.concatenate([self.Gp_vals, pad])
+        rho, rho_prime = _scalar_ratio(self.params, self.ratio_spec)
+        try:
+            _integrate_up(rho, knots, G, H, Gp, n - 1, self.seg_tol)
+        except QuadratureError as exc:
+            raise _divergence(self.params, self.ratio_spec, exc) from exc
+        rho_k = np.concatenate([self.rho_vals, [rho(t) for t in knots[n:]]])
+        rho_p_k = np.concatenate([self.rho_prime_vals, [rho_prime(t) for t in knots[n:]]])
+        _freeze(knots, G, H, Gp, rho_k, rho_p_k)
+        return replace(
+            self,
+            s_max=float(knots[-1]),
+            knots=knots,
+            G_vals=G,
+            H_vals=H,
+            Gp_vals=Gp,
+            rho_vals=rho_k,
+            rho_prime_vals=rho_p_k,
         )
 
 
@@ -315,6 +361,32 @@ def _make_knots(s_min: float, s0: float, s_max: float, per_decade: int) -> np.nd
     return knots
 
 
+def _integrate_up(rho, knots, G, H, Gp, start: int, seg_tol: float) -> None:
+    """Fill G, H, Gp at knots[start + 1:] from their values at knots[start].
+
+    One adaptive-Simpson quadrature per integrand and segment: the nested G
+    integral collapses through
+    int_a^b int_a^sigma rho = int_a^b rho(tau) (b - tau) dtau.
+    """
+    for k in range(start, len(knots) - 1):
+        a, b = knots[k], knots[k + 1]
+        Gp[k + 1] = Gp[k] + adaptive_simpson(rho, a, b, seg_tol)
+        G[k + 1] = G[k] + Gp[k] * (b - a) + adaptive_simpson(
+            lambda t: rho(t) * (b - t), a, b, seg_tol
+        )
+        H[k + 1] = H[k] + adaptive_simpson(lambda t: t * rho(t), a, b, seg_tol)
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+def _divergence(p: ModelParams, spec: RatioSpec, exc: QuadratureError) -> DivergenceError:
+    verdict = _integrability_verdict(p, spec)
+    return DivergenceError(f"table quadrature failed ({verdict}): {exc}")
+
+
 def build_table(
     p: ModelParams,
     ratio_spec: RatioSpec = RatioSpec.model(),
@@ -326,10 +398,9 @@ def build_table(
     """Tabulate G, H, Gp on log-spaced knots anchored exactly at s0.
 
     Increments between consecutive knots are single adaptive-Simpson
-    quadratures: the nested G integral collapses through
-    int_a^b int_a^sigma rho = int_a^b rho(tau) (b - tau) dtau.
-    Raises DivergenceError when the quadrature cannot converge (a ratio too
-    singular near zero for the requested s_min).
+    quadratures at seg_tol = tol / (number of segments), integrated outward
+    from s0 in both directions. Raises DivergenceError when the quadrature
+    cannot converge (a ratio too singular near zero for the requested s_min).
     """
     s0 = p.s0
     if not (0.0 < s_min < s0 < s_max):
@@ -350,13 +421,7 @@ def build_table(
     Gp = np.zeros_like(knots)
 
     try:
-        for k in range(i0, len(knots) - 1):
-            a, b = knots[k], knots[k + 1]
-            Gp[k + 1] = Gp[k] + adaptive_simpson(rho, a, b, seg_tol)
-            G[k + 1] = G[k] + Gp[k] * (b - a) + adaptive_simpson(
-                lambda t: rho(t) * (b - t), a, b, seg_tol
-            )
-            H[k + 1] = H[k] + adaptive_simpson(lambda t: t * rho(t), a, b, seg_tol)
+        _integrate_up(rho, knots, G, H, Gp, i0, seg_tol)
         for k in range(i0 - 1, -1, -1):
             a, b = knots[k], knots[k + 1]
             Gp[k] = Gp[k + 1] - adaptive_simpson(rho, a, b, seg_tol)
@@ -365,13 +430,11 @@ def build_table(
             )
             H[k] = H[k + 1] - adaptive_simpson(lambda t: t * rho(t), a, b, seg_tol)
     except QuadratureError as exc:
-        verdict = _integrability_verdict(p, ratio_spec)
-        raise DivergenceError(f"table quadrature failed ({verdict}): {exc}") from exc
+        raise _divergence(p, ratio_spec, exc) from exc
 
     rho_k = np.array([rho(t) for t in knots])
     rho_p_k = np.array([rho_prime(t) for t in knots])
-    for arr in (knots, G, H, Gp, rho_k, rho_p_k):
-        arr.flags.writeable = False
+    _freeze(knots, G, H, Gp, rho_k, rho_p_k)
     return FunctionalTable(
         p,
         ratio_spec,
@@ -380,6 +443,8 @@ def build_table(
         float(knots[-1]),
         tol,
         knots_per_decade,
+        seg_tol,
+        len(knots),
         knots,
         G,
         H,

@@ -132,7 +132,12 @@ def line_chart_svg(
     return "\n".join(parts) + "\n"
 
 
-_CLASS_COLORS = {"Global": "#3a9e4e", "BlowUp": "#c23b3b", "Inconclusive": "#9e9e9e"}
+_CLASS_COLORS = {
+    "Global": "#3a9e4e",
+    "BlowUp": "#c23b3b",
+    "Inconclusive": "#9e9e9e",
+    "Error": "#e0a100",
+}
 
 
 def heatmap_svg(

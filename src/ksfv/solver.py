@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +44,7 @@ from .discrete import div_cells, face_flux, grad_faces
 from .energy import dissipation, lyapunov
 from .errors import ConfigError, DomainError, NumericsError, ScanAbortedError
 from .nonlin import (
+    FunctionalTable,
     Overrides,
     RatioSpec,
     build_table,
@@ -225,6 +227,38 @@ def _tridiag_solve(c: float, s: float, rhs: np.ndarray, grid: Grid) -> np.ndarra
     return x
 
 
+class TableCache:
+    """The initial G-tables of one call, each built once per distinct input.
+
+    A table depends only on the ratio inputs (alpha, beta, eps, psi_c, s0),
+    the ratio spec, s_min, s_max, tol and knots_per_decade, not on a, b,
+    kappa, the grid or the data, so the runs of a sweep or a scan that agree
+    on those share one table. The cache builds with build_table's s_min and
+    knots_per_decade, so those are the same for every key. A shared table
+    carries the params of the run that built it; a table reads only their
+    ratio inputs. Access is guarded by a lock, so sweep points may share a
+    cache across threads. There is no module-level cache: each run, run_sweep
+    or continuous_dependence call makes its own, which lives no longer than
+    that call.
+    """
+
+    def __init__(self):
+        self._tables: Dict[tuple, FunctionalTable] = {}
+        self._lock = threading.Lock()
+
+    def get(
+        self, p: ModelParams, ratio_spec: RatioSpec, s_max: float, tol: float
+    ) -> FunctionalTable:
+        """build_table(p, ratio_spec, s_max=s_max, tol=tol), built at most once per key."""
+        key = (p.alpha, p.beta, p.eps, p.psi_c, p.s0, ratio_spec, s_max, tol)
+        with self._lock:
+            table = self._tables.get(key)
+            if table is None:
+                table = build_table(p, ratio_spec, s_max=s_max, tol=tol)
+                self._tables[key] = table
+            return table
+
+
 def _checked_state(state: State, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     """The state's fields as float arrays, after the API-boundary checks.
 
@@ -293,12 +327,18 @@ def _v_w12(v: np.ndarray, grid: Grid) -> float:
     )
 
 
-def run(cfg: RunConfig, probe_times: Optional[Sequence[float]] = None) -> RunResult:
+def run(
+    cfg: RunConfig,
+    probe_times: Optional[Sequence[float]] = None,
+    tables: Optional[TableCache] = None,
+) -> RunResult:
     """March the configured system to t_end or to a termination event.
 
     Diagnostics are emitted every diag_every steps and at termination. When
     probe_times are given, the step size is clamped so the trajectory lands on
-    each probe time exactly and the state there is recorded.
+    each probe time exactly and the state there is recorded. The initial
+    G-table comes from `tables`, so runs that share a cache share their
+    tables; without one the run uses a private cache.
     """
     grid = make_grid(cfg.domain)
     cfg.validate(grid)
@@ -313,7 +353,9 @@ def run(cfg: RunConfig, probe_times: Optional[Sequence[float]] = None) -> RunRes
     t = 0.0
     m0 = linf(u)
     s_hi = 10.0 * max(1.0, 2.0 * p.s0, float(np.max(u)))
-    table = build_table(
+    if tables is None:
+        tables = TableCache()
+    table = tables.get(
         p, ov.ratio_spec if ov is not None else RatioSpec.model(), s_max=s_hi, tol=cfg.table_tol
     )
 
@@ -333,10 +375,14 @@ def run(cfg: RunConfig, probe_times: Optional[Sequence[float]] = None) -> RunRes
 
     mass_u = float(np.dot(u, V))
     mass_v = float(np.dot(v, V))
+    # F of the current state when its row recorded it, else None. The table
+    # only ever extends upward and keeps its values below the old s_max, so F
+    # of a state does not depend on when it is evaluated: reusing the row's F,
+    # or computing F_prev after F_now, gives the same value bitwise.
+    F_cur: Optional[float] = diag_F(u, v, 0.0)
     rows: List[DiagnosticsRow] = [
         DiagnosticsRow(
-            0.0, 0.0, mass_u, mass_v, float(np.max(u)), float(np.min(u)),
-            diag_F(u, v, 0.0), 0.0, 0.0,
+            0.0, 0.0, mass_u, mass_v, float(np.max(u)), float(np.min(u)), F_cur, 0.0, 0.0,
         )
     ]
     w12_max = _v_w12(v, grid)
@@ -360,7 +406,6 @@ def run(cfg: RunConfig, probe_times: Optional[Sequence[float]] = None) -> RunRes
             dt = min(dt, probes[pi] - t)
 
         will_diag = (steps + 1) % cfg.diag_every == 0
-        F_prev = diag_F(u, v, t) if will_diag else None
         f_u = kern.f(u)
         f_mass = float(np.dot(f_u, V))
 
@@ -403,6 +448,7 @@ def run(cfg: RunConfig, probe_times: Optional[Sequence[float]] = None) -> RunRes
         blown = max_u > cfg.blowup_cap and max_u >= 10.0 * m0
         final_step = t_new >= t_goal
 
+        F_prev, F_cur = F_cur, None
         if will_diag or blown or final_step:
             F_now = diag_F(u_new, v_new, t_new)
             v_t = (v_new - v) / dt
@@ -417,6 +463,7 @@ def run(cfg: RunConfig, probe_times: Optional[Sequence[float]] = None) -> RunRes
                     F_now, rhs, residual,
                 )
             )
+            F_cur = F_now
 
         u, v, t = u_new, v_new, t_new
         mass_u, mass_v = mass_u_new, mass_v_new
@@ -487,11 +534,13 @@ def continuous_dependence(
     grid = make_grid(cfg.domain)
     times = np.linspace(0.0, t_probe, n_probe)
     base = replace(cfg, t_end=t_probe)
-    r1 = run(base, probe_times=times)
+    tables = TableCache()
+    r1 = run(base, probe_times=times, tables=tables)
     bump = perturbation_bump(grid)
     r2 = run(
         replace(base, u0=np.asarray(cfg.u0, dtype=float) + delta * bump),
         probe_times=times,
+        tables=tables,
     )
     k = min(len(r1.probe_states), len(r2.probe_states))
     seps = np.array(

@@ -2,7 +2,10 @@
 
 Sweep points are expanded to full configurations, executed concurrently up to
 max_parallel, and merged by run id after a deterministic sort, so the output
-is independent of the degree of parallelism.
+is independent of the degree of parallelism. The points of one sweep share
+one table cache, so each distinct G-table is built once per sweep. A point
+that raises one of the package's own errors becomes an Error row instead of
+aborting the sweep.
 """
 
 from __future__ import annotations
@@ -10,18 +13,19 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import run_config_from
-from .errors import ConfigError
+from .errors import ConfigError, KsfvError
 from .output import fmt
-from .solver import RunResult, Termination, run
+from .solver import RunResult, TableCache, Termination, run
 
 GLOBAL = "Global"
 BLOWUP = "BlowUp"
 INCONCLUSIVE = "Inconclusive"
+ERROR = "Error"
 
 _AXIS_KEY = {
     "alpha": "params.alpha",
@@ -114,14 +118,24 @@ class SweepRow:
     max_u_final: float
     F_final: float
     result: RunResult = field(repr=False, default=None)
+    error: Optional[str] = None  # the message of an Error row
 
 
-def _run_point(spec: SweepSpec, run_id: int, point: Dict[str, float]) -> SweepRow:
+def _run_point(
+    spec: SweepSpec, run_id: int, point: Dict[str, float], tables: TableCache
+) -> SweepRow:
+    """One sweep point; a package error becomes an Error row named after its type."""
     mapping = dict(spec.base)
     for name, value in point.items():
         mapping[_AXIS_KEY[name]] = fmt(value)
-    cfg, _, _ = run_config_from(mapping)
-    result = run(cfg)
+    try:
+        cfg, _, _ = run_config_from(mapping)
+        result = run(cfg, tables=tables)
+    except KsfvError as exc:
+        nan = float("nan")
+        return SweepRow(
+            run_id, point, ERROR, type(exc).__name__, nan, nan, nan, nan, error=str(exc)
+        )
     rows = result.rows
     return SweepRow(
         run_id,
@@ -143,12 +157,13 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         dict(zip(names, combo))
         for combo in itertools.product(*(values for _, values in spec.axes))
     ]
+    tables = TableCache()
     if spec.max_parallel == 1:
-        rows = [_run_point(spec, i, pt) for i, pt in enumerate(points)]
+        rows = [_run_point(spec, i, pt, tables) for i, pt in enumerate(points)]
     else:
         with ThreadPoolExecutor(max_workers=spec.max_parallel) as pool:
             futures = [
-                pool.submit(_run_point, spec, i, pt) for i, pt in enumerate(points)
+                pool.submit(_run_point, spec, i, pt, tables) for i, pt in enumerate(points)
             ]
             rows = [f.result() for f in futures]
     rows.sort(key=lambda r: r.run_id)

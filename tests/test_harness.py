@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from ksfv.config import (
 )
 from ksfv.errors import ConfigError, UsageError
 from ksfv.output import (
+    _CLASS_COLORS,
     CSV_HEADER,
     config_from_manifest,
     fmt,
@@ -23,7 +26,17 @@ from ksfv.output import (
     rows_to_csv,
 )
 from ksfv.solver import DiagnosticsRow, RunResult, Termination, TerminationInfo, run
-from ksfv.sweep import BLOWUP, GLOBAL, INCONCLUSIVE, SweepSpec, classify_run, run_sweep, sweep_csv
+from ksfv.sweep import (
+    BLOWUP,
+    ERROR,
+    GLOBAL,
+    INCONCLUSIVE,
+    SweepSpec,
+    classify_run,
+    run_sweep,
+    sweep_csv,
+    sweep_heatmap,
+)
 
 QUICK_CONFIG = """
 domain.kind = interval
@@ -215,6 +228,125 @@ def test_sweep_parallel_independence():
     csv1 = sweep_csv(spec1, run_sweep(spec1))
     csv3 = sweep_csv(spec3, run_sweep(spec3))
     assert csv1 == csv3
+
+
+def _beta_kappa_spec(max_parallel, kappas=(2.0, 3.0, 4.0)):
+    return SweepSpec(
+        axes=[("beta", [1.0, 2.0, 3.0]), ("kappa", list(kappas))],
+        base=parse_config_text(SWEEP_BASE),
+        max_parallel=max_parallel,
+    )
+
+
+def _count_table_builds(monkeypatch):
+    """Record the params of every build_table call the solver's table cache makes."""
+    import ksfv.solver as solver_mod
+
+    calls = []
+    real = solver_mod.build_table
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "build_table", counting)
+    return calls
+
+
+def test_sweep_builds_one_table_per_ratio(monkeypatch):
+    # the table depends on beta but not on kappa: 3 builds for 9 points
+    calls = _count_table_builds(monkeypatch)
+    rows = run_sweep(_beta_kappa_spec(2))
+    assert [r.classification for r in rows].count(ERROR) == 0
+    assert len(rows) == 9
+    assert sorted(p.beta for p in calls) == [1.0, 2.0, 3.0]
+
+
+def test_sweep_outputs_independent_of_parallelism_and_sharing():
+    spec1, spec2 = _beta_kappa_spec(1), _beta_kappa_spec(2)
+    rows1, rows2 = run_sweep(spec1), run_sweep(spec2)
+    assert sweep_csv(spec1, rows1) == sweep_csv(spec2, rows2)
+    for r1, r2 in zip(rows1, rows2):
+        diag = rows_to_csv(r1.result.rows)
+        assert diag == rows_to_csv(r2.result.rows)
+        # a point run on its own, with a private table, writes the same file
+        mapping = dict(spec1.base)
+        mapping.update({f"params.{k}": fmt(v) for k, v in r1.point.items()})
+        assert diag == rows_to_csv(run(run_config_from(mapping)[0]).rows)
+
+
+def test_continuous_dependence_builds_one_table(monkeypatch):
+    from conftest import damped_reference_config
+    from ksfv.solver import continuous_dependence
+
+    calls = _count_table_builds(monkeypatch)
+    rec = continuous_dependence(damped_reference_config(), 1e-6, 0.01, n_probe=5)
+    assert rec.both_completed
+    assert len(calls) == 1
+
+
+def test_table_caches_do_not_outlive_their_call(monkeypatch):
+    import gc
+    import weakref
+
+    import ksfv.solver as solver_mod
+    from conftest import damped_reference_config
+
+    made = []
+    real_init = solver_mod.TableCache.__init__
+
+    def tracking_init(self):
+        real_init(self)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver_mod.TableCache, "__init__", tracking_init)
+    rows = run_sweep(_beta_kappa_spec(2, kappas=(2.0,)))
+    rec = solver_mod.continuous_dependence(damped_reference_config(), 1e-6, 0.01, n_probe=5)
+    res = run(run_config_from(parse_config_text(QUICK_CONFIG))[0])
+    gc.collect()
+    assert len(made) == 3  # one per call: the sweep, the scan and the plain run
+    assert all(ref() is None for ref in made)
+    assert rows and rec.both_completed and res.steps > 0
+
+
+def _kappa_error_spec(max_parallel, kappas=(2.0, 1.5)):
+    return SweepSpec(
+        axes=[("kappa", list(kappas)), ("beta", [1.0])],
+        base=parse_config_text(SWEEP_BASE),
+        max_parallel=max_parallel,
+    )
+
+
+def test_failing_sweep_point_becomes_error_row():
+    # kappa = 1.5 is outside the model's range: that point alone fails
+    spec1, spec2 = _kappa_error_spec(1), _kappa_error_spec(2)
+    rows1, rows2 = run_sweep(spec1), run_sweep(spec2)
+    csv1 = sweep_csv(spec1, rows1)
+    assert csv1 == sweep_csv(spec2, rows2)
+    ok, failed = rows1
+    assert (failed.run_id, failed.classification, failed.termination) == (1, ERROR, "ConfigError")
+    assert "kappa" in failed.error and failed.result is None
+    assert all(math.isnan(x) for x in (
+        failed.t_final, failed.max_u_initial, failed.max_u_final, failed.F_final,
+    ))
+    assert csv1.splitlines()[2] == "1,1.5,1.0,Error,ConfigError,nan,nan,nan,nan"
+    # point 0 is what it is in a sweep without the failing point
+    alone_spec = _kappa_error_spec(1, kappas=(2.0,))
+    alone = run_sweep(alone_spec)
+    assert csv1.splitlines()[1] == sweep_csv(alone_spec, alone).splitlines()[1]
+    assert rows_to_csv(ok.result.rows) == rows_to_csv(alone[0].result.rows)
+    svg = sweep_heatmap(spec1, rows1)
+    assert svg.count(_CLASS_COLORS[ERROR]) == 2  # the failed cell and its legend entry
+
+
+def test_cli_sweep_with_failing_point(tmp_path, capsys):
+    spec = tmp_path / "s.cfg"
+    spec.write_text(SWEEP_BASE.replace("params.kappa = 2.0\n", "") + "axis.kappa = 2.0,1.5\n")
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[2].startswith("1,1.5,Error,ConfigError,")
+    assert "run 1 (ConfigError)" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_axis():

@@ -253,6 +253,87 @@ def test_table_range_and_covering():
     assert t2.covering(12.0) is t2
 
 
+_TABLE_ARRAYS = ("knots", "G_vals", "H_vals", "Gp_vals", "rho_vals", "rho_prime_vals")
+
+
+def test_covering_keeps_the_table_as_its_prefix():
+    p = params(alpha=1, beta=2, eps=0.01, s0=1.0)
+    t = ksfv.build_table(p, ksfv.RatioSpec.model(), s_max=10.0)
+    e = t.covering(5e3)
+    assert e.s_max >= 5e3 and len(e.knots) > len(t.knots)
+    for name in _TABLE_ARRAYS:
+        old, new = getattr(t, name), getattr(e, name)
+        assert np.array_equal(new[: len(old)], old), name
+    assert (e.s_min, e.s0, e.tol, e.seg_tol, e.base_knots) == (
+        t.s_min, t.s0, t.tol, t.seg_tol, t.base_knots,
+    )
+    # the appended knots continue the fixed sequence s_max * 10**(k/48)
+    r = 10.0 ** (1.0 / 48)
+    added = e.knots[len(t.knots):]
+    assert np.array_equal(added, [t.s_max * r ** k for k in range(1, len(added) + 1)])
+    assert added[-2] < 5e3 <= added[-1]
+    # values inside the old range are unchanged
+    s = np.geomspace(t.s_min, t.s_max, 101)
+    for f in ("g", "gp", "h"):
+        assert np.array_equal(getattr(e, f)(s), getattr(t, f)(s)), f
+
+
+def test_covering_in_steps_equals_covering_at_once():
+    p = params(alpha=1, beta=2, eps=0.01, s0=1.0)
+    t = ksfv.build_table(p, ksfv.RatioSpec.model(), s_max=10.0)
+    stepwise = t.covering(37.0).covering(2e3).covering(2.5e3).covering(1e5)
+    direct = t.covering(1e5)
+    assert stepwise.s_max == direct.s_max
+    for name in _TABLE_ARRAYS:
+        assert np.array_equal(getattr(stepwise, name), getattr(direct, name)), name
+
+
+def test_unit_table_extension_closed_forms():
+    p = params(s0=1.0)
+    t = ksfv.build_table(p, ksfv.RatioSpec.unit(), s_max=10.0)
+    e = t.covering(1e6)
+    k = e.knots
+    m = np.abs(np.arange(len(k)) - int(np.argmin(np.abs(k - 1.0))))  # segments from s0
+    exact = {"G_vals": 0.5 * (k - 1.0) ** 2, "Gp_vals": k - 1.0, "H_vals": 0.5 * (k * k - 1.0)}
+    for name, ref in exact.items():
+        # the documented bound: seg_tol per segment from s0, or the 1e-14
+        # relative floor per segment where the values are large
+        bound = m * np.maximum(e.seg_tol, 1e-14 * np.abs(ref))
+        assert np.all(np.abs(getattr(e, name) - ref) <= bound), name
+    s = np.geomspace(t.s_min, e.s_max, 200)
+    scale = m.max() * np.maximum(e.seg_tol, 1e-14 * 0.5 * s * s)
+    assert np.all(np.abs(e.g(s) - 0.5 * (s - 1.0) ** 2) <= scale)
+    assert np.all(np.abs(e.gp(s) - (s - 1.0)) <= scale)
+    assert np.all(np.abs(e.h(s) - 0.5 * (s * s - 1.0)) <= scale)
+
+
+def test_model_table_extension_matches_fresh_build():
+    p = params(alpha=1, beta=2, eps=0.01, s0=1.0)
+    t = ksfv.build_table(p, ksfv.RatioSpec.model(), s_max=10.0)
+    e = t.covering(1e4)
+    fresh = ksfv.build_table(p, ksfv.RatioSpec.model(), s_max=e.s_max)
+    s = np.geomspace(t.s_min, e.s_max, 200)
+    for f in ("g", "gp", "h"):
+        assert np.max(np.abs(getattr(e, f)(s) - getattr(fresh, f)(s))) <= t.tol, f
+
+
+def test_covering_reports_divergence(monkeypatch):
+    import ksfv.nonlin as nonlin_mod
+    from ksfv.errors import DivergenceError, QuadratureError
+
+    p = params(alpha=1, beta=2.5, eps=0.0, s0=1.0)
+    t = ksfv.build_table(p, ksfv.RatioSpec.model(), s_max=10.0)
+
+    def failing(*args, **kwargs):
+        raise QuadratureError("no convergence")
+
+    monkeypatch.setattr(nonlin_mod, "adaptive_simpson", failing)
+    with pytest.raises(DivergenceError, match="ratio ~ tau\\^-1.5 near 0: not integrable"):
+        t.covering(100.0)
+    with pytest.raises(UsageError):
+        t.covering(float("nan"))
+
+
 def test_build_table_preconditions():
     with pytest.raises(PreconditionError):
         ksfv.build_table(params(s0=1.0), ksfv.RatioSpec.unit(), s_min=2.0, s_max=10.0)

@@ -243,6 +243,31 @@ def test_run_mass_laws_with_active_growth():
     assert res.min_v_seen >= 0.0
 
 
+def test_run_computes_each_rows_energy_once(monkeypatch):
+    # diag_every = 1: every step emits a row, and the next step's F_prev is
+    # that row's F, so lyapunov runs once per row rather than twice per step
+    import ksfv.solver as solver_mod
+
+    calls = []
+    real = solver_mod.lyapunov
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "lyapunov", counting)
+    dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 24)
+    g = ksfv.make_grid(dom)
+    p = ksfv.ModelParams(alpha=1, beta=1, kappa=2, a=1.0, b=1.0, eps=0.02)
+    u0 = 1.0 + 0.2 * np.cos(np.pi * g.centers)
+    res = run(RunConfig(dom, p, u0, steady_signal(u0, g), t_end=0.02, diag_every=1))
+    assert res.steps == 64
+    assert len(res.rows) == 65
+    assert len(calls) == 65
+    for prev, row in zip(res.rows, res.rows[1:]):
+        assert row.identity_residual == abs((row.F - prev.F) / row.dt - row.dissipation_rhs)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_run_ends_non_finite_step_as_numerical_failure(bad):
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 16)
