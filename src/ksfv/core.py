@@ -126,6 +126,13 @@ class Grid:
     def cells(self) -> int:
         return self.spec.cells
 
+    def __setstate__(self, state):
+        # unpickling (e.g. a result sent back by a sweep worker) makes arrays writeable
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
 
 def make_grid(spec: DomainSpec) -> Grid:
     """Build the uniform grid for a domain spec. Arrays are frozen after construction."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -236,27 +235,25 @@ class TableCache:
     on those share one table. The cache builds with build_table's s_min and
     knots_per_decade, so those are the same for every key. A shared table
     carries the params of the run that built it; a table reads only their
-    ratio inputs. Access is guarded by a lock, so sweep points may share a
-    cache across threads. There is no module-level cache: each run, run_sweep
-    or continuous_dependence call makes its own, which lives no longer than
-    that call.
+    ratio inputs. A cache belongs to one process and one thread. There is no
+    module-level cache: each run or continuous_dependence call makes its own,
+    and each run_sweep task (the points of one table group) its own, which
+    lives no longer than that call or task.
     """
 
     def __init__(self):
         self._tables: Dict[tuple, FunctionalTable] = {}
-        self._lock = threading.Lock()
 
     def get(
         self, p: ModelParams, ratio_spec: RatioSpec, s_max: float, tol: float
     ) -> FunctionalTable:
         """build_table(p, ratio_spec, s_max=s_max, tol=tol), built at most once per key."""
         key = (p.alpha, p.beta, p.eps, p.psi_c, p.s0, ratio_spec, s_max, tol)
-        with self._lock:
-            table = self._tables.get(key)
-            if table is None:
-                table = build_table(p, ratio_spec, s_max=s_max, tol=tol)
-                self._tables[key] = table
-            return table
+        table = self._tables.get(key)
+        if table is None:
+            table = build_table(p, ratio_spec, s_max=s_max, tol=tol)
+            self._tables[key] = table
+        return table
 
 
 def _checked_state(state: State, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,19 @@
 """Run classification and deterministic parameter sweeps.
 
-Sweep points are expanded to full configurations, executed concurrently up to
-max_parallel, and merged by run id after a deterministic sort, so the output
-is independent of the degree of parallelism. The points of one sweep share
-one table cache, so each distinct G-table is built once per sweep. A point
-that raises one of the package's own errors becomes an Error row instead of
-aborting the sweep.
+Sweep points are expanded to full configurations and grouped into tasks: the
+points that differ only on axes the G-table does not read form one task,
+which runs its points in run-id order with one private table cache, so each
+distinct initial table is built once per sweep. The tasks run in up to
+max_parallel forked worker processes (capped at the usable CPUs), and the
+rows are merged by run id, so the output is independent of the degree of
+parallelism. A point that raises one of the package's own errors becomes an
+Error row instead of aborting the sweep; any other exception propagates.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,6 +36,10 @@ _AXIS_KEY = {
     "eps": "params.eps",
     "mass": "init.mass",
 }
+
+# Axes the initial G-table does not read (see the key in TableCache.get):
+# points that differ only on these share one table.
+_NON_TABLE_AXES = {"kappa"}
 
 
 def classify_run(
@@ -150,6 +156,44 @@ def _run_point(
     )
 
 
+def _run_task(spec: SweepSpec, items: List[Tuple[int, Dict[str, float]]]) -> List[SweepRow]:
+    """Run (run_id, point) items in order with one private table cache.
+
+    Module-level, so a worker process receives it by name.
+    """
+    tables = TableCache()
+    return [_run_point(spec, run_id, point, tables) for run_id, point in items]
+
+
+def _tasks(
+    points: List[Dict[str, float]], workers: int
+) -> List[List[Tuple[int, Dict[str, float]]]]:
+    """Group the points by their table axes, in run-id order.
+
+    While there are fewer tasks than workers, the largest task (the first
+    one on a tie) is halved, until every task is a single point.
+    """
+    groups: Dict[tuple, list] = {}
+    for run_id, point in enumerate(points):
+        key = tuple(v for name, v in point.items() if name not in _NON_TABLE_AXES)
+        groups.setdefault(key, []).append((run_id, point))
+    tasks = list(groups.values())
+    while len(tasks) < workers:
+        i = max(range(len(tasks)), key=lambda k: len(tasks[k]))
+        task = tasks[i]
+        if len(task) == 1:
+            break
+        half = (len(task) + 1) // 2
+        tasks[i : i + 1] = [task[:half], task[half:]]
+    return tasks
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec) -> List[SweepRow]:
     """Execute every sweep point; results are ordered by run id regardless of parallelism."""
     names = [name for name, _ in spec.axes]
@@ -157,17 +201,21 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         dict(zip(names, combo))
         for combo in itertools.product(*(values for _, values in spec.axes))
     ]
-    tables = TableCache()
-    if spec.max_parallel == 1:
-        rows = [_run_point(spec, i, pt, tables) for i, pt in enumerate(points)]
+    workers = min(spec.max_parallel, _usable_cpus())
+    tasks = _tasks(points, workers)
+    workers = min(workers, len(tasks))
+    if workers == 1:
+        done = list(map(_run_task, itertools.repeat(spec), tasks))
     else:
-        with ThreadPoolExecutor(max_workers=spec.max_parallel) as pool:
-            futures = [
-                pool.submit(_run_point, spec, i, pt, tables) for i, pt in enumerate(points)
-            ]
-            rows = [f.result() for f in futures]
-    rows.sort(key=lambda r: r.run_id)
-    return rows
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        largest_first = sorted(tasks, key=len, reverse=True)
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+            # if a task raises, map cancels the tasks still waiting in the queue
+            done = list(pool.map(_run_task, itertools.repeat(spec), largest_first))
+    return sorted((row for rows in done for row in rows), key=lambda r: r.run_id)
 
 
 def sweep_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from ksfv.sweep import (
     GLOBAL,
     INCONCLUSIVE,
     SweepSpec,
+    _tasks,
     classify_run,
     run_sweep,
     sweep_csv,
@@ -238,74 +241,186 @@ def _beta_kappa_spec(max_parallel, kappas=(2.0, 3.0, 4.0)):
     )
 
 
-def _count_table_builds(monkeypatch):
-    """Record the params of every build_table call the solver's table cache makes."""
+def _kappa_spec(max_parallel):
+    return SweepSpec(
+        axes=[("kappa", [2.0, 3.0, 4.0])],
+        base=parse_config_text(SWEEP_BASE),
+        max_parallel=max_parallel,
+    )
+
+
+def _pretend_cpus(monkeypatch, n):
+    """Let run_sweep use n worker processes whatever the machine's CPU count."""
+    import ksfv.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod, "_usable_cpus", lambda: n)
+
+
+def _count_table_builds(monkeypatch, tmp_path):
+    """Log every build_table call the solver's table cache makes, in any process.
+
+    Forked sweep workers inherit the patch and append to the same file. The
+    returned function reads the log as (pid, beta) pairs.
+    """
     import ksfv.solver as solver_mod
 
-    calls = []
+    log = tmp_path / "builds.log"
+    log.touch()
     real = solver_mod.build_table
 
     def counting(p, *args, **kwargs):
-        calls.append(p)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {p.beta!r}\n")
         return real(p, *args, **kwargs)
 
+    def builds():
+        lines = map(str.split, log.read_text().splitlines())
+        return [(int(pid), float(beta)) for pid, beta in lines]
+
     monkeypatch.setattr(solver_mod, "build_table", counting)
-    return calls
+    return builds
 
 
-def test_sweep_builds_one_table_per_ratio(monkeypatch):
+def test_sweep_tasks_group_points_by_table():
+    points = [{"beta": b, "kappa": k} for b in (1.0, 2.0, 3.0) for k in (2.0, 3.0, 4.0)]
+
+    def ids(tasks):
+        return [[run_id for run_id, _ in task] for task in tasks]
+
+    assert ids(_tasks(points, 2)) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    # fewer groups than workers: the first largest task is halved
+    assert ids(_tasks(points, 4)) == [[0, 1], [2], [3, 4, 5], [6, 7, 8]]
+    assert ids(_tasks(points, 20)) == [[i] for i in range(9)]
+    kappas = [{"kappa": k} for k in (2.0, 3.0, 4.0)]
+    assert ids(_tasks(kappas, 1)) == [[0, 1, 2]]
+    assert ids(_tasks(kappas, 2)) == [[0, 1], [2]]
+
+
+def test_sweep_builds_one_table_per_ratio(monkeypatch, tmp_path):
     # the table depends on beta but not on kappa: 3 builds for 9 points
-    calls = _count_table_builds(monkeypatch)
+    _pretend_cpus(monkeypatch, 2)
+    builds = _count_table_builds(monkeypatch, tmp_path)
     rows = run_sweep(_beta_kappa_spec(2))
+    assert multiprocessing.active_children() == []
     assert [r.classification for r in rows].count(ERROR) == 0
     assert len(rows) == 9
-    assert sorted(p.beta for p in calls) == [1.0, 2.0, 3.0]
+    assert sorted(beta for _, beta in builds()) == [1.0, 2.0, 3.0]
+    assert os.getpid() not in {pid for pid, _ in builds()}  # built in the workers
 
 
-def test_sweep_outputs_independent_of_parallelism_and_sharing():
-    spec1, spec2 = _beta_kappa_spec(1), _beta_kappa_spec(2)
-    rows1, rows2 = run_sweep(spec1), run_sweep(spec2)
-    assert sweep_csv(spec1, rows1) == sweep_csv(spec2, rows2)
-    for r1, r2 in zip(rows1, rows2):
+def test_sweep_outputs_independent_of_parallelism_and_sharing(monkeypatch):
+    _pretend_cpus(monkeypatch, 3)
+    spec1, spec2, spec3 = _beta_kappa_spec(1), _beta_kappa_spec(2), _beta_kappa_spec(3)
+    rows1, rows2, rows3 = run_sweep(spec1), run_sweep(spec2), run_sweep(spec3)
+    assert sweep_csv(spec1, rows1) == sweep_csv(spec2, rows2) == sweep_csv(spec3, rows3)
+    for r1, r2, r3 in zip(rows1, rows2, rows3):
         diag = rows_to_csv(r1.result.rows)
-        assert diag == rows_to_csv(r2.result.rows)
+        assert diag == rows_to_csv(r2.result.rows) == rows_to_csv(r3.result.rows)
         # a point run on its own, with a private table, writes the same file
         mapping = dict(spec1.base)
         mapping.update({f"params.{k}": fmt(v) for k, v in r1.point.items()})
         assert diag == rows_to_csv(run(run_config_from(mapping)[0]).rows)
 
 
-def test_continuous_dependence_builds_one_table(monkeypatch):
+def test_kappa_only_sweep_splits_into_two_tasks(monkeypatch, tmp_path):
+    # one table group, two workers: the group is halved and each half builds its table
+    _pretend_cpus(monkeypatch, 2)
+    spec1 = _kappa_spec(1)
+    rows1 = run_sweep(spec1)
+    builds = _count_table_builds(monkeypatch, tmp_path)
+    spec2 = _kappa_spec(2)
+    rows2 = run_sweep(spec2)
+    assert multiprocessing.active_children() == []
+    assert len(builds()) == 2 and os.getpid() not in {pid for pid, _ in builds()}
+    assert sweep_csv(spec1, rows1) == sweep_csv(spec2, rows2)
+    for r1, r2 in zip(rows1, rows2):
+        assert rows_to_csv(r1.result.rows) == rows_to_csv(r2.result.rows)
+
+
+def test_sweep_results_from_workers_keep_frozen_grids(monkeypatch):
+    from ksfv.config import domain_from
+
+    _pretend_cpus(monkeypatch, 2)
+    spec = _beta_kappa_spec(2, kappas=(2.0,))
+    rows = run_sweep(spec)
+    ref = ksfv.make_grid(domain_from(with_defaults(spec.base)))
+    for row in rows:
+        grid = row.result.grid
+        assert grid.trans.flags.writeable is False
+        assert (grid.spec, grid.h) == (ref.spec, ref.h)
+        for name in ("centers", "faces", "face_area", "cell_volume", "trans", "face_weight"):
+            arr = getattr(grid, name)
+            assert arr.flags.writeable is False
+            assert np.array_equal(arr, getattr(ref, name))
+
+
+def test_foreign_exception_in_worker_propagates(monkeypatch):
+    # only ksfv errors become Error rows; anything else aborts the sweep
+    import ksfv.sweep as sweep_mod
+
+    _pretend_cpus(monkeypatch, 2)
+    real_run = sweep_mod.run
+
+    def failing_run(cfg, *args, **kwargs):
+        if cfg.params.beta == 2.0:
+            raise RuntimeError(f"failed in process {os.getpid()}")
+        return real_run(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run", failing_run)
+    with pytest.raises(RuntimeError, match="failed in process") as info:
+        run_sweep(_beta_kappa_spec(2))
+    assert str(os.getpid()) not in str(info.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_continuous_dependence_builds_one_table(monkeypatch, tmp_path):
     from conftest import damped_reference_config
     from ksfv.solver import continuous_dependence
 
-    calls = _count_table_builds(monkeypatch)
+    builds = _count_table_builds(monkeypatch, tmp_path)
     rec = continuous_dependence(damped_reference_config(), 1e-6, 0.01, n_probe=5)
     assert rec.both_completed
-    assert len(calls) == 1
+    assert len(builds()) == 1
 
 
-def test_table_caches_do_not_outlive_their_call(monkeypatch):
+def test_table_caches_do_not_outlive_their_call(monkeypatch, tmp_path):
     import gc
-    import weakref
 
     import ksfv.solver as solver_mod
     from conftest import damped_reference_config
 
-    made = []
+    # every cache's creation and finalization, logged by process and id
+    _pretend_cpus(monkeypatch, 2)
+    log = tmp_path / "caches.log"
+    log.touch()
     real_init = solver_mod.TableCache.__init__
+
+    def note(event, cache):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {event} {id(cache)}\n")
 
     def tracking_init(self):
         real_init(self)
-        made.append(weakref.ref(self))
+        note("new", self)
+
+    def events(kind):
+        lines = map(str.split, log.read_text().splitlines())
+        return sorted((pid, key) for pid, event, key in lines if event == kind)
 
     monkeypatch.setattr(solver_mod.TableCache, "__init__", tracking_init)
+    monkeypatch.setattr(
+        solver_mod.TableCache, "__del__", lambda self: note("del", self), raising=False
+    )
     rows = run_sweep(_beta_kappa_spec(2, kappas=(2.0,)))
+    assert multiprocessing.active_children() == []
+    swept = events("new")
+    assert len(swept) == 3  # one per sweep task (3 table groups), all in the workers
+    assert str(os.getpid()) not in {pid for pid, _ in swept}
     rec = solver_mod.continuous_dependence(damped_reference_config(), 1e-6, 0.01, n_probe=5)
     res = run(run_config_from(parse_config_text(QUICK_CONFIG))[0])
     gc.collect()
-    assert len(made) == 3  # one per call: the sweep, the scan and the plain run
-    assert all(ref() is None for ref in made)
+    assert len(events("new")) == 5  # and one each for the scan and the plain run
+    assert events("del") == events("new")
     assert rows and rec.both_completed and res.steps > 0
 
 
