@@ -46,7 +46,8 @@ SCHEMA = """\
 # classify.global_factor   10.0         Global requires max_u growth below this factor
 # classify.blowup_factor   1e3          BlowUp-on-underflow requires growth above this
 # sweep.max_parallel       1            worker processes for a sweep, >= 1; capped at
-#                                       the usable CPUs (1: run in-process)
+#                                       the usable CPUs and the sweep's table groups
+#                                       (1, or no safe fork: run in-process)
 # axis.<name>              (unset)      sweep axis: comma list; name in
 #                                       {alpha, beta, kappa, eps, mass}
 # family.eta_list          (unset)      comma list of eta values for family scans

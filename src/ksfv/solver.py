@@ -226,32 +226,44 @@ def _tridiag_solve(c: float, s: float, rhs: np.ndarray, grid: Grid) -> np.ndarra
     return x
 
 
+def initial_table_key(cfg: RunConfig) -> tuple:
+    """The inputs that determine run(cfg)'s initial G-table, its TableCache key.
+
+    They are the ratio inputs (alpha, beta, eps, psi_c, s0), the ratio spec,
+    s_max (ten times the largest of 1, 2 s0 and max u0) and table_tol; not a,
+    b, kappa, the grid or the rest of the data. The cache builds with
+    build_table's s_min and knots_per_decade, so those are the same for every
+    key.
+    """
+    p = cfg.params
+    ov = cfg.overrides
+    ratio_spec = ov.ratio_spec if ov is not None else RatioSpec.model()
+    s_max = 10.0 * max(1.0, 2.0 * p.s0, float(np.max(np.asarray(cfg.u0, dtype=float))))
+    return (p.alpha, p.beta, p.eps, p.psi_c, p.s0, ratio_spec, s_max, cfg.table_tol)
+
+
 class TableCache:
     """The initial G-tables of one call, each built once per distinct input.
 
-    A table depends only on the ratio inputs (alpha, beta, eps, psi_c, s0),
-    the ratio spec, s_min, s_max, tol and knots_per_decade, not on a, b,
-    kappa, the grid or the data, so the runs of a sweep or a scan that agree
-    on those share one table. The cache builds with build_table's s_min and
-    knots_per_decade, so those are the same for every key. A shared table
-    carries the params of the run that built it; a table reads only their
-    ratio inputs. A cache belongs to one process and one thread. There is no
-    module-level cache: each run or continuous_dependence call makes its own,
-    and each run_sweep task (the points of one table group) its own, which
-    lives no longer than that call or task.
+    Runs whose configurations have the same initial_table_key share one
+    table. A shared table carries the params of the run that built it; a
+    table reads only their ratio inputs. A cache belongs to one process and
+    one thread. There is no module-level cache: each run or
+    continuous_dependence call makes its own, and each run_sweep task (the
+    points of one table group) its own, which lives no longer than that call
+    or task.
     """
 
     def __init__(self):
         self._tables: Dict[tuple, FunctionalTable] = {}
 
-    def get(
-        self, p: ModelParams, ratio_spec: RatioSpec, s_max: float, tol: float
-    ) -> FunctionalTable:
-        """build_table(p, ratio_spec, s_max=s_max, tol=tol), built at most once per key."""
-        key = (p.alpha, p.beta, p.eps, p.psi_c, p.s0, ratio_spec, s_max, tol)
+    def get(self, cfg: RunConfig) -> FunctionalTable:
+        """run(cfg)'s initial G-table, built at most once per initial_table_key(cfg)."""
+        key = initial_table_key(cfg)
         table = self._tables.get(key)
         if table is None:
-            table = build_table(p, ratio_spec, s_max=s_max, tol=tol)
+            ratio_spec, s_max, tol = key[-3:]
+            table = build_table(cfg.params, ratio_spec, s_max=s_max, tol=tol)
             self._tables[key] = table
         return table
 
@@ -349,12 +361,9 @@ def run(
     v = np.asarray(cfg.v0, dtype=float).copy()
     t = 0.0
     m0 = linf(u)
-    s_hi = 10.0 * max(1.0, 2.0 * p.s0, float(np.max(u)))
     if tables is None:
         tables = TableCache()
-    table = tables.get(
-        p, ov.ratio_spec if ov is not None else RatioSpec.model(), s_max=s_hi, tol=cfg.table_tol
-    )
+    table = tables.get(cfg)
 
     probes: List[float] = (
         sorted(float(x) for x in probe_times) if probe_times is not None else []

@@ -4,7 +4,8 @@ Sweep points are expanded to full configurations and grouped into tasks: the
 points that differ only on axes the G-table does not read form one task,
 which runs its points in run-id order with one private table cache, so each
 distinct initial table is built once per sweep. The tasks run in up to
-max_parallel forked worker processes (capped at the usable CPUs), and the
+max_parallel forked worker processes (capped at the usable CPUs and at the
+number of tasks; in-process where fork is unavailable or unsafe), and the
 rows are merged by run id, so the output is independent of the degree of
 parallelism. A point that raises one of the package's own errors becomes an
 Error row instead of aborting the sweep; any other exception propagates.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,8 +39,8 @@ _AXIS_KEY = {
     "mass": "init.mass",
 }
 
-# Axes the initial G-table does not read (see the key in TableCache.get):
-# points that differ only on these share one table.
+# Axes the initial G-table does not read (see solver.initial_table_key; a
+# test checks the two agree): points that differ only on these share one table.
 _NON_TABLE_AXES = {"kappa"}
 
 
@@ -165,33 +167,36 @@ def _run_task(spec: SweepSpec, items: List[Tuple[int, Dict[str, float]]]) -> Lis
     return [_run_point(spec, run_id, point, tables) for run_id, point in items]
 
 
-def _tasks(
-    points: List[Dict[str, float]], workers: int
-) -> List[List[Tuple[int, Dict[str, float]]]]:
-    """Group the points by their table axes, in run-id order.
-
-    While there are fewer tasks than workers, the largest task (the first
-    one on a tie) is halved, until every task is a single point.
-    """
+def _tasks(points: List[Dict[str, float]]) -> List[List[Tuple[int, Dict[str, float]]]]:
+    """Group the points by their table axes, in run-id order."""
     groups: Dict[tuple, list] = {}
     for run_id, point in enumerate(points):
         key = tuple(v for name, v in point.items() if name not in _NON_TABLE_AXES)
         groups.setdefault(key, []).append((run_id, point))
-    tasks = list(groups.values())
-    while len(tasks) < workers:
-        i = max(range(len(tasks)), key=lambda k: len(tasks[k]))
-        task = tasks[i]
-        if len(task) == 1:
-            break
-        half = (len(task) + 1) // 2
-        tasks[i : i + 1] = [task[:half], task[half:]]
-    return tasks
+    return list(groups.values())
 
 
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The fork start method, or None where the pool should not fork.
+
+    Fork is missing on Windows and unsafe with macOS system frameworks.
+    Before Python 3.11 the process pool forks workers on demand, after its
+    manager thread has started, which can deadlock a child (CPython issue
+    90622); from 3.11 it forks them all first.
+    """
+    import multiprocessing
+
+    if sys.platform == "darwin" or sys.version_info < (3, 11):
+        return None
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
 
 
 def run_sweep(spec: SweepSpec) -> List[SweepRow]:
@@ -201,17 +206,15 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         dict(zip(names, combo))
         for combo in itertools.product(*(values for _, values in spec.axes))
     ]
-    workers = min(spec.max_parallel, _usable_cpus())
-    tasks = _tasks(points, workers)
-    workers = min(workers, len(tasks))
-    if workers == 1:
+    tasks = _tasks(points)
+    workers = min(spec.max_parallel, _usable_cpus(), len(tasks))
+    fork = _fork_context() if workers > 1 else None
+    if fork is None:
         done = list(map(_run_task, itertools.repeat(spec), tasks))
     else:
-        import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
 
         largest_first = sorted(tasks, key=len, reverse=True)
-        fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
             # if a task raises, map cancels the tasks still waiting in the queue
             done = list(pool.map(_run_task, itertools.repeat(spec), largest_first))

@@ -34,6 +34,8 @@ from ksfv.sweep import (
     GLOBAL,
     INCONCLUSIVE,
     SweepSpec,
+    _AXIS_KEY,
+    _NON_TABLE_AXES,
     _tasks,
     classify_run,
     run_sweep,
@@ -287,13 +289,32 @@ def test_sweep_tasks_group_points_by_table():
     def ids(tasks):
         return [[run_id for run_id, _ in task] for task in tasks]
 
-    assert ids(_tasks(points, 2)) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    # fewer groups than workers: the first largest task is halved
-    assert ids(_tasks(points, 4)) == [[0, 1], [2], [3, 4, 5], [6, 7, 8]]
-    assert ids(_tasks(points, 20)) == [[i] for i in range(9)]
+    assert ids(_tasks(points)) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
     kappas = [{"kappa": k} for k in (2.0, 3.0, 4.0)]
-    assert ids(_tasks(kappas, 1)) == [[0, 1, 2]]
-    assert ids(_tasks(kappas, 2)) == [[0, 1], [2]]
+    assert ids(_tasks(kappas)) == [[0, 1, 2]]
+
+
+def test_non_table_axes_are_those_the_table_key_ignores():
+    # the sweep groups points by the axes that change solver.initial_table_key
+    from ksfv.solver import initial_table_key
+
+    values = {
+        "alpha": (1.0, 1.5),
+        "beta": (1.0, 2.0),
+        "kappa": (2.0, 3.0),
+        "eps": (0.1, 0.2),
+        "mass": (5.0, 10.0),  # max u0 above 1, where it sets the table's s_max
+    }
+    assert set(values) == set(_AXIS_KEY)
+    base = parse_config_text(SWEEP_BASE)
+
+    def key(axis, value):
+        mapping = dict(base)
+        mapping[_AXIS_KEY[axis]] = fmt(value)
+        return initial_table_key(run_config_from(mapping)[0])
+
+    ignored = {axis for axis, (a, b) in values.items() if key(axis, a) == key(axis, b)}
+    assert ignored == _NON_TABLE_AXES
 
 
 def test_sweep_builds_one_table_per_ratio(monkeypatch, tmp_path):
@@ -322,8 +343,8 @@ def test_sweep_outputs_independent_of_parallelism_and_sharing(monkeypatch):
         assert diag == rows_to_csv(run(run_config_from(mapping)[0]).rows)
 
 
-def test_kappa_only_sweep_splits_into_two_tasks(monkeypatch, tmp_path):
-    # one table group, two workers: the group is halved and each half builds its table
+def test_kappa_only_sweep_runs_as_one_task(monkeypatch, tmp_path):
+    # one table group: one task, run in-process with one table build, whatever max_parallel
     _pretend_cpus(monkeypatch, 2)
     spec1 = _kappa_spec(1)
     rows1 = run_sweep(spec1)
@@ -331,10 +352,37 @@ def test_kappa_only_sweep_splits_into_two_tasks(monkeypatch, tmp_path):
     spec2 = _kappa_spec(2)
     rows2 = run_sweep(spec2)
     assert multiprocessing.active_children() == []
-    assert len(builds()) == 2 and os.getpid() not in {pid for pid, _ in builds()}
+    assert builds() == [(os.getpid(), 1.0)]
     assert sweep_csv(spec1, rows1) == sweep_csv(spec2, rows2)
     for r1, r2 in zip(rows1, rows2):
         assert rows_to_csv(r1.result.rows) == rows_to_csv(r2.result.rows)
+
+
+@pytest.mark.parametrize("host", ["no-fork", "darwin", "python3.10"])
+def test_sweep_runs_in_process_where_the_pool_should_not_fork(monkeypatch, tmp_path, host):
+    import sys
+    import types
+
+    import ksfv.sweep as sweep_mod
+
+    _pretend_cpus(monkeypatch, 2)
+    spec = _beta_kappa_spec(2, kappas=(2.0,))
+    if host == "no-fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        fake = types.SimpleNamespace(platform=sys.platform, version_info=sys.version_info)
+        if host == "darwin":
+            fake.platform = "darwin"
+        else:
+            fake.version_info = (3, 10, 14)
+        monkeypatch.setattr(sweep_mod, "sys", fake)
+    builds = _count_table_builds(monkeypatch, tmp_path)
+    rows = run_sweep(spec)
+    assert multiprocessing.active_children() == []
+    assert builds() == [(os.getpid(), beta) for beta in (1.0, 2.0, 3.0)]
+    assert [r.classification for r in rows].count(ERROR) == 0
+    monkeypatch.undo()
+    assert sweep_csv(spec, rows) == sweep_csv(spec, run_sweep(_beta_kappa_spec(1, kappas=(2.0,))))
 
 
 def test_sweep_results_from_workers_keep_frozen_grids(monkeypatch):
