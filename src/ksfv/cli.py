@@ -1,13 +1,15 @@
 """Command-line interface: run, sweep, family, check, convergence.
 
 Exit codes: 0 on success (a detected blow-up is a valid scientific outcome),
-1 on usage/configuration errors, 2 when a run ends in numerical failure or a
-sweep point fails (its Error row is still written to sweep.csv).
+1 on usage/configuration errors and any other ksfv or i/o error, each reported
+as one stderr line, 2 when a run ends in numerical failure or a sweep point
+fails (its Error row is still written to sweep.csv).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -18,21 +20,16 @@ import numpy as np
 from . import __version__
 from .config import (
     SCHEMA,
+    family_from,
     load_config,
+    number,
+    numbers,
+    params_from,
     run_config_from,
     with_defaults,
 )
-from .core import make_grid
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    DomainError,
-    PreconditionError,
-    ResolutionError,
-    ScanAbortedError,
-    UsageError,
-)
-from .families import FamilyParams, energy_scan, fit_divergence_exponent
+from .errors import ConfigError, KsfvError, ScanAbortedError, UsageError
+from .families import energy_scan, fit_divergence_exponent
 from .nonlin import (
     RatioSpec,
     build_table,
@@ -71,7 +68,7 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="parameter sweep with classification")
     p_sweep.add_argument("--spec", required=True, help="sweep configuration file")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--max-parallel", type=int, default=None)
+    p_sweep.add_argument("--max-parallel", type=int, help="overrides sweep.max_parallel")
 
     p_fam = sub.add_parser("family", help="concentrated-data energy scan")
     p_fam.add_argument("--config", required=True)
@@ -90,7 +87,7 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--alpha-prime", type=float, default=1.0)
     p_check.add_argument("--eps-c", type=float, default=0.5)
     p_check.add_argument("--K", type=float, default=1.0)
-    p_check.add_argument("--s-max", type=float, default=1000.0)
+    p_check.add_argument("--s-max", type=float, help="overrides check.s_max")
 
     p_conv = sub.add_parser("convergence", help="regularization convergence scan")
     p_conv.add_argument("--config", required=True)
@@ -146,28 +143,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    mapping = load_config(args.spec)
-    axes = []
-    base = {}
-    max_parallel = 1
-    for key, value in mapping.items():
-        if key.startswith("axis."):
-            name = key[len("axis.") :]
-            axes.append((name, [float(x) for x in value.split(",")]))
-        elif key == "sweep.max_parallel":
-            max_parallel = int(value)
-        else:
-            base[key] = value
+    spec = SweepSpec.from_mapping(load_config(args.spec))
     if args.max_parallel is not None:
-        max_parallel = args.max_parallel
-    merged = with_defaults(base)
-    spec = SweepSpec(
-        axes=axes,
-        base=base,
-        max_parallel=max_parallel,
-        global_factor=float(merged["classify.global_factor"]),
-        blowup_factor=float(merged["classify.blowup_factor"]),
-    )
+        spec = dataclasses.replace(spec, max_parallel=args.max_parallel)
     rows = run_sweep(spec)
     os.makedirs(args.out, exist_ok=True)
     write_text(os.path.join(args.out, "sweep.csv"), sweep_csv(spec, rows))
@@ -185,27 +163,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    mapping = with_defaults(load_config(args.config))
-    for key in ("family.eta_list", "family.mass"):
-        if key not in mapping:
-            raise UsageError(f"family scan needs {key}")
-    from .config import domain_from, params_from
-
-    dom = domain_from(mapping)
-    params = params_from(mapping)
-    grid = make_grid(dom)
-    etas = [float(x) for x in mapping["family.eta_list"].split(",")]
-    fp = FamilyParams(
-        eta=etas[0],
-        beta=params.beta,
-        mass=float(mapping["family.mass"]),
-        kappa_prime=(
-            float(mapping["family.kappa_prime"]) if "family.kappa_prime" in mapping else None
-        ),
-        theta=float(mapping["family.theta"]) if "family.theta" in mapping else None,
-        delta=float(mapping["family.delta"]) if "family.delta" in mapping else None,
-        gamma=float(mapping["family.gamma"]) if "family.gamma" in mapping else None,
-    )
+    grid, params, fp, etas = family_from(load_config(args.config))
     table = build_table(params, RatioSpec.model(), s_max=10.0 * max(1.0, 2.0 * params.s0))
     scan = energy_scan(fp, etas, grid, table)
     os.makedirs(args.out, exist_ok=True)
@@ -218,7 +176,7 @@ def _cmd_family(args) -> int:
             )
         )
     write_text(os.path.join(args.out, "family.csv"), "\n".join(lines) + "\n")
-    L = [float(np.log(dom.R / e)) for e in scan.etas]
+    L = [float(np.log(grid.spec.R / e)) for e in scan.etas]
     write_text(
         os.path.join(args.out, "family.svg"),
         line_chart_svg(L, scan.F_values, "F vs ln(R/eta)", "F"),
@@ -226,7 +184,7 @@ def _cmd_family(args) -> int:
     print(f"F values: {['%.4g' % f for f in scan.F_values]}")
     print(f"strictly decreasing: {scan.strictly_decreasing}")
     if scan.strictly_decreasing and len(scan.etas) >= 3:
-        p = fit_divergence_exponent(scan.etas, scan.F_values, dom.R)
+        p = fit_divergence_exponent(scan.etas, scan.F_values, grid.spec.R)
         print(f"fitted divergence exponent: {p:.4f}")
     return 0
 
@@ -236,8 +194,6 @@ def _cmd_check(args) -> int:
         print(SCHEMA, end="")
         return 0
     mapping = with_defaults(load_config(args.config) if args.config else {})
-    from .config import params_from
-
     params = params_from(mapping)
     if args.damping:
         weak = damping_is_weak(params, args.n)
@@ -246,7 +202,7 @@ def _cmd_check(args) -> int:
             + ("blow-up-permissive (damping may be too weak)" if weak else "damping-dominated")
         )
         return 0
-    s_max = float(mapping.get("check.s_max", args.s_max))
+    s_max = args.s_max if args.s_max is not None else number(mapping, "check.s_max")
     table = build_table(params, RatioSpec.model(), s_max=s_max)
     if args.growth:
         exponent = args.theta if args.n == 2 else args.alpha_prime
@@ -258,9 +214,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    mapping = load_config(args.config)
-    cfg, _, _ = run_config_from(mapping)
-    eps_list = [float(x) for x in args.eps_list.split(",")]
+    cfg, _, _ = run_config_from(load_config(args.config))
+    eps_list = numbers({"--eps-list": args.eps_list}, "--eps-list")
     try:
         scan = epsilon_convergence_scan(cfg, eps_list, args.t_probe)
     except ScanAbortedError as exc:
@@ -297,7 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, ConfigError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionError, DomainError, DivergenceError, ResolutionError) as exc:
+    except KsfvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

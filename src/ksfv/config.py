@@ -9,7 +9,8 @@ the CLI can print it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from dataclasses import fields
+from typing import Dict, List
 
 import numpy as np
 
@@ -56,7 +57,7 @@ SCHEMA = """\
 # family.mass              (unset)      family mass target
 # family.delta             (unset)      n>=3 signal exponent
 # family.gamma             (unset)      n>=3 signal prefactor exponent
-# check.s_max              1000.0       sample range ceiling for condition checks
+# check.s_max              1000.0       condition-check sample ceiling; --s-max overrides
 #
 # Field specs (init.u0 / init.v0):
 #   constant:<value>
@@ -91,6 +92,7 @@ DEFAULTS: Dict[str, str] = {
     "classify.global_factor": "10.0",
     "classify.blowup_factor": "1e3",
     "sweep.max_parallel": "1",
+    "check.s_max": "1000.0",
 }
 
 _OPTIONAL_KEYS = {
@@ -102,21 +104,26 @@ _OPTIONAL_KEYS = {
     "family.mass",
     "family.delta",
     "family.gamma",
-    "check.s_max",
 }
 
-_AXIS_NAMES = ("alpha", "beta", "kappa", "eps", "mass")
+# sweep axis name -> the configuration key it sets (file key axis.<name>)
+AXIS_KEYS = {
+    "alpha": "params.alpha",
+    "beta": "params.beta",
+    "kappa": "params.kappa",
+    "eps": "params.eps",
+    "mass": "init.mass",
+}
 
 
 def known_keys():
-    keys = set(DEFAULTS) | _OPTIONAL_KEYS
-    keys |= {f"axis.{name}" for name in _AXIS_NAMES}
-    return keys
+    return set(DEFAULTS) | _OPTIONAL_KEYS | {f"axis.{name}" for name in AXIS_KEYS}
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
     """Parse key = value lines into a flat mapping; unknown keys are rejected."""
     out: Dict[str, str] = {}
+    known = known_keys()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,7 +131,7 @@ def parse_config_text(text: str) -> Dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known_keys():
+        if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -143,14 +150,47 @@ def with_defaults(mapping: Dict[str, str]) -> Dict[str, str]:
     return merged
 
 
-def _floats(spec: str) -> Dict[str, float]:
-    out = {}
+def _number(key: str, text: str, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got '{text}'") from None
+
+
+def number(mapping: Dict[str, str], key: str, kind=float):
+    """mapping[key] as a `kind` (float or int); a ConfigError naming the key if it is not one."""
+    return _number(key, mapping[key], kind)
+
+
+def numbers(mapping: Dict[str, str], key: str) -> List[float]:
+    """mapping[key] as a comma list of floats; a ConfigError naming the key if one is not."""
+    return [_number(key, part, float) for part in mapping[key].split(",")]
+
+
+def _options(spec: str) -> Dict[str, float]:
+    raw = {}
     for part in spec.split(","):
         if "=" not in part:
             raise UsageError(f"malformed field option {part!r} (expected name=value)")
         k, v = part.split("=", 1)
-        out[k.strip()] = float(v)
-    return out
+        raw[k.strip()] = v
+    return {k: number(raw, k) for k in raw}
+
+
+def _family_params(opts: Dict[str, float]) -> FamilyParams:
+    """FamilyParams from float options; beta and mass default to 1."""
+    if "eta" not in opts:
+        raise UsageError("family data needs eta")
+    return FamilyParams(
+        eta=opts["eta"],
+        beta=opts.get("beta", 1.0),
+        mass=opts.get("mass", 1.0),
+        kappa_prime=opts.get("kappa_prime"),
+        theta=opts.get("theta"),
+        delta=opts.get("delta"),
+        gamma=opts.get("gamma"),
+    )
 
 
 def build_field(spec: str, grid: Grid) -> np.ndarray:
@@ -163,18 +203,18 @@ def build_field(spec: str, grid: Grid) -> np.ndarray:
         try:
             value = float(rest)
         except ValueError:
-            value = _floats(rest).get("value")
+            value = _options(rest).get("value")
             if value is None:
                 raise UsageError(f"constant spec needs a value, got {spec!r}") from None
         return np.full(grid.cells, value)
     if name == "cosine":
-        opts = _floats(rest)
+        opts = _options(rest)
         base = opts.get("base", 1.0)
         amp = opts.get("amp", 0.0)
         mode = opts.get("mode", 1.0)
         return base + amp * np.cos(mode * math.pi * x / extent)
     if name == "gauss":
-        opts = _floats(rest)
+        opts = _options(rest)
         base = opts.get("base", 0.0)
         amp = opts.get("amp", 1.0)
         width = opts.get("width", 0.2)
@@ -182,28 +222,18 @@ def build_field(spec: str, grid: Grid) -> np.ndarray:
         xi = x / extent
         return base + amp * np.exp(-(((xi - center) / width) ** 2))
     if name == "family_u":
-        opts = _floats(rest)
-        fp = FamilyParams(
-            eta=opts["eta"],
-            beta=opts.get("beta", 1.0),
-            mass=opts.get("mass", 1.0),
-            kappa_prime=opts.get("kappa_prime"),
-            theta=opts.get("theta"),
-        )
-        return concentrated_u(fp, grid)
+        return concentrated_u(_family_params(_options(rest)), grid)
     if name == "family_v":
-        opts = _floats(rest)
-        fp = FamilyParams(
-            eta=opts["eta"],
-            beta=opts.get("beta", 1.0),
-            mass=opts.get("mass", 1.0),
-            kappa_prime=opts.get("kappa_prime"),
-            theta=opts.get("theta"),
-            delta=opts.get("delta"),
-            gamma=opts.get("gamma"),
-        )
-        return concentrated_v(fp, grid)
+        return concentrated_v(_family_params(_options(rest)), grid)
     raise UsageError(f"unknown field spec {spec!r}")
+
+
+def _field(key: str, spec: str, grid: Grid) -> np.ndarray:
+    """build_field(spec, grid); a malformed spec is a ConfigError naming its key."""
+    try:
+        return build_field(spec, grid)
+    except (ConfigError, UsageError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def domain_from(mapping: Dict[str, str]) -> DomainSpec:
@@ -212,23 +242,37 @@ def domain_from(mapping: Dict[str, str]) -> DomainSpec:
         raise ConfigError(f"domain.kind must be 'interval' or 'ball', got {kind!r}")
     return DomainSpec(
         kind=kind,
-        R=float(mapping["domain.R"]),
-        n=int(mapping["domain.n"]),
-        cells=int(mapping["domain.cells"]),
+        R=number(mapping, "domain.R"),
+        n=number(mapping, "domain.n", int),
+        cells=number(mapping, "domain.cells", int),
     )
 
 
 def params_from(mapping: Dict[str, str]) -> ModelParams:
     return ModelParams(
-        alpha=float(mapping["params.alpha"]),
-        beta=float(mapping["params.beta"]),
-        kappa=float(mapping["params.kappa"]),
-        a=float(mapping["params.a"]),
-        b=float(mapping["params.b"]),
-        eps=float(mapping["params.eps"]),
-        s0=float(mapping["params.s0"]),
-        psi_c=float(mapping["params.psi_c"]),
+        **{f.name: number(mapping, f"params.{f.name}") for f in fields(ModelParams)}
     )
+
+
+def family_from(mapping: Dict[str, str]):
+    """Grid, model parameters, family and eta list of a `ksfv family` configuration.
+
+    The family's beta is params.beta and its eta the first of family.eta_list.
+    """
+    merged = with_defaults(mapping)
+    for key in ("family.eta_list", "family.mass"):
+        if key not in merged:
+            raise UsageError(f"family scan needs {key}")
+    grid = make_grid(domain_from(merged))
+    params = params_from(merged)
+    etas = numbers(merged, "family.eta_list")
+    opts = {
+        name: number(merged, f"family.{name}")
+        for name in ("mass", "kappa_prime", "theta", "delta", "gamma")
+        if f"family.{name}" in merged
+    }
+    fp = _family_params({"eta": etas[0], "beta": params.beta, **opts})
+    return grid, params, fp, etas
 
 
 def run_config_from(mapping: Dict[str, str]):
@@ -240,39 +284,31 @@ def run_config_from(mapping: Dict[str, str]):
     grid = make_grid(dom)
     params = params_from(merged)
 
-    # family specs inherit beta from the model unless given explicitly
+    # the density family inherits beta from the model unless given explicitly
     u_spec = merged["init.u0"]
     if u_spec.startswith("family_u:") and "beta=" not in u_spec:
         u_spec += f",beta={params.beta}"
-    u0 = build_field(u_spec, grid)
+    u0 = _field("init.u0", u_spec, grid)
     if "init.mass" in merged:
-        target = float(merged["init.mass"])
+        target = number(merged, "init.mass")
         current = integrate(u0, grid)
         if current <= 0.0:
             raise ConfigError("cannot rescale a zero-mass u0 to init.mass")
         u0 = u0 * (target / current)
 
     v_spec = merged["init.v0"]
-    if v_spec == "steady":
-        v0 = steady_signal(u0, grid)
-    else:
-        if v_spec.startswith("family_v:") and "beta=" not in v_spec:
-            v_spec += f",beta={params.beta}"
-        v0 = build_field(v_spec, grid)
+    v0 = steady_signal(u0, grid) if v_spec == "steady" else _field("init.v0", v_spec, grid)
 
-    dt_max: Optional[float] = (
-        float(merged["run.dt_max"]) if "run.dt_max" in merged else None
-    )
     cfg = RunConfig(
         domain=dom,
         params=params,
         u0=u0,
         v0=v0,
-        t_end=float(merged["run.t_end"]),
-        cfl=float(merged["run.cfl"]),
-        dt_max=dt_max,
-        dt_min=float(merged["run.dt_min"]),
-        blowup_cap=float(merged["run.blowup_cap"]),
-        diag_every=int(merged["run.diag_every"]),
+        t_end=number(merged, "run.t_end"),
+        cfl=number(merged, "run.cfl"),
+        dt_max=number(merged, "run.dt_max") if "run.dt_max" in merged else None,
+        dt_min=number(merged, "run.dt_min"),
+        blowup_cap=number(merged, "run.blowup_cap"),
+        diag_every=number(merged, "run.diag_every", int),
     )
     return cfg, grid, merged

@@ -112,7 +112,7 @@ def concentrated_u(fp: FamilyParams, grid: Grid) -> np.ndarray:
     return vals
 
 
-def concentrated_v(fp: FamilyParams, grid: Grid, n: Optional[int] = None) -> np.ndarray:
+def concentrated_v(fp: FamilyParams, grid: Grid) -> np.ndarray:
     """Sample the signal profile: logarithmic branch for n=2, power branch for n>=3.
 
     The n=2 formula dips barely below zero in a thin boundary layer where
@@ -122,10 +122,9 @@ def concentrated_v(fp: FamilyParams, grid: Grid, n: Optional[int] = None) -> np.
     dom = grid.spec
     if dom.kind != BALL:
         raise PreconditionError("the family lives on radial ball domains")
-    n = dom.n if n is None else n
     R = dom.R
     r = grid.centers
-    if n == 2:
+    if dom.n == 2:
         _require_n2(fp, R)
         vals = math.log(R / fp.eta) ** (-fp.kappa_prime) * np.log(
             R * R / (r * r + fp.eta ** 2)

@@ -329,7 +329,7 @@ class FunctionalTable:
         Gp = np.concatenate([self.Gp_vals, pad])
         rho, rho_prime = _scalar_ratio(self.params, self.ratio_spec)
         try:
-            _integrate_up(rho, knots, G, H, Gp, n - 1, self.seg_tol)
+            _walk(rho, knots, G, H, Gp, n - 1, len(knots) - 1, self.seg_tol)
         except QuadratureError as exc:
             raise _divergence(self.params, self.ratio_spec, exc) from exc
         rho_k = np.concatenate([self.rho_vals, [rho(t) for t in knots[n:]]])
@@ -361,20 +361,23 @@ def _make_knots(s_min: float, s0: float, s_max: float, per_decade: int) -> np.nd
     return knots
 
 
-def _integrate_up(rho, knots, G, H, Gp, start: int, seg_tol: float) -> None:
-    """Fill G, H, Gp at knots[start + 1:] from their values at knots[start].
+def _walk(rho, knots, G, H, Gp, start: int, stop: int, seg_tol: float) -> None:
+    """Fill G, H, Gp from knots[start] to knots[stop], one knot at a time.
 
     One adaptive-Simpson quadrature per integrand and segment: the nested G
     integral collapses through
     int_a^b int_a^sigma rho = int_a^b rho(tau) (b - tau) dtau.
+    The same formulas hold for a > b (walking down), where the quadrature
+    returns the negated integral over [b, a] exactly.
     """
-    for k in range(start, len(knots) - 1):
-        a, b = knots[k], knots[k + 1]
-        Gp[k + 1] = Gp[k] + adaptive_simpson(rho, a, b, seg_tol)
-        G[k + 1] = G[k] + Gp[k] * (b - a) + adaptive_simpson(
+    step = 1 if stop > start else -1
+    for k in range(start, stop, step):
+        a, b = knots[k], knots[k + step]
+        Gp[k + step] = Gp[k] + adaptive_simpson(rho, a, b, seg_tol)
+        G[k + step] = G[k] + Gp[k] * (b - a) + adaptive_simpson(
             lambda t: rho(t) * (b - t), a, b, seg_tol
         )
-        H[k + 1] = H[k] + adaptive_simpson(lambda t: t * rho(t), a, b, seg_tol)
+        H[k + step] = H[k] + adaptive_simpson(lambda t: t * rho(t), a, b, seg_tol)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -421,14 +424,8 @@ def build_table(
     Gp = np.zeros_like(knots)
 
     try:
-        _integrate_up(rho, knots, G, H, Gp, i0, seg_tol)
-        for k in range(i0 - 1, -1, -1):
-            a, b = knots[k], knots[k + 1]
-            Gp[k] = Gp[k + 1] - adaptive_simpson(rho, a, b, seg_tol)
-            G[k] = G[k + 1] - Gp[k + 1] * (b - a) + adaptive_simpson(
-                lambda t: rho(t) * (t - a), a, b, seg_tol
-            )
-            H[k] = H[k + 1] - adaptive_simpson(lambda t: t * rho(t), a, b, seg_tol)
+        _walk(rho, knots, G, H, Gp, i0, len(knots) - 1, seg_tol)
+        _walk(rho, knots, G, H, Gp, i0, 0, seg_tol)
     except QuadratureError as exc:
         raise _divergence(p, ratio_spec, exc) from exc
 

@@ -418,16 +418,12 @@ def run(
         u_new, v_new = kern.advance(u, v, dt, f_u)
         min_u_new, max_u = float(u_new.min()), float(u_new.max())
         min_v_new, max_v_new = float(v_new.min()), float(v_new.max())
-        # min and max propagate NaN (and every comparison with NaN is False),
-        # so these chains hold exactly when every cell of both fields is finite
-        finite = (
-            -math.inf < min_u_new <= max_u < math.inf
-            and -math.inf < min_v_new <= max_v_new < math.inf
-        )
-        if not finite:
-            termination = TerminationInfo(Termination.NUMERICAL_FAILURE, t)
-            break
-        if min_u_new < 0.0 or min_v_new < 0.0:
+        # min and max propagate NaN, and every comparison with NaN is False:
+        # a NaN or -inf cell fails 0 <= min, a +inf cell fails max < inf, so
+        # this holds exactly when both fields are finite and nonnegative
+        if not (
+            0.0 <= min_u_new and max_u < math.inf and 0.0 <= min_v_new and max_v_new < math.inf
+        ):
             termination = TerminationInfo(Termination.NUMERICAL_FAILURE, t)
             break
         steps += 1

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import run_config_from
+from .config import AXIS_KEYS, DEFAULTS, number, numbers, run_config_from, with_defaults
 from .errors import ConfigError, KsfvError
 from .output import fmt
 from .solver import RunResult, TableCache, Termination, run
@@ -30,14 +30,6 @@ GLOBAL = "Global"
 BLOWUP = "BlowUp"
 INCONCLUSIVE = "Inconclusive"
 ERROR = "Error"
-
-_AXIS_KEY = {
-    "alpha": "params.alpha",
-    "beta": "params.beta",
-    "kappa": "params.kappa",
-    "eps": "params.eps",
-    "mass": "init.mass",
-}
 
 # Axes the initial G-table does not read (see solver.initial_table_key; a
 # test checks the two agree): points that differ only on these share one table.
@@ -90,22 +82,45 @@ class SweepSpec:
 
     axes: List[Tuple[str, List[float]]]
     base: Dict[str, str]
-    max_parallel: int = 1
-    global_factor: float = 10.0
-    blowup_factor: float = 1e3
+    max_parallel: int = int(DEFAULTS["sweep.max_parallel"])
+    global_factor: float = float(DEFAULTS["classify.global_factor"])
+    blowup_factor: float = float(DEFAULTS["classify.blowup_factor"])
 
     def __post_init__(self):
         if not self.axes:
             raise ConfigError("a sweep needs at least one axis")
         for name, values in self.axes:
-            if name not in _AXIS_KEY:
+            if name not in AXIS_KEYS:
                 raise ConfigError(
-                    f"axis {name!r} not supported (use {sorted(_AXIS_KEY)})"
+                    f"axis {name!r} not supported (use {sorted(AXIS_KEYS)})"
                 )
             if not values:
                 raise ConfigError(f"axis {name!r} has no values")
         if self.max_parallel < 1:
             raise ConfigError("max_parallel must be >= 1")
+
+    @classmethod
+    def from_mapping(cls, mapping: Dict[str, str]) -> "SweepSpec":
+        """The sweep of a parsed sweep file: its axis.* keys in file order,
+        sweep.max_parallel and classify.* with their defaults, and every key but
+        axis.* and sweep.max_parallel as the base configuration.
+
+        Malformed axis, max_parallel or classify values raise ConfigError; the
+        base is parsed per point, where a malformed value makes an Error row.
+        """
+        merged = with_defaults(mapping)
+        axes = [(k[len("axis."):], numbers(mapping, k)) for k in mapping if k.startswith("axis.")]
+        return cls(
+            axes=axes,
+            base={
+                k: v
+                for k, v in mapping.items()
+                if not k.startswith("axis.") and k != "sweep.max_parallel"
+            },
+            max_parallel=number(merged, "sweep.max_parallel", int),
+            global_factor=number(merged, "classify.global_factor"),
+            blowup_factor=number(merged, "classify.blowup_factor"),
+        )
 
     @property
     def total_runs(self) -> int:
@@ -135,7 +150,7 @@ def _run_point(
     """One sweep point; a package error becomes an Error row named after its type."""
     mapping = dict(spec.base)
     for name, value in point.items():
-        mapping[_AXIS_KEY[name]] = fmt(value)
+        mapping[AXIS_KEYS[name]] = fmt(value)
     try:
         cfg, _, _ = run_config_from(mapping)
         result = run(cfg, tables=tables)

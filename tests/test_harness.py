@@ -8,10 +8,12 @@ import pytest
 import ksfv
 from ksfv.cli import main
 from ksfv.config import (
+    AXIS_KEYS,
     DEFAULTS,
     SCHEMA,
     build_field,
     known_keys,
+    load_config,
     parse_config_text,
     run_config_from,
     with_defaults,
@@ -34,7 +36,6 @@ from ksfv.sweep import (
     GLOBAL,
     INCONCLUSIVE,
     SweepSpec,
-    _AXIS_KEY,
     _NON_TABLE_AXES,
     _tasks,
     classify_run,
@@ -305,12 +306,12 @@ def test_non_table_axes_are_those_the_table_key_ignores():
         "eps": (0.1, 0.2),
         "mass": (5.0, 10.0),  # max u0 above 1, where it sets the table's s_max
     }
-    assert set(values) == set(_AXIS_KEY)
+    assert set(values) == set(AXIS_KEYS)
     base = parse_config_text(SWEEP_BASE)
 
     def key(axis, value):
         mapping = dict(base)
-        mapping[_AXIS_KEY[axis]] = fmt(value)
+        mapping[AXIS_KEYS[axis]] = fmt(value)
         return initial_table_key(run_config_from(mapping)[0])
 
     ignored = {axis for axis, (a, b) in values.items() if key(axis, a) == key(axis, b)}
@@ -659,3 +660,106 @@ def test_cli_unwritable_output_is_io_error(tmp_path):
     blocker.write_text("a file, not a directory")
     code = main(["run", "--config", str(cfg_file), "--out", str(blocker)])
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# configuration front end: malformed values, flags over file keys
+
+_SMALL = "domain.cells = 16\nrun.t_end = 0.001\n"
+_BALL = "domain.kind = ball\ndomain.n = 2\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, extra, named",
+    [
+        ("run", "domain.cells = abc\n", [], "domain.cells"),
+        ("sweep", _SMALL + "axis.beta = 1.0,x\n", [], "axis.beta"),
+        ("sweep", _SMALL + "axis.beta = 1.0\nsweep.max_parallel = two\n", [], "sweep.max_parallel"),
+        ("sweep", _SMALL + "axis.beta = 1.0\nclassify.global_factor = big\n", [],
+         "classify.global_factor"),
+        ("run", _SMALL + "init.u0 = gauss:amp=q\n", [], "init.u0"),
+        ("family", _BALL + "family.eta_list = 0.2,zz\nfamily.mass = 1\n", [], "family.eta_list"),
+        ("convergence", _SMALL, ["--eps-list", "0.1,x", "--t-probe", "0.001"], "--eps-list"),
+        ("run", _BALL + "init.u0 = family_u:mass=1\n", [], "init.u0"),
+    ],
+)
+def test_cli_malformed_values_are_usage_errors(tmp_path, capsys, command, text, extra, named):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    flag = "--spec" if command == "sweep" else "--config"
+    assert main([command, flag, str(cfg), "--out", str(tmp_path / "o"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("usage error:") and named in err
+    assert "Traceback" not in err
+
+
+def test_sweep_malformed_base_value_is_an_error_row(tmp_path, capsys):
+    spec = tmp_path / "s.cfg"
+    spec.write_text("domain.cells = abc\nrun.t_end = 0.001\naxis.beta = 1.0\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+    assert (out / "sweep.csv").read_text().splitlines()[1].startswith("0,1.0,Error,ConfigError,")
+    assert "domain.cells" in capsys.readouterr().err
+
+
+def test_sweep_spec_from_sample_file_matches_hand_built_spec():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    mapping = load_config(os.path.join(root, "docs", "sample_sweep.cfg"))
+    base = {k: v for k, v in mapping.items() if not k.startswith(("axis.", "sweep."))}
+    expected = SweepSpec(
+        axes=[("beta", [1.0, 2.0, 3.0]), ("kappa", [2.0, 3.0, 4.0])],
+        base=base,
+        max_parallel=3,
+        global_factor=10.0,
+        blowup_factor=1e3,
+    )
+    assert SweepSpec.from_mapping(mapping) == expected
+    # axes keep file order, classify keys are read and also kept in the base
+    mapping = parse_config_text(
+        "axis.kappa = 2,3\naxis.alpha = 1.5\nclassify.blowup_factor = 50\nrun.t_end = 0.1\n"
+    )
+    spec = SweepSpec.from_mapping(mapping)
+    assert spec.axes == [("kappa", [2.0, 3.0]), ("alpha", [1.5])]
+    assert spec.base == {"classify.blowup_factor": "50", "run.t_end": "0.1"}
+    assert (spec.max_parallel, spec.global_factor, spec.blowup_factor) == (1, 10.0, 50.0)
+
+
+def test_cli_other_ksfv_error_is_reported_once(tmp_path, monkeypatch, capsys):
+    import ksfv.cli as cli_mod
+    from ksfv.errors import QuadratureError
+
+    def failing_run(cfg):
+        raise QuadratureError("did not converge")
+
+    monkeypatch.setattr(cli_mod, "run", failing_run)
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(QUICK_CONFIG)
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: did not converge\n"
+
+
+@pytest.mark.parametrize(
+    "file_text, flags, s_max",
+    [
+        ("", [], 1000.0),
+        ("check.s_max = 50\n", [], 50.0),
+        ("check.s_max = 50\n", ["--s-max", "5000"], 5000.0),
+        ("", ["--s-max", "200"], 200.0),
+    ],
+)
+def test_cli_check_s_max_flag_overrides_file(tmp_path, monkeypatch, file_text, flags, s_max):
+    import ksfv.cli as cli_mod
+
+    seen = []
+    real = cli_mod.build_table
+
+    def recording_build_table(params, ratio_spec, s_max):
+        seen.append(s_max)
+        return real(params, ratio_spec, s_max=s_max)
+
+    monkeypatch.setattr(cli_mod, "build_table", recording_build_table)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("params.beta = 2\nparams.s0 = 2.0\n" + file_text)
+    assert main(["check", "--growth", "--config", str(cfg), *flags]) == 0
+    assert seen == [s_max]
