@@ -21,6 +21,8 @@ from .families import FamilyParams, concentrated_u, concentrated_v
 SCHEMA = """\
 # Configuration schema (flat key = value lines, '#' comments).
 # All quantities are nondimensional; R carries the length unit, t_end the time unit.
+# Every number, in a value, a comma list or a field spec, must be finite:
+# nan, inf and -inf are usage errors that name the key.
 #
 # key                      default      meaning
 # domain.kind              interval     'interval' (length 2R, n=1) or 'ball' (radius R, n>=2)
@@ -151,11 +153,19 @@ def with_defaults(mapping: Dict[str, str]) -> Dict[str, str]:
 
 
 def _number(key: str, text: str, kind):
+    """text as a `kind`; a ConfigError naming key unless it is one, and finite.
+
+    No key has a legitimate nan or inf, and a NaN passes every range check
+    written as x < bound, so non-finite values stop here.
+    """
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        expected = "an integer" if kind is int else "a number"
+        expected = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{key}: expected {expected}, got '{text}'") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got '{text}'")
+    return value
 
 
 def number(mapping: Dict[str, str], key: str, kind=float):
@@ -200,12 +210,11 @@ def build_field(spec: str, grid: Grid) -> np.ndarray:
     x = grid.centers
     extent = grid.spec.extent
     if name == "constant":
-        try:
-            value = float(rest)
-        except ValueError:
-            value = _options(rest).get("value")
-            if value is None:
-                raise UsageError(f"constant spec needs a value, got {spec!r}") from None
+        if "=" not in rest:
+            return np.full(grid.cells, _number("constant", rest, float))
+        value = _options(rest).get("value")
+        if value is None:
+            raise UsageError(f"constant spec needs a value, got {spec!r}")
         return np.full(grid.cells, value)
     if name == "cosine":
         opts = _options(rest)

@@ -51,22 +51,24 @@ class ModelParams:
     psi_c: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
-        if self.beta < 1.0:
-            raise ConfigError(f"beta must be >= 1, got {self.beta}")
-        if self.kappa < 2.0:
-            raise ConfigError(f"kappa must be >= 2, got {self.kappa}")
-        if self.a < 0.0:
-            raise ConfigError(f"a must be >= 0, got {self.a}")
-        if self.b <= 0.0:
-            raise ConfigError(f"b must be > 0, got {self.b}")
-        if self.eps < 0.0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
-        if self.s0 <= 0.0:
-            raise ConfigError(f"s0 must be > 0, got {self.s0}")
-        if self.psi_c <= 0.0:
-            raise ConfigError(f"psi_c must be > 0, got {self.psi_c}")
+        # each check is a chained comparison, so NaN and inf fail it too
+        inf = math.inf
+        if not (1.0 <= self.alpha < inf):
+            raise ConfigError(f"alpha must be finite and >= 1, got {self.alpha}")
+        if not (1.0 <= self.beta < inf):
+            raise ConfigError(f"beta must be finite and >= 1, got {self.beta}")
+        if not (2.0 <= self.kappa < inf):
+            raise ConfigError(f"kappa must be finite and >= 2, got {self.kappa}")
+        if not (0.0 <= self.a < inf):
+            raise ConfigError(f"a must be finite and >= 0, got {self.a}")
+        if not (0.0 < self.b < inf):
+            raise ConfigError(f"b must be finite and > 0, got {self.b}")
+        if not (0.0 <= self.eps < inf):
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
+        if not (0.0 < self.s0 < inf):
+            raise ConfigError(f"s0 must be finite and > 0, got {self.s0}")
+        if not (0.0 < self.psi_c < inf):
+            raise ConfigError(f"psi_c must be finite and > 0, got {self.psi_c}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,11 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in (INTERVAL, BALL):
             raise ConfigError(f"unknown domain kind {self.kind!r}")
-        if self.R <= 0.0:
-            raise ConfigError(f"R must be > 0, got {self.R}")
-        if self.cells < 8:
+        if not (0.0 < self.R < math.inf):
+            raise ConfigError(f"R must be finite and > 0, got {self.R}")
+        if not (8 <= self.cells < math.inf):
             raise ConfigError(f"need at least 8 cells, got {self.cells}")
-        if self.kind == BALL and self.n < 2:
+        if self.kind == BALL and not (2 <= self.n < math.inf):
             raise ConfigError("ball domains require ambient dimension n >= 2")
         if self.kind == INTERVAL and self.n != 1:
             raise ConfigError("interval domains have n = 1")

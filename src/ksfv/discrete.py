@@ -35,23 +35,28 @@ def div_cells(flux: np.ndarray, grid: Grid) -> np.ndarray:
 
 def face_flux(
     u: np.ndarray,
-    v: np.ndarray,
+    dv: np.ndarray,
     grid: Grid,
     phi: Callable[[np.ndarray], np.ndarray],
     psi: Callable[[np.ndarray], np.ndarray],
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Net face flux phi(u_face) du/dx - psi(u_donor) dv/dx; zero on the boundary faces.
 
-    The scheme's flux, shared by the solver step and the steady residual. It
-    does no domain check: callers validate u >= 0 at their API boundary.
+    The scheme's flux, shared by the solver step and the steady residual. dv
+    is the face gradient of v, grad_faces(v, grid), which the solver also
+    feeds to its drift rate. The flux is written into out when it is given, a
+    face array whose boundary entries are zero, and out is returned. It does
+    no domain check: callers validate u >= 0 at their API boundary.
     """
-    h = grid.h
-    du = (u[1:] - u[:-1]) / h
-    dv = (v[1:] - v[:-1]) / h
-    donor = np.where(dv > 0.0, u[:-1], u[1:])
-    flux = np.zeros(grid.cells + 1)
-    flux[1:-1] = phi(0.5 * (u[1:] + u[:-1])) * du - psi(donor) * dv
-    return flux
+    ul, ur = u[:-1], u[1:]
+    dvi = dv[1:-1]
+    du = (ur - ul) / grid.h
+    donor = np.where(dvi > 0.0, ul, ur)
+    if out is None:
+        out = np.zeros(grid.cells + 1)
+    np.subtract(phi(0.5 * (ur + ul)) * du, psi(donor) * dvi, out=out[1:-1])
+    return out
 
 
 def diffusive_flux(

@@ -141,7 +141,8 @@ def steady_residual(
     """
     u, v = state.u, state.v
     _check_nonneg(u, "steady_residual")
-    r1 = div_cells(face_flux(u, v, grid, effective_phi(p, ov), effective_psi(p, ov)), grid)
+    dv = grad_faces(v, grid)
+    r1 = div_cells(face_flux(u, dv, grid, effective_phi(p, ov), effective_psi(p, ov)), grid)
     r2 = laplacian_apply(v, grid) - v + u
     V = grid.cell_volume
     return (

@@ -46,10 +46,15 @@ class FamilyParams:
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise PreconditionError("eta must be positive")
-        if self.mass <= 0.0:
-            raise PreconditionError("mass must be positive")
+        # chained comparisons, so that NaN and inf fail every check
+        if not (0.0 < self.eta < math.inf):
+            raise PreconditionError("eta must be finite and positive")
+        if not (0.0 < self.mass < math.inf):
+            raise PreconditionError("mass must be finite and positive")
+        for name in ("beta", "kappa_prime", "theta", "delta", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise PreconditionError(f"{name} must be finite, got {value}")
 
 
 def _require_n2(fp: FamilyParams, R: float):

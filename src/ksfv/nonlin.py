@@ -61,15 +61,19 @@ def _growth(u: np.ndarray, p: ModelParams) -> np.ndarray:
     return p.a - p.b * u ** p.kappa
 
 
-def _growth_reg(u: np.ndarray, p: ModelParams) -> np.ndarray:
-    """growth_reg on a 1-D float array; the cutoff is evaluated only where it is below 1."""
-    f = _growth(u, p)
+def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams, umax=None) -> np.ndarray:
+    """Multiply f = growth(u) by the cutoff in place, only where it is below 1.
+
+    umax, when given, is max(u): a max at or below 1/(2 eps) skips the mask.
+    """
     if p.eps > 0.0:
         # smooth_step is exactly 0 at or below its threshold, so the window is
         # exactly 1 on u <= 1/(2 eps) and multiplying by it there changes nothing
-        hot = u > 1.0 / (2.0 * p.eps)
-        if hot.any():
-            f[hot] *= growth_cutoff(u[hot], p)
+        lo = 1.0 / (2.0 * p.eps)
+        if umax is None or umax > lo:
+            hot = u > lo
+            if hot.any():
+                f[hot] *= growth_cutoff(u[hot], p)
     return f
 
 
@@ -126,7 +130,8 @@ def growth_reg(u, p: ModelParams):
     """
     _check_nonneg(u, "growth_reg")
     u = np.asarray(u, dtype=float)
-    return _growth_reg(u.reshape(-1), p).reshape(u.shape)
+    flat = u.reshape(-1)
+    return _cut_off(_growth(flat, p), flat, p).reshape(u.shape)
 
 
 def damping_is_weak(p: ModelParams, n: int) -> bool:
@@ -577,22 +582,38 @@ class Overrides:
 
 
 # The effective nonlinearities are check-free: callers validate u >= 0 once,
-# at their own API boundary, and pass 1-D float arrays.
+# at their own API boundary, and pass 1-D float arrays. Each closure folds the
+# exact identities of its parameters once, where it is built (x ** 1.0 = x,
+# 1.0 * x = x, so psi(u) = u at psi_c = beta = 1), and returns bitwise what
+# the unfolded formula returns. No caller writes into a result, so a closure
+# may return its argument itself.
 
 
 def effective_phi(p: ModelParams, ov: Optional[Overrides]):
     if ov is not None and ov.phi is not None:
         return ov.phi
+    if p.alpha == 1.0:
+        eps = p.eps
+        return lambda u: np.log1p(u + eps)  # ln^1 = ln
     return lambda u: _diffusivity_reg(u, p)
 
 
 def effective_psi(p: ModelParams, ov: Optional[Overrides]):
     if ov is not None and ov.psi is not None:
         return ov.psi
+    c, beta = p.psi_c, p.beta
+    if beta == 1.0:
+        return (lambda u: u) if c == 1.0 else (lambda u: c * u)
+    if c == 1.0:
+        return lambda u: u ** beta
     return lambda u: _sensitivity(u, p)
 
 
 def effective_f(p: ModelParams, ov: Optional[Overrides]):
+    """f(u), or for the model f(u, umax=None), where umax is max(u) if known."""
     if ov is not None and ov.f is not None:
         return ov.f
-    return lambda u: _growth_reg(u, p)
+    if p.b == 1.0:
+        a, kappa = p.a, p.kappa
+        return lambda u, umax=None: _cut_off(a - u ** kappa, u, p, umax)
+    return lambda u, umax=None: _cut_off(_growth(u, p), u, p, umax)

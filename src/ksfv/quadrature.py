@@ -2,7 +2,8 @@
 
 Tolerances are absolute with a relative floor: an interval is accepted once the
 Richardson estimate of its error drops below max(tol, rel_floor*|value|), so
-integrals whose magnitude dwarfs 64-bit resolution still terminate.
+integrals whose magnitude dwarfs 64-bit resolution still terminate. A
+non-finite estimate raises QuadratureError at once.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ def _refine(f, a, fa, b, fb, m, fm, whole, tol, depth):
         abs(a) + abs(b)
     ):
         return left + right + delta / 15.0
+    # a NaN or inf estimate would otherwise bisect to the width floor, about
+    # 2^45 evaluations; converging intervals returned above and pay nothing
+    if not math.isfinite(delta):
+        raise QuadratureError(f"non-finite integrand on [{a:g}, {b:g}]")
     if depth <= 0:
         raise QuadratureError(
             f"adaptive Simpson did not converge on [{a:g}, {b:g}] (remaining error ~{abs(delta):g})"

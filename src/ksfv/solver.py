@@ -11,13 +11,23 @@ alongside the hard max-norm cap.
 Positivity is a property of the scheme, not an enforcement: a negative cell
 is treated as a numerical failure and terminates the run.
 
-Domain checks live at the API boundary: RunConfig.validate checks the initial
-data, and the public step() and cfl_dt() check the state they are given
-(length, finiteness, u, v >= 0). The step loop itself calls the check-free
-forms of the nonlinearities and keeps only its own checks on each new state:
+Domain checks live at the API boundary: RunConfig.validate checks the
+configuration (every number finite and in range) and the initial data, and
+the public step() and cfl_dt() check the state they are given (length,
+finiteness, u, v >= 0). The step loop itself calls the check-free forms of
+the nonlinearities and keeps only its own checks on each new state:
 finiteness, nonnegativity (a failure ends the run as NumericalFailure) and
-the two mass-law residuals. The growth term f(u) is evaluated once per step
-and feeds both the u update and the u-mass law.
+the two mass-law residuals.
+
+Each explicit step is one pass over the state (_Kernel). The face gradient
+of v is computed once and feeds both the drift rate and the face flux; the
+max of u that one step's checks take is the next step's max, for the
+reaction rate and the growth cutoff test; the growth term f(u) is evaluated
+once and feeds both the u update and the u-mass law. The exact identities of
+the parameters (ln^1 = ln, psi(u) = u at psi_c = beta = 1, b = 1, a constant
+drift slope at beta = 1) are folded once per run, where
+nonlin.effective_phi/psi/f build the check-free closures and where _Kernel
+builds its rate factors. Every result is bitwise the unfolded scheme's.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,13 +118,19 @@ class RunConfig:
         v0 = validate_field(self.v0, grid, "v0")
         if np.min(u0) < 0.0 or np.min(v0) < 0.0:
             raise ConfigError("initial data must be nonnegative")
-        if self.t_end <= 0.0:
-            raise ConfigError("t_end must be positive")
+        # chained comparisons, so that NaN and inf fail every check
+        inf = math.inf
+        if not (0.0 < self.t_end < inf):
+            raise ConfigError("t_end must be finite and positive")
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError("cfl must lie in (0, 1]")
-        if self.dt_min >= self.resolved_dt_max():
-            raise ConfigError("dt_min must be below dt_max")
-        if self.diag_every < 1:
+        if not (0.0 < self.resolved_dt_max() < inf):
+            raise ConfigError("dt_max must be finite and positive")
+        if not (-inf < self.dt_min < self.resolved_dt_max()):
+            raise ConfigError("dt_min must be finite and below dt_max")
+        if not (-inf < self.blowup_cap < inf):
+            raise ConfigError("blowup_cap must be finite")
+        if not (1 <= self.diag_every < inf):
             raise ConfigError("diag_every must be >= 1")
 
 
@@ -134,14 +151,20 @@ class RunResult:
 
 
 class _Kernel:
-    """Per-run precomputation: effective nonlinearities and grid rate factors.
+    """Per-run precomputation and the one-pass explicit step.
 
-    Its methods take validated float arrays and do no domain checks.
+    Built once per run: the effective nonlinearities, which fold the exact
+    identities of the parameters (nonlin.effective_*), the constant factors of
+    the three CFL rates, the grid slices and the face and tridiagonal buffers.
+    A step computes the face gradient of v once (grad_v) and feeds it to both
+    the drift rate (dt_bound) and the flux (advance); the caller carries max u
+    from one step's checks into the next step's rates and growth term. Its
+    methods take validated float arrays and do no domain checks. The arrays
+    grad_v returns are its buffers, valid until the next grad_v call.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, ov: Optional[Overrides]):
         self.grid = grid
-        self.p = p
         self.phi = effective_phi(p, ov)
         self.psi = effective_psi(p, ov)
         self.f = effective_f(p, ov)
@@ -149,10 +172,32 @@ class _Kernel:
         self.f_override = ov is not None and ov.f is not None
         V = grid.cell_volume
         T = grid.trans
-        self.diff_geom = float(np.max((T[:-1] + T[1:]) / V))  # = 2/h^2 on an interval
-        self.adv_l = T[:-1] * grid.h / V  # A_j/V_i for the left face of each cell
-        self.adv_r = T[1:] * grid.h / V
+        self.diff_geom = float(np.maximum.reduce((T[:-1] + T[1:]) / V))  # = 2/h^2 on an interval
+        th = T * grid.h
+        self.adv_l = th[:-1] / V  # A_j/V_i for the left face of each cell
+        self.adv_r = th[1:] / V
+        # the drift slope psi'(u) = psi_c*beta*u^(beta-1); at beta = 1 it is
+        # the constant psi_c*beta, and max(c*g) = c*max(g) exactly for c > 0
+        self.slope_c = p.psi_c * p.beta
+        self.slope_exp = None if p.beta == 1.0 else p.beta - 1.0
+        self.react_c = p.b * p.kappa
+        self.react_exp = p.kappa - 1.0
+        self.eps = p.eps
+        self.h = grid.h
+        # growth(u, umax): f(u), where umax is max(u) or None when unknown
+        f = self.f
+        self.growth = (lambda u, umax: f(u)) if self.f_override else f
+        # face gradient of v and face flux; their boundary faces stay zero
+        n = grid.cells + 1
+        faces = np.zeros(2 * n)
+        self._dvf, self._flux = faces[:n], faces[n:]
+        self._dvf_in = self._dvf[1:-1]
         self._lip_cache: Dict[Tuple[int, float], float] = {}
+
+    @cached_property
+    def _tri(self) -> "_Tridiag":
+        # built on the first advance, so that cfl_dt() does not pay for it
+        return _Tridiag(self.grid)
 
     def _lipschitz(self, fn: Callable, umax: float) -> float:
         """Sampled slope bound for an override nonlinearity on [0, bucket >= umax]."""
@@ -167,63 +212,82 @@ class _Kernel:
         self._lip_cache[key] = lip
         return lip
 
-    def rates(self, u: np.ndarray, v: np.ndarray) -> Tuple[float, float, float]:
-        p = self.p
-        umax = float(u.max())
-        rate_diff = float(self.phi(u).max()) * self.diff_geom
+    def grad_v(self, v: np.ndarray) -> np.ndarray:
+        """grad_faces(v), bitwise, in the kernel's face buffer."""
+        g = self._dvf_in
+        np.subtract(v[1:], v[:-1], out=g)
+        np.divide(g, self.h, out=g)
+        return self._dvf
+
+    def dt_bound(self, u: np.ndarray, umax: float, dvf: np.ndarray, cfl: float) -> float:
+        """cfl / max(diffusive, advective, reaction rate) at u with umax = max(u), dvf = grad_v(v)."""
+        rate_diff = float(np.maximum.reduce(self.phi(u))) * self.diff_geom
 
         # donor-respecting drift rate: cell i loses mass across its left face
         # only when the drift there points left, across its right face only
         # when it points right; the positivity bound needs exactly those terms.
-        dvf = grad_faces(v, self.grid)
         geom_dv = self.adv_l * np.maximum(-dvf[:-1], 0.0) + self.adv_r * np.maximum(dvf[1:], 0.0)
         if self.psi_override:
-            rate_adv = self._lipschitz(self.psi, umax) * float(geom_dv.max())
+            rate_adv = self._lipschitz(self.psi, umax) * float(np.maximum.reduce(geom_dv))
+        elif self.slope_exp is None:
+            rate_adv = self.slope_c * float(np.maximum.reduce(geom_dv))
         else:
-            slope = p.psi_c * p.beta * u ** (p.beta - 1.0)
-            rate_adv = float((slope * geom_dv).max())
+            slope = self.slope_c * u ** self.slope_exp
+            rate_adv = float(np.maximum.reduce(slope * geom_dv))
 
         if self.f_override:
             rate_react = self._lipschitz(self.f, umax)
         else:
             rate_react = (
-                p.b * p.kappa * (umax + p.eps) ** (p.kappa - 1.0) if umax > 0.0 else 0.0
+                self.react_c * (umax + self.eps) ** self.react_exp if umax > 0.0 else 0.0
             )
-        return rate_diff, rate_adv, rate_react
-
-    def dt_bound(self, u: np.ndarray, v: np.ndarray, cfl: float) -> float:
-        rate = max(self.rates(u, v))
-        return cfl / (rate + _RATE_GUARD)
+        return cfl / (max(rate_diff, rate_adv, rate_react) + _RATE_GUARD)
 
     def advance(
-        self, u: np.ndarray, v: np.ndarray, dt: float, f_u: np.ndarray
+        self, u: np.ndarray, v: np.ndarray, dvf: np.ndarray, dt: float, f_u: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One IMEX update from (u, v), given f_u = f(u).
+        """One IMEX update from (u, v), given dvf = grad_v(v) and f_u = f(u).
 
         No validation: callers check the result for finiteness and positivity.
         """
         grid = self.grid
-        u_new = u + dt * (div_cells(face_flux(u, v, grid, self.phi, self.psi), grid) + f_u)
-        v_new = _tridiag_solve(1.0 + dt, dt, v + dt * u_new, grid)
+        flux = face_flux(u, dvf, grid, self.phi, self.psi, out=self._flux)
+        u_new = u + dt * (div_cells(flux, grid) + f_u)
+        v_new = self._tri.solve(1.0 + dt, dt, v + dt * u_new)
         return u_new, v_new
 
 
-def _tridiag_solve(c: float, s: float, rhs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Solve (c I - s Lap) v = rhs with Neumann boundaries (tridiagonal).
+class _Tridiag:
+    """Solver for (c I - s Lap) v = rhs with Neumann boundaries (tridiagonal).
 
     c = 1 + dt, s = dt is the screened backward-Euler step; c = s = 1 the
     steady signal equation. The couplings are formed as (-s T) / V, in that
-    order, so every caller's matrix is rounded identically.
+    order, so every caller's matrix is rounded identically. The boundary
+    couplings are -0.0, as (-s * 0) / V gives.
     """
-    V = grid.cell_volume
-    T = grid.trans
-    upper = -s * T[1:] / V  # coupling of row i to i+1
-    lower = -s * T[:-1] / V  # coupling of row i to i-1
-    diag = c - upper - lower
-    _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs, 1, 1, 1, 0)
-    if info != 0:
-        raise NumericsError(f"tridiagonal solve failed (info={info})")
-    return x
+
+    def __init__(self, grid: Grid):
+        V = grid.cell_volume
+        self.t_in = grid.trans[1:-1]
+        self.v_lo, self.v_hi = V[1:], V[:-1]
+        n = grid.cells
+        couplings = np.empty(2 * n)
+        couplings[0] = couplings[-1] = -0.0
+        self.lower = couplings[:n]  # coupling of row i to i-1
+        self.upper = couplings[n:]  # coupling of row i to i+1
+        self.sub, self.sup = self.lower[1:], self.upper[:-1]
+
+    def solve(self, c: float, s: float, rhs: np.ndarray) -> np.ndarray:
+        st = -s * self.t_in
+        np.divide(st, self.v_lo, out=self.sub)
+        np.divide(st, self.v_hi, out=self.sup)
+        diag = c - self.upper
+        np.subtract(diag, self.lower, out=diag)
+        # dgtsv overwrites sub, diag and sup; solve refills them every call
+        _, _, _, x, info = dgtsv(self.sub, diag, self.sup, rhs, 1, 1, 1, 0)
+        if info != 0:
+            raise NumericsError(f"tridiagonal solve failed (info={info})")
+        return x
 
 
 def initial_table_key(cfg: RunConfig) -> tuple:
@@ -299,7 +363,8 @@ def cfl_dt(
     [0, max u].
     """
     u, v = _checked_state(state, grid)
-    return _Kernel(grid, p, ov).dt_bound(u, v, cfl)
+    kern = _Kernel(grid, p, ov)
+    return kern.dt_bound(u, float(np.maximum.reduce(u)), kern.grad_v(v), cfl)
 
 
 def step(
@@ -318,7 +383,7 @@ def step(
         raise ConfigError("dt must be positive")
     u, v = _checked_state(state, grid)
     kern = _Kernel(grid, p, ov)
-    u_new, v_new = kern.advance(u, v, dt, kern.f(u))
+    u_new, v_new = kern.advance(u, v, kern.grad_v(v), dt, kern.growth(u, None))
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise NumericsError(f"non-finite state after step at t={state.t:g}")
     return State(u_new, v_new, state.t + dt)
@@ -326,7 +391,7 @@ def step(
 
 def steady_signal(u: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve the steady signal equation (-Lap + 1) v = u (used for matched initial data)."""
-    return _tridiag_solve(1.0, 1.0, np.asarray(u, dtype=float), grid)
+    return _Tridiag(grid).solve(1.0, 1.0, np.asarray(u, dtype=float))
 
 
 def _v_w12(v: np.ndarray, grid: Grid) -> float:
@@ -400,24 +465,30 @@ def run(
 
     steps = 0
     termination: Optional[TerminationInfo] = None
-    t_goal = cfg.t_end * (1.0 - 1e-15)
+    t_end, cfl, dt_min, cap = cfg.t_end, cfg.cfl, cfg.dt_min, cfg.blowup_cap
+    t_goal = t_end * (1.0 - 1e-15)
+    grow_floor = 10.0 * m0
+    vmin, vmax, dot = np.minimum.reduce, np.maximum.reduce, np.dot
+    # max u of the current state: measured once, by the previous step's checks
+    umax = float(vmax(u))
 
     while t < t_goal:
-        dt_c = min(kern.dt_bound(u, v, cfg.cfl), dt_max)
-        if dt_c < cfg.dt_min:
+        dvf = kern.grad_v(v)
+        dt_c = min(kern.dt_bound(u, umax, dvf, cfl), dt_max)
+        if dt_c < dt_min:
             termination = TerminationInfo(Termination.DT_UNDERFLOW, t)
             break
-        dt = min(dt_c, cfg.t_end - t)
+        dt = min(dt_c, t_end - t)
         if pi < len(probes):
             dt = min(dt, probes[pi] - t)
 
         will_diag = (steps + 1) % cfg.diag_every == 0
-        f_u = kern.f(u)
-        f_mass = float(np.dot(f_u, V))
+        f_u = kern.growth(u, umax)
+        f_mass = float(dot(f_u, V))
 
-        u_new, v_new = kern.advance(u, v, dt, f_u)
-        min_u_new, max_u = float(u_new.min()), float(u_new.max())
-        min_v_new, max_v_new = float(v_new.min()), float(v_new.max())
+        u_new, v_new = kern.advance(u, v, dvf, dt, f_u)
+        min_u_new, max_u = float(vmin(u_new)), float(vmax(u_new))
+        min_v_new, max_v_new = float(vmin(v_new)), float(vmax(v_new))
         # min and max propagate NaN, and every comparison with NaN is False:
         # a NaN or -inf cell fails 0 <= min, a +inf cell fails max < inf, so
         # this holds exactly when both fields are finite and nonnegative
@@ -429,8 +500,8 @@ def run(
         steps += 1
         t_new = t + dt
 
-        mass_u_new = float(np.dot(u_new, V))
-        mass_v_new = float(np.dot(v_new, V))
+        mass_u_new = float(dot(u_new, V))
+        mass_v_new = float(dot(v_new, V))
         mass_res_u = max(
             mass_res_u,
             abs(mass_u_new - mass_u - dt * f_mass) / max(abs(mass_u), 1e-300),
@@ -447,7 +518,7 @@ def run(
             probe_states.append(State(u_new.copy(), v_new.copy(), t_new))
             pi += 1
 
-        blown = max_u > cfg.blowup_cap and max_u >= 10.0 * m0
+        blown = max_u > cap and max_u >= grow_floor
         final_step = t_new >= t_goal
 
         F_prev, F_cur = F_cur, None
@@ -467,7 +538,7 @@ def run(
             )
             F_cur = F_now
 
-        u, v, t = u_new, v_new, t_new
+        u, v, t, umax = u_new, v_new, t_new, max_u
         mass_u, mass_v = mass_u_new, mass_v_new
 
         if blown:

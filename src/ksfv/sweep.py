@@ -14,6 +14,7 @@ Error row instead of aborting the sweep; any other exception propagates.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -96,8 +97,14 @@ class SweepSpec:
                 )
             if not values:
                 raise ConfigError(f"axis {name!r} has no values")
-        if self.max_parallel < 1:
+            if not all(math.isfinite(x) for x in values):
+                raise ConfigError(f"axis {name!r} values must be finite")
+        # chained comparisons, so that NaN and inf fail every check
+        if not (1 <= self.max_parallel < math.inf):
             raise ConfigError("max_parallel must be >= 1")
+        for name in ("global_factor", "blowup_factor"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be finite and positive")
 
     @classmethod
     def from_mapping(cls, mapping: Dict[str, str]) -> "SweepSpec":

@@ -18,7 +18,7 @@ from ksfv.config import (
     run_config_from,
     with_defaults,
 )
-from ksfv.errors import ConfigError, UsageError
+from ksfv.errors import ConfigError, PreconditionError, UsageError
 from ksfv.output import (
     _CLASS_COLORS,
     CSV_HEADER,
@@ -692,6 +692,66 @@ def test_cli_malformed_values_are_usage_errors(tmp_path, capsys, command, text, 
     assert len(err.splitlines()) == 1, err
     assert err.startswith("usage error:") and named in err
     assert "Traceback" not in err
+
+
+# every key whose value is a number or a comma list of numbers, with the
+# command that reads it and the rest of a quick, valid configuration
+_NUMERIC_KEYS = sorted(known_keys() - {"domain.kind", "init.u0", "init.v0"})
+_QUICK = {"domain.cells": "16", "run.t_end": "0.001"}
+_READER = {  # key section -> (command, base configuration); the rest: run
+    "sweep": ("sweep", {**_QUICK, "axis.beta": "1.0"}),
+    "classify": ("sweep", {**_QUICK, "axis.beta": "1.0"}),
+    "axis": ("sweep", _QUICK),
+    "family": ("family", {"domain.kind": "ball", "domain.n": "2",
+                          "family.eta_list": "0.2", "family.mass": "1"}),
+    "check": ("check", {}),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+def test_cli_non_finite_values_are_usage_errors(tmp_path, capsys, key, value):
+    command, base = _READER.get(key.split(".")[0], ("run", _QUICK))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items()))
+    if command == "check":
+        argv = ["check", "--growth", "--config", str(cfg)]
+    else:
+        flag = "--spec" if command == "sweep" else "--config"
+        argv = [command, flag, str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"usage error: {key}:"), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_library_validators_reject_nan():
+    nan = math.nan
+    for name in ("alpha", "beta", "kappa", "a", "b", "eps", "s0", "psi_c"):
+        with pytest.raises(ConfigError, match=name):
+            ksfv.ModelParams(**{name: nan})
+    for kwargs in ({"R": nan}, {"cells": nan}, {"kind": ksfv.BALL, "n": nan}):
+        with pytest.raises(ConfigError):
+            ksfv.DomainSpec(**{"kind": ksfv.INTERVAL, "R": 1.0, **kwargs})
+    dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 16)
+    g = ksfv.make_grid(dom)
+    for field in ("t_end", "cfl", "dt_max", "dt_min", "blowup_cap", "diag_every"):
+        cfg = ksfv.RunConfig(dom, ksfv.ModelParams(), np.ones(16), np.ones(16), t_end=0.01)
+        setattr(cfg, field, nan)
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate(g)
+    for name in ("eta", "mass", "beta", "theta"):
+        with pytest.raises(PreconditionError, match=name):
+            ksfv.FamilyParams(**{"eta": 0.2, "beta": 1.0, "mass": 1.0, name: nan})
+    for kwargs in (
+        {"axes": [("beta", [1.0, nan])]},
+        {"max_parallel": nan},
+        {"global_factor": nan},
+        {"blowup_factor": nan},
+    ):
+        with pytest.raises(ConfigError):
+            SweepSpec(**{"axes": [("beta", [1.0])], "base": {}, **kwargs})
 
 
 def test_sweep_malformed_base_value_is_an_error_row(tmp_path, capsys):

@@ -334,6 +334,18 @@ def test_covering_reports_divergence(monkeypatch):
         t.covering(float("nan"))
 
 
+def test_nan_ratio_is_a_divergence_within_a_second():
+    import time
+
+    from ksfv.errors import DivergenceError
+
+    spec = ksfv.RatioSpec.custom(lambda t: math.nan, lambda t: math.nan)
+    start = time.perf_counter()
+    with pytest.raises(DivergenceError, match="non-finite integrand"):
+        ksfv.build_table(params(s0=1.0), spec, s_max=10.0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_build_table_preconditions():
     with pytest.raises(PreconditionError):
         ksfv.build_table(params(s0=1.0), ksfv.RatioSpec.unit(), s_min=2.0, s_max=10.0)

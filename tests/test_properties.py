@@ -4,17 +4,27 @@ Parameters, grids and cosine/gauss initial data are drawn inside the config
 schema. The checks are the exact discrete mass laws, positivity of u and v
 after a CFL-limited step, bit-determinism of repeated runs, and a bitwise
 oracle: step() must reproduce, to the last bit, the explicit update assembled
-from the public checked functions.
+from the public checked functions. A differential test holds run()'s
+one-pass step, with its folded identities, shared face gradient and carried
+max, to a plain reference loop: the same dt and state after every step.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgtsv
 
 import ksfv
 from ksfv.config import build_field
 from ksfv.core import State
-from ksfv.discrete import chemotactic_flux, diffusive_flux, div_cells
-from ksfv.nonlin import growth, growth_cutoff, growth_reg
+from ksfv.discrete import chemotactic_flux, diffusive_flux, div_cells, grad_faces
+from ksfv.nonlin import (
+    diffusivity_reg,
+    growth,
+    growth_cutoff,
+    growth_reg,
+    sensitivity,
+)
 from ksfv.output import rows_to_csv
 from ksfv.solver import RunConfig, Termination, cfl_dt, run, steady_signal, step
 
@@ -138,3 +148,122 @@ def test_step_matches_public_function_oracle_bitwise(case):
     flux = diffusive_flux(u, g, p) - chemotactic_flux(u, v, g, p)
     expected = u + dt * (div_cells(flux, g) + growth_reg(u, p))
     assert np.array_equal(new.u, expected)
+
+
+# ---------------------------------------------------------------------------
+# differential test of run()'s one-pass step against the plain explicit step
+
+
+def _lipschitz_ref(fn, umax):
+    """The sampled slope bound the scheme uses for an override nonlinearity."""
+    bucket = 2.0 ** np.ceil(np.log2(max(umax, 1e-6)))
+    s = np.linspace(0.0, bucket, 64)
+    return float(np.max(np.abs(np.diff(np.asarray(fn(s), dtype=float)))) / (s[1] - s[0]))
+
+
+def _reference_dt(u, v, g, p, ov, cfl):
+    """cfl / max(diffusive, drift, reaction rate), each recomputed from scratch."""
+    phi = ov.phi or (lambda w: diffusivity_reg(w, p))
+    V, T = g.cell_volume, g.trans
+    umax = float(u.max())
+    rate_diff = float(phi(u).max()) * float(np.max((T[:-1] + T[1:]) / V))
+    dvf = grad_faces(v, g)
+    geom = T[:-1] * g.h / V * np.maximum(-dvf[:-1], 0.0) + T[1:] * g.h / V * np.maximum(
+        dvf[1:], 0.0
+    )
+    if ov.psi is not None:
+        rate_adv = _lipschitz_ref(ov.psi, umax) * float(geom.max())
+    else:
+        rate_adv = float((p.psi_c * p.beta * u ** (p.beta - 1.0) * geom).max())
+    if ov.f is not None:
+        rate_react = _lipschitz_ref(ov.f, umax)
+    else:
+        rate_react = p.b * p.kappa * (umax + p.eps) ** (p.kappa - 1.0) if umax > 0.0 else 0.0
+    return cfl / (max(rate_diff, rate_adv, rate_react) + 1e-30)
+
+
+def _reference_step(u, v, dt, g, p, ov):
+    """Explicit donor-cell u update and backward-Euler v solve, unfolded."""
+    phi = ov.phi or (lambda w: diffusivity_reg(w, p))
+    psi = ov.psi or (lambda w: sensitivity(w, p))
+    f = ov.f or (lambda w: growth_reg(w, p))
+    du = grad_faces(u, g)[1:-1]
+    dv = grad_faces(v, g)[1:-1]
+    flux = np.zeros(g.cells + 1)
+    flux[1:-1] = phi(0.5 * (u[1:] + u[:-1])) * du - psi(np.where(dv > 0.0, u[:-1], u[1:])) * dv
+    u_new = u + dt * (div_cells(flux, g) + f(u))
+    V, T = g.cell_volume, g.trans
+    upper = -dt * T[1:] / V
+    lower = -dt * T[:-1] / V
+    diag = 1.0 + dt - upper - lower
+    v_new = dgtsv(lower[1:], diag, upper[:-1], v + dt * u_new)[3]
+    return u_new, v_new
+
+
+def _one_or(lo, hi):
+    return st.one_of(st.just(1.0), _unit(lo, hi))
+
+
+# alpha, beta, psi_c and b each at 1, where the kernel folds an identity, and
+# away from 1. A small eps puts the hot cell of lean_cases far out, where the
+# reaction rate, and so the max u carried between steps, sets dt.
+lean_params_st = st.builds(
+    ksfv.ModelParams,
+    alpha=_one_or(1.0, 3.0),
+    beta=_one_or(1.0, 3.0),
+    kappa=_unit(2.0, 5.0),
+    a=_unit(0.0, 2.0),
+    b=_one_or(0.1, 2.0),
+    eps=st.one_of(st.just(0.0), _unit(1e-3, 0.02), _unit(0.02, 0.5)),
+    psi_c=_one_or(0.2, 2.0),
+)
+
+LEAN_OVERRIDES = {
+    "model": ksfv.Overrides(),
+    "psi": ksfv.Overrides(psi=lambda w: w * w / (1.0 + w)),
+    "f": ksfv.Overrides(f=lambda w: 0.5 - w * w),
+}
+
+
+@st.composite
+def lean_cases(draw):
+    """A domain, parameters and a random nonnegative state; with eps > 0, a
+    cell lies above 1/(2 eps), where the growth cutoff acts."""
+    dom = draw(domains())
+    p = draw(lean_params_st)
+    cells = dom.cells
+    u = np.array(draw(st.lists(_unit(0.0, 3.0), min_size=cells, max_size=cells)))
+    # max u >= 0.5 keeps every rate of order one, so the march takes a few steps
+    u[draw(st.integers(0, cells - 1))] = draw(_unit(0.5, 3.0))
+    if p.eps > 0.0:
+        u[draw(st.integers(0, cells - 1))] = draw(_unit(1.0 + 1e-9, 2.4)) / (2.0 * p.eps)
+    v = np.array(draw(st.lists(_unit(0.0, 3.0), min_size=cells, max_size=cells)))
+    return dom, p, u, v
+
+
+@pytest.mark.parametrize("ov_name", sorted(LEAN_OVERRIDES))
+@settings(PROPERTY, max_examples=15)
+@given(case=lean_cases())
+def test_run_steps_match_reference_loop_bitwise(ov_name, case):
+    dom, p, u, v = case
+    ov = LEAN_OVERRIDES[ov_name]
+    g = ksfv.make_grid(dom)
+    dt0 = _reference_dt(u, v, g, p, ov, 0.4)
+    # dt_max = t_end leaves dt to the CFL rates at every step
+    cfg = RunConfig(dom, p, u, v, t_end=4 * dt0, dt_max=4 * dt0, overrides=ov)
+    res = run(cfg)
+
+    # the same march, with every rate and update recomputed from scratch
+    t, t_goal, rows = 0.0, cfg.t_end * (1.0 - 1e-15), []
+    while t < t_goal:
+        dt = min(_reference_dt(u, v, g, p, ov, cfg.cfl), cfg.t_end - t)
+        u_new, v_new = _reference_step(u, v, dt, g, p, ov)
+        if not (np.all(np.isfinite(u_new)) and u_new.min() >= 0.0 and v_new.min() >= 0.0):
+            break
+        u, v, t = u_new, v_new, t + dt
+        rows.append((t, dt, float(u.max()), float(u.min())))
+
+    assert res.steps == len(rows) >= 1
+    assert [(r.t, r.dt, r.max_u, r.min_u) for r in res.rows[1 : 1 + len(rows)]] == rows
+    assert np.array_equal(res.final_state.u, u)
+    assert np.array_equal(res.final_state.v, v)

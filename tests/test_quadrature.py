@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from ksfv.errors import DivergenceError
+from ksfv.errors import DivergenceError, QuadratureError
 from ksfv.quadrature import adaptive_simpson, improper_power_integral
 
 
@@ -57,3 +57,16 @@ def test_moment_integral_divergent():
         improper_power_integral(3, 3)
     with pytest.raises(DivergenceError):
         improper_power_integral(4, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_integrand_raises_at_once(bad):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return bad if x > 0.3 else 1.0
+
+    with pytest.raises(QuadratureError, match="non-finite integrand"):
+        adaptive_simpson(f, 0.0, 1.0, 1e-10)
+    assert len(calls) == 5
