@@ -249,7 +249,11 @@ def fit_divergence_exponent(etas, F_values, R: float) -> float:
 
     Fitted on first differences of -F against the midpoint of ln(R/eta), which
     removes the additive constant exactly: slope of log-differences is p - 1.
+    Needs at least 3 etas, with fewer the two-coefficient fit is underdetermined,
+    and one F per eta.
     """
+    if len(etas) < 3 or len(F_values) != len(etas):
+        raise PreconditionError("need at least 3 etas and one F per eta to fit the exponent")
     L = np.log(R / np.asarray(etas, dtype=float))
     negF = -np.asarray(F_values, dtype=float)
     D = np.diff(negF)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -474,22 +474,41 @@ def _integrability_verdict(p: ModelParams, spec: RatioSpec) -> str:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Numeric verdict for a structural inequality over a sampled range."""
+    """Numeric verdict for a structural inequality.
+
+    `samples` is (count, lo, hi) for a check read at `count` points of
+    [lo, hi], whose verdict says nothing between them; None for an exact check.
+    """
 
     holds: bool
     max_violation: float
     witness: Optional[float] = None
     lhs: Optional[float] = None
     rhs: Optional[float] = None
+    samples: Optional[Tuple[int, float, float]] = None
 
     def __str__(self):
         tag = "holds" if self.holds else "FAILS"
+        if self.samples is not None:
+            count, lo, hi = self.samples
+            tag += f" at {count} samples in [{lo:g}, {hi:g}]"
         w = f" at s={self.witness:g}" if self.witness is not None else ""
         return f"{tag} (max violation {self.max_violation:.3e}{w})"
 
 
-def _sample_points(table: FunctionalTable, lo: float, samples: int) -> np.ndarray:
-    return np.geomspace(lo, table.s_max, samples)
+def _sampled_report(
+    s: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, rel_tol: float
+) -> ConditionReport:
+    """The verdict on lhs <= rhs at the sample points s."""
+    margin = lhs - rhs
+    i = int(np.argmax(margin))
+    tol = rel_tol * max(1.0, float(np.max(np.abs(lhs))))
+    return ConditionReport(
+        holds=bool(margin[i] <= tol),
+        max_violation=float(margin[i]),
+        witness=float(s[i]),
+        samples=(len(s), float(s[0]), float(s[-1])),
+    )
 
 
 def check_growth_condition(
@@ -516,21 +535,12 @@ def check_growth_condition(
     else:
         raise PreconditionError("dimension must be >= 2")
 
-    lo = max(table.s0, 1.0)
-    s = _sample_points(table, lo, samples)
-    G = table.g(s)
+    s = np.geomspace(max(table.s0, 1.0), table.s_max, samples)
     if n == 2:
         bound = k * s * np.log(s) ** exponent
     else:
         bound = k * s ** (2.0 - exponent)
-    margin = G - bound
-    i = int(np.argmax(margin))
-    tol = rel_tol * max(1.0, float(np.max(np.abs(G))))
-    return ConditionReport(
-        holds=bool(margin[i] <= tol),
-        max_violation=float(margin[i]),
-        witness=float(s[i]),
-    )
+    return _sampled_report(s, table.g(s), bound, rel_tol)
 
 
 def check_eps_condition(
@@ -550,17 +560,9 @@ def check_eps_condition(
         raise PreconditionError("need at least 10 sample points")
     if table.s0 <= 1.0:
         raise PreconditionError("condition requires an anchor s0 > 1")
-    s = _sample_points(table, table.s0, samples)
-    H = table.h(s)
+    s = np.geomspace(table.s0, table.s_max, samples)
     rhs = (n - 2.0 - eps_c) / n * table.g(s) + K * s
-    margin = H - rhs
-    i = int(np.argmax(margin))
-    tol = rel_tol * max(1.0, float(np.max(np.abs(H))))
-    return ConditionReport(
-        holds=bool(margin[i] <= tol),
-        max_violation=float(margin[i]),
-        witness=float(s[i]),
-    )
+    return _sampled_report(s, table.h(s), rhs, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +571,19 @@ def check_eps_condition(
 
 @dataclass(frozen=True)
 class Overrides:
-    """Optional replacements for the model nonlinearities (test seam).
+    """Replacements for the model nonlinearities (test seam).
 
-    Each callable maps a nonnegative cell array to an array; `ratio_spec`
-    controls the table the diagnostics use (keep it consistent with phi/psi).
+    `phi` maps a nonnegative cell array to an array and must be nondecreasing:
+    the diffusion rate reads max phi over the cells, while the flux reads phi
+    at the face means, which lie between them. `zero_psi` and `zero_f` set the
+    drift sensitivity and the growth term to zero, whose exact slope is 0, so
+    the CFL rates stay the model's formula. `ratio_spec` controls the table
+    the diagnostics use (keep it consistent with phi and psi).
     """
 
     phi: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    psi: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    f: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    zero_psi: bool = False
+    zero_f: bool = False
     ratio_spec: RatioSpec = RatioSpec.model()
 
 
@@ -599,8 +605,8 @@ def effective_phi(p: ModelParams, ov: Optional[Overrides]):
 
 
 def effective_psi(p: ModelParams, ov: Optional[Overrides]):
-    if ov is not None and ov.psi is not None:
-        return ov.psi
+    if ov is not None and ov.zero_psi:
+        return np.zeros_like
     c, beta = p.psi_c, p.beta
     if beta == 1.0:
         return (lambda u: u) if c == 1.0 else (lambda u: c * u)
@@ -610,9 +616,9 @@ def effective_psi(p: ModelParams, ov: Optional[Overrides]):
 
 
 def effective_f(p: ModelParams, ov: Optional[Overrides]):
-    """f(u), or for the model f(u, umax=None), where umax is max(u) if known."""
-    if ov is not None and ov.f is not None:
-        return ov.f
+    """f(u, umax=None), where umax is max(u) if known."""
+    if ov is not None and ov.zero_f:
+        return lambda u, umax=None: np.zeros_like(u)
     if p.b == 1.0:
         a, kappa = p.a, p.kappa
         return lambda u, umax=None: _cut_off(a - u ** kappa, u, p, umax)

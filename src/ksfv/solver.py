@@ -36,7 +36,7 @@ import enum
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -156,6 +156,9 @@ class _Kernel:
     Built once per run: the effective nonlinearities, which fold the exact
     identities of the parameters (nonlin.effective_*), the constant factors of
     the three CFL rates, the grid slices and the face and tridiagonal buffers.
+    The rates have one formula, the model's: an override's zero_psi or zero_f
+    only sets the constants of the drift or reaction slope to 0, the exact
+    slope of zero, and an override phi enters the diffusion rate as max phi.
     A step computes the face gradient of v once (grad_v) and feeds it to both
     the drift rate (dt_bound) and the flux (advance); the caller carries max u
     from one step's checks into the next step's rates and growth term. Its
@@ -168,8 +171,6 @@ class _Kernel:
         self.phi = effective_phi(p, ov)
         self.psi = effective_psi(p, ov)
         self.f = effective_f(p, ov)
-        self.psi_override = ov is not None and ov.psi is not None
-        self.f_override = ov is not None and ov.f is not None
         V = grid.cell_volume
         T = grid.trans
         self.diff_geom = float(np.maximum.reduce((T[:-1] + T[1:]) / V))  # = 2/h^2 on an interval
@@ -177,40 +178,26 @@ class _Kernel:
         self.adv_l = th[:-1] / V  # A_j/V_i for the left face of each cell
         self.adv_r = th[1:] / V
         # the drift slope psi'(u) = psi_c*beta*u^(beta-1); at beta = 1 it is
-        # the constant psi_c*beta, and max(c*g) = c*max(g) exactly for c > 0
-        self.slope_c = p.psi_c * p.beta
-        self.slope_exp = None if p.beta == 1.0 else p.beta - 1.0
-        self.react_c = p.b * p.kappa
-        self.react_exp = p.kappa - 1.0
+        # the constant psi_c*beta, and max(c*g) = c*max(g) exactly for c >= 0.
+        # A zero psi or f has the exact slope 0, so its rate is 0.0.
+        zero_psi = ov is not None and ov.zero_psi
+        zero_f = ov is not None and ov.zero_f
+        self.slope_c = 0.0 if zero_psi else p.psi_c * p.beta
+        self.slope_exp = None if zero_psi or p.beta == 1.0 else p.beta - 1.0
+        self.react_c = 0.0 if zero_f else p.b * p.kappa
+        self.react_exp = 0.0 if zero_f else p.kappa - 1.0
         self.eps = p.eps
         self.h = grid.h
-        # growth(u, umax): f(u), where umax is max(u) or None when unknown
-        f = self.f
-        self.growth = (lambda u, umax: f(u)) if self.f_override else f
         # face gradient of v and face flux; their boundary faces stay zero
         n = grid.cells + 1
         faces = np.zeros(2 * n)
         self._dvf, self._flux = faces[:n], faces[n:]
         self._dvf_in = self._dvf[1:-1]
-        self._lip_cache: Dict[Tuple[int, float], float] = {}
 
     @cached_property
     def _tri(self) -> "_Tridiag":
         # built on the first advance, so that cfl_dt() does not pay for it
         return _Tridiag(self.grid)
-
-    def _lipschitz(self, fn: Callable, umax: float) -> float:
-        """Sampled slope bound for an override nonlinearity on [0, bucket >= umax]."""
-        bucket = 2.0 ** np.ceil(np.log2(max(umax, 1e-6)))
-        key = (id(fn), float(bucket))
-        hit = self._lip_cache.get(key)
-        if hit is not None:
-            return hit
-        s = np.linspace(0.0, bucket, 64)
-        vals = np.asarray(fn(s), dtype=float)
-        lip = 0.0 if vals.shape == () else float(np.max(np.abs(np.diff(vals))) / (s[1] - s[0]))
-        self._lip_cache[key] = lip
-        return lip
 
     def grad_v(self, v: np.ndarray) -> np.ndarray:
         """grad_faces(v), bitwise, in the kernel's face buffer."""
@@ -227,20 +214,13 @@ class _Kernel:
         # only when the drift there points left, across its right face only
         # when it points right; the positivity bound needs exactly those terms.
         geom_dv = self.adv_l * np.maximum(-dvf[:-1], 0.0) + self.adv_r * np.maximum(dvf[1:], 0.0)
-        if self.psi_override:
-            rate_adv = self._lipschitz(self.psi, umax) * float(np.maximum.reduce(geom_dv))
-        elif self.slope_exp is None:
+        if self.slope_exp is None:
             rate_adv = self.slope_c * float(np.maximum.reduce(geom_dv))
         else:
             slope = self.slope_c * u ** self.slope_exp
             rate_adv = float(np.maximum.reduce(slope * geom_dv))
 
-        if self.f_override:
-            rate_react = self._lipschitz(self.f, umax)
-        else:
-            rate_react = (
-                self.react_c * (umax + self.eps) ** self.react_exp if umax > 0.0 else 0.0
-            )
+        rate_react = self.react_c * (umax + self.eps) ** self.react_exp if umax > 0.0 else 0.0
         return cfl / (max(rate_diff, rate_adv, rate_react) + _RATE_GUARD)
 
     def advance(
@@ -360,7 +340,10 @@ def cfl_dt(
     each cell counts only the faces across which it donates mass, weighted by
     its own mobility slope, which is exactly what positivity of the upwind
     update requires. The reaction rate is the growth term's slope bound on
-    [0, max u].
+    [0, max u]. Every rate is an exact bound, with no sampling: the drift
+    and reaction rates are the model's slope formulas, or 0 where the
+    overrides set psi or f to zero, and the diffusion rate is max phi over
+    the cells, which bounds phi on the faces for a nondecreasing phi.
     """
     u, v = _checked_state(state, grid)
     kern = _Kernel(grid, p, ov)
@@ -383,15 +366,18 @@ def step(
         raise ConfigError("dt must be positive")
     u, v = _checked_state(state, grid)
     kern = _Kernel(grid, p, ov)
-    u_new, v_new = kern.advance(u, v, kern.grad_v(v), dt, kern.growth(u, None))
+    u_new, v_new = kern.advance(u, v, kern.grad_v(v), dt, kern.f(u))
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise NumericsError(f"non-finite state after step at t={state.t:g}")
     return State(u_new, v_new, state.t + dt)
 
 
 def steady_signal(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Solve the steady signal equation (-Lap + 1) v = u (used for matched initial data)."""
-    return _Tridiag(grid).solve(1.0, 1.0, np.asarray(u, dtype=float))
+    """Solve the steady signal equation (-Lap + 1) v = u (used for matched initial data).
+
+    Raises UsageError for a u of the wrong length or with non-finite entries.
+    """
+    return _Tridiag(grid).solve(1.0, 1.0, validate_field(u, grid, "u"))
 
 
 def _v_w12(v: np.ndarray, grid: Grid) -> float:
@@ -483,7 +469,7 @@ def run(
             dt = min(dt, probes[pi] - t)
 
         will_diag = (steps + 1) % cfg.diag_every == 0
-        f_u = kern.growth(u, umax)
+        f_u = kern.f(u, umax)
         f_mass = float(dot(f_u, V))
 
         u_new, v_new = kern.advance(u, v, dvf, dt, f_u)

@@ -29,7 +29,6 @@ from ksfv.solver import (
 )
 from ksfv.sweep import BLOWUP, GLOBAL, classify_run
 
-ZEROS = lambda u: np.zeros_like(u)
 ONES = lambda u: np.ones_like(u)
 
 
@@ -45,7 +44,7 @@ def test_c01_discrete_mass_law():
     p = ksfv.ModelParams(alpha=1, beta=1, kappa=2, a=0, b=1, eps=0.05)
     u0 = 1.0 + 0.2 * np.cos(np.pi * g.centers)
     v0 = steady_signal(u0, g)
-    ov = Overrides(f=ZEROS)
+    ov = Overrides(zero_f=True)
     dt0 = cfl_dt(State(u0, v0, 0.0), g, p, 0.4, ov)
     cfg = RunConfig(
         dom, p, u0, v0, t_end=1.05e4 * dt0, overrides=ov, diag_every=100, dt_max=dt0
@@ -70,7 +69,7 @@ def _heat_sup_error(cells):
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, cells)
     g = ksfv.make_grid(dom)
     u0 = 1.0 + np.cos(np.pi * g.centers)
-    ov = Overrides(phi=ONES, psi=ZEROS, f=ZEROS, ratio_spec=RatioSpec.unit())
+    ov = Overrides(phi=ONES, zero_psi=True, zero_f=True, ratio_spec=RatioSpec.unit())
     cfg = RunConfig(
         dom, ksfv.ModelParams(), u0, np.zeros(cells), t_end=0.1,
         overrides=ov, diag_every=10 ** 6, dt_max=1.0,
@@ -110,7 +109,7 @@ def test_c04_energy_monotone_and_residual_order():
     dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 32)
     g = ksfv.make_grid(dom)
     p = ksfv.ModelParams(alpha=1, beta=1, kappa=2, eps=0.01, s0=1.0)
-    ov = Overrides(f=ZEROS)
+    ov = Overrides(zero_f=True)
     u0 = 1.0 + 0.02 * np.cos(np.pi * g.centers)
     v0 = steady_signal(u0, g)
     base = 0.8 * cfl_dt(State(u0, v0, 0.0), g, p, 0.4, ov)

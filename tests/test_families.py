@@ -275,5 +275,14 @@ def test_limit_report_requires_diagonal():
 
 
 def test_fit_exponent_requires_monotone():
-    with pytest.raises(PreconditionError):
-        fit_divergence_exponent([0.2, 0.1, 0.05], [-5.0, -4.0, -6.0], 1.0)
+    # a non-monotone sweep, one or two points, which underdetermine the fit,
+    # and an F list whose length is not that of the etas
+    cases = [
+        ([0.2, 0.1, 0.05], [-5.0, -4.0, -6.0]),
+        ([0.2], [-5.0]),
+        ([0.2, 0.1], [-5.0, -6.0]),
+        ([0.2, 0.1, 0.05], [-5.0, -6.0, -7.0, -8.0]),
+    ]
+    for etas, F in cases:
+        with pytest.raises(PreconditionError):
+            fit_divergence_exponent(etas, F, 1.0)

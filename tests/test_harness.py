@@ -91,6 +91,14 @@ def test_schema_documents_every_key():
         assert key in SCHEMA
 
 
+def test_schema_doc_matches_schema():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "docs", "config_schema.md"), encoding="utf-8") as fh:
+        doc = fh.read()
+    fenced = doc.split("```\n")[1]
+    assert fenced == SCHEMA
+
+
 def test_field_specs():
     g = ksfv.make_grid(ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 32))
     c = build_field("constant:2.5", g)

@@ -372,6 +372,9 @@ def test_growth_condition_decaying_ratio_holds():
     t = ksfv.build_table(p, spec, s_max=1e3)
     rep = ksfv.check_growth_condition(t, 2, 1.0, 0.9)
     assert rep.holds
+    # a sampled verdict names its samples
+    assert rep.samples == (200, 1.0, t.s_max)
+    assert str(rep).startswith(f"holds at 200 samples in [1, {t.s_max:g}] (max violation ")
 
 
 def test_growth_condition_empty_range_holds():
@@ -425,4 +428,4 @@ def test_eps_condition_preconditions():
 
 def test_overrides_ratio_consistency():
     ov = Overrides(ratio_spec=ksfv.RatioSpec.unit())
-    assert ov.phi is None and ov.psi is None and ov.f is None
+    assert ov.phi is None and not ov.zero_psi and not ov.zero_f

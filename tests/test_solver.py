@@ -19,12 +19,11 @@ from ksfv.solver import (
     step,
 )
 
-ZEROS = lambda u: np.zeros_like(u)
 ONES = lambda u: np.ones_like(u)
 
 
 def heat_overrides():
-    return Overrides(phi=ONES, psi=ZEROS, f=ZEROS, ratio_spec=RatioSpec.unit())
+    return Overrides(phi=ONES, zero_psi=True, zero_f=True, ratio_spec=RatioSpec.unit())
 
 
 def interval(cells, R=0.5):
@@ -103,7 +102,7 @@ def test_step_matches_dense_matrix_oracle():
     cells = 24
     g = interval(cells)
     p = ksfv.ModelParams(alpha=1, eps=0.3)
-    ov = Overrides(psi=ZEROS, f=ZEROS, ratio_spec=RatioSpec.model())
+    ov = Overrides(zero_psi=True, zero_f=True, ratio_spec=RatioSpec.model())
     x = g.centers
     u = 1.0 + np.cos(np.pi * x / g.spec.extent)
     v = 0.5 + 0.1 * np.sin(2 * np.pi * x)
@@ -182,6 +181,8 @@ def test_step_and_cfl_dt_reject_malformed_state():
             step(s, 1e-4, g, p)
         with pytest.raises(UsageError):
             cfl_dt(s, g, p, 0.4)
+        with pytest.raises(UsageError):  # steady_signal checks its u the same way
+            steady_signal(s.u, g)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +274,18 @@ def test_run_ends_non_finite_step_as_numerical_failure(bad):
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 16)
     g = ksfv.make_grid(dom)
 
-    def f(u):
-        # finite on the 64-point sampling of the slope bound, non-finite on the state
-        out = np.zeros_like(u)
-        if len(u) == 16:
+    def phi(u):
+        # finite on the 16 cells, where the diffusion rate reads it, and
+        # non-finite on the 15 faces, where the flux reads it
+        out = np.ones_like(u)
+        if len(u) == 15:
             out[5] = bad
         return out
 
     u0 = np.full(16, 1.0)
     cfg = RunConfig(
         dom, ksfv.ModelParams(), u0, steady_signal(u0, g), t_end=0.01,
-        overrides=Overrides(f=f, ratio_spec=RatioSpec.model()),
+        overrides=Overrides(phi=phi, ratio_spec=RatioSpec.model()),
     )
     res = run(cfg)
     assert res.termination.tag == Termination.NUMERICAL_FAILURE
