@@ -73,7 +73,9 @@ def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams, umax=None) -> np.ndar
         if umax is None or umax > lo:
             hot = u > lo
             if hot.any():
-                f[hot] *= growth_cutoff(u[hot], p)
+                # growth_cutoff(u[hot], p) without smooth_step's x <= 0
+                # branch: x > 0 on every hot cell
+                f[hot] *= 1.0 - _rise((u[hot] - lo) / (1.0 / p.eps - lo))
     return f
 
 
@@ -101,14 +103,18 @@ def growth(u, p: ModelParams):
     return _growth(np.asarray(u, dtype=float), p)
 
 
+def _rise(x: np.ndarray) -> np.ndarray:
+    """smooth_step on x > 0: 1 for x >= 1, strictly increasing below."""
+    xc = np.minimum(np.maximum(x, 1e-12), 1.0 - 1e-12)
+    g0 = np.exp(-1.0 / xc)
+    g1 = np.exp(-1.0 / (1.0 - xc))
+    return np.where(x >= 1.0, 1.0, g0 / (g0 + g1))
+
+
 def smooth_step(x):
     """C-infinity step: 0 for x <= 0, 1 for x >= 1, strictly increasing between."""
     x = np.asarray(x, dtype=float)
-    xc = np.clip(x, 1e-12, 1.0 - 1e-12)
-    g0 = np.exp(-1.0 / xc)
-    g1 = np.exp(-1.0 / (1.0 - xc))
-    s = g0 / (g0 + g1)
-    return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, s))
+    return np.where(x <= 0.0, 0.0, _rise(x))
 
 
 def growth_cutoff(u, p: ModelParams):
@@ -257,7 +263,9 @@ class FunctionalTable:
     is at most tol * n_segments / n_base_segments: tol itself on a base table,
     and growing in proportion to the knots an extension adds. Where the
     integrands are enormous, the quadrature's 1e-14 relative floor applies per
-    segment instead of seg_tol.
+    segment instead of seg_tol. Segments are integrated in batches, but each
+    batched integral is bitwise the one-segment quadrature at seg_tol, so the
+    bound and every value are those of integrating one segment at a time.
     """
 
     params: ModelParams
@@ -366,23 +374,47 @@ def _make_knots(s_min: float, s0: float, s_max: float, per_decade: int) -> np.nd
     return knots
 
 
+# segments per engine call. It bounds the width of a bisection level and so the
+# memory a walk holds: walking a beta = 3 table to 1e7 peaks at about 0.9 MB of
+# arrays with 16 segments and 1.7 MB with 32, which gain a few percent of speed
+_WALK_BLOCK = 16
+
+
 def _walk(rho, knots, G, H, Gp, start: int, stop: int, seg_tol: float) -> None:
     """Fill G, H, Gp from knots[start] to knots[stop], one knot at a time.
 
-    One adaptive-Simpson quadrature per integrand and segment: the nested G
-    integral collapses through
+    One adaptive-Simpson quadrature per integrand and segment, each at seg_tol:
+    the nested G integral collapses through
     int_a^b int_a^sigma rho = int_a^b rho(tau) (b - tau) dtau.
     The same formulas hold for a > b (walking down), where the quadrature
-    returns the negated integral over [b, a] exactly.
+    returns the negated integral over [b, a] exactly. The three integrals of
+    _WALK_BLOCK segments go to the engine in one batch, which evaluates the
+    scalar rho once per distinct point of each bisection level, on numpy
+    scalars as the one-segment quadrature did on the knots; the knot
+    values then accumulate segment by segment, in walk order.
     """
     step = 1 if stop > start else -1
-    for k in range(start, stop, step):
-        a, b = knots[k], knots[k + step]
-        Gp[k + step] = Gp[k] + adaptive_simpson(rho, a, b, seg_tol)
-        G[k + step] = G[k] + Gp[k] * (b - a) + adaptive_simpson(
-            lambda t: rho(t) * (b - t), a, b, seg_tol
-        )
-        H[k + step] = H[k] + adaptive_simpson(lambda t: t * rho(t), a, b, seg_tol)
+    for first in range(start, stop, step * _WALK_BLOCK):
+        ks = np.arange(first, stop, step)[:_WALK_BLOCK]
+        a, b = knots[ks], knots[ks + step]
+        n = len(ks)
+
+        def integrands(x, k):
+            # rho, rho * (b - t) and t * rho for integrals k // n = 0, 1, 2
+            pts, inverse = np.unique(x, return_inverse=True)
+            r = np.fromiter(map(rho, pts), float, len(pts))[inverse]
+            kind = k // n
+            g = kind == 1
+            r[g] *= b[k[g] % n] - x[g]
+            h = kind == 2
+            r[h] *= x[h]
+            return r
+
+        I = adaptive_simpson(integrands, np.tile(a, 3), np.tile(b, 3), seg_tol)
+        for j, k in enumerate(ks.tolist()):
+            Gp[k + step] = Gp[k] + I[j]
+            G[k + step] = G[k] + Gp[k] * (b[j] - a[j]) + I[n + j]
+            H[k + step] = H[k] + I[2 * n + j]
 
 
 def _freeze(*arrays: np.ndarray) -> None:

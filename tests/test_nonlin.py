@@ -91,6 +91,11 @@ def test_smooth_step_shape():
     assert np.all(s[x <= 0] == 0.0)
     assert np.all(s[x >= 1] == 1.0)
     assert np.all(np.diff(s) >= -1e-15)
+    # between the plateaus, bitwise the closed form (the clamp is inactive here);
+    # the kernel's cutoff shares this formula, so its bitwise oracle cannot pin it
+    inner = (x > 0) & (x < 1)
+    g0, g1 = np.exp(-1.0 / x[inner]), np.exp(-1.0 / (1.0 - x[inner]))
+    assert np.array_equal(s[inner], g0 / (g0 + g1))
 
 
 def test_growth_cutoff_window():
@@ -344,6 +349,22 @@ def test_nan_ratio_is_a_divergence_within_a_second():
     with pytest.raises(DivergenceError, match="non-finite integrand"):
         ksfv.build_table(params(s0=1.0), spec, s_max=10.0)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [lambda t: 1.0 / (t - t), lambda t: (1e10 * t) ** 40.0, lambda t: (t - 1.0) ** 0.5],
+    ids=["zero-division", "overflow", "complex"],
+)
+def test_ratio_raising_on_python_floats_is_a_divergence(fn):
+    # the walk evaluates rho on numpy scalars, where these ratios return inf or
+    # nan; on Python floats they raise or return a complex
+    from ksfv.errors import DivergenceError
+
+    spec = ksfv.RatioSpec.custom(fn, fn)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="non-finite integrand"):
+            ksfv.build_table(params(s0=1.0), spec, s_max=10.0)
 
 
 def test_build_table_preconditions():
