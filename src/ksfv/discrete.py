@@ -33,6 +33,28 @@ def div_cells(flux: np.ndarray, grid: Grid) -> np.ndarray:
     return (af[1:] - af[:-1]) / grid.cell_volume
 
 
+def interior_flux(
+    out: np.ndarray,
+    u: np.ndarray,
+    du: np.ndarray,
+    dv: np.ndarray,
+    phi: Callable[[np.ndarray], np.ndarray],
+    psi: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Write phi(u_face) du - psi(u_donor) dv into out; return the mobility phi(u_face).
+
+    The scheme's one flux formula. du and dv are the gradients of u and v on
+    the interior faces, u_face = 0.5*(u[1:] + u[:-1]) is the arithmetic mean
+    and the donor is the upwind cell of dv. It does no domain check: callers
+    validate u >= 0 at their API boundary.
+    """
+    ul, ur = u[:-1], u[1:]
+    mob = phi(0.5 * (ur + ul))
+    donor = np.where(dv > 0.0, ul, ur)
+    np.subtract(mob * du, psi(donor) * dv, out=out)
+    return mob
+
+
 def face_flux(
     u: np.ndarray,
     dv: np.ndarray,
@@ -43,19 +65,14 @@ def face_flux(
 ) -> np.ndarray:
     """Net face flux phi(u_face) du/dx - psi(u_donor) dv/dx; zero on the boundary faces.
 
-    The scheme's flux, shared by the solver step and the steady residual. dv
-    is the face gradient of v, grad_faces(v, grid), which the solver also
-    feeds to its drift rate. The flux is written into out when it is given, a
-    face array whose boundary entries are zero, and out is returned. It does
-    no domain check: callers validate u >= 0 at their API boundary.
+    interior_flux on the interior faces, shared by the steady residual. dv is
+    the face gradient of v, grad_faces(v, grid). The flux is written into out
+    when it is given, a face array whose boundary entries are zero, and out
+    is returned.
     """
-    ul, ur = u[:-1], u[1:]
-    dvi = dv[1:-1]
-    du = (ur - ul) / grid.h
-    donor = np.where(dvi > 0.0, ul, ur)
     if out is None:
         out = np.zeros(grid.cells + 1)
-    np.subtract(phi(0.5 * (ur + ul)) * du, psi(donor) * dvi, out=out[1:-1])
+    interior_flux(out[1:-1], u, (u[1:] - u[:-1]) / grid.h, dv[1:-1], phi, psi)
     return out
 
 

@@ -15,6 +15,13 @@ is audited: the quadratic form is assembled per face with arithmetic-mean u
 (faces where the density vanishes on both sides are dropped), v_t is the
 scheme's difference quotient, and the residual against (F_new - F_old)/dt is
 reported in the diagnostics.
+
+Each of the two has one implementation, a term helper that takes the
+quantities it needs already computed: lyapunov_terms takes G(u) and the face
+gradient of v, dissipation_terms the face gradients of u and v, the face
+mobility phi(u_face), f(u) and G'(u). The public lyapunov and dissipation
+compute those from a state and call the helpers; the solver's diagnostics
+rows pass the ones its step has already computed.
 """
 
 from __future__ import annotations
@@ -51,21 +58,27 @@ class EnergyBreakdown:
     clamped_cells: int = 0
 
 
+def lyapunov_terms(
+    G_u: np.ndarray, u: np.ndarray, v: np.ndarray, dv: np.ndarray, grid: Grid, clamped: int = 0
+) -> EnergyBreakdown:
+    """F(u, v) from G_u = G(max(u, s_min)) and dv = grad_faces(v, grid)."""
+    V = grid.cell_volume
+    G_term = float(np.dot(G_u, V))
+    uv_term = float(np.dot(u * v, V))
+    v2_term = 0.5 * float(np.dot(v * v, V))
+    gradv_term = 0.5 * float(np.dot(grid.face_weight, dv * dv))
+    return EnergyBreakdown(
+        G_term, uv_term, v2_term, gradv_term, G_term - uv_term + v2_term + gradv_term, clamped
+    )
+
+
 def lyapunov(state: State, grid: Grid, table: FunctionalTable) -> EnergyBreakdown:
     """Evaluate F(u, v) on the grid; u below the table floor is clamped and counted."""
     u, v = state.u, state.v
     tab = table.covering(float(np.max(u)))
     clamped = int(np.count_nonzero(u < tab.s_min))
-    uc = np.maximum(u, tab.s_min)
-    V = grid.cell_volume
-    G_term = float(np.dot(tab.g(uc), V))
-    uv_term = float(np.dot(u * v, V))
-    v2_term = 0.5 * float(np.dot(v * v, V))
-    dv = grad_faces(v, grid)
-    gradv_term = 0.5 * float(np.dot(grid.face_weight, dv * dv))
-    return EnergyBreakdown(
-        G_term, uv_term, v2_term, gradv_term, G_term - uv_term + v2_term + gradv_term, clamped
-    )
+    G_u = tab.g(np.maximum(u, tab.s_min))
+    return lyapunov_terms(G_u, u, v, grad_faces(v, grid), grid, clamped)
 
 
 def lyapunov_steady(state: State, grid: Grid, table: FunctionalTable) -> float:
@@ -101,25 +114,52 @@ def dissipation(
     u, v = state.u, state.v
     _check_nonneg(u, "dissipation")
     tab = table.covering(float(np.max(u)))
-    phi = effective_phi(p, ov)
-    psi = effective_psi(p, ov)
-    f = effective_f(p, ov)
+    return dissipation_terms(
+        u,
+        v,
+        v_t,
+        grad_faces(u, grid)[1:-1],
+        grad_faces(v, grid)[1:-1],
+        effective_phi(p, ov)(0.5 * (u[1:] + u[:-1])),
+        effective_psi(p, ov),
+        effective_f(p, ov)(u),
+        tab.gp(np.maximum(u, tab.s_min)),
+        tab.s_min,
+        grid,
+    )
 
-    du = grad_faces(u, grid)[1:-1]
-    dv = grad_faces(v, grid)[1:-1]
+
+def dissipation_terms(
+    u: np.ndarray,
+    v: np.ndarray,
+    v_t: np.ndarray,
+    du: np.ndarray,
+    dv: np.ndarray,
+    mob: np.ndarray,
+    psi: Callable[[np.ndarray], np.ndarray],
+    f_u: np.ndarray,
+    gp_u: np.ndarray,
+    s_min: float,
+    grid: Grid,
+) -> float:
+    """The right side of the energy identity at (u, v) from the state's face data.
+
+    du and dv are the gradients of u and v on the interior faces, mob the
+    mobility phi(0.5*(u[1:] + u[:-1])) there, psi the sensitivity, f_u = f(u)
+    and gp_u = G'(max(u, s_min)). No domain check.
+    """
     w = grid.face_weight[1:-1]
     u_face = 0.5 * (u[1:] + u[:-1])
-    live = u_face >= tab.s_min
-    psi_face = np.where(live, psi(np.maximum(u_face, tab.s_min)), 0.0)
+    live = u_face >= s_min
+    psi_face = np.where(live, psi(np.maximum(u_face, s_min)), 0.0)
     live &= psi_face > 0.0
-    ratio_face = np.where(live, phi(u_face) / np.where(live, psi_face, 1.0), 0.0)
+    ratio_face = np.where(live, mob / np.where(live, psi_face, 1.0), 0.0)
     x = ratio_face * du - dv
     quad_term = -float(np.dot(w, np.where(live, psi_face * x * x, 0.0)))
 
     vt_term = -float(np.dot(v_t * v_t, grid.cell_volume))
 
-    uc = np.maximum(u, tab.s_min)
-    f_term = float(np.dot(f(u) * (tab.gp(uc) - v), grid.cell_volume))
+    f_term = float(np.dot(f_u * (gp_u - v), grid.cell_volume))
     return quad_term + vt_term + f_term
 
 

@@ -30,7 +30,16 @@ class DivergenceError(KsfvError, ValueError):
 
 
 class QuadratureError(KsfvError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach the requested tolerance.
+
+    interval is the failing (a, b) when the engine knows it, and non_finite
+    says whether the estimate there overflowed or was NaN.
+    """
+
+    def __init__(self, message, interval=None, non_finite=False):
+        super().__init__(message)
+        self.interval = interval
+        self.non_finite = non_finite
 
 
 class NumericsError(KsfvError, RuntimeError):

@@ -20,6 +20,7 @@ error orders of magnitude below the quadrature tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
@@ -74,8 +75,14 @@ def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams, umax=None) -> np.ndar
             hot = u > lo
             if hot.any():
                 # growth_cutoff(u[hot], p) without smooth_step's x <= 0
-                # branch: x > 0 on every hot cell
-                f[hot] *= 1.0 - _rise((u[hot] - lo) / (1.0 / p.eps - lo))
+                # branch, x > 0 on every hot cell. On u >= 1/eps, x >= 1 and
+                # _rise is exactly 1.0, so the window there is exactly 0.0
+                hi = 1.0 / p.eps
+                saturated = u >= hi
+                f[saturated] *= 0.0
+                band = hot & ~saturated
+                if band.any():
+                    f[band] *= 1.0 - _rise((u[band] - lo) / (hi - lo))
     return f
 
 
@@ -104,11 +111,15 @@ def growth(u, p: ModelParams):
 
 
 def _rise(x: np.ndarray) -> np.ndarray:
-    """smooth_step on x > 0: 1 for x >= 1, strictly increasing below."""
+    """smooth_step on x > 0: 1 for x >= 1, strictly increasing below.
+
+    On x >= 1 the clamp gives xc = 1 - 1e-12, where g1 = exp(-1e12) is 0.0
+    and the quotient is exactly 1.0.
+    """
     xc = np.minimum(np.maximum(x, 1e-12), 1.0 - 1e-12)
     g0 = np.exp(-1.0 / xc)
     g1 = np.exp(-1.0 / (1.0 - xc))
-    return np.where(x >= 1.0, 1.0, g0 / (g0 + g1))
+    return g0 / (g0 + g1)
 
 
 def smooth_step(x):
@@ -221,11 +232,18 @@ def _scalar_ratio(p: ModelParams, spec: RatioSpec):
 # tabulated energy integrands
 
 
-def _hermite5(x: np.ndarray, knots, y, d1, d2) -> np.ndarray:
-    """Piecewise quintic Hermite evaluation with nodal values and two derivatives."""
-    idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+def _hermite_basis(x: np.ndarray, knots) -> tuple:
+    """The segment indices idx and idx + 1, the width dx and dx^2, and the six
+    quintic Hermite basis values at x.
+
+    Elementwise in x, so the basis of a concatenation is the concatenation
+    of the bases, and a slice of each array is the basis of that slice of x.
+    """
+    # np.minimum(np.maximum(...)) is np.clip, without its Python-level dispatch
+    idx = np.minimum(np.maximum(np.searchsorted(knots, x, side="right") - 1, 0), len(knots) - 2)
+    idx1 = idx + 1
     x0 = knots[idx]
-    dx = knots[idx + 1] - x0
+    dx = knots[idx1] - x0
     t = (x - x0) / dx
     t2 = t * t
     t3 = t2 * t
@@ -237,13 +255,19 @@ def _hermite5(x: np.ndarray, knots, y, d1, d2) -> np.ndarray:
     h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
     h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
     h21 = 0.5 * (t3 - 2.0 * t4 + t5)
+    return idx, idx1, dx, dx * dx, h00, h10, h20, h01, h11, h21
+
+
+def _hermite_sum(basis: tuple, y, d1, d2) -> np.ndarray:
+    """Piecewise quintic Hermite values with nodal values y and two derivatives d1, d2."""
+    idx, idx1, dx, dx2, h00, h10, h20, h01, h11, h21 = basis
     return (
         y[idx] * h00
         + dx * d1[idx] * h10
-        + dx * dx * d2[idx] * h20
-        + y[idx + 1] * h01
-        + dx * d1[idx + 1] * h11
-        + dx * dx * d2[idx + 1] * h21
+        + dx2 * d2[idx] * h20
+        + y[idx1] * h01
+        + dx * d1[idx1] * h11
+        + dx2 * d2[idx1] * h21
     )
 
 
@@ -285,29 +309,37 @@ class FunctionalTable:
     rho_prime_vals: np.ndarray
 
     def _check_range(self, s: np.ndarray):
-        if np.any(s > self.s_max * (1.0 + 1e-12)):
+        if (s > self.s_max * (1.0 + 1e-12)).any():
             raise UsageError(
                 f"evaluation above table range (s_max={self.s_max:g}); use covering() first"
             )
-        if np.any(s < self.s_min * (1.0 - 1e-12)):
+        if (s < self.s_min * (1.0 - 1e-12)).any():
             raise UsageError(f"evaluation below table range (s_min={self.s_min:g})")
 
-    def g(self, s):
+    def basis(self, s) -> tuple:
+        """The interpolation basis at s, which g_on and gp_on evaluate; checks the range."""
         s = np.asarray(s, dtype=float)
         self._check_range(s)
-        return _hermite5(s, self.knots, self.G_vals, self.Gp_vals, self.rho_vals)
+        return _hermite_basis(s, self.knots)
+
+    def g_on(self, basis: tuple) -> np.ndarray:
+        """G at the points of basis; g(s) is g_on(basis(s))."""
+        return _hermite_sum(basis, self.G_vals, self.Gp_vals, self.rho_vals)
+
+    def gp_on(self, basis: tuple) -> np.ndarray:
+        """G' at the points of basis; gp(s) is gp_on(basis(s))."""
+        return _hermite_sum(basis, self.Gp_vals, self.rho_vals, self.rho_prime_vals)
+
+    def g(self, s):
+        return self.g_on(self.basis(s))
 
     def gp(self, s):
-        s = np.asarray(s, dtype=float)
-        self._check_range(s)
-        return _hermite5(s, self.knots, self.Gp_vals, self.rho_vals, self.rho_prime_vals)
+        return self.gp_on(self.basis(s))
 
     def h(self, s):
-        s = np.asarray(s, dtype=float)
-        self._check_range(s)
         hp = self.knots * self.rho_vals
         hpp = self.rho_vals + self.knots * self.rho_prime_vals
-        return _hermite5(s, self.knots, self.H_vals, hp, hpp)
+        return _hermite_sum(self.basis(s), self.H_vals, hp, hpp)
 
     def covering(self, s: float) -> "FunctionalTable":
         """Return a table whose range contains s, extending this one upward.
@@ -423,7 +455,13 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 def _divergence(p: ModelParams, spec: RatioSpec, exc: QuadratureError) -> DivergenceError:
-    verdict = _integrability_verdict(p, spec)
+    # the walk integrates outward from s0: a non-finite integrand above s0
+    # is an overflow of the integrands at large s, not a singularity at 0+
+    above = exc.interval is not None and min(exc.interval) >= p.s0
+    if exc.non_finite and above:
+        verdict = f"the integrands overflow at large s, above s0={p.s0:g}"
+    else:
+        verdict = _integrability_verdict(p, spec)
     return DivergenceError(f"table quadrature failed ({verdict}): {exc}")
 
 
@@ -440,7 +478,10 @@ def build_table(
     Increments between consecutive knots are single adaptive-Simpson
     quadratures at seg_tol = tol / (number of segments), integrated outward
     from s0 in both directions. Raises DivergenceError when the quadrature
-    cannot converge (a ratio too singular near zero for the requested s_min).
+    cannot converge (a ratio too singular near zero for the requested s_min),
+    and PreconditionError for a model ratio whose psi(s_min) = psi_c*s_min^beta
+    underflows below the smallest normal float, where the ratio is not a
+    number the quadrature can use.
     """
     s0 = p.s0
     if not (0.0 < s_min < s0 < s_max):
@@ -449,6 +490,17 @@ def build_table(
         )
     if tol <= 0.0:
         raise PreconditionError("tol must be positive")
+    if ratio_spec.kind == "model":
+        try:
+            psi_min = p.psi_c * s_min ** p.beta
+        except OverflowError:
+            psi_min = math.inf
+        if psi_min < sys.float_info.min:
+            raise PreconditionError(
+                f"psi(s_min) = psi_c*s_min^beta = {psi_min:g} underflows"
+                f" (psi_c={p.psi_c:g}, s_min={s_min:g}, beta={p.beta:g}):"
+                " the ratio phi/psi cannot be tabulated; raise psi_c"
+            )
 
     rho, rho_prime = _scalar_ratio(p, ratio_spec)
     knots = _make_knots(s_min, s0, s_max, knots_per_decade)

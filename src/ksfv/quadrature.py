@@ -114,11 +114,15 @@ def _refine(f, X, Y, whole, K, T, depth):
         bad = split & ~np.isfinite(delta) if depth > 0 else split
         if bad.any():
             i = int(np.argmax(bad))
+            where = (float(a[i]), float(b[i]))
             if not math.isfinite(delta[i]):
-                raise QuadratureError(f"non-finite integrand on [{a[i]:g}, {b[i]:g}]")
+                raise QuadratureError(
+                    f"non-finite integrand on [{a[i]:g}, {b[i]:g}]", where, non_finite=True
+                )
             raise QuadratureError(
                 f"adaptive Simpson did not converge on [{a[i]:g}, {b[i]:g}]"
-                f" (remaining error ~{abs(delta[i]):g})"
+                f" (remaining error ~{abs(delta[i]):g})",
+                where,
             )
         X, Y = _halves(X[split]), _halves(Y[split])
         whole = np.column_stack([left[split], right[split]]).ravel()

@@ -19,15 +19,49 @@ the nonlinearities and keeps only its own checks on each new state:
 finiteness, nonnegativity (a failure ends the run as NumericalFailure) and
 the two mass-law residuals.
 
-Each explicit step is one pass over the state (_Kernel). The face gradient
-of v is computed once and feeds both the drift rate and the face flux; the
-max of u that one step's checks take is the next step's max, for the
-reaction rate and the growth cutoff test; the growth term f(u) is evaluated
-once and feeds both the u update and the u-mass law. The exact identities of
-the parameters (ln^1 = ln, psi(u) = u at psi_c = beta = 1, b = 1, a constant
-drift slope at beta = 1) are folded once per run, where
+Each quantity of a step is computed once (_Kernel). One ufunc call takes
+the face differences of u and v together; the face gradient of v feeds both
+the drift rate and the flux; the min and max of the new u and v are two
+axis reductions, and they are the next step's max u (reaction rate, growth
+cutoff test, rate bounds) and range of v (drift bound); f(u) feeds the u
+update, the u-mass law and the diagnostics row. A diagnostics row takes the
+step's face gradients, face mobility phi(u_face) and f(u) as they are, and
+G of the new and the old u and G' of the old u from one Hermite basis over
+both (energy.lyapunov_terms, energy.dissipation_terms). The exact
+identities of the parameters (ln^1 = ln, psi(u) = u at psi_c = beta = 1,
+b = 1, a constant drift slope at beta = 1) are folded once per run, where
 nonlin.effective_phi/psi/f build the check-free closures and where _Kernel
 builds its rate factors. Every result is bitwise the unfolded scheme's.
+
+Rate pruning. dt = cfl / (max(diffusion, drift, reaction) + guard), and the
+max is all that is used. The reaction rate is O(1) and always computed. The
+rate that limited the previous step is computed first, over the cells; the
+other one is computed only if its bound exceeds the max of those two:
+- diffusion <= phi(max u) * diff_geom for the model phi, which is
+  nondecreasing (an override phi is always evaluated in full);
+- drift <= slope_c * (max u)^(beta-1) * max_i(adv_l + adv_r) * (max v - min v)/h,
+  since each donor face gradient is at most (max v - min v)/h.
+Each bound repeats its rate's operations on arguments at least as large,
+and rounding is monotone, so it holds in floating point up to what the
+slack covers: the library log1p and pow, whose numpy and libm versions
+differ by a few ulps (a power with exponent e magnifies that e-fold), and
+the regrouping of adv_l a + adv_r b as (adv_l + adv_r) D. The relative
+slack is exp((e + 2) 2^-40), e = alpha or beta - 1, over a thousand times
+those errors, and an absolute 2^-1000 covers subnormal intermediates. A
+skipped rate is then at most the max of the computed ones, so the max, and
+dt, is bitwise the unpruned value.
+
+Buffers. run() owns one (2, 2, cells) array: the current (u, v) and the
+next. A step reads the current state, writes the next one, and solves v in
+place in the next state's v row; then the two swap. Only that buffer is
+ever solved in place: step(), cfl_dt() and steady_signal() leave their
+inputs untouched. The kernel owns the face gradients (2, cells + 1) and the
+flux; they hold the last gradients() call's state until the next call.
+
+Floating-point warnings. The step loop runs under np.errstate(all="ignore"),
+set once per run: a non-finite or negative state is caught by the step's
+own checks and ends the run as NumericalFailure. The diagnostics rows run
+under the caller's settings, so their warnings still show.
 """
 
 from __future__ import annotations
@@ -50,8 +84,12 @@ from .core import (
     make_grid,
     validate_field,
 )
-from .discrete import div_cells, face_flux, grad_faces
-from .energy import dissipation, lyapunov
+from .discrete import div_cells, grad_faces, interior_flux
+
+# perfbench/tracing.py wraps solver.lyapunov and solver.dissipation by name;
+# the step loop calls the term helpers instead, and lyapunov only for the
+# final row of a failed run
+from .energy import dissipation, dissipation_terms, lyapunov, lyapunov_terms  # noqa: F401
 from .errors import ConfigError, DomainError, NumericsError, ScanAbortedError
 from .nonlin import (
     FunctionalTable,
@@ -64,6 +102,25 @@ from .nonlin import (
 )
 
 _RATE_GUARD = 1e-30
+_REL_SLACK = 2.0 ** -40  # per unit of exponent; a library log1p or pow errs by a few 2^-53
+_TINY = 2.0 ** -1000  # covers the absolute error of subnormal intermediates
+
+
+def _pow(x: float, e: float) -> float:
+    """x ** e, with inf where the float power overflows (Python raises there)."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
+def _slack(e: float) -> float:
+    """The relative slack factor of a rate bound with exponent e (inf when it overflows)."""
+    x = (e + 2.0) * _REL_SLACK
+    return math.exp(x) if x < 700.0 else math.inf
+
+
+_GEOM_SLACK = _slack(0.0)  # the drift bound's geometric factor, which has no power
 
 
 class Termination(enum.Enum):
@@ -155,15 +212,15 @@ class _Kernel:
 
     Built once per run: the effective nonlinearities, which fold the exact
     identities of the parameters (nonlin.effective_*), the constant factors of
-    the three CFL rates, the grid slices and the face and tridiagonal buffers.
-    The rates have one formula, the model's: an override's zero_psi or zero_f
-    only sets the constants of the drift or reaction slope to 0, the exact
-    slope of zero, and an override phi enters the diffusion rate as max phi.
-    A step computes the face gradient of v once (grad_v) and feeds it to both
-    the drift rate (dt_bound) and the flux (advance); the caller carries max u
-    from one step's checks into the next step's rates and growth term. Its
-    methods take validated float arrays and do no domain checks. The arrays
-    grad_v returns are its buffers, valid until the next grad_v call.
+    the three CFL rates and of their bounds, and the face buffers. The rates
+    have one formula, the model's: an override's zero_psi or zero_f only sets
+    the constants of the drift or reaction slope to 0, the exact slope of
+    zero, and an override phi enters the diffusion rate as max phi. A step
+    calls gradients(s) on its state s = (u, v), then dt_bound and advance,
+    which read those gradients (grad, with the views dvf of v's row and
+    du_in, dv_in of the interior faces); advance leaves the face mobility
+    phi(u_face) in mob. Its methods take validated float arrays and do no
+    domain checks.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, ov: Optional[Overrides]):
@@ -188,53 +245,107 @@ class _Kernel:
         self.react_exp = 0.0 if zero_f else p.kappa - 1.0
         self.eps = p.eps
         self.h = grid.h
-        # face gradient of v and face flux; their boundary faces stay zero
+        # bounds of the diffusion and drift rates (module docstring); an
+        # override phi has none
+        self._model_phi = ov is None or ov.phi is None
+        self._alpha = p.alpha
+        self._diff_slack = _slack(p.alpha)
+        self._adv_slack = _slack(0.0 if self.slope_exp is None else self.slope_exp)
+        self.lead_drift = False  # whether the drift rate limited the last dt_bound
+        # face gradients of u and v, and the face flux; boundary faces stay zero
         n = grid.cells + 1
-        faces = np.zeros(2 * n)
-        self._dvf, self._flux = faces[:n], faces[n:]
-        self._dvf_in = self._dvf[1:-1]
+        self.grad = np.zeros((2, n))
+        self.dvf = self.grad[1]
+        self._grad_in = self.grad[:, 1:-1]
+        self.du_in, self.dv_in = self._grad_in[0], self._grad_in[1]
+        self._flux = np.zeros(n)
+        self._flux_in = self._flux[1:-1]
+        self.mob: Optional[np.ndarray] = None
 
     @cached_property
     def _tri(self) -> "_Tridiag":
         # built on the first advance, so that cfl_dt() does not pay for it
         return _Tridiag(self.grid)
 
-    def grad_v(self, v: np.ndarray) -> np.ndarray:
-        """grad_faces(v), bitwise, in the kernel's face buffer."""
-        g = self._dvf_in
-        np.subtract(v[1:], v[:-1], out=g)
+    @cached_property
+    def _adv_geom(self) -> float:
+        # max_i (adv_l + adv_r), for the drift bound; step() does not pay for it
+        return float(np.maximum.reduce(self.adv_l + self.adv_r))
+
+    def gradients(self, s: np.ndarray) -> None:
+        """Set self.grad to the face gradients of u and v, s = (u, v), each bitwise grad_faces."""
+        g = self._grad_in
+        np.subtract(s[:, 1:], s[:, :-1], out=g)
         np.divide(g, self.h, out=g)
-        return self._dvf
 
-    def dt_bound(self, u: np.ndarray, umax: float, dvf: np.ndarray, cfl: float) -> float:
-        """cfl / max(diffusive, advective, reaction rate) at u with umax = max(u), dvf = grad_v(v)."""
-        rate_diff = float(np.maximum.reduce(self.phi(u))) * self.diff_geom
+    def _rate_diff(self, u: np.ndarray) -> float:
+        return float(np.maximum.reduce(self.phi(u))) * self.diff_geom
 
+    def _rate_drift(self, u: np.ndarray, dvf: np.ndarray) -> float:
         # donor-respecting drift rate: cell i loses mass across its left face
         # only when the drift there points left, across its right face only
         # when it points right; the positivity bound needs exactly those terms.
         geom_dv = self.adv_l * np.maximum(-dvf[:-1], 0.0) + self.adv_r * np.maximum(dvf[1:], 0.0)
         if self.slope_exp is None:
-            rate_adv = self.slope_c * float(np.maximum.reduce(geom_dv))
-        else:
-            slope = self.slope_c * u ** self.slope_exp
-            rate_adv = float(np.maximum.reduce(slope * geom_dv))
+            return self.slope_c * float(np.maximum.reduce(geom_dv))
+        slope = self.slope_c * u ** self.slope_exp
+        return float(np.maximum.reduce(slope * geom_dv))
 
-        rate_react = self.react_c * (umax + self.eps) ** self.react_exp if umax > 0.0 else 0.0
-        return cfl / (max(rate_diff, rate_adv, rate_react) + _RATE_GUARD)
+    def _bound_diff(self, umax: float) -> float:
+        phi_max = _pow(math.log1p(umax + self.eps), self._alpha) * self._diff_slack + _TINY
+        return phi_max * self.diff_geom
+
+    def _bound_drift(self, umax: float, v_range: float) -> float:
+        g = self._adv_geom * (v_range / self.h) * _GEOM_SLACK + _TINY
+        if self.slope_exp is None:
+            return self.slope_c * g
+        return self.slope_c * (_pow(umax, self.slope_exp) * self._adv_slack + _TINY) * g
+
+    def dt_bound(
+        self, u: np.ndarray, umax: float, v_range: float, dvf: np.ndarray, cfl: float
+    ) -> float:
+        """cfl / max(diffusive, advective, reaction rate).
+
+        umax = max(u), v_range = max(v) - min(v) and dvf = the face gradient
+        of v (self.dvf after gradients(s)). A rate whose bound is at most the
+        max of the rates already computed is skipped as 0.0, which leaves the
+        max as it is.
+        """
+        rate_react = self.react_c * _pow(umax + self.eps, self.react_exp) if umax > 0.0 else 0.0
+        if self.lead_drift:
+            rate_drift = self._rate_drift(u, dvf)
+            skip = self._model_phi and self._bound_diff(umax) <= max(rate_drift, rate_react)
+            rate_diff = 0.0 if skip else self._rate_diff(u)
+        else:
+            rate_diff = self._rate_diff(u)
+            skip = self._bound_drift(umax, v_range) <= max(rate_diff, rate_react)
+            rate_drift = 0.0 if skip else self._rate_drift(u, dvf)
+        self.lead_drift = rate_drift > rate_diff
+        return cfl / (max(rate_diff, rate_drift, rate_react) + _RATE_GUARD)
 
     def advance(
-        self, u: np.ndarray, v: np.ndarray, dvf: np.ndarray, dt: float, f_u: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One IMEX update from (u, v), given dvf = grad_v(v) and f_u = f(u).
+        self,
+        u: np.ndarray,
+        v: np.ndarray,
+        u_new: np.ndarray,
+        v_new: np.ndarray,
+        dt: float,
+        f_u: np.ndarray,
+    ) -> None:
+        """One IMEX update of (u, v) into (u_new, v_new), given gradients((u, v)) and f_u = f(u).
 
-        No validation: callers check the result for finiteness and positivity.
+        The outputs must not overlap the inputs; the v solve runs in place in
+        v_new, a contiguous array. No validation: callers check the result for
+        finiteness and positivity.
         """
-        grid = self.grid
-        flux = face_flux(u, dvf, grid, self.phi, self.psi, out=self._flux)
-        u_new = u + dt * (div_cells(flux, grid) + f_u)
-        v_new = self._tri.solve(1.0 + dt, dt, v + dt * u_new)
-        return u_new, v_new
+        self.mob = interior_flux(self._flux_in, u, self.du_in, self.dv_in, self.phi, self.psi)
+        # u + dt * (div + f_u) and v + dt * u_new, in the order of those expressions
+        np.add(div_cells(self._flux, self.grid), f_u, out=u_new)
+        np.multiply(dt, u_new, out=u_new)
+        np.add(u, u_new, out=u_new)
+        np.multiply(dt, u_new, out=v_new)
+        np.add(v, v_new, out=v_new)
+        self._tri.solve(1.0 + dt, dt, v_new, in_place=True)
 
 
 class _Tridiag:
@@ -248,23 +359,29 @@ class _Tridiag:
 
     def __init__(self, grid: Grid):
         V = grid.cell_volume
-        self.t_in = grid.trans[1:-1]
-        self.v_lo, self.v_hi = V[1:], V[:-1]
+        t_in = grid.trans[1:-1]
         n = grid.cells
         couplings = np.empty(2 * n)
         couplings[0] = couplings[-1] = -0.0
         self.lower = couplings[:n]  # coupling of row i to i-1
         self.upper = couplings[n:]  # coupling of row i to i+1
         self.sub, self.sup = self.lower[1:], self.upper[:-1]
+        # sub and sup are adjacent in couplings: one product and one quotient
+        # form both, (-s T[1:-1]) / V[1:] and (-s T[1:-1]) / V[:-1]
+        self._inner = couplings[1:-1]
+        self._t_in2 = np.concatenate((t_in, t_in))
+        self._v_in2 = np.concatenate((V[1:], V[:-1]))
+        self._diag = np.empty(n)
 
-    def solve(self, c: float, s: float, rhs: np.ndarray) -> np.ndarray:
-        st = -s * self.t_in
-        np.divide(st, self.v_lo, out=self.sub)
-        np.divide(st, self.v_hi, out=self.sup)
-        diag = c - self.upper
+    def solve(self, c: float, s: float, rhs: np.ndarray, in_place: bool = False) -> np.ndarray:
+        """The solution; in_place overwrites rhs with it (rhs must be a contiguous float array)."""
+        np.multiply(-s, self._t_in2, out=self._inner)
+        np.divide(self._inner, self._v_in2, out=self._inner)
+        diag = self._diag
+        np.subtract(c, self.upper, out=diag)
         np.subtract(diag, self.lower, out=diag)
         # dgtsv overwrites sub, diag and sup; solve refills them every call
-        _, _, _, x, info = dgtsv(self.sub, diag, self.sup, rhs, 1, 1, 1, 0)
+        _, _, _, x, info = dgtsv(self.sub, diag, self.sup, rhs, 1, 1, 1, int(in_place))
         if info != 0:
             raise NumericsError(f"tridiagonal solve failed (info={info})")
         return x
@@ -347,7 +464,9 @@ def cfl_dt(
     """
     u, v = _checked_state(state, grid)
     kern = _Kernel(grid, p, ov)
-    return kern.dt_bound(u, float(np.maximum.reduce(u)), kern.grad_v(v), cfl)
+    v_range = float(np.maximum.reduce(v)) - float(np.minimum.reduce(v))
+    kern.gradients(np.stack((u, v)))
+    return kern.dt_bound(u, float(np.maximum.reduce(u)), v_range, kern.dvf, cfl)
 
 
 def step(
@@ -366,7 +485,9 @@ def step(
         raise ConfigError("dt must be positive")
     u, v = _checked_state(state, grid)
     kern = _Kernel(grid, p, ov)
-    u_new, v_new = kern.advance(u, v, kern.grad_v(v), dt, kern.f(u))
+    kern.gradients(np.stack((u, v)))
+    u_new, v_new = np.empty((2, grid.cells))
+    kern.advance(u, v, u_new, v_new, dt, kern.f(u))
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise NumericsError(f"non-finite state after step at t={state.t:g}")
     return State(u_new, v_new, state.t + dt)
@@ -380,8 +501,8 @@ def steady_signal(u: np.ndarray, grid: Grid) -> np.ndarray:
     return _Tridiag(grid).solve(1.0, 1.0, validate_field(u, grid, "u"))
 
 
-def _v_w12(v: np.ndarray, grid: Grid) -> float:
-    dv = grad_faces(v, grid)
+def _v_w12(v: np.ndarray, dv: np.ndarray, grid: Grid) -> float:
+    """(int v^2 + int |grad v|^2)^(1/2), given dv = grad_faces(v, grid)."""
     return float(
         np.sqrt(np.dot(v * v, grid.cell_volume) + np.dot(grid.face_weight, dv * dv))
     )
@@ -407,9 +528,15 @@ def run(
     kern = _Kernel(grid, p, ov)
     dt_max = cfg.resolved_dt_max()
     V = grid.cell_volume
+    n = grid.cells
 
-    u = np.asarray(cfg.u0, dtype=float).copy()
-    v = np.asarray(cfg.v0, dtype=float).copy()
+    # the current state (u, v) and the next; each step writes nxt from cur,
+    # then the two swap (see "Buffers" in the module docstring)
+    cur, nxt = np.empty((2, 2, n))
+    u, v = cur
+    u_new, v_new = nxt
+    u[:] = np.asarray(cfg.u0, dtype=float)
+    v[:] = np.asarray(cfg.v0, dtype=float)
     t = 0.0
     m0 = linf(u)
     if tables is None:
@@ -425,113 +552,139 @@ def run(
         probe_states.append(State(u.copy(), v.copy(), t))
         pi += 1
 
-    def diag_F(uu: np.ndarray, vv: np.ndarray, tt: float) -> float:
-        nonlocal table
-        table = table.covering(float(np.max(uu)))
-        return lyapunov(State(uu, vv, tt), grid, table).F_total
+    def row_terms(u_new, v_new, umax_new, u_old, v_old, umax_old, F_old, dt, f_u):
+        """F(new), F(old), the identity's rhs at old and the W^{1,2} norm of v_new.
 
-    mass_u = float(np.dot(u, V))
-    mass_v = float(np.dot(v, V))
+        old is the state the step advanced from; the kernel's gradients,
+        mobility and f_u are the step's, at old. G at both states and G' at
+        old come from one Hermite basis. F_old, when known, is F(old).
+        """
+        nonlocal table
+        table = table.covering(max(umax_new, umax_old))
+        s_min = table.s_min
+        basis = table.basis(np.maximum(np.concatenate((u_new, u_old)), s_min))
+        G = table.g_on(basis)
+        dv_new = grad_faces(v_new, grid)
+        F_new = lyapunov_terms(G[:n], u_new, v_new, dv_new, grid).F_total
+        if F_old is None:
+            F_old = lyapunov_terms(G[n:], u_old, v_old, kern.dvf, grid).F_total
+        gp = table.gp_on(tuple(b[n:] for b in basis))
+        v_t = (v_new - v_old) / dt
+        rhs = dissipation_terms(
+            u_old, v_old, v_t, kern.du_in, kern.dv_in, kern.mob, kern.psi, f_u, gp, s_min, grid
+        )
+        return F_new, F_old, rhs, _v_w12(v_new, dv_new, grid)
+
+    vmin, vmax, dot = np.minimum.reduce, np.maximum.reduce, np.dot
+    mass_u = float(dot(u, V))
+    mass_v = float(dot(v, V))
+    # max u and the range of v of the current state: measured once, by the
+    # previous step's checks
+    umax = float(vmax(u))
+    v_range = float(vmax(v)) - float(vmin(v))
     # F of the current state when its row recorded it, else None. The table
     # only ever extends upward and keeps its values below the old s_max, so F
     # of a state does not depend on when it is evaluated: reusing the row's F,
     # or computing F_prev after F_now, gives the same value bitwise.
-    F_cur: Optional[float] = diag_F(u, v, 0.0)
+    table = table.covering(umax)
+    dv0 = grad_faces(v, grid)
+    F_cur: Optional[float] = lyapunov_terms(
+        table.g(np.maximum(u, table.s_min)), u, v, dv0, grid
+    ).F_total
     rows: List[DiagnosticsRow] = [
-        DiagnosticsRow(
-            0.0, 0.0, mass_u, mass_v, float(np.max(u)), float(np.min(u)), F_cur, 0.0, 0.0,
-        )
+        DiagnosticsRow(0.0, 0.0, mass_u, mass_v, umax, float(vmin(u)), F_cur, 0.0, 0.0)
     ]
-    w12_max = _v_w12(v, grid)
+    w12_max = _v_w12(v, dv0, grid)
 
     mass_res_u = 0.0
     mass_res_v = 0.0
-    min_u_seen = float(np.min(u))
-    min_v_seen = float(np.min(v))
+    min_u_seen = float(vmin(u))
+    min_v_seen = float(vmin(v))
 
     steps = 0
     termination: Optional[TerminationInfo] = None
     t_end, cfl, dt_min, cap = cfg.t_end, cfg.cfl, cfg.dt_min, cfg.blowup_cap
     t_goal = t_end * (1.0 - 1e-15)
     grow_floor = 10.0 * m0
-    vmin, vmax, dot = np.minimum.reduce, np.maximum.reduce, np.dot
-    # max u of the current state: measured once, by the previous step's checks
-    umax = float(vmax(u))
+    caller_err = np.geterr()
 
-    while t < t_goal:
-        dvf = kern.grad_v(v)
-        dt_c = min(kern.dt_bound(u, umax, dvf, cfl), dt_max)
-        if dt_c < dt_min:
-            termination = TerminationInfo(Termination.DT_UNDERFLOW, t)
-            break
-        dt = min(dt_c, t_end - t)
-        if pi < len(probes):
-            dt = min(dt, probes[pi] - t)
+    with np.errstate(all="ignore"):
+        while t < t_goal:
+            kern.gradients(cur)
+            dt_c = min(kern.dt_bound(u, umax, v_range, kern.dvf, cfl), dt_max)
+            if dt_c < dt_min:
+                termination = TerminationInfo(Termination.DT_UNDERFLOW, t)
+                break
+            dt = min(dt_c, t_end - t)
+            if pi < len(probes):
+                dt = min(dt, probes[pi] - t)
 
-        will_diag = (steps + 1) % cfg.diag_every == 0
-        f_u = kern.f(u, umax)
-        f_mass = float(dot(f_u, V))
+            will_diag = (steps + 1) % cfg.diag_every == 0
+            f_u = kern.f(u, umax)
+            f_mass = float(dot(f_u, V))
 
-        u_new, v_new = kern.advance(u, v, dvf, dt, f_u)
-        min_u_new, max_u = float(vmin(u_new)), float(vmax(u_new))
-        min_v_new, max_v_new = float(vmin(v_new)), float(vmax(v_new))
-        # min and max propagate NaN, and every comparison with NaN is False:
-        # a NaN or -inf cell fails 0 <= min, a +inf cell fails max < inf, so
-        # this holds exactly when both fields are finite and nonnegative
-        if not (
-            0.0 <= min_u_new and max_u < math.inf and 0.0 <= min_v_new and max_v_new < math.inf
-        ):
-            termination = TerminationInfo(Termination.NUMERICAL_FAILURE, t)
-            break
-        steps += 1
-        t_new = t + dt
+            kern.advance(u, v, u_new, v_new, dt, f_u)
+            min_u_new, min_v_new = vmin(nxt, axis=1).tolist()
+            max_u, max_v_new = vmax(nxt, axis=1).tolist()
+            # min and max propagate NaN, and every comparison with NaN is False:
+            # a NaN or -inf cell fails 0 <= min, a +inf cell fails max < inf, so
+            # this holds exactly when both fields are finite and nonnegative
+            if not (
+                0.0 <= min_u_new
+                and max_u < math.inf
+                and 0.0 <= min_v_new
+                and max_v_new < math.inf
+            ):
+                termination = TerminationInfo(Termination.NUMERICAL_FAILURE, t)
+                break
+            steps += 1
+            t_new = t + dt
 
-        mass_u_new = float(dot(u_new, V))
-        mass_v_new = float(dot(v_new, V))
-        mass_res_u = max(
-            mass_res_u,
-            abs(mass_u_new - mass_u - dt * f_mass) / max(abs(mass_u), 1e-300),
-        )
-        mass_res_v = max(
-            mass_res_v,
-            abs(mass_v_new - mass_v - dt * (mass_u_new - mass_v_new))
-            / max(abs(mass_v), abs(mass_u_new), 1e-300),
-        )
-        min_u_seen = min(min_u_seen, min_u_new)
-        min_v_seen = min(min_v_seen, min_v_new)
-
-        while pi < len(probes) and t_new >= probes[pi] - 1e-12 * max(1.0, probes[pi]):
-            probe_states.append(State(u_new.copy(), v_new.copy(), t_new))
-            pi += 1
-
-        blown = max_u > cap and max_u >= grow_floor
-        final_step = t_new >= t_goal
-
-        F_prev, F_cur = F_cur, None
-        if will_diag or blown or final_step:
-            F_now = diag_F(u_new, v_new, t_new)
-            v_t = (v_new - v) / dt
-            rhs = dissipation(State(u, v, t), v_t, grid, p, table, ov)
-            if F_prev is None:
-                F_prev = diag_F(u, v, t)
-            residual = abs((F_now - F_prev) / dt - rhs)
-            w12_max = max(w12_max, _v_w12(v_new, grid))
-            rows.append(
-                DiagnosticsRow(
-                    t_new, dt, mass_u_new, mass_v_new, max_u, min_u_new,
-                    F_now, rhs, residual,
-                )
+            mass_u_new = float(dot(u_new, V))
+            mass_v_new = float(dot(v_new, V))
+            mass_res_u = max(
+                mass_res_u,
+                abs(mass_u_new - mass_u - dt * f_mass) / max(abs(mass_u), 1e-300),
             )
-            F_cur = F_now
+            mass_res_v = max(
+                mass_res_v,
+                abs(mass_v_new - mass_v - dt * (mass_u_new - mass_v_new))
+                / max(abs(mass_v), abs(mass_u_new), 1e-300),
+            )
+            min_u_seen = min(min_u_seen, min_u_new)
+            min_v_seen = min(min_v_seen, min_v_new)
 
-        u, v, t, umax = u_new, v_new, t_new, max_u
-        mass_u, mass_v = mass_u_new, mass_v_new
+            while pi < len(probes) and t_new >= probes[pi] - 1e-12 * max(1.0, probes[pi]):
+                probe_states.append(State(u_new.copy(), v_new.copy(), t_new))
+                pi += 1
 
-        if blown:
-            termination = TerminationInfo(Termination.BLOWUP, t, blowup_estimate=t - dt)
-            break
+            blown = max_u > cap and max_u >= grow_floor
+            final_step = t_new >= t_goal
 
-    state = State(u, v, t)
+            F_prev, F_cur = F_cur, None
+            if will_diag or blown or final_step:
+                with np.errstate(**caller_err):
+                    F_cur, F_prev, rhs, w12 = row_terms(
+                        u_new, v_new, max_u, u, v, umax, F_prev, dt, f_u
+                    )
+                residual = abs((F_cur - F_prev) / dt - rhs)
+                w12_max = max(w12_max, w12)
+                rows.append(
+                    DiagnosticsRow(
+                        t_new, dt, mass_u_new, mass_v_new, max_u, min_u_new,
+                        F_cur, rhs, residual,
+                    )
+                )
+
+            cur, nxt, u, v, u_new, v_new = nxt, cur, u_new, v_new, u, v
+            t, umax, v_range = t_new, max_u, max_v_new - min_v_new
+            mass_u, mass_v = mass_u_new, mass_v_new
+
+            if blown:
+                termination = TerminationInfo(Termination.BLOWUP, t, blowup_estimate=t - dt)
+                break
+
+    state = State(u.copy(), v.copy(), t)
     if termination is None:
         termination = TerminationInfo(Termination.COMPLETED, t)
     elif termination.tag in (Termination.DT_UNDERFLOW, Termination.NUMERICAL_FAILURE):
@@ -539,8 +692,9 @@ def run(
         if rows[-1].t < t:
             rows.append(
                 DiagnosticsRow(
-                    t, rows[-1].dt, mass_u, mass_v, float(np.max(u)), float(np.min(u)),
-                    diag_F(u, v, t), rows[-1].dissipation_rhs, rows[-1].identity_residual,
+                    t, rows[-1].dt, mass_u, mass_v, umax, float(vmin(u)),
+                    lyapunov(state, grid, table).F_total,
+                    rows[-1].dissipation_rhs, rows[-1].identity_residual,
                 )
             )
 
@@ -554,7 +708,7 @@ def run(
         mass_res_v,
         min_u_seen,
         min_v_seen,
-        _v_w12(v, grid),
+        _v_w12(v, grad_faces(v, grid), grid),
         w12_max,
         probe_states,
     )

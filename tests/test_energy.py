@@ -357,3 +357,47 @@ def test_energy_floor_domain_errors():
         energy_floor(1.0, 1.0, 1.0, 1.0, 2, 0.5)
     with pytest.raises(DomainError):
         energy_floor(1.0, 1.0, 1.0, 1.0, 3, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the solver's diagnostics rows use the term helpers of lyapunov/dissipation
+
+
+@pytest.mark.parametrize(
+    "ov", [None, Overrides(phi=lambda w: 0.2 + np.log1p(w), ratio_spec=RatioSpec.model())]
+)
+def test_run_rows_are_lyapunov_and_dissipation_bitwise(monkeypatch, ov):
+    import ksfv.solver as solver_mod
+
+    steps = []  # (state before, state after, dt) of every step
+    real = solver_mod._Kernel.advance
+
+    def recording(self, u, v, u_new, v_new, dt, f_u):
+        real(self, u, v, u_new, v_new, dt, f_u)
+        steps.append(((u.copy(), v.copy()), (u_new.copy(), v_new.copy()), dt))
+
+    monkeypatch.setattr(solver_mod._Kernel, "advance", recording)
+    dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 15)
+    g = ksfv.make_grid(dom)
+    # growth from u ~ 1 toward sqrt(a) = 20 leaves the initial table, whose
+    # s_max is 10 * max(1, 2 s0, max u0) = 10, so the rows extend it
+    p = ksfv.ModelParams(alpha=2.0, beta=1.5, kappa=2.0, a=400.0, b=1.0, eps=0.0, s0=0.1)
+    u0 = 0.5 + 0.5 * np.cos(np.pi * g.centers)
+    res = run(RunConfig(dom, p, u0, steady_signal(u0, g), t_end=0.05, diag_every=3, overrides=ov))
+    assert res.termination.tag.value == "Completed"
+    assert max(r.max_u for r in res.rows) > 10.0
+
+    table = ksfv.build_table(p, RatioSpec.model(), s_max=10.0)
+    t, at = 0.0, {}
+    for old, new, dt in steps:
+        t = t + dt
+        at[t] = (old, new, dt)
+    assert len(res.rows) > 10
+    for row in res.rows[1:]:
+        (u_old, v_old), (u_new, v_new), dt = at[row.t]
+        F_new = lyapunov(State(u_new, v_new, row.t), g, table).F_total
+        F_old = lyapunov(State(u_old, v_old, row.t - dt), g, table).F_total
+        rhs = dissipation(State(u_old, v_old, 0.0), (v_new - v_old) / dt, g, p, table, ov)
+        assert row.F == F_new
+        assert row.dissipation_rhs == rhs
+        assert row.identity_residual == abs((F_new - F_old) / dt - rhs)

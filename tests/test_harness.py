@@ -831,3 +831,20 @@ def test_cli_check_s_max_flag_overrides_file(tmp_path, monkeypatch, file_text, f
     cfg.write_text("params.beta = 2\nparams.s0 = 2.0\n" + file_text)
     assert main(["check", "--growth", "--config", str(cfg), *flags]) == 0
     assert seen == [s_max]
+
+
+def test_cli_underflowing_psi_c_is_a_named_error(tmp_path, capsys):
+    import time
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "domain.cells = 16\nrun.t_end = 0.001\n"
+        "params.alpha = 3\nparams.beta = 3\nparams.psi_c = 1e-300\n"
+    )
+    t0 = time.perf_counter()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error:") and "psi_c" in err
+    assert "Traceback" not in err

@@ -450,3 +450,59 @@ def test_eps_condition_preconditions():
 def test_overrides_ratio_consistency():
     ov = Overrides(ratio_spec=ksfv.RatioSpec.unit())
     assert ov.phi is None and not ov.zero_psi and not ov.zero_f
+
+
+@pytest.mark.parametrize("b", [1.0, 0.7])
+@pytest.mark.parametrize("eps", [0.01, 0.3])
+def test_effective_growth_is_growth_times_cutoff_bitwise(b, eps):
+    from ksfv.nonlin import effective_f
+
+    p = params(a=0.5, b=b, kappa=3.0, eps=eps)
+    lo, hi = 1.0 / (2.0 * eps), 1.0 / eps
+    # cold cells, the transition band with its ends, and saturated cells
+    u = np.concatenate([
+        np.linspace(0.0, lo, 7),
+        [np.nextafter(lo, np.inf), np.nextafter(hi, 0.0), hi, np.nextafter(hi, np.inf)],
+        np.linspace(lo, hi, 9)[1:-1],
+        hi * np.array([1.5, 10.0, 1e6]),
+    ])
+    f = effective_f(p, None)
+    expected = growth(u, p) * growth_cutoff(u, p)
+    assert np.array_equal(f(u, float(u.max())), expected)
+    assert np.array_equal(f(u), expected)
+    assert np.array_equal(f(u).view(np.int64), expected.view(np.int64))  # signed zeros too
+    assert np.all(expected[u >= hi] == 0.0)
+
+
+def test_build_table_refuses_an_underflowing_psi_at_s_min():
+    import time
+
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionError, match="psi_c=1e-300.*s_min=1e-08.*beta=3"):
+        ksfv.build_table(params(alpha=3, beta=3, psi_c=1e-300))
+    assert time.perf_counter() - t0 < 0.5
+    # psi(s_min) = 1e-100 * 1e-8 is a normal float
+    assert ksfv.build_table(params(beta=1, psi_c=1e-100), s_max=2.0).s_max >= 2.0
+
+
+def test_large_s_overflow_is_reported_as_an_overflow_at_large_s():
+    from ksfv.errors import DivergenceError
+
+    t = ksfv.build_table(params(alpha=200, beta=1, s0=1.0), s_max=10.0)
+    with pytest.raises(DivergenceError, match="overflow at large s") as info:
+        t.covering(1e17)
+    assert "integrable" not in str(info.value)
+    lo, hi = info.value.__cause__.interval
+    assert 1e13 < lo < hi < 1e14
+
+
+def test_failure_below_s0_keeps_the_near_zero_verdict(monkeypatch):
+    import ksfv.nonlin as nonlin_mod
+    from ksfv.errors import DivergenceError, QuadratureError
+
+    def failing(*args, **kwargs):
+        raise QuadratureError("non-finite integrand", (1e-8, 2e-8), non_finite=True)
+
+    monkeypatch.setattr(nonlin_mod, "adaptive_simpson", failing)
+    with pytest.raises(DivergenceError, match="tau\\^-1.5 near 0: not integrable at 0\\+"):
+        ksfv.build_table(params(alpha=1, beta=2.5, eps=0.0, s0=1.0))

@@ -261,3 +261,108 @@ def test_run_steps_match_reference_loop_bitwise(ov_name, case):
     assert [(r.t, r.dt, r.max_u, r.min_u) for r in res.rows[1 : 1 + len(rows)]] == rows
     assert np.array_equal(res.final_state.u, u)
     assert np.array_equal(res.final_state.v, v)
+
+
+# ---------------------------------------------------------------------------
+# exact rate pruning: the pruned dt_bound is bitwise the unpruned one
+
+PRUNE_OVERRIDES = {
+    "model": ksfv.Overrides(),
+    "phi": ksfv.Overrides(phi=lambda w: 0.3 + np.log1p(w) ** 2),
+    "zero_psi": ksfv.Overrides(zero_psi=True),
+    "zero_f": ksfv.Overrides(zero_f=True),
+}
+
+
+@st.composite
+def prune_cases(draw):
+    """A domain, parameters over alpha in {1, 2, 5} and beta in {1, 1.5, 2, 3},
+    a random nonnegative state or one where both rate bounds are tight, and
+    an override."""
+    dom = draw(domains())
+    p = ksfv.ModelParams(
+        alpha=draw(st.sampled_from([1.0, 2.0, 5.0])),
+        beta=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        kappa=draw(_unit(2.0, 5.0)),
+        a=draw(_unit(0.0, 2.0)),
+        b=draw(_one_or(0.1, 2.0)),
+        eps=draw(st.one_of(st.just(0.0), _unit(1e-3, 0.5))),
+        psi_c=draw(_one_or(0.2, 2.0)),
+    )
+    cells = dom.cells
+    if draw(st.booleans()):
+        u = np.array(draw(st.lists(_unit(0.0, 3.0), min_size=cells, max_size=cells)))
+        v = np.array(draw(st.lists(_unit(0.0, 3.0), min_size=cells, max_size=cells)))
+    else:
+        # both bounds tight: u at its max in every cell, and v zigzagging,
+        # so that every cell with v at its min donates across both faces
+        u = np.full(cells, draw(_unit(0.1, 3.0)))
+        v = draw(_unit(0.1, 3.0)) * (np.arange(cells) % 2)
+    return dom, p, u, v, draw(st.sampled_from(sorted(PRUNE_OVERRIDES)))
+
+
+def _kernel_dt(kern, u, v, lead_drift, cfl=0.4):
+    """The kernel's dt_bound at (u, v), with the drift rate first or not."""
+    kern.lead_drift = lead_drift
+    kern.gradients(np.stack((u, v)))
+    return kern.dt_bound(u, float(u.max()), float(v.max()) - float(v.min()), kern.dvf, cfl)
+
+
+def _bisect(pred, lo, hi):
+    """Adjacent floats lo < hi with pred(lo) False and pred(hi) True, given those at the ends."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+@settings(PROPERTY, max_examples=40)
+@given(case=prune_cases())
+def test_pruned_dt_bound_is_the_unpruned_max_bitwise(case):
+    from ksfv.solver import _Kernel
+
+    dom, p, u, v, ov_name = case
+    ov = PRUNE_OVERRIDES[ov_name]
+    g = ksfv.make_grid(dom)
+    kern = _Kernel(g, p, ov)
+    umax = float(u.max())
+
+    def expected(vv):
+        return _reference_dt(u, vv, g, p, ov, 0.4)
+
+    # whichever rate goes first, on the drawn state and on v scaled far up
+    # and down, so that each rate limits somewhere
+    for scale in (1.0, 1e-6, 1e6):
+        for lead in (False, True):
+            assert _kernel_dt(kern, u, scale * v, lead) == expected(scale * v)
+
+    # the drift bound exactly at its threshold: the largest scale of v at
+    # which the drift rate is skipped, and the next float, where it is not
+    react = kern.react_c * (umax + p.eps) ** kern.react_exp if umax > 0.0 else 0.0
+    best = max(kern._rate_diff(u), react)
+    spread = float(v.max()) - float(v.min())
+
+    def bound_drift(lam):
+        return kern._bound_drift(umax, lam * spread)
+
+    if spread > 0.0 and bound_drift(1e12) > best > bound_drift(0.0):
+        lo, hi = _bisect(lambda lam: bound_drift(lam) > best, 0.0, 1e12)
+        for lam in (lo, hi):
+            assert _kernel_dt(kern, u, lam * v, False) == expected(lam * v)
+
+    # the diffusion bound exactly at its threshold, with the drift rate first
+    if ov_name != "phi":
+        bound = kern._bound_diff(umax)
+
+        def skips(lam):
+            kern.gradients(np.stack((u, lam * v)))
+            return bound <= max(kern._rate_drift(u, kern.dvf), react)
+
+        if not skips(0.0) and skips(1e12):
+            lo, hi = _bisect(skips, 0.0, 1e12)
+            for lam in (lo, hi):
+                assert _kernel_dt(kern, u, lam * v, True) == expected(lam * v)

@@ -246,17 +246,17 @@ def test_run_mass_laws_with_active_growth():
 
 def test_run_computes_each_rows_energy_once(monkeypatch):
     # diag_every = 1: every step emits a row, and the next step's F_prev is
-    # that row's F, so lyapunov runs once per row rather than twice per step
+    # that row's F, so F is computed once per row rather than twice per step
     import ksfv.solver as solver_mod
 
     calls = []
-    real = solver_mod.lyapunov
+    real = solver_mod.lyapunov_terms
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "lyapunov", counting)
+    monkeypatch.setattr(solver_mod, "lyapunov_terms", counting)
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 24)
     g = ksfv.make_grid(dom)
     p = ksfv.ModelParams(alpha=1, beta=1, kappa=2, a=1.0, b=1.0, eps=0.02)
@@ -269,6 +269,8 @@ def test_run_computes_each_rows_energy_once(monkeypatch):
         assert row.identity_residual == abs((row.F - prev.F) / row.dt - row.dissipation_rhs)
 
 
+# the step's own checks name the failure; numpy has nothing to warn about
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_run_ends_non_finite_step_as_numerical_failure(bad):
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 16)
@@ -492,3 +494,49 @@ def test_completed_run_reaches_t_end_with_probes():
     assert len(res.probe_states) == len(probes)
     for want, got in zip(probes, res.probe_states):
         assert got.t == pytest.approx(want, abs=1e-12)
+
+
+def test_public_entry_points_leave_their_inputs_unchanged():
+    # the step loop solves v in place in its own buffer, and only there
+    g = interval(16)
+    p = ksfv.ModelParams(alpha=2, beta=2, kappa=2, a=0.5, eps=0.01)
+    u = 1.0 + 0.5 * np.cos(np.pi * g.centers)
+    u_bytes = u.tobytes()
+    v = steady_signal(u, g)
+    assert u.tobytes() == u_bytes
+    v_bytes = v.tobytes()
+    s = State(u, v, 0.0)
+    new = step(s, cfl_dt(s, g, p, 0.4), g, p)
+    assert not np.shares_memory(new.u, u) and not np.shares_memory(new.v, v)
+    assert u.tobytes() == u_bytes and v.tobytes() == v_bytes
+    res = run(RunConfig(g.spec, p, u, v, t_end=0.01))
+    assert res.steps > 0
+    assert u.tobytes() == u_bytes and v.tobytes() == v_bytes
+
+
+def test_step_loop_ignores_float_warnings_and_rows_keep_the_callers(monkeypatch):
+    import ksfv.solver as solver_mod
+
+    seen = {"step": [], "row": []}
+    advance, rhs_terms = solver_mod._Kernel.advance, solver_mod.dissipation_terms
+
+    def spy_advance(*args):
+        seen["step"].append(np.geterr())
+        return advance(*args)
+
+    def spy_rhs(*args):
+        seen["row"].append(np.geterr())
+        return rhs_terms(*args)
+
+    monkeypatch.setattr(solver_mod._Kernel, "advance", spy_advance)
+    monkeypatch.setattr(solver_mod, "dissipation_terms", spy_rhs)
+    g = interval(16)
+    u0 = 1.0 + 0.2 * np.cos(np.pi * g.centers)
+    cfg = RunConfig(g.spec, ksfv.ModelParams(), u0, steady_signal(u0, g), t_end=0.01, diag_every=5)
+    with np.errstate(all="raise", under="warn"):
+        caller = np.geterr()
+        run(cfg)
+        assert np.geterr() == caller
+    assert seen["step"] and seen["row"]
+    assert all(set(e.values()) == {"ignore"} for e in seen["step"])
+    assert all(e == caller for e in seen["row"])
