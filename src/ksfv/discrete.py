@@ -61,17 +61,13 @@ def face_flux(
     grid: Grid,
     phi: Callable[[np.ndarray], np.ndarray],
     psi: Callable[[np.ndarray], np.ndarray],
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Net face flux phi(u_face) du/dx - psi(u_donor) dv/dx; zero on the boundary faces.
 
     interior_flux on the interior faces, shared by the steady residual. dv is
-    the face gradient of v, grad_faces(v, grid). The flux is written into out
-    when it is given, a face array whose boundary entries are zero, and out
-    is returned.
+    the face gradient of v, grad_faces(v, grid).
     """
-    if out is None:
-        out = np.zeros(grid.cells + 1)
+    out = np.zeros(grid.cells + 1)
     interior_flux(out[1:-1], u, (u[1:] - u[:-1]) / grid.h, dv[1:-1], phi, psi)
     return out
 

@@ -84,19 +84,11 @@ def lyapunov(state: State, grid: Grid, table: FunctionalTable) -> EnergyBreakdow
 def lyapunov_steady(state: State, grid: Grid, table: FunctionalTable) -> float:
     """The uv-eliminated steady value -1/2 int|grad v|^2 - 1/2 int v^2 + int G(u).
 
-    Agrees with lyapunov() exactly when the discrete steady signal equation
+    Formed from lyapunov()'s terms as G_term - gradv_term - v2_term. Agrees with lyapunov() exactly when the discrete steady signal equation
     holds; otherwise the gap is bounded by the steady residual.
     """
-    u, v = state.u, state.v
-    tab = table.covering(float(np.max(u)))
-    uc = np.maximum(u, tab.s_min)
-    V = grid.cell_volume
-    dv = grad_faces(v, grid)
-    return float(
-        np.dot(tab.g(uc), V)
-        - 0.5 * np.dot(grid.face_weight, dv * dv)
-        - 0.5 * np.dot(v * v, V)
-    )
+    bd = lyapunov(state, grid, table)
+    return bd.G_term - bd.gradv_term - bd.v2_term
 
 
 def dissipation(
@@ -194,6 +186,8 @@ def steady_residual(
 # ---------------------------------------------------------------------------
 # radial weight inequality and energy floor
 
+_WEIGHT_TOL = 1e-10  # the absolute slack of radial_weight_inequality's verdict
+
 
 def log_weight(R: float, eta: float) -> tuple[Callable, Callable]:
     """The profile ln((R^2+eta)/(r^2+eta)) and its derivative (n=2 construction)."""
@@ -236,8 +230,7 @@ def radial_weight_inequality(
     table: FunctionalTable,
     weight: Callable,
     s0: float,
-    weight_prime: Optional[Callable] = None,
-    tol: float = 1e-10,
+    weight_prime: Callable,
 ) -> ConditionReport:
     """Check the weighted steady-state inequality on a radial grid.
 
@@ -246,8 +239,9 @@ def radial_weight_inequality(
         (n-2)/2 int z |grad v|^2 - 1/2 int r z' |grad v|^2
             <= int r z (v + s0) |grad v| + n int_{u > s0} z H(u)
 
-    The weight is validated numerically (endpoints and monotonicity); gradient
-    terms are face sums, the H term a cell sum over the super-level set.
+    weight_prime is z'. The weight is validated numerically (endpoints and
+    monotonicity); gradient terms are face sums, the H term a cell sum over
+    the super-level set. The inequality holds when lhs <= rhs + 1e-10.
     """
     if grid.spec.kind != BALL:
         raise PreconditionError("the weight inequality applies to radial ball domains")
@@ -255,12 +249,6 @@ def radial_weight_inequality(
         raise PreconditionError("s0 must match the anchor of the supplied table")
     R = grid.spec.R
     n = grid.spec.n
-
-    if weight_prime is None:
-        fd = 1e-6 * R
-
-        def weight_prime(r):
-            return (weight(np.asarray(r) + fd) - weight(np.asarray(r) - fd)) / (2.0 * fd)
 
     rs = np.linspace(0.0, R, 257)
     wv = np.asarray(weight(rs), dtype=float)
@@ -295,7 +283,7 @@ def radial_weight_inequality(
     )
     rhs = rhs_grad + rhs_level
     return ConditionReport(
-        holds=bool(lhs <= rhs + tol),
+        holds=bool(lhs <= rhs + _WEIGHT_TOL),
         max_violation=float(lhs - rhs),
         witness=None,
         lhs=lhs,

@@ -21,8 +21,11 @@ import numpy as np
 from .core import BALL, DomainSpec, Grid, State, integrate, unit_sphere_area
 from .energy import EnergyBreakdown, lyapunov
 from .errors import PreconditionError, ResolutionError
-from .nonlin import FunctionalTable, check_growth_condition
+from .nonlin import FunctionalTable, _growth_bound, check_growth_condition
 from .quadrature import adaptive_simpson, improper_power_integral
+
+_PROFILE_TOL = 1e-12  # radial_moment's (before its eta scaling) and mass_normalizer's
+_GROWTH_K_MARGIN = 1.01  # initial_data_below checks the growth condition at this times k_fit
 
 
 @dataclass(frozen=True)
@@ -70,12 +73,12 @@ def _require_n2(fp: FamilyParams, R: float):
         raise PreconditionError("n=2 branch needs eta < R/2")
 
 
-def moment_integral(N: float, lam: float, tol: float = 1e-10) -> float:
+def moment_integral(N: float, lam: float) -> float:
     """A(N, lam) = int_0^inf s^(N-1) (s^2+1)^(-lam/2) ds, finite for lam > N > 0."""
-    return improper_power_integral(N, lam, tol)
+    return improper_power_integral(N, lam)
 
 
-def radial_moment(N: float, lam: float, R: float, eta: float, tol: float = 1e-12) -> float:
+def radial_moment(N: float, lam: float, R: float, eta: float) -> float:
     """The scaled truncated moment eta^(lam-N) int_0^R r^(N-1) (r^2+eta^2)^(-lam/2) dr.
 
     Converges to A(N, lam) as eta -> 0 by the substitution r = eta*s.
@@ -84,10 +87,12 @@ def radial_moment(N: float, lam: float, R: float, eta: float, tol: float = 1e-12
     def f(r: float) -> float:
         return r ** (N - 1.0) * (r * r + eta * eta) ** (-lam / 2.0)
 
-    return eta ** (lam - N) * adaptive_simpson(f, 0.0, R, tol / max(eta ** (lam - N), 1e-300))
+    return eta ** (lam - N) * adaptive_simpson(
+        f, 0.0, R, _PROFILE_TOL / max(eta ** (lam - N), 1e-300)
+    )
 
 
-def mass_normalizer(fp: FamilyParams, dom: DomainSpec, tol: float = 1e-12) -> float:
+def mass_normalizer(fp: FamilyParams, dom: DomainSpec) -> float:
     """a_eta = eta^(n-beta) * mass / int_Omega (|x|^2+eta^2)^(-beta/2) dx (continuum form)."""
     if dom.kind != BALL:
         raise PreconditionError("the family lives on radial ball domains")
@@ -98,7 +103,7 @@ def mass_normalizer(fp: FamilyParams, dom: DomainSpec, tol: float = 1e-12) -> fl
     def f(r: float) -> float:
         return r ** (n - 1.0) * (r * r + eta * eta) ** (-fp.beta / 2.0)
 
-    denom = w * adaptive_simpson(f, 0.0, dom.R, tol)
+    denom = w * adaptive_simpson(f, 0.0, dom.R, _PROFILE_TOL)
     return eta ** (n - fp.beta) * fp.mass / denom
 
 
@@ -175,15 +180,13 @@ def initial_data_below(
     fp: FamilyParams,
     grid: Grid,
     table: FunctionalTable,
-    eta_start: Optional[float] = None,
-    growth_k_margin: float = 1.01,
     alpha_prime: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """First (u_eta, v_eta) along a geometric eta sweep with F < -C.
 
-    The sweep halves eta from eta_start (default 0.2 R) down to the resolution
-    floor of two cells; before sweeping, the growth condition on G is verified
-    with the smallest workable constant k, fitted on the lower half of the
+    The sweep halves eta from 0.2 R down to the resolution floor of two
+    cells; before sweeping, the growth condition on G is verified with 1.01
+    times the smallest workable constant k, fitted on the lower half of the
     table range (for n >= 3 pass the growth exponent alpha_prime; omitted, the
     check is skipped there). Raises ResolutionError when the grid cannot
     concentrate far enough.
@@ -200,14 +203,14 @@ def initial_data_below(
     if exponent is not None:
         k_fit = _fitted_growth_constant(table, dom.n, exponent)
         report = check_growth_condition(
-            table, dom.n, k_fit * growth_k_margin, exponent
+            table, dom.n, k_fit * _GROWTH_K_MARGIN, exponent
         )
         if not report.holds:
             raise PreconditionError(
                 f"growth condition fails for the active nonlinearities: {report}"
             )
 
-    eta = eta_start if eta_start is not None else 0.2 * dom.R
+    eta = 0.2 * dom.R
     floor = 2.0 * grid.h
     while eta >= floor:
         fpe = replace(fp, eta=eta)
@@ -236,10 +239,7 @@ def _fitted_growth_constant(table: FunctionalTable, n: int, exponent: float) -> 
     lo = max(table.s0, 1.0 + 1e-9)
     mid = math.sqrt(lo * table.s_max)
     s = np.geomspace(lo, mid, 200)
-    if n == 2:
-        bound = s * np.log(s) ** exponent
-    else:
-        bound = s ** (2.0 - exponent)
+    bound = _growth_bound(s, n, 1.0, exponent)
     good = bound > 0.0
     return float(np.max(table.g(s[good]) / bound[good]))
 

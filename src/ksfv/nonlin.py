@@ -164,7 +164,11 @@ def damping_is_weak(p: ModelParams, n: int) -> bool:
 
 @dataclass(frozen=True)
 class RatioSpec:
-    """Which ratio feeds the energy integrands: the model's, 1, or a custom callable."""
+    """Which ratio feeds the energy integrands: the model's, 1, or a custom callable.
+
+    A custom ratio comes with its derivative fn_prime, which the tables store
+    at the knots for G' interpolation; both are scalar functions on (0, inf).
+    """
 
     kind: str  # "model" | "unit" | "custom"
     fn: Optional[Callable[[float], float]] = None
@@ -179,9 +183,11 @@ class RatioSpec:
         return RatioSpec("unit")
 
     @staticmethod
-    def custom(fn, fn_prime=None) -> "RatioSpec":
-        if fn is None:
-            raise UsageError("custom ratio requires a callable defined on (0, inf)")
+    def custom(fn, fn_prime) -> "RatioSpec":
+        if fn is None or fn_prime is None:
+            raise UsageError(
+                "custom ratio requires a callable and its derivative, defined on (0, inf)"
+            )
         return RatioSpec("custom", fn, fn_prime)
 
 
@@ -202,15 +208,7 @@ def _scalar_ratio(p: ModelParams, spec: RatioSpec):
     if spec.kind == "unit":
         return (lambda t: 1.0), (lambda t: 0.0)
     if spec.kind == "custom":
-        fn = spec.fn
-        if spec.fn_prime is not None:
-            return fn, spec.fn_prime
-
-        def numeric_prime(t: float) -> float:
-            h = 1e-6 * max(abs(t), 1e-12)
-            return (fn(t + h) - fn(t - h)) / (2.0 * h)
-
-        return fn, numeric_prime
+        return spec.fn, spec.fn_prime
 
     alpha, beta, eps, c = p.alpha, p.beta, p.eps, p.psi_c
 
@@ -223,7 +221,11 @@ def _scalar_ratio(p: ModelParams, spec: RatioSpec):
         dphi = alpha * L ** (alpha - 1.0) / (1.0 + t + eps)
         psi = c * t ** beta
         dpsi = c * beta * t ** (beta - 1.0)
-        return (dphi * psi - phi * dpsi) / (psi * psi)
+        psi2 = psi * psi
+        if psi2 < sys.float_info.min:
+            # psi * psi underflows (psi below about 1.5e-154) where psi does not
+            return (dphi * psi - phi * dpsi) / psi / psi
+        return (dphi * psi - phi * dpsi) / psi2
 
     return rho, rho_prime
 
@@ -278,7 +280,7 @@ class FunctionalTable:
     Immutable; covering() returns a new, wider table instead of mutating. A
     table is a base table from build_table(), its first base_knots knots on
     [s_min, base_s_max], followed by the upward extension covering() appends:
-    knots base_s_max * r**k, k = 1, 2, ..., with r = 10**(1/knots_per_decade).
+    knots base_s_max * r**k, k = 1, 2, ..., with r = 10**(1/_KNOTS_PER_DECADE).
 
     Every segment, base or extension, is integrated once to the absolute
     tolerance seg_tol = tol / n_base_segments, and the knot values accumulate
@@ -298,7 +300,6 @@ class FunctionalTable:
     s_min: float
     s_max: float
     tol: float
-    knots_per_decade: int
     seg_tol: float  # per-segment quadrature tolerance, fixed by the base table
     base_knots: int  # knots of the base table; the rest are the extension
     knots: np.ndarray
@@ -359,7 +360,7 @@ class FunctionalTable:
         if not math.isfinite(s):
             raise UsageError(f"covering needs a finite s, got {s!r}")
         base = float(self.knots[self.base_knots - 1])
-        r = 10.0 ** (1.0 / self.knots_per_decade)
+        r = 10.0 ** (1.0 / _KNOTS_PER_DECADE)
         k = len(self.knots) - self.base_knots  # extension knots already present
         new = []
         while not new or new[-1] < s:
@@ -392,9 +393,13 @@ class FunctionalTable:
         )
 
 
-def _make_knots(s_min: float, s0: float, s_max: float, per_decade: int) -> np.ndarray:
+# the density of every table's knots, base and extension
+_KNOTS_PER_DECADE = 48
+
+
+def _make_knots(s_min: float, s0: float, s_max: float) -> np.ndarray:
     decades = math.log10(s_max / s_min)
-    count = max(int(math.ceil(decades * per_decade)), 8) + 1
+    count = max(int(math.ceil(decades * _KNOTS_PER_DECADE)), 8) + 1
     knots = np.geomspace(s_min, s_max, count)
     j = int(np.searchsorted(knots, s0))
     if j > 0 and abs(knots[j - 1] - s0) <= 1e-12 * s0:
@@ -471,7 +476,6 @@ def build_table(
     s_min: float = 1e-8,
     s_max: float = 100.0,
     tol: float = 1e-10,
-    knots_per_decade: int = 48,
 ) -> FunctionalTable:
     """Tabulate G, H, Gp on log-spaced knots anchored exactly at s0.
 
@@ -503,7 +507,7 @@ def build_table(
             )
 
     rho, rho_prime = _scalar_ratio(p, ratio_spec)
-    knots = _make_knots(s_min, s0, s_max, knots_per_decade)
+    knots = _make_knots(s_min, s0, s_max)
     i0 = int(np.argmin(np.abs(knots - s0)))
     nseg = len(knots) - 1
     seg_tol = tol / max(nseg, 1)
@@ -528,7 +532,6 @@ def build_table(
         float(knots[0]),
         float(knots[-1]),
         tol,
-        knots_per_decade,
         seg_tol,
         len(knots),
         knots,
@@ -580,13 +583,19 @@ class ConditionReport:
         return f"{tag} (max violation {self.max_violation:.3e}{w})"
 
 
+# the sampled checks read each inequality at this many log-spaced points and
+# accept a violation up to this fraction of max(1, max |lhs|)
+_SAMPLES = 200
+_REL_TOL = 1e-9
+
+
 def _sampled_report(
-    s: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, rel_tol: float
+    s: np.ndarray, lhs: np.ndarray, rhs: np.ndarray
 ) -> ConditionReport:
     """The verdict on lhs <= rhs at the sample points s."""
     margin = lhs - rhs
     i = int(np.argmax(margin))
-    tol = rel_tol * max(1.0, float(np.max(np.abs(lhs))))
+    tol = _REL_TOL * max(1.0, float(np.max(np.abs(lhs))))
     return ConditionReport(
         holds=bool(margin[i] <= tol),
         max_violation=float(margin[i]),
@@ -595,21 +604,24 @@ def _sampled_report(
     )
 
 
+def _growth_bound(s: np.ndarray, n: int, k: float, exponent: float) -> np.ndarray:
+    """The growth condition's bound k*s*(ln s)^theta (n = 2) or k*s^(2-a') (n >= 3)."""
+    if n == 2:
+        return k * s * np.log(s) ** exponent
+    return k * s ** (2.0 - exponent)
+
+
 def check_growth_condition(
     table: FunctionalTable,
     n: int,
     k: float,
     exponent: float,
-    samples: int = 200,
-    rel_tol: float = 1e-9,
 ) -> ConditionReport:
     """Check G(s) <= k*s*(ln s)^theta (n=2) or G(s) <= k*s^(2-a') (n>=3) on [s0, s_max].
 
     `exponent` is theta in (0,1) for n=2 and a' > 2/n for n >= 3 (the growth
     exponent, distinct from the diffusivity exponent).
     """
-    if samples < 10:
-        raise PreconditionError("need at least 10 sample points")
     if n == 2:
         if not (0.0 < exponent < 1.0):
             raise PreconditionError("n=2 requires theta in (0, 1)")
@@ -619,12 +631,8 @@ def check_growth_condition(
     else:
         raise PreconditionError("dimension must be >= 2")
 
-    s = np.geomspace(max(table.s0, 1.0), table.s_max, samples)
-    if n == 2:
-        bound = k * s * np.log(s) ** exponent
-    else:
-        bound = k * s ** (2.0 - exponent)
-    return _sampled_report(s, table.g(s), bound, rel_tol)
+    s = np.geomspace(max(table.s0, 1.0), table.s_max, _SAMPLES)
+    return _sampled_report(s, table.g(s), _growth_bound(s, n, k, exponent))
 
 
 def check_eps_condition(
@@ -632,21 +640,17 @@ def check_eps_condition(
     n: int,
     eps_c: float,
     K: float,
-    samples: int = 200,
-    rel_tol: float = 1e-9,
 ) -> ConditionReport:
     """Check H(s) <= (n-2-eps_c)/n * G(s) + K*s over [s0, s_max] (n >= 3, s0 > 1)."""
     if n < 3:
         raise PreconditionError("this condition is for n >= 3")
     if not (0.0 < eps_c < 1.0):
         raise PreconditionError("eps_c must lie in (0, 1)")
-    if samples < 10:
-        raise PreconditionError("need at least 10 sample points")
     if table.s0 <= 1.0:
         raise PreconditionError("condition requires an anchor s0 > 1")
-    s = np.geomspace(table.s0, table.s_max, samples)
+    s = np.geomspace(table.s0, table.s_max, _SAMPLES)
     rhs = (n - 2.0 - eps_c) / n * table.g(s) + K * s
-    return _sampled_report(s, table.h(s), rhs, rel_tol)
+    return _sampled_report(s, table.h(s), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -655,17 +659,17 @@ def check_eps_condition(
 
 @dataclass(frozen=True)
 class Overrides:
-    """Replacements for the model nonlinearities (test seam).
+    """Switches that replace the model nonlinearities (test seam).
 
-    `phi` maps a nonnegative cell array to an array and must be nondecreasing:
-    the diffusion rate reads max phi over the cells, while the flux reads phi
-    at the face means, which lie between them. `zero_psi` and `zero_f` set the
-    drift sensitivity and the growth term to zero, whose exact slope is 0, so
-    the CFL rates stay the model's formula. `ratio_spec` controls the table
-    the diagnostics use (keep it consistent with phi and psi).
+    `unit_phi` sets the diffusivity to 1 (the heat mode), ln^0 of the model's
+    formula, so the diffusion rate and its bound keep that formula with
+    exponent 0. `zero_psi` and `zero_f` set the drift sensitivity and the
+    growth term to zero, whose exact slope is 0, so the CFL rates stay the
+    model's formula. `ratio_spec` controls the table the diagnostics use
+    (keep it consistent with phi and psi).
     """
 
-    phi: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    unit_phi: bool = False
     zero_psi: bool = False
     zero_f: bool = False
     ratio_spec: RatioSpec = RatioSpec.model()
@@ -680,8 +684,8 @@ class Overrides:
 
 
 def effective_phi(p: ModelParams, ov: Optional[Overrides]):
-    if ov is not None and ov.phi is not None:
-        return ov.phi
+    if ov is not None and ov.unit_phi:
+        return np.ones_like
     if p.alpha == 1.0:
         eps = p.eps
         return lambda u: np.log1p(u + eps)  # ln^1 = ln

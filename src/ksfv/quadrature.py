@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DivergenceError, QuadratureError
 
 _REL_FLOOR = 1e-14
+_IMPROPER_TOL = 1e-10  # improper_power_integral's absolute tolerance
 
 
 def _simpson(fa, fm, fb, a, b):
@@ -179,11 +180,11 @@ def moment_tail(N: float, lam: float, S: float, tol: float):
     return None
 
 
-def improper_power_integral(N: float, lam: float, tol: float = 1e-10) -> float:
-    """int_0^inf s^(N-1) (s^2+1)^(-lam/2) ds for lam > N > 0.
+def improper_power_integral(N: float, lam: float) -> float:
+    """int_0^inf s^(N-1) (s^2+1)^(-lam/2) ds for lam > N > 0, to about 1e-10.
 
     Adaptive Simpson on [0, S] plus the analytic tail series beyond S; S is
-    grown until the tail series is alternating and below tol/2.
+    grown until the tail series is alternating and below a quarter of 1e-10.
     """
     if N <= 0.0:
         raise ValueError(f"N must be > 0, got {N}")
@@ -196,20 +197,20 @@ def improper_power_integral(N: float, lam: float, tol: float = 1e-10) -> float:
         return s ** (N - 1.0) * (s * s + 1.0) ** (-lam / 2.0)
 
     S = max(10.0, 2.0 * math.sqrt(max(lam, 1.0)))
-    tail = moment_tail(N, lam, S, tol / 4.0)
+    tail = moment_tail(N, lam, S, _IMPROPER_TOL / 4.0)
     while tail is None and S < 1e12:
         S *= 2.0
-        tail = moment_tail(N, lam, S, tol / 4.0)
+        tail = moment_tail(N, lam, S, _IMPROPER_TOL / 4.0)
     if tail is None:
         raise QuadratureError("tail series did not converge")
     if N >= 1.0:
-        head = adaptive_simpson(integrand, 0.0, S, tol / 2.0)
+        head = adaptive_simpson(integrand, 0.0, S, _IMPROPER_TOL / 2.0)
     else:
         # substitute s = t^(1/N) on [0,1] to remove the endpoint singularity
         def left(t: float) -> float:
             s = t ** (1.0 / N)
             return (s * s + 1.0) ** (-lam / 2.0) / N
 
-        head = adaptive_simpson(left, 0.0, 1.0, tol / 4.0)
-        head += adaptive_simpson(integrand, 1.0, S, tol / 4.0)
+        head = adaptive_simpson(left, 0.0, 1.0, _IMPROPER_TOL / 4.0)
+        head += adaptive_simpson(integrand, 1.0, S, _IMPROPER_TOL / 4.0)
     return head + tail[0]

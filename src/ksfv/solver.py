@@ -37,8 +37,8 @@ Rate pruning. dt = cfl / (max(diffusion, drift, reaction) + guard), and the
 max is all that is used. The reaction rate is O(1) and always computed. The
 rate that limited the previous step is computed first, over the cells; the
 other one is computed only if its bound exceeds the max of those two:
-- diffusion <= phi(max u) * diff_geom for the model phi, which is
-  nondecreasing (an override phi is always evaluated in full);
+- diffusion <= phi(max u) * diff_geom, since phi = ln^alpha(1 + u + eps)
+  is nondecreasing; a unit phi is the same formula with alpha = 0;
 - drift <= slope_c * (max u)^(beta-1) * max_i(adv_l + adv_r) * (max v - min v)/h,
   since each donor face gradient is at most (max v - min v)/h.
 Each bound repeats its rate's operations on arguments at least as large,
@@ -215,7 +215,7 @@ class _Kernel:
     the three CFL rates and of their bounds, and the face buffers. The rates
     have one formula, the model's: an override's zero_psi or zero_f only sets
     the constants of the drift or reaction slope to 0, the exact slope of
-    zero, and an override phi enters the diffusion rate as max phi. A step
+    zero, and unit_phi sets the diffusion bound's exponent to 0. A step
     calls gradients(s) on its state s = (u, v), then dt_bound and advance,
     which read those gradients (grad, with the views dvf of v's row and
     du_in, dv_in of the interior faces); advance leaves the face mobility
@@ -237,6 +237,7 @@ class _Kernel:
         # the drift slope psi'(u) = psi_c*beta*u^(beta-1); at beta = 1 it is
         # the constant psi_c*beta, and max(c*g) = c*max(g) exactly for c >= 0.
         # A zero psi or f has the exact slope 0, so its rate is 0.0.
+        unit_phi = ov is not None and ov.unit_phi
         zero_psi = ov is not None and ov.zero_psi
         zero_f = ov is not None and ov.zero_f
         self.slope_c = 0.0 if zero_psi else p.psi_c * p.beta
@@ -245,11 +246,10 @@ class _Kernel:
         self.react_exp = 0.0 if zero_f else p.kappa - 1.0
         self.eps = p.eps
         self.h = grid.h
-        # bounds of the diffusion and drift rates (module docstring); an
-        # override phi has none
-        self._model_phi = ov is None or ov.phi is None
-        self._alpha = p.alpha
-        self._diff_slack = _slack(p.alpha)
+        # bounds of the diffusion and drift rates (module docstring); a unit
+        # phi is ln^0, whose bound is 1 up to the slack
+        self._alpha = 0.0 if unit_phi else p.alpha
+        self._diff_slack = _slack(self._alpha)
         self._adv_slack = _slack(0.0 if self.slope_exp is None else self.slope_exp)
         self.lead_drift = False  # whether the drift rate limited the last dt_bound
         # face gradients of u and v, and the face flux; boundary faces stay zero
@@ -314,7 +314,7 @@ class _Kernel:
         rate_react = self.react_c * _pow(umax + self.eps, self.react_exp) if umax > 0.0 else 0.0
         if self.lead_drift:
             rate_drift = self._rate_drift(u, dvf)
-            skip = self._model_phi and self._bound_diff(umax) <= max(rate_drift, rate_react)
+            skip = self._bound_diff(umax) <= max(rate_drift, rate_react)
             rate_diff = 0.0 if skip else self._rate_diff(u)
         else:
             rate_diff = self._rate_diff(u)
@@ -393,8 +393,8 @@ def initial_table_key(cfg: RunConfig) -> tuple:
     They are the ratio inputs (alpha, beta, eps, psi_c, s0), the ratio spec,
     s_max (ten times the largest of 1, 2 s0 and max u0) and table_tol; not a,
     b, kappa, the grid or the rest of the data. The cache builds with
-    build_table's s_min and knots_per_decade, so those are the same for every
-    key.
+    build_table's s_min, and every table has the same knot density, so those
+    are the same for every key.
     """
     p = cfg.params
     ov = cfg.overrides
@@ -460,7 +460,7 @@ def cfl_dt(
     [0, max u]. Every rate is an exact bound, with no sampling: the drift
     and reaction rates are the model's slope formulas, or 0 where the
     overrides set psi or f to zero, and the diffusion rate is max phi over
-    the cells, which bounds phi on the faces for a nondecreasing phi.
+    the cells, which bounds phi on the faces, phi being nondecreasing (or 1).
     """
     u, v = _checked_state(state, grid)
     kern = _Kernel(grid, p, ov)

@@ -29,8 +29,6 @@ from ksfv.solver import (
 )
 from ksfv.sweep import BLOWUP, GLOBAL, classify_run
 
-ONES = lambda u: np.ones_like(u)
-
 
 def report(num, ok, detail):
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -69,7 +67,7 @@ def _heat_sup_error(cells):
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, cells)
     g = ksfv.make_grid(dom)
     u0 = 1.0 + np.cos(np.pi * g.centers)
-    ov = Overrides(phi=ONES, zero_psi=True, zero_f=True, ratio_spec=RatioSpec.unit())
+    ov = Overrides(unit_phi=True, zero_psi=True, zero_f=True, ratio_spec=RatioSpec.unit())
     cfg = RunConfig(
         dom, ksfv.ModelParams(), u0, np.zeros(cells), t_end=0.1,
         overrides=ov, diag_every=10 ** 6, dt_max=1.0,
@@ -243,9 +241,9 @@ def test_c10_weight_inequality(damped_run, damped_table):
     s = damped_run.final_state
     g = damped_run.grid
     w1, wp1 = log_weight(1.0, 0.1)
-    rep1 = radial_weight_inequality(s, g, damped_table, w1, 1.0, wp1, tol=1e-10)
+    rep1 = radial_weight_inequality(s, g, damped_table, w1, 1.0, wp1)
     w2, wp2 = boundary_cutoff_weight(1.0, 4.0)
-    rep2 = radial_weight_inequality(s, g, damped_table, w2, 1.0, wp2, tol=1e-10)
+    rep2 = radial_weight_inequality(s, g, damped_table, w2, 1.0, wp2)
     ok = zero_zero and rep1.holds and rep2.holds
     report(
         10, ok,

@@ -176,12 +176,7 @@ def test_identity_heat_mode_tracks_diffusion_identity():
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 32)
     g = ksfv.make_grid(dom)
     p = ksfv.ModelParams(s0=1.0)
-    ov = Overrides(
-        phi=lambda u: np.ones_like(u),
-        zero_psi=True,
-        zero_f=True,
-        ratio_spec=RatioSpec.unit(),
-    )
+    ov = Overrides(unit_phi=True, zero_psi=True, zero_f=True, ratio_spec=RatioSpec.unit())
     table = ksfv.build_table(p, ksfv.RatioSpec.unit(), s_max=10.0)
     u0 = 1.0 + 0.5 * np.cos(np.pi * g.centers)
     v0 = steady_signal(u0, g)
@@ -307,10 +302,10 @@ def test_weight_inequality_late_time_both_profiles(damped_run, damped_table):
     s = damped_run.final_state
     g = damped_run.grid
     w1, wp1 = log_weight(1.0, 0.1)
-    rep1 = radial_weight_inequality(s, g, damped_table, w1, 1.0, wp1, tol=1e-10)
+    rep1 = radial_weight_inequality(s, g, damped_table, w1, 1.0, wp1)
     assert rep1.holds
     w2, wp2 = boundary_cutoff_weight(1.0, 4.0)
-    rep2 = radial_weight_inequality(s, g, damped_table, w2, 1.0, wp2, tol=1e-10)
+    rep2 = radial_weight_inequality(s, g, damped_table, w2, 1.0, wp2)
     assert rep2.holds
 
 
@@ -320,9 +315,9 @@ def test_weight_inequality_validates_profile():
     table = ksfv.build_table(p, ksfv.RatioSpec.unit(), s_max=10.0)
     s = State(np.ones(16), np.ones(16), 0.0)
     with pytest.raises(PreconditionError):  # does not vanish at R
-        radial_weight_inequality(s, g, table, lambda r: np.ones_like(np.asarray(r)), 1.0)
+        radial_weight_inequality(s, g, table, np.ones_like, 1.0, np.zeros_like)
     with pytest.raises(PreconditionError):  # increasing
-        radial_weight_inequality(s, g, table, lambda r: np.asarray(r), 1.0)
+        radial_weight_inequality(s, g, table, np.asarray, 1.0, np.ones_like)
     with pytest.raises(PreconditionError):  # anchor mismatch
         w, wp = log_weight(1.0, 0.1)
         radial_weight_inequality(s, g, table, w, 3.0, wp)
@@ -364,7 +359,7 @@ def test_energy_floor_domain_errors():
 
 
 @pytest.mark.parametrize(
-    "ov", [None, Overrides(phi=lambda w: 0.2 + np.log1p(w), ratio_spec=RatioSpec.model())]
+    "ov", [None, Overrides(unit_phi=True, ratio_spec=RatioSpec.model())]
 )
 def test_run_rows_are_lyapunov_and_dissipation_bitwise(monkeypatch, ov):
     import ksfv.solver as solver_mod

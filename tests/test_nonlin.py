@@ -152,7 +152,9 @@ def test_ratio_domain_error():
 
 def test_custom_ratio_requires_callable():
     with pytest.raises(UsageError):
-        ksfv.RatioSpec.custom(None)
+        ksfv.RatioSpec.custom(None, lambda t: 0.0)
+    with pytest.raises(UsageError):  # the derivative is required too
+        ksfv.RatioSpec.custom(lambda t: 1.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +414,6 @@ def test_growth_condition_preconditions():
         ksfv.check_growth_condition(t, 2, 1.0, 1.5)  # theta out of range
     with pytest.raises(PreconditionError):
         ksfv.check_growth_condition(t, 3, 1.0, 0.5)  # exponent <= 2/3
-    with pytest.raises(PreconditionError):
-        ksfv.check_growth_condition(t, 2, 1.0, 0.5, samples=5)
 
 
 def test_eps_condition_examples():
@@ -449,7 +449,7 @@ def test_eps_condition_preconditions():
 
 def test_overrides_ratio_consistency():
     ov = Overrides(ratio_spec=ksfv.RatioSpec.unit())
-    assert ov.phi is None and not ov.zero_psi and not ov.zero_f
+    assert not ov.unit_phi and not ov.zero_psi and not ov.zero_f
 
 
 @pytest.mark.parametrize("b", [1.0, 0.7])
@@ -483,6 +483,22 @@ def test_build_table_refuses_an_underflowing_psi_at_s_min():
     assert time.perf_counter() - t0 < 0.5
     # psi(s_min) = 1e-100 * 1e-8 is a normal float
     assert ksfv.build_table(params(beta=1, psi_c=1e-100), s_max=2.0).s_max >= 2.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_psi_c_table_has_finite_derivatives():
+    # psi = psi_c t is a normal float on the whole table, but psi * psi, the
+    # denominator of rho', underflows to 0 below t of about 1e96 here
+    t = ksfv.build_table(params(beta=1, psi_c=1e-250), s_max=2.0)
+    for tab in (t, t.covering(50.0)):
+        assert np.all(np.isfinite(tab.rho_prime_vals))
+        assert np.all(np.isfinite(tab.gp(tab.knots)))
+    # rho' scales as 1/psi_c, exactly for a power of two up to the rounding
+    # of the second division
+    c = 2.0 ** -830
+    tiny = ksfv.build_table(params(beta=1, psi_c=c), s_max=2.0).covering(50.0)
+    unit = ksfv.build_table(params(beta=1), s_max=2.0).covering(50.0)
+    assert tiny.rho_prime_vals == pytest.approx(unit.rho_prime_vals / c, rel=1e-15)
 
 
 def test_large_s_overflow_is_reported_as_an_overflow_at_large_s():

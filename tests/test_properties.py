@@ -154,9 +154,13 @@ def test_step_matches_public_function_oracle_bitwise(case):
 # differential test of run()'s one-pass step against the plain explicit step
 
 
+def _phi(p, ov):
+    return np.ones_like if ov.unit_phi else (lambda w: diffusivity_reg(w, p))
+
+
 def _reference_dt(u, v, g, p, ov, cfl):
     """cfl / max(diffusive, drift, reaction rate), each recomputed from scratch."""
-    phi = ov.phi or (lambda w: diffusivity_reg(w, p))
+    phi = _phi(p, ov)
     V, T = g.cell_volume, g.trans
     umax = float(u.max())
     rate_diff = float(phi(u).max()) * float(np.max((T[:-1] + T[1:]) / V))
@@ -178,7 +182,7 @@ def _reference_dt(u, v, g, p, ov, cfl):
 
 def _reference_step(u, v, dt, g, p, ov):
     """Explicit donor-cell u update and backward-Euler v solve, unfolded."""
-    phi = ov.phi or (lambda w: diffusivity_reg(w, p))
+    phi = _phi(p, ov)
     psi = np.zeros_like if ov.zero_psi else (lambda w: sensitivity(w, p))
     f = np.zeros_like if ov.zero_f else (lambda w: growth_reg(w, p))
     du = grad_faces(u, g)[1:-1]
@@ -214,6 +218,7 @@ lean_params_st = st.builds(
 
 LEAN_OVERRIDES = {
     "model": ksfv.Overrides(),
+    "unit_phi": ksfv.Overrides(unit_phi=True),
     "zero_psi": ksfv.Overrides(zero_psi=True),
     "zero_f": ksfv.Overrides(zero_f=True),
 }
@@ -268,7 +273,7 @@ def test_run_steps_match_reference_loop_bitwise(ov_name, case):
 
 PRUNE_OVERRIDES = {
     "model": ksfv.Overrides(),
-    "phi": ksfv.Overrides(phi=lambda w: 0.3 + np.log1p(w) ** 2),
+    "unit_phi": ksfv.Overrides(unit_phi=True),
     "zero_psi": ksfv.Overrides(zero_psi=True),
     "zero_f": ksfv.Overrides(zero_f=True),
 }
@@ -355,14 +360,13 @@ def test_pruned_dt_bound_is_the_unpruned_max_bitwise(case):
             assert _kernel_dt(kern, u, lam * v, False) == expected(lam * v)
 
     # the diffusion bound exactly at its threshold, with the drift rate first
-    if ov_name != "phi":
-        bound = kern._bound_diff(umax)
+    bound = kern._bound_diff(umax)
 
-        def skips(lam):
-            kern.gradients(np.stack((u, lam * v)))
-            return bound <= max(kern._rate_drift(u, kern.dvf), react)
+    def skips(lam):
+        kern.gradients(np.stack((u, lam * v)))
+        return bound <= max(kern._rate_drift(u, kern.dvf), react)
 
-        if not skips(0.0) and skips(1e12):
-            lo, hi = _bisect(skips, 0.0, 1e12)
-            for lam in (lo, hi):
-                assert _kernel_dt(kern, u, lam * v, True) == expected(lam * v)
+    if not skips(0.0) and skips(1e12):
+        lo, hi = _bisect(skips, 0.0, 1e12)
+        for lam in (lo, hi):
+            assert _kernel_dt(kern, u, lam * v, True) == expected(lam * v)

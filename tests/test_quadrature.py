@@ -229,7 +229,7 @@ def test_tables_equal_reference_walk_bitwise(ratio):
             for eps in (0.0, 1e-3, 1e-2):
                 p = ksfv.ModelParams(alpha=alpha, beta=beta, eps=eps, s0=1.0)
                 t = nonlin.build_table(p, spec, s_max=1e3).covering(5e4).covering(1e7)
-                knots = nonlin._make_knots(1e-8, 1.0, 1e3, 48)
+                knots = nonlin._make_knots(1e-8, 1.0, 1e3)
                 assert t.base_knots == len(knots)
                 r = 10.0 ** (1.0 / 48)
                 extension = [knots[-1] * r ** k for k in range(1, len(t.knots) - len(knots) + 1)]

@@ -19,11 +19,9 @@ from ksfv.solver import (
     step,
 )
 
-ONES = lambda u: np.ones_like(u)
-
 
 def heat_overrides():
-    return Overrides(phi=ONES, zero_psi=True, zero_f=True, ratio_spec=RatioSpec.unit())
+    return Overrides(unit_phi=True, zero_psi=True, zero_f=True, ratio_spec=RatioSpec.unit())
 
 
 def interval(cells, R=0.5):
@@ -272,23 +270,22 @@ def test_run_computes_each_rows_energy_once(monkeypatch):
 # the step's own checks name the failure; numpy has nothing to warn about
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_run_ends_non_finite_step_as_numerical_failure(bad):
+def test_run_ends_non_finite_step_as_numerical_failure(monkeypatch, bad):
+    import ksfv.solver as solver_mod
+
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 16)
     g = ksfv.make_grid(dom)
+    real = solver_mod.interior_flux
 
-    def phi(u):
-        # finite on the 16 cells, where the diffusion rate reads it, and
-        # non-finite on the 15 faces, where the flux reads it
-        out = np.ones_like(u)
-        if len(u) == 15:
-            out[5] = bad
-        return out
+    def flux(out, *args):
+        # the step's flux turns non-finite on one interior face
+        mob = real(out, *args)
+        out[5] = bad
+        return mob
 
+    monkeypatch.setattr(solver_mod, "interior_flux", flux)
     u0 = np.full(16, 1.0)
-    cfg = RunConfig(
-        dom, ksfv.ModelParams(), u0, steady_signal(u0, g), t_end=0.01,
-        overrides=Overrides(phi=phi, ratio_spec=RatioSpec.model()),
-    )
+    cfg = RunConfig(dom, ksfv.ModelParams(), u0, steady_signal(u0, g), t_end=0.01)
     res = run(cfg)
     assert res.termination.tag == Termination.NUMERICAL_FAILURE
     assert res.steps == 0
