@@ -31,13 +31,12 @@ from .nonlin import (
     ratio,
     sensitivity,
 )
-from .discrete import chemotactic_flux, diffusive_flux, div_cells, grad_faces
+from .discrete import div_cells, grad_faces
 from .energy import (
     EnergyBreakdown,
     boundary_cutoff_weight,
     dissipation,
     energy_floor,
-    identity_residual,
     log_weight,
     lyapunov,
     lyapunov_steady,

@@ -11,13 +11,11 @@ positivity under the CFL step bound.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .core import Grid, ModelParams
-from .errors import DomainError
-from .nonlin import diffusivity_reg, sensitivity
+from .core import Grid
 
 
 def grad_faces(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -53,57 +51,6 @@ def interior_flux(
     donor = np.where(dv > 0.0, ul, ur)
     np.subtract(mob * du, psi(donor) * dv, out=out)
     return mob
-
-
-def face_flux(
-    u: np.ndarray,
-    dv: np.ndarray,
-    grid: Grid,
-    phi: Callable[[np.ndarray], np.ndarray],
-    psi: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Net face flux phi(u_face) du/dx - psi(u_donor) dv/dx; zero on the boundary faces.
-
-    interior_flux on the interior faces, shared by the steady residual. dv is
-    the face gradient of v, grad_faces(v, grid).
-    """
-    out = np.zeros(grid.cells + 1)
-    interior_flux(out[1:-1], u, (u[1:] - u[:-1]) / grid.h, dv[1:-1], phi, psi)
-    return out
-
-
-def diffusive_flux(
-    u: np.ndarray,
-    grid: Grid,
-    p: ModelParams,
-    phi: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """Face flux of the nonlinear diffusion: phi(u_face) * du/dx, u_face arithmetic mean."""
-    if np.min(u) < 0.0:
-        raise DomainError("diffusive flux requires a nonnegative density")
-    mob = phi if phi is not None else (lambda w: diffusivity_reg(w, p))
-    flux = np.zeros(grid.cells + 1)
-    u_face = 0.5 * (u[1:] + u[:-1])
-    flux[1:-1] = mob(u_face) * (np.diff(u) / grid.h)
-    return flux
-
-
-def chemotactic_flux(
-    u: np.ndarray,
-    v: np.ndarray,
-    grid: Grid,
-    p: ModelParams,
-    psi: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """Donor-cell drift flux psi(u_upwind) * dv/dx toward increasing v; zero on the boundary."""
-    if np.min(u) < 0.0:
-        raise DomainError("chemotactic flux requires a nonnegative density")
-    mob = psi if psi is not None else (lambda w: sensitivity(w, p))
-    flux = np.zeros(grid.cells + 1)
-    dv = np.diff(v) / grid.h
-    donor = np.where(dv > 0.0, u[:-1], u[1:])
-    flux[1:-1] = mob(donor) * dv
-    return flux
 
 
 def laplacian_apply(v: np.ndarray, grid: Grid) -> np.ndarray:

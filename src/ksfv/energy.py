@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Grid, ModelParams, State, BALL
-from .discrete import div_cells, face_flux, grad_faces, laplacian_apply
+from .discrete import div_cells, grad_faces, interior_flux, laplacian_apply
 from .errors import DomainError, PreconditionError
 from .nonlin import (
     _check_nonneg,
@@ -155,26 +155,21 @@ def dissipation_terms(
     return quad_term + vt_term + f_term
 
 
-def identity_residual(row0, row1, rhs: float) -> float:
-    """|(F_1 - F_0)/(t_1 - t_0) - rhs| for two consecutive diagnostics rows."""
-    dt = row1.t - row0.t
-    if dt <= 0.0:
-        raise PreconditionError("rows must be consecutive with increasing t")
-    return abs((row1.F - row0.F) / dt - rhs)
-
-
 def steady_residual(
     state: State, grid: Grid, p: ModelParams, ov: Optional[Overrides] = None
 ) -> tuple[float, float]:
     """L2 norms of the two discrete steady residuals (density and signal equations).
 
-    The density residual is the divergence of the scheme's own face flux.
+    The density residual is the divergence of the scheme's own face flux,
+    interior_flux, which vanishes on the boundary faces.
     Raises DomainError for a negative density.
     """
     u, v = state.u, state.v
     _check_nonneg(u, "steady_residual")
-    dv = grad_faces(v, grid)
-    r1 = div_cells(face_flux(u, dv, grid, effective_phi(p, ov), effective_psi(p, ov)), grid)
+    flux = np.zeros(grid.cells + 1)
+    du, dv = grad_faces(u, grid)[1:-1], grad_faces(v, grid)[1:-1]
+    interior_flux(flux[1:-1], u, du, dv, effective_phi(p, ov), effective_psi(p, ov))
+    r1 = div_cells(flux, grid)
     r2 = laplacian_apply(v, grid) - v + u
     V = grid.cell_volume
     return (

@@ -81,8 +81,11 @@ def moment_integral(N: float, lam: float) -> float:
 def radial_moment(N: float, lam: float, R: float, eta: float) -> float:
     """The scaled truncated moment eta^(lam-N) int_0^R r^(N-1) (r^2+eta^2)^(-lam/2) dr.
 
-    Converges to A(N, lam) as eta -> 0 by the substitution r = eta*s.
+    Converges to A(N, lam) as eta -> 0 by the substitution r = eta*s. Needs
+    N >= 1, where the integrand is finite at r = 0.
     """
+    if N < 1.0:
+        raise PreconditionError(f"radial moment requires N >= 1, got N={N}")
 
     def f(r: float) -> float:
         return r ** (N - 1.0) * (r * r + eta * eta) ** (-lam / 2.0)

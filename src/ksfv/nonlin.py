@@ -192,15 +192,17 @@ class RatioSpec:
 
 
 def ratio(tau, p: ModelParams, spec: RatioSpec = RatioSpec.model()):
-    """Evaluate the active ratio at tau > 0 (the sensitivity vanishes at 0)."""
+    """Evaluate the active ratio at tau > 0 (the sensitivity vanishes at 0).
+
+    Applies the tables' scalar rho to each element, so ratio(table.knots, ...)
+    is table.rho_vals bitwise. A float for a scalar tau, else an array.
+    """
     arr = np.asarray(tau, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("ratio is only defined for tau > 0")
-    if spec.kind == "unit":
-        return np.ones_like(arr) if arr.shape else 1.0
-    if spec.kind == "custom":
-        return spec.fn(arr)
-    return diffusivity_reg(arr, p) / sensitivity(arr, p)
+    rho = _scalar_ratio(p, spec)[0]
+    out = np.array([rho(t) for t in arr.reshape(-1)], dtype=float).reshape(arr.shape)
+    return out if arr.shape else float(out)
 
 
 def _scalar_ratio(p: ModelParams, spec: RatioSpec):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, QuadratureError
+from .errors import DivergenceError, PreconditionError, QuadratureError
 
 _REL_FLOOR = 1e-14
 _IMPROPER_TOL = 1e-10  # improper_power_integral's absolute tolerance
@@ -187,7 +187,7 @@ def improper_power_integral(N: float, lam: float) -> float:
     grown until the tail series is alternating and below a quarter of 1e-10.
     """
     if N <= 0.0:
-        raise ValueError(f"N must be > 0, got {N}")
+        raise PreconditionError(f"N must be > 0, got {N}")
     if lam <= N:
         raise DivergenceError(
             f"moment integral diverges: need lam > N, got N={N}, lam={lam}"

@@ -698,6 +698,8 @@ def run(
                 )
             )
 
+    # a run that stops between diagnostics rows has not yet counted its final state
+    w12_final = _v_w12(v, grad_faces(v, grid), grid)
     return RunResult(
         termination,
         rows,
@@ -708,8 +710,8 @@ def run(
         mass_res_v,
         min_u_seen,
         min_v_seen,
-        _v_w12(v, grad_faces(v, grid), grid),
-        w12_max,
+        w12_final,
+        max(w12_max, w12_final),
         probe_states,
     )
 

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 import ksfv
-from ksfv.discrete import (
-    chemotactic_flux,
-    diffusive_flux,
-    div_cells,
-    grad_faces,
-    laplacian_apply,
-)
+from ksfv.discrete import div_cells, grad_faces, laplacian_apply
 from ksfv.errors import DomainError
 from ksfv.nonlin import sensitivity
+from oracles import chemotactic_flux, diffusive_flux
 
 
 def interval_grid(cells=32, R=0.5):

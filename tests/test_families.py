@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ksfv
-from ksfv.errors import DivergenceError, PreconditionError, ResolutionError
+from ksfv.errors import DivergenceError, KsfvError, PreconditionError, ResolutionError
 from ksfv.families import (
     FamilyParams,
     concentrated_u,
@@ -42,6 +42,18 @@ def test_moment_closed_forms():
 def test_moment_divergence_guard():
     with pytest.raises(DivergenceError):
         moment_integral(2, 2)
+
+
+def test_moment_rejects_nonpositive_N():
+    with pytest.raises(KsfvError, match="N must be > 0"):
+        moment_integral(0.0, 3.0)
+
+
+def test_radial_moment_rejects_N_below_one():
+    # r^(N-1) is infinite at r = 0 for N < 1
+    with pytest.raises(PreconditionError, match="N=0.5"):
+        radial_moment(0.5, 3, 1.0, 0.05)
+    assert radial_moment(1.0, 3, 1.0, 0.05) > 0.0
 
 
 def test_radial_moment_converges_to_moment():

@@ -150,6 +150,32 @@ def test_ratio_domain_error():
         ratio(-1.0, params(), ksfv.RatioSpec.unit())
 
 
+RATIO_SPECS = {
+    "model": ksfv.RatioSpec.model(),
+    "unit": ksfv.RatioSpec.unit(),
+    # scalar-only (math module) functions: they fail on an array argument
+    "custom": ksfv.RatioSpec.custom(
+        lambda t: 1.0 / (t * math.sqrt(1.0 + t)),
+        lambda t: -(1.0 + 1.5 * t) / (t * t * (1.0 + t) ** 1.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RATIO_SPECS))
+def test_ratio_equals_table_rho_bitwise(kind):
+    spec = RATIO_SPECS[kind]
+    p = params(alpha=2, beta=2.5, eps=0.01, psi_c=0.7)
+    table = ksfv.build_table(p, spec, s_min=1e-3, s_max=10.0).covering(50.0)
+    assert table.s_max >= 50.0
+    got = ratio(table.knots, p, spec)
+    assert isinstance(got, np.ndarray) and got.shape == table.knots.shape
+    assert np.array_equal(got, table.rho_vals)
+    block = ratio(table.knots[:6].reshape(2, 3), p, spec)
+    assert np.array_equal(block, table.rho_vals[:6].reshape(2, 3))
+    one = ratio(table.knots[7], p, spec)
+    assert type(one) is float and one == table.rho_vals[7]
+
+
 def test_custom_ratio_requires_callable():
     with pytest.raises(UsageError):
         ksfv.RatioSpec.custom(None, lambda t: 0.0)

@@ -4,9 +4,10 @@ Parameters, grids and cosine/gauss initial data are drawn inside the config
 schema. The checks are the exact discrete mass laws, positivity of u and v
 after a CFL-limited step, bit-determinism of repeated runs, and a bitwise
 oracle: step() must reproduce, to the last bit, the explicit update assembled
-from the public checked functions. A differential test holds run()'s
-one-pass step, with its folded identities, shared face gradient and carried
-max, to a plain reference loop: the same dt and state after every step.
+from the checked flux oracles in oracles.py and the public growth. A
+differential test holds run()'s one-pass step, with its folded identities,
+shared face gradient and carried max, to a plain reference loop: the same dt
+and state after every step.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.linalg.lapack import dgtsv
 import ksfv
 from ksfv.config import build_field
 from ksfv.core import State
-from ksfv.discrete import chemotactic_flux, diffusive_flux, div_cells, grad_faces
+from ksfv.discrete import div_cells, grad_faces
 from ksfv.nonlin import (
     diffusivity_reg,
     growth,
@@ -27,6 +28,7 @@ from ksfv.nonlin import (
 )
 from ksfv.output import rows_to_csv
 from ksfv.solver import RunConfig, Termination, cfl_dt, run, steady_signal, step
+from oracles import chemotactic_flux, diffusive_flux
 
 # derandomized and without an example database, so every run of the suite
 # draws the same examples

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import ksfv
+from conftest import aggregation_config, damped_reference_config
 from ksfv.core import State
+from ksfv.discrete import grad_faces
 from ksfv.errors import ConfigError, DomainError, ScanAbortedError, UsageError
 from ksfv.nonlin import Overrides, RatioSpec
 from ksfv.solver import (
@@ -265,6 +267,23 @@ def test_run_computes_each_rows_energy_once(monkeypatch):
     assert len(calls) == 65
     for prev, row in zip(res.rows, res.rows[1:]):
         assert row.identity_residual == abs((row.F - prev.F) / row.dt - row.dissipation_rhs)
+
+
+FIXTURE_CONFIGS = {"damped_run": damped_reference_config, "aggregation_run": aggregation_config}
+
+
+def _v_w12(v, g):
+    dv = grad_faces(v, g)
+    return math.sqrt(float(np.dot(v * v, g.cell_volume)) + float(np.dot(g.face_weight, dv * dv)))
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_CONFIGS))
+def test_run_reports_v_w12_of_final_state_and_its_max(request, fixture):
+    res = request.getfixturevalue(fixture)
+    g = res.grid
+    assert res.v_w12_final == pytest.approx(_v_w12(res.final_state.v, g), rel=1e-15)
+    assert res.v_w12_max >= _v_w12(FIXTURE_CONFIGS[fixture]().v0, g)
+    assert res.v_w12_max >= res.v_w12_final
 
 
 # the step's own checks name the failure; numpy has nothing to warn about
