@@ -32,6 +32,7 @@ from .nonlin import (
     sensitivity,
 )
 from .discrete import div_cells, grad_faces
+from .quadrature import moment_integral
 from .energy import (
     EnergyBreakdown,
     boundary_cutoff_weight,
@@ -51,7 +52,6 @@ from .families import (
     fit_divergence_exponent,
     initial_data_below,
     mass_normalizer,
-    moment_integral,
 )
 from .solver import (
     DiagnosticsRow,

@@ -210,12 +210,7 @@ def build_field(spec: str, grid: Grid) -> np.ndarray:
     x = grid.centers
     extent = grid.spec.extent
     if name == "constant":
-        if "=" not in rest:
-            return np.full(grid.cells, _number("constant", rest, float))
-        value = _options(rest).get("value")
-        if value is None:
-            raise UsageError(f"constant spec needs a value, got {spec!r}")
-        return np.full(grid.cells, value)
+        return np.full(grid.cells, _number("constant", rest, float))
     if name == "cosine":
         opts = _options(rest)
         base = opts.get("base", 1.0)

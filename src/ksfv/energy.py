@@ -26,6 +26,7 @@ rows pass the ones its step has already computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -56,6 +57,15 @@ class EnergyBreakdown:
     gradv_term: float
     F_total: float
     clamped_cells: int = 0
+
+    @property
+    def v_w12(self) -> float:
+        """The W^{1,2} norm of v, (int v^2 + int |grad v|^2)^(1/2).
+
+        Halving and doubling are exact for normal floats, so this is the root
+        of the two sums that v2_term and gradv_term halve, bitwise.
+        """
+        return math.sqrt(2.0 * (self.v2_term + self.gradv_term))
 
 
 def lyapunov_terms(

@@ -22,7 +22,7 @@ from .core import BALL, DomainSpec, Grid, State, integrate, unit_sphere_area
 from .energy import EnergyBreakdown, lyapunov
 from .errors import PreconditionError, ResolutionError
 from .nonlin import FunctionalTable, _growth_bound, check_growth_condition
-from .quadrature import adaptive_simpson, improper_power_integral
+from .quadrature import adaptive_simpson, moment_integral
 
 _PROFILE_TOL = 1e-12  # radial_moment's (before its eta scaling) and mass_normalizer's
 _GROWTH_K_MARGIN = 1.01  # initial_data_below checks the growth condition at this times k_fit
@@ -71,11 +71,6 @@ def _require_n2(fp: FamilyParams, R: float):
         raise PreconditionError("need kappa_prime < 1 - theta")
     if fp.eta >= R / 2.0:
         raise PreconditionError("n=2 branch needs eta < R/2")
-
-
-def moment_integral(N: float, lam: float) -> float:
-    """A(N, lam) = int_0^inf s^(N-1) (s^2+1)^(-lam/2) ds, finite for lam > N > 0."""
-    return improper_power_integral(N, lam)
 
 
 def radial_moment(N: float, lam: float, R: float, eta: float) -> float:

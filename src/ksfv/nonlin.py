@@ -74,9 +74,10 @@ def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams, umax=None) -> np.ndar
         if umax is None or umax > lo:
             hot = u > lo
             if hot.any():
-                # growth_cutoff(u[hot], p) without smooth_step's x <= 0
-                # branch, x > 0 on every hot cell. On u >= 1/eps, x >= 1 and
-                # _rise is exactly 1.0, so the window there is exactly 0.0
+                # the window 1 - smooth_step((u - lo)/(hi - lo)) on the hot
+                # cells, without smooth_step's x <= 0 branch, x > 0 on every
+                # hot cell. On u >= 1/eps, x >= 1 and _rise is exactly 1.0, so
+                # the window there is exactly 0.0
                 hi = 1.0 / p.eps
                 saturated = u >= hi
                 f[saturated] *= 0.0
@@ -126,16 +127,6 @@ def smooth_step(x):
     """C-infinity step: 0 for x <= 0, 1 for x >= 1, strictly increasing between."""
     x = np.asarray(x, dtype=float)
     return np.where(x <= 0.0, 0.0, _rise(x))
-
-
-def growth_cutoff(u, p: ModelParams):
-    """Smooth window equal to 1 on [0, 1/(2 eps)] and 0 beyond 1/eps (1 everywhere for eps=0)."""
-    u = np.asarray(u, dtype=float)
-    if p.eps <= 0.0:
-        return np.ones_like(u)
-    lo = 1.0 / (2.0 * p.eps)
-    hi = 1.0 / p.eps
-    return 1.0 - smooth_step((u - lo) / (hi - lo))
 
 
 def growth_reg(u, p: ModelParams):
@@ -375,14 +366,10 @@ class FunctionalTable:
         G = np.concatenate([self.G_vals, pad])
         H = np.concatenate([self.H_vals, pad])
         Gp = np.concatenate([self.Gp_vals, pad])
-        rho, rho_prime = _scalar_ratio(self.params, self.ratio_spec)
-        try:
-            _walk(rho, knots, G, H, Gp, n - 1, len(knots) - 1, self.seg_tol)
-        except QuadratureError as exc:
-            raise _divergence(self.params, self.ratio_spec, exc) from exc
-        rho_k = np.concatenate([self.rho_vals, [rho(t) for t in knots[n:]]])
-        rho_p_k = np.concatenate([self.rho_prime_vals, [rho_prime(t) for t in knots[n:]]])
-        _freeze(knots, G, H, Gp, rho_k, rho_p_k)
+        rho_k, rho_p_k = _integrate(
+            self.params, self.ratio_spec, knots, G, H, Gp, [(n - 1, len(knots) - 1)],
+            self.seg_tol, self.rho_vals, self.rho_prime_vals,
+        )
         return replace(
             self,
             s_max=float(knots[-1]),
@@ -461,6 +448,28 @@ def _freeze(*arrays: np.ndarray) -> None:
         arr.flags.writeable = False
 
 
+def _integrate(
+    p: ModelParams, spec: RatioSpec, knots, G, H, Gp, walks, seg_tol: float, rho_head, rho_p_head
+) -> tuple:
+    """Walk G, H, Gp over each (start, stop) of walks; then rho and rho' at the knots.
+
+    rho_head and rho_p_head hold rho and rho' at the first knots already;
+    the rest are evaluated. Freezes every array and returns the two rho
+    arrays. A quadrature that cannot converge raises DivergenceError.
+    """
+    rho, rho_prime = _scalar_ratio(p, spec)
+    try:
+        for start, stop in walks:
+            _walk(rho, knots, G, H, Gp, start, stop, seg_tol)
+    except QuadratureError as exc:
+        raise _divergence(p, spec, exc) from exc
+    new = knots[len(rho_head):]
+    rho_k = np.concatenate([rho_head, [rho(t) for t in new]])
+    rho_p_k = np.concatenate([rho_p_head, [rho_prime(t) for t in new]])
+    _freeze(knots, G, H, Gp, rho_k, rho_p_k)
+    return rho_k, rho_p_k
+
+
 def _divergence(p: ModelParams, spec: RatioSpec, exc: QuadratureError) -> DivergenceError:
     # the walk integrates outward from s0: a non-finite integrand above s0
     # is an overflow of the integrands at large s, not a singularity at 0+
@@ -508,7 +517,6 @@ def build_table(
                 " the ratio phi/psi cannot be tabulated; raise psi_c"
             )
 
-    rho, rho_prime = _scalar_ratio(p, ratio_spec)
     knots = _make_knots(s_min, s0, s_max)
     i0 = int(np.argmin(np.abs(knots - s0)))
     nseg = len(knots) - 1
@@ -517,16 +525,10 @@ def build_table(
     G = np.zeros_like(knots)
     H = np.zeros_like(knots)
     Gp = np.zeros_like(knots)
-
-    try:
-        _walk(rho, knots, G, H, Gp, i0, len(knots) - 1, seg_tol)
-        _walk(rho, knots, G, H, Gp, i0, 0, seg_tol)
-    except QuadratureError as exc:
-        raise _divergence(p, ratio_spec, exc) from exc
-
-    rho_k = np.array([rho(t) for t in knots])
-    rho_p_k = np.array([rho_prime(t) for t in knots])
-    _freeze(knots, G, H, Gp, rho_k, rho_p_k)
+    empty = np.empty(0)
+    rho_k, rho_p_k = _integrate(
+        p, ratio_spec, knots, G, H, Gp, [(i0, len(knots) - 1), (i0, 0)], seg_tol, empty, empty
+    )
     return FunctionalTable(
         p,
         ratio_spec,

@@ -8,7 +8,9 @@ directly (fixed 800x600 viewBox) with no external renderer.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+from operator import attrgetter
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -17,7 +19,10 @@ from .core import Grid, State
 from .errors import UsageError
 from .solver import DiagnosticsRow, RunResult
 
-CSV_HEADER = "t,dt,mass_u,mass_v,max_u,min_u,F,dissipation_rhs,identity_residual"
+# the columns are DiagnosticsRow's fields, in their order
+_COLUMNS = tuple(f.name for f in dataclasses.fields(DiagnosticsRow))
+_row_values = attrgetter(*_COLUMNS)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def fmt(x: float) -> str:
@@ -30,22 +35,7 @@ def rows_to_csv(rows: Sequence[DiagnosticsRow]) -> str:
         raise UsageError("no diagnostics rows to serialize")
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                fmt(x)
-                for x in (
-                    r.t,
-                    r.dt,
-                    r.mass_u,
-                    r.mass_v,
-                    r.max_u,
-                    r.min_u,
-                    r.F,
-                    r.dissipation_rhs,
-                    r.identity_residual,
-                )
-            )
-        )
+        lines.append(",".join(fmt(x) for x in _row_values(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -85,6 +75,23 @@ def _ticks(lo: float, hi: float, count: int = 5) -> List[float]:
     return list(np.linspace(lo, hi, count))
 
 
+def _svg_open(title: str) -> List[str]:
+    """The <svg> element, its white background and the title, as the first lines of a chart."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W/2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+    ]
+
+
+def _ylabel_svg(ylabel: str) -> str:
+    """The vertical axis label, rotated along the left margin."""
+    return (
+        f'<text x="16" y="{_H/2:.0f}" font-size="12" transform="rotate(-90 16 {_H/2:.0f})" '
+        f'text-anchor="middle">{ylabel}</text>'
+    )
+
+
 def line_chart_svg(
     xs: Sequence[float],
     ys: Sequence[float],
@@ -109,10 +116,7 @@ def line_chart_svg(
     sx = lambda x: _ML + (x - x0) / (x1 - x0) * (_W - _ML - _MR)
     sy = lambda y: _H - _MB - (y - y0) / (y1 - y0) * (_H - _MT - _MB)
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W/2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+    parts = _svg_open(title) + [
         f'<line x1="{_ML}" y1="{_H-_MB}" x2="{_W-_MR}" y2="{_H-_MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H-_MB}" stroke="black"/>',
     ]
@@ -124,9 +128,7 @@ def line_chart_svg(
         parts.append(
             f'<text x="{_ML-6}" y="{sy(ty)+4:.1f}" text-anchor="end" font-size="11">{ty:.4g}</text>'
         )
-    parts.append(
-        f'<text x="16" y="{_H/2:.0f}" font-size="12" transform="rotate(-90 16 {_H/2:.0f})" text-anchor="middle">{ylabel}</text>'
-    )
+    parts.append(_ylabel_svg(ylabel))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -154,11 +156,7 @@ def heatmap_svg(
         raise UsageError("empty sweep axes")
     cw = (_W - _ML - _MR) / nx
     ch = (_H - _MT - _MB) / ny
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W/2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
-    ]
+    parts = _svg_open(title)
     for i, xv in enumerate(x_values):
         for j, yv in enumerate(y_values):
             color = _CLASS_COLORS.get(labels.get((i, j), "Inconclusive"), "#9e9e9e")
@@ -181,9 +179,7 @@ def heatmap_svg(
     parts.append(
         f'<text x="{_W/2:.0f}" y="{_H-12}" text-anchor="middle" font-size="12">{xlabel}</text>'
     )
-    parts.append(
-        f'<text x="16" y="{_H/2:.0f}" font-size="12" transform="rotate(-90 16 {_H/2:.0f})" text-anchor="middle">{ylabel}</text>'
-    )
+    parts.append(_ylabel_svg(ylabel))
     legend_x = _W - _MR - 150
     for k, (name, color) in enumerate(_CLASS_COLORS.items()):
         parts.append(

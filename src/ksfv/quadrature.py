@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DivergenceError, PreconditionError, QuadratureError
 
 _REL_FLOOR = 1e-14
-_IMPROPER_TOL = 1e-10  # improper_power_integral's absolute tolerance
+_IMPROPER_TOL = 1e-10  # moment_integral's absolute tolerance
 
 
 def _simpson(fa, fm, fb, a, b):
@@ -180,8 +180,8 @@ def moment_tail(N: float, lam: float, S: float, tol: float):
     return None
 
 
-def improper_power_integral(N: float, lam: float) -> float:
-    """int_0^inf s^(N-1) (s^2+1)^(-lam/2) ds for lam > N > 0, to about 1e-10.
+def moment_integral(N: float, lam: float) -> float:
+    """A(N, lam) = int_0^inf s^(N-1) (s^2+1)^(-lam/2) ds for lam > N > 0, to about 1e-10.
 
     Adaptive Simpson on [0, S] plus the analytic tail series beyond S; S is
     grown until the tail series is alternating and below a quarter of 1e-10.

@@ -87,8 +87,7 @@ from .core import (
 from .discrete import div_cells, grad_faces, interior_flux
 
 # perfbench/tracing.py wraps solver.lyapunov and solver.dissipation by name;
-# the step loop calls the term helpers instead, and lyapunov only for the
-# final row of a failed run
+# run() calls the term helpers instead
 from .energy import dissipation, dissipation_terms, lyapunov, lyapunov_terms  # noqa: F401
 from .errors import ConfigError, DomainError, NumericsError, ScanAbortedError
 from .nonlin import (
@@ -301,25 +300,22 @@ class _Kernel:
             return self.slope_c * g
         return self.slope_c * (_pow(umax, self.slope_exp) * self._adv_slack + _TINY) * g
 
-    def dt_bound(
-        self, u: np.ndarray, umax: float, v_range: float, dvf: np.ndarray, cfl: float
-    ) -> float:
-        """cfl / max(diffusive, advective, reaction rate).
+    def dt_bound(self, u: np.ndarray, umax: float, v_range: float, cfl: float) -> float:
+        """cfl / max(diffusive, advective, reaction rate), after gradients(s).
 
-        umax = max(u), v_range = max(v) - min(v) and dvf = the face gradient
-        of v (self.dvf after gradients(s)). A rate whose bound is at most the
-        max of the rates already computed is skipped as 0.0, which leaves the
-        max as it is.
+        umax = max(u) and v_range = max(v) - min(v). A rate whose bound is at
+        most the max of the rates already computed is skipped as 0.0, which
+        leaves the max as it is.
         """
         rate_react = self.react_c * _pow(umax + self.eps, self.react_exp) if umax > 0.0 else 0.0
         if self.lead_drift:
-            rate_drift = self._rate_drift(u, dvf)
+            rate_drift = self._rate_drift(u, self.dvf)
             skip = self._bound_diff(umax) <= max(rate_drift, rate_react)
             rate_diff = 0.0 if skip else self._rate_diff(u)
         else:
             rate_diff = self._rate_diff(u)
             skip = self._bound_drift(umax, v_range) <= max(rate_diff, rate_react)
-            rate_drift = 0.0 if skip else self._rate_drift(u, dvf)
+            rate_drift = 0.0 if skip else self._rate_drift(u, self.dvf)
         self.lead_drift = rate_drift > rate_diff
         return cfl / (max(rate_diff, rate_drift, rate_react) + _RATE_GUARD)
 
@@ -466,7 +462,7 @@ def cfl_dt(
     kern = _Kernel(grid, p, ov)
     v_range = float(np.maximum.reduce(v)) - float(np.minimum.reduce(v))
     kern.gradients(np.stack((u, v)))
-    return kern.dt_bound(u, float(np.maximum.reduce(u)), v_range, kern.dvf, cfl)
+    return kern.dt_bound(u, float(np.maximum.reduce(u)), v_range, cfl)
 
 
 def step(
@@ -501,13 +497,6 @@ def steady_signal(u: np.ndarray, grid: Grid) -> np.ndarray:
     return _Tridiag(grid).solve(1.0, 1.0, validate_field(u, grid, "u"))
 
 
-def _v_w12(v: np.ndarray, dv: np.ndarray, grid: Grid) -> float:
-    """(int v^2 + int |grad v|^2)^(1/2), given dv = grad_faces(v, grid)."""
-    return float(
-        np.sqrt(np.dot(v * v, grid.cell_volume) + np.dot(grid.face_weight, dv * dv))
-    )
-
-
 def run(
     cfg: RunConfig,
     probe_times: Optional[Sequence[float]] = None,
@@ -515,7 +504,10 @@ def run(
 ) -> RunResult:
     """March the configured system to t_end or to a termination event.
 
-    Diagnostics are emitted every diag_every steps and at termination. When
+    Diagnostics are emitted every diag_every steps and at termination, so a
+    run ends on a row of its final state: a DtUnderflow on its last step's
+    own row, a NumericalFailure on a row of its last valid state whose step
+    columns (dt, dissipation_rhs, identity_residual) are nan. When
     probe_times are given, the step size is clamped so the trajectory lands on
     each probe time exactly and the state there is recorded. The initial
     G-table comes from `tables`, so runs that share a cache share their
@@ -552,28 +544,58 @@ def run(
         probe_states.append(State(u.copy(), v.copy(), t))
         pi += 1
 
-    def row_terms(u_new, v_new, umax_new, u_old, v_old, umax_old, F_old, dt, f_u):
-        """F(new), F(old), the identity's rhs at old and the W^{1,2} norm of v_new.
+    rows: List[DiagnosticsRow] = []
+    w12: List[float] = []  # the W^{1,2} norm of v at each row
+    caller_err = np.geterr()
 
-        old is the state the step advanced from; the kernel's gradients,
-        mobility and f_u are the step's, at old. G at both states and G' at
-        old come from one Hermite basis. F_old, when known, is F(old).
+    # the two row routines take the state as arguments: a name they closed
+    # over would be a cell variable of run(), slower to reach in the loop
+    def state_row(t, u, v, mass_u, mass_v, umax, dv, fill):
+        """Append a row of the state (u, v) at t, with fill in its step columns; return F.
+
+        umax = max(u) and dv is the face gradient of v.
         """
         nonlocal table
-        table = table.covering(max(umax_new, umax_old))
-        s_min = table.s_min
-        basis = table.basis(np.maximum(np.concatenate((u_new, u_old)), s_min))
-        G = table.g_on(basis)
-        dv_new = grad_faces(v_new, grid)
-        F_new = lyapunov_terms(G[:n], u_new, v_new, dv_new, grid).F_total
-        if F_old is None:
-            F_old = lyapunov_terms(G[n:], u_old, v_old, kern.dvf, grid).F_total
-        gp = table.gp_on(tuple(b[n:] for b in basis))
-        v_t = (v_new - v_old) / dt
-        rhs = dissipation_terms(
-            u_old, v_old, v_t, kern.du_in, kern.dv_in, kern.mob, kern.psi, f_u, gp, s_min, grid
+        table = table.covering(umax)
+        terms = lyapunov_terms(table.g(np.maximum(u, table.s_min)), u, v, dv, grid)
+        F, umin = terms.F_total, float(np.minimum.reduce(u))
+        rows.append(DiagnosticsRow(t, fill, mass_u, mass_v, umax, umin, F, fill, fill))
+        w12.append(terms.v_w12)
+        return F
+
+    def step_row(
+        t_new, dt, mass_u_new, mass_v_new, new, old, umax_new, umin_new, umax_old, F_old, f_u
+    ):
+        """Append the row of the step from old = (u, v) to new and return F(new).
+
+        The kernel's gradients are old's, and its mobility and f_u are the
+        step's. G at both states and G' at old come from one Hermite basis.
+        F_old, when known, is F(old). Runs under the caller's float settings.
+        """
+        nonlocal table
+        (u_new, v_new), (u_old, v_old) = new, old
+        with np.errstate(**caller_err):
+            table = table.covering(max(umax_new, umax_old))
+            s_min = table.s_min
+            basis = table.basis(np.maximum(np.concatenate((u_new, u_old)), s_min))
+            G = table.g_on(basis)
+            terms = lyapunov_terms(G[:n], u_new, v_new, grad_faces(v_new, grid), grid)
+            if F_old is None:
+                F_old = lyapunov_terms(G[n:], u_old, v_old, kern.dvf, grid).F_total
+            gp = table.gp_on(tuple(b[n:] for b in basis))
+            v_t = (v_new - v_old) / dt
+            rhs = dissipation_terms(
+                u_old, v_old, v_t, kern.du_in, kern.dv_in, kern.mob, kern.psi, f_u, gp, s_min, grid
+            )
+        F_new = terms.F_total
+        rows.append(
+            DiagnosticsRow(
+                t_new, dt, mass_u_new, mass_v_new, umax_new, umin_new,
+                F_new, rhs, abs((F_new - F_old) / dt - rhs),
+            )
         )
-        return F_new, F_old, rhs, _v_w12(v_new, dv_new, grid)
+        w12.append(terms.v_w12)
+        return F_new
 
     vmin, vmax, dot = np.minimum.reduce, np.maximum.reduce, np.dot
     mass_u = float(dot(u, V))
@@ -586,15 +608,7 @@ def run(
     # only ever extends upward and keeps its values below the old s_max, so F
     # of a state does not depend on when it is evaluated: reusing the row's F,
     # or computing F_prev after F_now, gives the same value bitwise.
-    table = table.covering(umax)
-    dv0 = grad_faces(v, grid)
-    F_cur: Optional[float] = lyapunov_terms(
-        table.g(np.maximum(u, table.s_min)), u, v, dv0, grid
-    ).F_total
-    rows: List[DiagnosticsRow] = [
-        DiagnosticsRow(0.0, 0.0, mass_u, mass_v, umax, float(vmin(u)), F_cur, 0.0, 0.0)
-    ]
-    w12_max = _v_w12(v, dv0, grid)
+    F_cur: Optional[float] = state_row(t, u, v, mass_u, mass_v, umax, grad_faces(v, grid), 0.0)
 
     mass_res_u = 0.0
     mass_res_v = 0.0
@@ -606,12 +620,11 @@ def run(
     t_end, cfl, dt_min, cap = cfg.t_end, cfg.cfl, cfg.dt_min, cfg.blowup_cap
     t_goal = t_end * (1.0 - 1e-15)
     grow_floor = 10.0 * m0
-    caller_err = np.geterr()
 
     with np.errstate(all="ignore"):
         while t < t_goal:
             kern.gradients(cur)
-            dt_c = min(kern.dt_bound(u, umax, v_range, kern.dvf, cfl), dt_max)
+            dt_c = min(kern.dt_bound(u, umax, v_range, cfl), dt_max)
             if dt_c < dt_min:
                 termination = TerminationInfo(Termination.DT_UNDERFLOW, t)
                 break
@@ -663,17 +676,8 @@ def run(
 
             F_prev, F_cur = F_cur, None
             if will_diag or blown or final_step:
-                with np.errstate(**caller_err):
-                    F_cur, F_prev, rhs, w12 = row_terms(
-                        u_new, v_new, max_u, u, v, umax, F_prev, dt, f_u
-                    )
-                residual = abs((F_cur - F_prev) / dt - rhs)
-                w12_max = max(w12_max, w12)
-                rows.append(
-                    DiagnosticsRow(
-                        t_new, dt, mass_u_new, mass_v_new, max_u, min_u_new,
-                        F_cur, rhs, residual,
-                    )
+                F_cur = step_row(
+                    t_new, dt, mass_u_new, mass_v_new, nxt, cur, max_u, min_u_new, umax, F_prev, f_u
                 )
 
             cur, nxt, u, v, u_new, v_new = nxt, cur, u_new, v_new, u, v
@@ -684,34 +688,34 @@ def run(
                 termination = TerminationInfo(Termination.BLOWUP, t, blowup_estimate=t - dt)
                 break
 
-    state = State(u.copy(), v.copy(), t)
     if termination is None:
         termination = TerminationInfo(Termination.COMPLETED, t)
-    elif termination.tag in (Termination.DT_UNDERFLOW, Termination.NUMERICAL_FAILURE):
-        # emit a final row from the last valid state
-        if rows[-1].t < t:
-            rows.append(
-                DiagnosticsRow(
-                    t, rows[-1].dt, mass_u, mass_v, umax, float(vmin(u)),
-                    lyapunov(state, grid, table).F_total,
-                    rows[-1].dissipation_rhs, rows[-1].identity_residual,
-                )
-            )
+    elif F_cur is None:
+        # the run stopped after steps that wrote no row
+        if termination.tag == Termination.DT_UNDERFLOW:
+            # nxt still holds the state the last step advanced from, and
+            # kern.mob and f_u are still that step's: its own row, bitwise
+            # the one a diag_every = 1 run writes
+            kern.gradients(nxt)
+            umax_old = float(vmax(nxt[0]))
+            step_row(t, dt, mass_u, mass_v, cur, nxt, umax, min_u_new, umax_old, F_prev, f_u)
+        else:
+            # the failed step overwrote nxt: a row of the last valid state,
+            # whose face gradients the kernel still holds
+            state_row(t, u, v, mass_u, mass_v, umax, kern.dvf, math.nan)
 
-    # a run that stops between diagnostics rows has not yet counted its final state
-    w12_final = _v_w12(v, grad_faces(v, grid), grid)
     return RunResult(
         termination,
         rows,
-        state,
+        State(u.copy(), v.copy(), t),
         grid,
         steps,
         mass_res_u,
         mass_res_v,
         min_u_seen,
         min_v_seen,
-        w12_final,
-        max(w12_max, w12_final),
+        w12[-1],
+        max(w12),
         probe_states,
     )
 

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,7 +62,12 @@ def classify_run(
     return INCONCLUSIVE
 
 
-def _trend_nonincreasing(rows, rel_drift: float = 1e-6) -> bool:
+# the largest rise of max_u over the final quarter, relative to its last value,
+# that still counts as non-increasing
+_REL_DRIFT = 1e-6
+
+
+def _trend_nonincreasing(rows) -> bool:
     t_final = rows[-1].t
     tail = [r for r in rows if r.t >= 0.75 * t_final]
     if len(tail) < 2:
@@ -74,7 +80,7 @@ def _trend_nonincreasing(rows, rel_drift: float = 1e-6) -> bool:
     A = np.vstack([np.ones(len(ts)), ts]).T
     coef, *_ = np.linalg.lstsq(A, ms, rcond=None)
     drift = coef[1] * span
-    return drift <= rel_drift * max(abs(ms[-1]), 1e-300)
+    return drift <= _REL_DRIFT * max(abs(ms[-1]), 1e-300)
 
 
 @dataclass
@@ -243,34 +249,22 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
     return sorted((row for rows in done for row in rows), key=lambda r: r.run_id)
 
 
+# the SweepRow fields that the sweep CSV writes after run_id and the axes
+_RESULT_COLUMNS = (
+    "classification", "termination", "t_final", "max_u_initial", "max_u_final", "F_final",
+)
+_results = attrgetter(*_RESULT_COLUMNS)
+
+
 def sweep_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
     names = [name for name, _ in spec.axes]
-    header = ",".join(
-        ["run_id"]
-        + names
-        + [
-            "classification",
-            "termination",
-            "t_final",
-            "max_u_initial",
-            "max_u_final",
-            "F_final",
-        ]
-    )
-    lines = [header]
+    lines = [",".join(["run_id", *names, *_RESULT_COLUMNS])]
     for r in rows:
         lines.append(
             ",".join(
                 [str(r.run_id)]
                 + [fmt(r.point[name]) for name in names]
-                + [
-                    r.classification,
-                    r.termination,
-                    fmt(r.t_final),
-                    fmt(r.max_u_initial),
-                    fmt(r.max_u_final),
-                    fmt(r.F_final),
-                ]
+                + [x if isinstance(x, str) else fmt(x) for x in _results(r)]
             )
         )
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
-"""Independent face-flux oracles for the tests.
+"""Independent face-flux and growth-cutoff oracles for the tests.
 
 Each flux is written out on its own, with its own domain check and an
 optional mobility callable, so that the tests can hold the scheme's one flux
 formula (discrete.interior_flux, used by step, run and steady_residual) to a
-second, plain implementation of the same discretisation.
+second, plain implementation of the same discretisation. The cutoff window
+is written out from smooth_step, so that the tests can hold the library's
+one cutoff (nonlin._cut_off, behind growth_reg) to the formula it folds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from ksfv.core import Grid, ModelParams
 from ksfv.errors import DomainError
-from ksfv.nonlin import diffusivity_reg, sensitivity
+from ksfv.nonlin import diffusivity_reg, sensitivity, smooth_step
 
 
 def diffusive_flux(
@@ -49,3 +51,13 @@ def chemotactic_flux(
     donor = np.where(dv > 0.0, u[:-1], u[1:])
     flux[1:-1] = mob(donor) * dv
     return flux
+
+
+def growth_cutoff(u, p: ModelParams):
+    """Smooth window equal to 1 on [0, 1/(2 eps)] and 0 beyond 1/eps (1 everywhere for eps=0)."""
+    u = np.asarray(u, dtype=float)
+    if p.eps <= 0.0:
+        return np.ones_like(u)
+    lo = 1.0 / (2.0 * p.eps)
+    hi = 1.0 / p.eps
+    return 1.0 - smooth_step((u - lo) / (hi - lo))

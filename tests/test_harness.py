@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import os
@@ -35,6 +36,7 @@ from ksfv.sweep import (
     ERROR,
     GLOBAL,
     INCONCLUSIVE,
+    SweepRow,
     SweepSpec,
     _NON_TABLE_AXES,
     _tasks,
@@ -155,6 +157,29 @@ def test_heatmap_svg_nine_cells():
     labels = {(i, j): GLOBAL if (i + j) % 2 else BLOWUP for i in range(3) for j in range(3)}
     svg = heatmap_svg([1, 2, 3], [4, 5, 6], labels, "sweep", "beta", "kappa")
     assert svg.count("<rect") >= 10  # 9 cells + background + legend
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_chart_and_sweep_csv_bytes_are_golden():
+    # the writers' bytes on fixed inputs; a refactor of the writers keeps them
+    xs, ys = [0.0, 0.5, 1.25, 2.0], [3.0, 1e-3, 40.0, 7.5]
+    log_chart = line_chart_svg(xs, ys, "max_u(t)", "max_u", ylog=True)
+    assert _sha(log_chart) == "c28eb9ec875296a46c17cf507a9cc18e070c15c9a327227342ae5475d531573d"
+    flat_chart = line_chart_svg([0.0, 1.0, 2.0], [5.0, 5.0, 5.0], "F(t)", "F")
+    assert _sha(flat_chart) == "a2e35cb9a9c60638dbaff1b28f005fa38cd732e6ada4bb4af2e5ec304003a73b"
+    labels = {(0, 0): GLOBAL, (1, 0): BLOWUP, (0, 1): ERROR}
+    heatmap = heatmap_svg([1.0, 2.5], [3.0, 3.5], labels, "sweep classification", "beta", "kappa")
+    assert _sha(heatmap) == "d999c118916441c9c487e18f4705c539f65d37d4a0e8cb4b5ab31ace6a210b1c"
+    spec = SweepSpec(axes=[("beta", [1.0, 2.5]), ("kappa", [3.0])], base={})
+    nan = float("nan")
+    rows = [
+        SweepRow(0, {"beta": 1.0, "kappa": 3.0}, GLOBAL, "Completed", 0.5, 1.25, 1 + 2**-52, -0.1),
+        SweepRow(1, {"beta": 2.5, "kappa": 3.0}, ERROR, "ConfigError", nan, nan, nan, nan),
+    ]
+    assert _sha(sweep_csv(spec, rows)) == "578cdb31b56d3716a847fc7c0ebe0a8ce430109314e60efcae5c85e6128fa60f"
 
 
 # ---------------------------------------------------------------------------

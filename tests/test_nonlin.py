@@ -13,12 +13,12 @@ from ksfv.nonlin import (
     diffusivity,
     diffusivity_reg,
     growth,
-    growth_cutoff,
     growth_reg,
     ratio,
     sensitivity,
     smooth_step,
 )
+from oracles import growth_cutoff
 
 E = math.e
 

@@ -22,13 +22,12 @@ from ksfv.discrete import div_cells, grad_faces
 from ksfv.nonlin import (
     diffusivity_reg,
     growth,
-    growth_cutoff,
     growth_reg,
     sensitivity,
 )
 from ksfv.output import rows_to_csv
 from ksfv.solver import RunConfig, Termination, cfl_dt, run, steady_signal, step
-from oracles import chemotactic_flux, diffusive_flux
+from oracles import chemotactic_flux, diffusive_flux, growth_cutoff
 
 # derandomized and without an example database, so every run of the suite
 # draws the same examples
@@ -312,7 +311,7 @@ def _kernel_dt(kern, u, v, lead_drift, cfl=0.4):
     """The kernel's dt_bound at (u, v), with the drift rate first or not."""
     kern.lead_drift = lead_drift
     kern.gradients(np.stack((u, v)))
-    return kern.dt_bound(u, float(u.max()), float(v.max()) - float(v.min()), kern.dvf, cfl)
+    return kern.dt_bound(u, float(u.max()), float(v.max()) - float(v.min()), cfl)
 
 
 def _bisect(pred, lo, hi):

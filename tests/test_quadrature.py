@@ -10,7 +10,7 @@ from scipy.integrate import quad
 import ksfv
 from ksfv import nonlin, quadrature
 from ksfv.errors import DivergenceError, QuadratureError
-from ksfv.quadrature import adaptive_simpson, improper_power_integral
+from ksfv.quadrature import adaptive_simpson, moment_integral
 
 
 @pytest.mark.parametrize(
@@ -56,9 +56,9 @@ def test_scalar_integrand_sees_the_bounds_type(kind):
 def test_moment_integral_closed_forms():
     # antiderivative -1/2 (1+s^2)^-1 gives 1/2; arctan gives pi/2;
     # s = tan(theta) reduces A(3,5) to int sin^2 cos = 1/3
-    assert abs(improper_power_integral(2, 4) - 0.5) <= 1e-10
-    assert abs(improper_power_integral(1, 2) - math.pi / 2.0) <= 1e-10
-    assert abs(improper_power_integral(3, 5) - 1.0 / 3.0) <= 1e-10
+    assert abs(moment_integral(2, 4) - 0.5) <= 1e-10
+    assert abs(moment_integral(1, 2) - math.pi / 2.0) <= 1e-10
+    assert abs(moment_integral(3, 5) - 1.0 / 3.0) <= 1e-10
 
 
 def test_moment_integral_beta_function():
@@ -69,14 +69,14 @@ def test_moment_integral_beta_function():
             * math.gamma((lam - N) / 2.0)
             / (2.0 * math.gamma(lam / 2.0))
         )
-        assert improper_power_integral(N, lam) == pytest.approx(exact, abs=2e-10)
+        assert moment_integral(N, lam) == pytest.approx(exact, abs=2e-10)
 
 
 def test_moment_integral_divergent():
     with pytest.raises(DivergenceError):
-        improper_power_integral(3, 3)
+        moment_integral(3, 3)
     with pytest.raises(DivergenceError):
-        improper_power_integral(4, 2)
+        moment_integral(4, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

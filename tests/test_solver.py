@@ -5,12 +5,15 @@ import pytest
 
 import ksfv
 from conftest import aggregation_config, damped_reference_config
+from ksfv.config import parse_config_text, run_config_from
 from ksfv.core import State
 from ksfv.discrete import grad_faces
+from ksfv.energy import lyapunov
 from ksfv.errors import ConfigError, DomainError, ScanAbortedError, UsageError
 from ksfv.nonlin import Overrides, RatioSpec
 from ksfv.solver import (
     RunConfig,
+    TableCache,
     Termination,
     cfl_dt,
     continuous_dependence,
@@ -308,6 +311,71 @@ def test_run_ends_non_finite_step_as_numerical_failure(monkeypatch, bad):
     res = run(cfg)
     assert res.termination.tag == Termination.NUMERICAL_FAILURE
     assert res.steps == 0
+
+
+UNDERFLOW_CONFIG = """
+domain.kind = ball
+domain.n = 2
+domain.R = 1.0
+domain.cells = 64
+params.beta = 3
+params.a = 0
+params.eps = 1e-3
+init.u0 = family_u:eta=0.35,mass=50
+run.t_end = 5
+run.dt_min = 3e-8
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dt_underflow_ends_on_its_last_steps_own_row():
+    # 289 steps, of which the last two write no row at diag_every = 7: the
+    # closing row is that step's own, the one every step writes at diag_every = 1
+    results = []
+    for every in (7, 1):
+        text = UNDERFLOW_CONFIG + f"run.diag_every = {every}\n"
+        results.append(run(run_config_from(parse_config_text(text))[0]))
+    sparse, dense = results
+    assert sparse.termination.tag == dense.termination.tag == Termination.DT_UNDERFLOW
+    assert sparse.steps == dense.steps == 289
+    assert sparse.rows[-2].t < sparse.rows[-1].t == sparse.termination.t_final
+    assert sparse.rows[-1] == dense.rows[-1]
+    assert sparse.v_w12_final == dense.v_w12_final
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_numerical_failure_ends_on_a_row_of_the_last_valid_state(monkeypatch):
+    import ksfv.solver as solver_mod
+
+    dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 24)
+    g = ksfv.make_grid(dom)
+    real = solver_mod.interior_flux
+    calls = []
+
+    def flux(out, *args):
+        # the sixth step's flux turns non-finite on one interior face
+        mob = real(out, *args)
+        calls.append(1)
+        if len(calls) == 6:
+            out[5] = np.nan
+        return mob
+
+    monkeypatch.setattr(solver_mod, "interior_flux", flux)
+    u0 = 1.0 + 0.2 * np.cos(np.pi * g.centers)
+    cfg = RunConfig(dom, ksfv.ModelParams(), u0, steady_signal(u0, g), t_end=0.01, diag_every=1000)
+    res = run(cfg)
+    assert res.termination.tag == Termination.NUMERICAL_FAILURE
+    assert res.steps == 5
+    assert len(res.rows) == 2
+    last, state = res.rows[-1], res.final_state
+    assert last.t == res.termination.t_final == state.t > 0.0
+    assert math.isnan(last.dt) and math.isnan(last.dissipation_rhs)
+    assert math.isnan(last.identity_residual)
+    assert last.max_u == state.u.max() and last.min_u == state.u.min()
+    assert last.mass_u == float(np.dot(state.u, g.cell_volume))
+    terms = lyapunov(state, g, TableCache().get(cfg))
+    assert last.F == terms.F_total
+    assert res.v_w12_final == terms.v_w12
 
 
 def test_run_rejects_bad_config():
