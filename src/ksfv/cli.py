@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -55,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """A float flag's value: nan and +-inf are usage errors, as in a config file."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got '{text}'")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ksfv", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -82,17 +94,17 @@ def _build_parser() -> _Parser:
     group.add_argument("--damping", action="store_true")
     group.add_argument("--schema", action="store_true", help="print the config schema")
     p_check.add_argument("--n", type=int, default=2)
-    p_check.add_argument("--k", type=float, default=1.0)
-    p_check.add_argument("--theta", type=float, default=0.5)
-    p_check.add_argument("--alpha-prime", type=float, default=1.0)
-    p_check.add_argument("--eps-c", type=float, default=0.5)
-    p_check.add_argument("--K", type=float, default=1.0)
-    p_check.add_argument("--s-max", type=float, help="overrides check.s_max")
+    p_check.add_argument("--k", type=_finite, default=1.0)
+    p_check.add_argument("--theta", type=_finite, default=0.5)
+    p_check.add_argument("--alpha-prime", type=_finite, default=1.0)
+    p_check.add_argument("--eps-c", type=_finite, default=0.5)
+    p_check.add_argument("--K", type=_finite, default=1.0)
+    p_check.add_argument("--s-max", type=_finite, help="overrides check.s_max")
 
     p_conv = sub.add_parser("convergence", help="regularization convergence scan")
     p_conv.add_argument("--config", required=True)
     p_conv.add_argument("--eps-list", required=True, help="comma list, decreasing")
-    p_conv.add_argument("--t-probe", type=float, required=True)
+    p_conv.add_argument("--t-probe", type=_finite, required=True)
     p_conv.add_argument("--out", default=None)
 
     return parser

@@ -499,9 +499,9 @@ def build_table(
     number the quadrature can use.
     """
     s0 = p.s0
-    if not (0.0 < s_min < s0 < s_max):
+    if not (0.0 < s_min < s0 < s_max < math.inf):
         raise PreconditionError(
-            f"need 0 < s_min < s0 < s_max, got s_min={s_min}, s0={s0}, s_max={s_max}"
+            f"need 0 < s_min < s0 < s_max < inf, got s_min={s_min}, s0={s0}, s_max={s_max}"
         )
     if tol <= 0.0:
         raise PreconditionError("tol must be positive")

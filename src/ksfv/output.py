@@ -203,7 +203,15 @@ def manifest_text(
     files: Iterable[str],
     version: str,
 ) -> str:
-    """Structured text mirroring the config schema plus the run outcome."""
+    """Structured text mirroring the config schema plus the run outcome.
+
+    env.* records the Python, numpy and scipy versions the run used;
+    config_from_manifest reads only config.*, so a rerun ignores them.
+    """
+    import platform
+
+    import scipy
+
     lines = ["# run manifest"]
     lines.append(f"manifest.version = {version}")
     lines.append(f"manifest.grid_checksum = sha256:{grid_checksum(result.grid)}")
@@ -216,6 +224,9 @@ def manifest_text(
         )
     lines.append(f"manifest.steps = {result.steps}")
     lines.append(f"manifest.files = {','.join(files)}")
+    lines.append(f"env.python = {platform.python_version()}")
+    lines.append(f"env.numpy = {np.__version__}")
+    lines.append(f"env.scipy = {scipy.__version__}")
     for key in sorted(config_map):
         lines.append(f"config.{key} = {config_map[key]}")
     return "\n".join(lines) + "\n"

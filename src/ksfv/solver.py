@@ -4,9 +4,11 @@ The density u advances by explicit Euler on the conservative flux divergence
 plus the growth term; the signal v advances by backward Euler on the screened
 heat equation (I + dt(-Lap + 1)) v_new = v_old + dt*u_new, solved by a
 tridiagonal factorization. Using u_new (not u_old) on the right keeps the
-discrete v-mass law exact. The step size is CFL-limited by the diffusive,
-advective, and reaction rates; the collapse of dt doubles as a blow-up signal
-alongside the hard max-norm cap.
+discrete v-mass law exact. The factorization is LAPACK dgtsv, loaded from
+scipy's compiled _flapack extension without scipy.linalg's package init, which
+would otherwise be most of ksfv's import time (_load_dgtsv). The step size is
+CFL-limited by the diffusive, advective, and reaction rates; the collapse of
+dt doubles as a blow-up signal alongside the hard max-norm cap.
 
 Positivity is a property of the scheme, not an enforcement: a negative cell
 is treated as a numerical failure and terminates the run.
@@ -67,13 +69,16 @@ under the caller's settings, so their warnings still show.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .core import (
     DomainSpec,
@@ -99,6 +104,40 @@ from .nonlin import (
     effective_phi,
     effective_psi,
 )
+
+
+def _load_dgtsv():
+    """LAPACK dgtsv, from scipy's compiled _flapack extension loaded by file.
+
+    scipy.linalg.lapack.dgtsv is this extension's routine, re-exported, so
+    every solve is bitwise the same. Importing it from scipy.linalg would run
+    that package's init, which pulls in numpy.f2py, numpy.testing and more:
+    about 0.3 s of every ksfv process, for the one routine ksfv uses. `import
+    scipy` alone runs scipy's _distributor_init, which sets up the DLL path on
+    Windows. An extension already imported is reused; where no such file
+    exists, the public import is the fallback.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name].dgtsv
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader)
+            )
+            loader.exec_module(module)
+            return module.dgtsv
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
+_dgtsv = _load_dgtsv()
 
 _RATE_GUARD = 1e-30
 _REL_SLACK = 2.0 ** -40  # per unit of exponent; a library log1p or pow errs by a few 2^-53
@@ -377,7 +416,7 @@ class _Tridiag:
         np.subtract(c, self.upper, out=diag)
         np.subtract(diag, self.lower, out=diag)
         # dgtsv overwrites sub, diag and sup; solve refills them every call
-        _, _, _, x, info = dgtsv(self.sub, diag, self.sup, rhs, 1, 1, 1, int(in_place))
+        _, _, _, x, info = _dgtsv(self.sub, diag, self.sup, rhs, 1, 1, 1, int(in_place))
         if info != 0:
             raise NumericsError(f"tridiagonal solve failed (info={info})")
         return x

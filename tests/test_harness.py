@@ -2,9 +2,11 @@ import hashlib
 import math
 import multiprocessing
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import ksfv
 from ksfv.cli import main
@@ -668,9 +670,14 @@ def test_manifest_text_and_recovery():
     mapping = with_defaults({"domain.cells": "16", "run.t_end": "0.005"})
     text = manifest_text(mapping, result, 0.5, ["diagnostics.csv"], "0.1.0")
     assert "manifest.grid_checksum = sha256:" in text
+    for key, version in (
+        ("python", platform.python_version()),
+        ("numpy", np.__version__),
+        ("scipy", scipy.__version__),
+    ):
+        assert f"\nenv.{key} = {version}\n" in text
     recovered = config_from_manifest(text)
-    assert recovered["domain.cells"] == "16"
-    assert recovered["run.t_end"] == "0.005"
+    assert recovered == mapping
 
 
 def test_cli_family_n3(tmp_path):
@@ -757,6 +764,28 @@ def test_cli_non_finite_values_are_usage_errors(tmp_path, capsys, key, value):
     assert len(err.splitlines()) == 1, err
     assert err.startswith(f"usage error: {key}:"), err
     assert not (tmp_path / "o").exists()
+
+
+# every float flag, with the command that reads it
+_FLOAT_FLAGS = {
+    "--k": ["check", "--growth", "--n", "2"],
+    "--theta": ["check", "--growth", "--n", "2"],
+    "--alpha-prime": ["check", "--growth", "--n", "3"],
+    "--eps-c": ["check", "--eps-condition", "--n", "3"],
+    "--K": ["check", "--eps-condition", "--n", "3"],
+    "--s-max": ["check", "--growth"],
+    "--t-probe": ["convergence", "--eps-list", "0.1,0.05"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", sorted(_FLOAT_FLAGS))
+def test_cli_non_finite_flags_are_usage_errors(tmp_path, capsys, flag, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_SMALL)
+    assert main([*_FLOAT_FLAGS[flag], "--config", str(cfg), f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: argument {flag}: expected a finite number, got '{value}'\n"
 
 
 def test_library_validators_reject_nan():

@@ -402,6 +402,12 @@ def test_build_table_preconditions():
         ksfv.build_table(params(s0=1.0), ksfv.RatioSpec.unit(), s_max=0.5)
 
 
+@pytest.mark.parametrize("s_max", [math.inf, math.nan])
+def test_build_table_requires_finite_s_max(s_max):
+    with pytest.raises(PreconditionError, match="s_max < inf"):
+        ksfv.build_table(params(s0=1.0), ksfv.RatioSpec.model(), s_max=s_max)
+
+
 # ---------------------------------------------------------------------------
 # growth conditions
 

@@ -1,4 +1,8 @@
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -624,3 +628,76 @@ def test_step_loop_ignores_float_warnings_and_rows_keep_the_callers(monkeypatch)
     assert seen["step"] and seen["row"]
     assert all(set(e.values()) == {"ignore"} for e in seen["step"])
     assert all(e == caller for e in seen["row"])
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK route: dgtsv from scipy's _flapack extension, loaded by file
+
+
+def test_import_runs_no_scipy_linalg_and_no_f2py():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ksfv.__file__)))
+    code = "import sys, ksfv.cli; print(sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+def _load_by_file(monkeypatch):
+    import ksfv.solver as solver_mod
+
+    # as in a fresh process: the extension is not loaded yet
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    return solver_mod._load_dgtsv()
+
+
+def _screened_system():
+    """The bands and right-hand side _Tridiag.solve hands to dgtsv, 48-cell ball."""
+    import ksfv.solver as solver_mod
+
+    g = ksfv.make_grid(ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 48))
+    seen = []
+    loaded = solver_mod._dgtsv
+
+    def record(dl, d, du, b, *flags):
+        seen.append((dl.copy(), d.copy(), du.copy(), b.copy()))
+        return loaded(dl, d, du, b, *flags)
+
+    solver_mod._dgtsv = record
+    try:
+        solver_mod._Tridiag(g).solve(1.0 + 1e-3, 1e-3, 1.0 + np.cos(3.0 * g.centers))
+    finally:
+        solver_mod._dgtsv = loaded
+    return seen[0]
+
+
+def _pivoting_system():
+    """A 5x5 system with |dl| > |d|, so dgtsv interchanges rows."""
+    d = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    dl = np.array([10.0, -7.0, 8.0, 9.0])
+    du = np.array([1.0, -2.0, 0.5, 3.0])
+    return dl, d, du, np.arange(1.0, 6.0)
+
+
+@pytest.mark.parametrize("in_place", [0, 1])
+@pytest.mark.parametrize("system", [_screened_system, _pivoting_system])
+def test_loaded_dgtsv_is_bitwise_the_public_routine(monkeypatch, system, in_place):
+    from scipy.linalg.lapack import dgtsv
+
+    loaded = _load_by_file(monkeypatch)
+    outputs = []
+    for routine in (loaded, dgtsv):
+        dl, d, du, b = (a.copy() for a in system())
+        du2, d_f, du_f, x, info = routine(dl, d, du, b, 1, 1, 1, in_place)
+        assert info == 0
+        outputs.append([a.tobytes() for a in (du2, d_f, du_f, x, b)])
+    assert outputs[0] == outputs[1]
+    if system is _pivoting_system:
+        assert np.any(np.frombuffer(outputs[0][0]) != 0.0)  # the second superdiagonal of U
+
+
+def test_missing_extension_falls_back_to_the_public_import(monkeypatch):
+    from scipy.linalg.lapack import dgtsv
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+    assert _load_by_file(monkeypatch) is dgtsv
