@@ -85,7 +85,7 @@ def lyapunov_terms(
 def lyapunov(state: State, grid: Grid, table: FunctionalTable) -> EnergyBreakdown:
     """Evaluate F(u, v) on the grid; u below the table floor is clamped and counted."""
     u, v = state.u, state.v
-    tab = table.covering(float(np.max(u)))
+    tab = table.covering(float(np.max(u)), float(np.min(u)))
     clamped = int(np.count_nonzero(u < tab.s_min))
     G_u = tab.g(np.maximum(u, tab.s_min))
     return lyapunov_terms(G_u, u, v, grad_faces(v, grid), grid, clamped)
@@ -115,7 +115,7 @@ def dissipation(
     """
     u, v = state.u, state.v
     _check_nonneg(u, "dissipation")
-    tab = table.covering(float(np.max(u)))
+    tab = table.covering(float(np.max(u)), float(np.min(u)))
     return dissipation_terms(
         u,
         v,
@@ -268,7 +268,7 @@ def radial_weight_inequality(
         raise PreconditionError("weight must have zero slope at r = 0")
 
     u, v = state.u, state.v
-    tab = table.covering(float(np.max(u)))
+    tab = table.covering(float(np.max(u)), float(np.min(u)))
     r_face = grid.faces[1:-1]
     dv = grad_faces(v, grid)[1:-1]
     w_face = grid.face_weight[1:-1]

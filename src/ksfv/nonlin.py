@@ -271,20 +271,30 @@ class FunctionalTable:
     """Tabulated G, H, Gp with quintic Hermite interpolation between knots.
 
     Immutable; covering() returns a new, wider table instead of mutating. A
-    table is a base table from build_table(), its first base_knots knots on
-    [s_min, base_s_max], followed by the upward extension covering() appends:
-    knots base_s_max * r**k, k = 1, 2, ..., with r = 10**(1/_KNOTS_PER_DECADE).
+    table's knots are the base grid build_table() lays out, its first
+    base_knots knots on [s_min, base_s_max], followed by the upward extension
+    covering() appends: knots base_s_max * r**k, k = 1, 2, ..., with
+    r = 10**(1/_KNOTS_PER_DECADE).
+
+    The values are walked out from s0 and hold on the walked range, from
+    knots[low] to the last knot. Above s0 every knot is walked; below it, a
+    table walked on demand (build_table(..., walk_below_s0=False)) holds NaN
+    at the base knots under knots[low], which nothing reads: evaluation
+    refuses any point below knots[low] or above s_max, and covering() walks
+    further at either end. Every walked knot holds bitwise the value of
+    build_table's eager walk over the whole base grid.
 
     Every segment, base or extension, is integrated once to the absolute
     tolerance seg_tol = tol / n_base_segments, and the knot values accumulate
     segment by segment from s0. The quadrature error at a knot is therefore at
     most seg_tol times the number of segments between s0 and that knot, which
-    is at most tol * n_segments / n_base_segments: tol itself on a base table,
-    and growing in proportion to the knots an extension adds. Where the
-    integrands are enormous, the quadrature's 1e-14 relative floor applies per
-    segment instead of seg_tol. Segments are integrated in batches, but each
-    batched integral is bitwise the one-segment quadrature at seg_tol, so the
-    bound and every value are those of integrating one segment at a time.
+    is at most tol * n_segments / n_base_segments: tol itself on the base
+    grid, walked or not yet walked below s0, and growing in proportion to the
+    knots an extension adds. Where the integrands are enormous, the
+    quadrature's 1e-14 relative floor applies per segment instead of seg_tol.
+    Segments are integrated in batches, but each batched integral is bitwise
+    the one-segment quadrature at seg_tol, so the bound and every value are
+    those of integrating one segment at a time.
     """
 
     params: ModelParams
@@ -295,6 +305,7 @@ class FunctionalTable:
     tol: float
     seg_tol: float  # per-segment quadrature tolerance, fixed by the base table
     base_knots: int  # knots of the base table; the rest are the extension
+    low: int  # index of the lowest walked knot
     knots: np.ndarray
     G_vals: np.ndarray
     H_vals: np.ndarray
@@ -307,8 +318,12 @@ class FunctionalTable:
             raise UsageError(
                 f"evaluation above table range (s_max={self.s_max:g}); use covering() first"
             )
-        if (s < self.s_min * (1.0 - 1e-12)).any():
-            raise UsageError(f"evaluation below table range (s_min={self.s_min:g})")
+        floor = self.knots[self.low]
+        if (s < floor).any():
+            raise UsageError(
+                f"evaluation below table range (walked from {floor:g}, s_min={self.s_min:g});"
+                " use covering() first"
+            )
 
     def basis(self, s) -> tuple:
         """The interpolation basis at s, which g_on and gp_on evaluate; checks the range."""
@@ -335,44 +350,66 @@ class FunctionalTable:
         hpp = self.rho_vals + self.knots * self.rho_prime_vals
         return _hermite_sum(self.basis(s), self.H_vals, hp, hpp)
 
-    def covering(self, s: float) -> "FunctionalTable":
-        """Return a table whose range contains s, extending this one upward.
+    def covering(self, s: float, lo: Optional[float] = None) -> "FunctionalTable":
+        """Return a table whose walked range contains s and lo (lo defaults to s).
 
-        Returns self when s <= s_max. Otherwise the new table keeps every knot
-        and value of this one bitwise and appends the extension knots
-        base_s_max * r**k up to the first one >= s, integrating only the new
-        segments, each once at seg_tol. The knots come from one fixed sequence
-        and each segment is integrated from its own endpoints, so for a < b
-        t.covering(a).covering(b) is bitwise t.covering(b), and values inside
-        the old range do not change. The error bound grows with the segments
-        added (see the class docstring). Raises DivergenceError when a new
-        segment's quadrature cannot converge.
+        Returns self when it does already. Otherwise the new table keeps every
+        walked knot and value of this one bitwise and walks on, integrating
+        only the new segments, each once at seg_tol:
+        - upward, appending the extension knots base_s_max * r**k up to the
+          first one >= max(s, lo);
+        - downward, over the base knots down to the last one <= min(s, lo),
+          or down to s_min when min(s, lo) is below it.
+        The knots come from fixed sequences, each segment is integrated from
+        its own endpoints, and the values accumulate in walk order outward
+        from s0. So every walked value is bitwise that of build_table's eager
+        walk, any sequence of coverings reaching the same range gives bitwise
+        the same table (t.covering(a).covering(b) is t.covering(b) for
+        a < b), and values inside the old range do not change. The error
+        bound grows only with the extension segments added above (see the
+        class docstring). Raises DivergenceError when a new segment's
+        quadrature cannot converge, and UsageError for a non-finite s or lo.
         """
-        if s <= self.s_max:
+        if lo is None:
+            lo = s
+        floor = self.knots[self.low]
+        if floor <= s <= self.s_max and floor <= lo <= self.s_max:
             return self
-        if not math.isfinite(s):
-            raise UsageError(f"covering needs a finite s, got {s!r}")
-        base = float(self.knots[self.base_knots - 1])
-        r = 10.0 ** (1.0 / _KNOTS_PER_DECADE)
-        k = len(self.knots) - self.base_knots  # extension knots already present
+        if not (math.isfinite(s) and math.isfinite(lo)):
+            raise UsageError(f"covering needs finite points, got s={s!r}, lo={lo!r}")
+        lo, hi = min(s, lo), max(s, lo)
+        low = self.low
+        if lo < floor:
+            # the last knot <= lo, or knot 0 when lo is below s_min
+            low = max(int(np.searchsorted(self.knots, lo, side="right")) - 1, 0)
         new = []
-        while not new or new[-1] < s:
-            k += 1
-            new.append(base * r ** k)
+        if hi > self.s_max:
+            base = float(self.knots[self.base_knots - 1])
+            r = 10.0 ** (1.0 / _KNOTS_PER_DECADE)
+            k = len(self.knots) - self.base_knots  # extension knots already present
+            while not new or new[-1] < hi:
+                k += 1
+                new.append(base * r ** k)
+        if low == self.low and not new:
+            return self
 
         n = len(self.knots)
         knots = np.concatenate([self.knots, new])
-        pad = np.zeros(len(new))
-        G = np.concatenate([self.G_vals, pad])
-        H = np.concatenate([self.H_vals, pad])
-        Gp = np.concatenate([self.Gp_vals, pad])
-        rho_k, rho_p_k = _integrate(
-            self.params, self.ratio_spec, knots, G, H, Gp, [(n - 1, len(knots) - 1)],
-            self.seg_tol, self.rho_vals, self.rho_prime_vals,
+        pad = np.full(len(new), np.nan)
+        vals = tuple(
+            np.concatenate([a, pad])
+            for a in (self.G_vals, self.H_vals, self.Gp_vals, self.rho_vals, self.rho_prime_vals)
         )
+        fresh = np.concatenate([np.arange(low, self.low), np.arange(n, len(knots))])
+        _integrate(
+            self.params, self.ratio_spec, knots, vals,
+            [(n - 1, len(knots) - 1), (self.low, low)], fresh, self.seg_tol,
+        )
+        G, H, Gp, rho_k, rho_p_k = vals
         return replace(
             self,
             s_max=float(knots[-1]),
+            low=low,
             knots=knots,
             G_vals=G,
             H_vals=H,
@@ -449,25 +486,25 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 def _integrate(
-    p: ModelParams, spec: RatioSpec, knots, G, H, Gp, walks, seg_tol: float, rho_head, rho_p_head
-) -> tuple:
-    """Walk G, H, Gp over each (start, stop) of walks; then rho and rho' at the knots.
+    p: ModelParams, spec: RatioSpec, knots, vals: tuple, walks, fresh, seg_tol: float
+) -> None:
+    """Walk G, H, Gp over each (start, stop) of walks; then rho and rho' at the knots fresh.
 
-    rho_head and rho_p_head hold rho and rho' at the first knots already;
-    the rest are evaluated. Freezes every array and returns the two rho
-    arrays. A quadrature that cannot converge raises DivergenceError.
+    vals is (G, H, Gp, rho, rho'), each with one writable entry per knot;
+    a walk from a knot to itself does nothing. Freezes knots and every array
+    of vals. A quadrature that cannot converge raises DivergenceError.
     """
+    G, H, Gp, rho_k, rho_p_k = vals
     rho, rho_prime = _scalar_ratio(p, spec)
     try:
         for start, stop in walks:
             _walk(rho, knots, G, H, Gp, start, stop, seg_tol)
     except QuadratureError as exc:
         raise _divergence(p, spec, exc) from exc
-    new = knots[len(rho_head):]
-    rho_k = np.concatenate([rho_head, [rho(t) for t in new]])
-    rho_p_k = np.concatenate([rho_p_head, [rho_prime(t) for t in new]])
-    _freeze(knots, G, H, Gp, rho_k, rho_p_k)
-    return rho_k, rho_p_k
+    new = knots[fresh]
+    rho_k[fresh] = [rho(t) for t in new]
+    rho_p_k[fresh] = [rho_prime(t) for t in new]
+    _freeze(knots, *vals)
 
 
 def _divergence(p: ModelParams, spec: RatioSpec, exc: QuadratureError) -> DivergenceError:
@@ -487,14 +524,19 @@ def build_table(
     s_min: float = 1e-8,
     s_max: float = 100.0,
     tol: float = 1e-10,
+    walk_below_s0: bool = True,
 ) -> FunctionalTable:
     """Tabulate G, H, Gp on log-spaced knots anchored exactly at s0.
 
     Increments between consecutive knots are single adaptive-Simpson
     quadratures at seg_tol = tol / (number of segments), integrated outward
-    from s0 in both directions. Raises DivergenceError when the quadrature
-    cannot converge (a ratio too singular near zero for the requested s_min),
-    and PreconditionError for a model ratio whose psi(s_min) = psi_c*s_min^beta
+    from s0 in both directions, so the table is walked over all of
+    [s_min, s_max]. With walk_below_s0=False the walk stops at s0 going
+    down: the table has the same knots and seg_tol, and covering() walks
+    below s0 on demand, to bitwise the same values, with the same error
+    bound. Raises DivergenceError when a quadrature it runs cannot converge
+    (a ratio too singular near zero for the requested s_min), and
+    PreconditionError for a model ratio whose psi(s_min) = psi_c*s_min^beta
     underflows below the smallest normal float, where the ratio is not a
     number the quadrature can use.
     """
@@ -521,14 +563,13 @@ def build_table(
     i0 = int(np.argmin(np.abs(knots - s0)))
     nseg = len(knots) - 1
     seg_tol = tol / max(nseg, 1)
+    low = 0 if walk_below_s0 else i0
 
-    G = np.zeros_like(knots)
-    H = np.zeros_like(knots)
-    Gp = np.zeros_like(knots)
-    empty = np.empty(0)
-    rho_k, rho_p_k = _integrate(
-        p, ratio_spec, knots, G, H, Gp, [(i0, len(knots) - 1), (i0, 0)], seg_tol, empty, empty
-    )
+    vals = tuple(np.full_like(knots, np.nan) for _ in range(5))
+    for a in vals[:3]:
+        a[i0] = 0.0
+    top = len(knots) - 1
+    _integrate(p, ratio_spec, knots, vals, [(i0, top), (i0, low)], np.arange(low, top + 1), seg_tol)
     return FunctionalTable(
         p,
         ratio_spec,
@@ -538,12 +579,9 @@ def build_table(
         tol,
         seg_tol,
         len(knots),
+        low,
         knots,
-        G,
-        H,
-        Gp,
-        rho_k,
-        rho_p_k,
+        *vals,
     )
 
 

@@ -429,7 +429,9 @@ def initial_table_key(cfg: RunConfig) -> tuple:
     s_max (ten times the largest of 1, 2 s0 and max u0) and table_tol; not a,
     b, kappa, the grid or the rest of the data. The cache builds with
     build_table's s_min, and every table has the same knot density, so those
-    are the same for every key.
+    are the same for every key. The table is walked from s0 up to s_max only;
+    how far below s0 a run walks it depends on the data, so it is not a key:
+    each run's rows walk their own copy down on demand, to the same values.
     """
     p = cfg.params
     ov = cfg.overrides
@@ -443,8 +445,11 @@ class TableCache:
 
     Runs whose configurations have the same initial_table_key share one
     table. A shared table carries the params of the run that built it; a
-    table reads only their ratio inputs. A cache belongs to one process and
-    one thread. There is no module-level cache: each run or
+    table reads only their ratio inputs. Each table is walked from s0 up to
+    s_max, with build_table's knots and error bound; below s0, run()'s rows
+    walk it with covering() as far as the densities they evaluate reach, to
+    bitwise the values of build_table's eager walk. A cache belongs to one
+    process and one thread. There is no module-level cache: each run or
     continuous_dependence call makes its own, and each run_sweep task (the
     points of one table group) its own, which lives no longer than that call
     or task.
@@ -459,7 +464,9 @@ class TableCache:
         table = self._tables.get(key)
         if table is None:
             ratio_spec, s_max, tol = key[-3:]
-            table = build_table(cfg.params, ratio_spec, s_max=s_max, tol=tol)
+            table = build_table(
+                cfg.params, ratio_spec, s_max=s_max, tol=tol, walk_below_s0=False
+            )
             self._tables[key] = table
         return table
 
@@ -595,26 +602,29 @@ def run(
         umax = max(u) and dv is the face gradient of v.
         """
         nonlocal table
-        table = table.covering(umax)
+        umin = float(np.minimum.reduce(u))
+        table = table.covering(umax, umin)
         terms = lyapunov_terms(table.g(np.maximum(u, table.s_min)), u, v, dv, grid)
-        F, umin = terms.F_total, float(np.minimum.reduce(u))
+        F = terms.F_total
         rows.append(DiagnosticsRow(t, fill, mass_u, mass_v, umax, umin, F, fill, fill))
         w12.append(terms.v_w12)
         return F
 
     def step_row(
-        t_new, dt, mass_u_new, mass_v_new, new, old, umax_new, umin_new, umax_old, F_old, f_u
+        t_new, dt, mass_u_new, mass_v_new, new, old, umax_new, umin_new, umax_old, umin_old,
+        F_old, f_u,
     ):
         """Append the row of the step from old = (u, v) to new and return F(new).
 
         The kernel's gradients are old's, and its mobility and f_u are the
-        step's. G at both states and G' at old come from one Hermite basis.
+        step's. G at both states and G' at old come from one Hermite basis,
+        on a table covering both states' min and max.
         F_old, when known, is F(old). Runs under the caller's float settings.
         """
         nonlocal table
         (u_new, v_new), (u_old, v_old) = new, old
         with np.errstate(**caller_err):
-            table = table.covering(max(umax_new, umax_old))
+            table = table.covering(max(umax_new, umax_old), min(umin_new, umin_old))
             s_min = table.s_min
             basis = table.basis(np.maximum(np.concatenate((u_new, u_old)), s_min))
             G = table.g_on(basis)
@@ -639,19 +649,20 @@ def run(
     vmin, vmax, dot = np.minimum.reduce, np.maximum.reduce, np.dot
     mass_u = float(dot(u, V))
     mass_v = float(dot(v, V))
-    # max u and the range of v of the current state: measured once, by the
-    # previous step's checks
+    # max u, min u and the range of v of the current state: measured once,
+    # by the previous step's checks
     umax = float(vmax(u))
+    umin = float(vmin(u))
     v_range = float(vmax(v)) - float(vmin(v))
     # F of the current state when its row recorded it, else None. The table
-    # only ever extends upward and keeps its values below the old s_max, so F
-    # of a state does not depend on when it is evaluated: reusing the row's F,
-    # or computing F_prev after F_now, gives the same value bitwise.
+    # only ever walks further out from s0 and keeps the values it has walked,
+    # so F of a state does not depend on when it is evaluated: reusing the
+    # row's F, or computing F_prev after F_now, gives the same value bitwise.
     F_cur: Optional[float] = state_row(t, u, v, mass_u, mass_v, umax, grad_faces(v, grid), 0.0)
 
     mass_res_u = 0.0
     mass_res_v = 0.0
-    min_u_seen = float(vmin(u))
+    min_u_seen = umin
     min_v_seen = float(vmin(v))
 
     steps = 0
@@ -716,11 +727,12 @@ def run(
             F_prev, F_cur = F_cur, None
             if will_diag or blown or final_step:
                 F_cur = step_row(
-                    t_new, dt, mass_u_new, mass_v_new, nxt, cur, max_u, min_u_new, umax, F_prev, f_u
+                    t_new, dt, mass_u_new, mass_v_new, nxt, cur, max_u, min_u_new, umax, umin,
+                    F_prev, f_u,
                 )
 
             cur, nxt, u, v, u_new, v_new = nxt, cur, u_new, v_new, u, v
-            t, umax, v_range = t_new, max_u, max_v_new - min_v_new
+            t, umax, umin, v_range = t_new, max_u, min_u_new, max_v_new - min_v_new
             mass_u, mass_v = mass_u_new, mass_v_new
 
             if blown:
@@ -736,8 +748,10 @@ def run(
             # kern.mob and f_u are still that step's: its own row, bitwise
             # the one a diag_every = 1 run writes
             kern.gradients(nxt)
-            umax_old = float(vmax(nxt[0]))
-            step_row(t, dt, mass_u, mass_v, cur, nxt, umax, min_u_new, umax_old, F_prev, f_u)
+            umax_old, umin_old = float(vmax(nxt[0])), float(vmin(nxt[0]))
+            step_row(
+                t, dt, mass_u, mass_v, cur, nxt, umax, umin, umax_old, umin_old, F_prev, f_u
+            )
         else:
             # the failed step overwrote nxt: a row of the last valid state,
             # whose face gradients the kernel still holds

@@ -6,17 +6,32 @@ formula (discrete.interior_flux, used by step, run and steady_residual) to a
 second, plain implementation of the same discretisation. The cutoff window
 is written out from smooth_step, so that the tests can hold the library's
 one cutoff (nonlin._cut_off, behind growth_reg) to the formula it folds.
+RATIOS and TABLE_GRID are the ratio kinds and parameters (alpha, beta, eps)
+that the G-table oracles walk.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
 
 from ksfv.core import Grid, ModelParams
 from ksfv.errors import DomainError
-from ksfv.nonlin import diffusivity_reg, sensitivity, smooth_step
+from ksfv.nonlin import RatioSpec, diffusivity_reg, sensitivity, smooth_step
+
+RATIOS = {
+    "model": RatioSpec.model(),
+    "unit": RatioSpec.unit(),
+    "custom": RatioSpec.custom(lambda t: 1.0 / (t * math.sqrt(1.0 + t)), lambda t: -1.0 / t),
+}
+TABLE_GRID = [
+    (alpha, beta, eps)
+    for alpha in (1.0, 2.0)
+    for beta in (1.0, 2.0, 2.5, 3.0)
+    for eps in (0.0, 1e-3, 1e-2)
+]
 
 
 def diffusive_flux(

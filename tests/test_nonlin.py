@@ -18,7 +18,7 @@ from ksfv.nonlin import (
     sensitivity,
     smooth_step,
 )
-from oracles import growth_cutoff
+from oracles import RATIOS, TABLE_GRID, growth_cutoff
 
 E = math.e
 
@@ -321,6 +321,54 @@ def test_covering_in_steps_equals_covering_at_once():
         assert np.array_equal(getattr(stepwise, name), getattr(direct, name)), name
 
 
+def _assert_walked_part_is_eager(t, eager):
+    """t holds eager's values bitwise on its walked knots and reads no other knot."""
+    full = eager.covering(t.s_max)
+    assert (t.base_knots, t.seg_tol) == (full.base_knots, full.seg_tol)
+    assert np.array_equal(t.knots, full.knots)
+    for name in _TABLE_ARRAYS:
+        assert np.array_equal(getattr(t, name)[t.low:], getattr(full, name)[t.low:]), name
+    walked = t.knots[t.low:]
+    s = np.concatenate([walked, 0.5 * (walked[1:] + walked[:-1])])
+    below = np.nextafter(walked[0], 0.0)
+    for f in ("g", "gp", "h"):
+        assert np.array_equal(getattr(t, f)(s), getattr(full, f)(s)), f
+        with pytest.raises(UsageError, match="below table range"):
+            getattr(t, f)(np.array([walked[0], below]))
+    with pytest.raises(UsageError, match="below table range"):
+        t.basis(below)
+
+
+@pytest.mark.parametrize("ratio", sorted(RATIOS))
+def test_walk_below_s0_on_demand_equals_the_eager_table_bitwise(ratio):
+    spec = RATIOS[ratio]
+    for alpha, beta, eps in TABLE_GRID:
+        p = ksfv.ModelParams(alpha=alpha, beta=beta, eps=eps, s0=1.0)
+        eager = ksfv.build_table(p, spec, s_max=10.0)
+        lazy = ksfv.build_table(p, spec, s_max=10.0, walk_below_s0=False)
+        assert lazy.knots[lazy.low] == 1.0 and eager.low == 0
+        _assert_walked_part_is_eager(lazy, eager)
+        assert lazy.covering(1.0) is lazy and lazy.covering(10.0, 1.0) is lazy
+
+        one_shot = lazy.covering(eager.s_min)
+        assert one_shot.low == 0
+        _assert_walked_part_is_eager(one_shot, eager)
+
+        t = lazy
+        for lo in (0.7, 3e-2, 1e-5, 2e-8, 1e-9):
+            t = t.covering(lo)
+            assert t.knots[t.low] <= lo or t.low == 0
+            assert t.low == 0 or t.knots[t.low + 1] > lo
+            _assert_walked_part_is_eager(t, eager)
+        assert t.low == 0
+
+        t = lazy
+        for s, lo in ((40.0, 0.5), (300.0, None), (1e-4, None), (2e3, 1e-12)):
+            t = t.covering(s, lo)
+            _assert_walked_part_is_eager(t, eager)
+        assert t.low == 0 and t.s_max >= 2e3
+
+
 def test_unit_table_extension_closed_forms():
     p = params(s0=1.0)
     t = ksfv.build_table(p, ksfv.RatioSpec.unit(), s_max=10.0)
@@ -554,3 +602,31 @@ def test_failure_below_s0_keeps_the_near_zero_verdict(monkeypatch):
     monkeypatch.setattr(nonlin_mod, "adaptive_simpson", failing)
     with pytest.raises(DivergenceError, match="tau\\^-1.5 near 0: not integrable at 0\\+"):
         ksfv.build_table(params(alpha=1, beta=2.5, eps=0.0, s0=1.0))
+
+
+def test_failure_of_the_walk_below_s0_is_raised_where_a_run_needs_it(monkeypatch):
+    import ksfv.nonlin as nonlin_mod
+    from ksfv.errors import DivergenceError, QuadratureError
+    from ksfv.solver import RunConfig, run, steady_signal
+
+    real = nonlin_mod.adaptive_simpson
+
+    def failing_below_s0(f, a, b, tol):
+        if min(np.min(a), np.min(b)) < 1.0:
+            raise QuadratureError("non-finite integrand", (1e-8, 2e-8), non_finite=True)
+        return real(f, a, b, tol)
+
+    monkeypatch.setattr(nonlin_mod, "adaptive_simpson", failing_below_s0)
+    p = params(alpha=1, beta=2.5, eps=0.0, s0=1.0)
+    dom = ksfv.DomainSpec(ksfv.INTERVAL, 1.0, 1, 16)
+    g = ksfv.make_grid(dom)
+    wave = np.cos(np.pi * g.centers)
+
+    def config(u0):
+        return RunConfig(dom, p, u0, steady_signal(u0, g), t_end=1e-3)
+
+    with pytest.raises(DivergenceError, match="tau\\^-1.5 near 0: not integrable at 0\\+"):
+        run(config(1.0 + 0.5 * wave))
+    res = run(config(3.0 + 0.5 * wave))
+    assert res.termination.tag == ksfv.Termination.COMPLETED
+    assert min(row.min_u for row in res.rows) >= 1.0

@@ -7,8 +7,11 @@ oracle: step() must reproduce, to the last bit, the explicit update assembled
 from the checked flux oracles in oracles.py and the public growth. A
 differential test holds run()'s one-pass step, with its folded identities,
 shared face gradient and carried max, to a plain reference loop: the same dt
-and state after every step.
+and state after every step. Another holds a run whose table is walked below
+s0 on demand to the same run on build_table's eager table: the same bytes.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,7 +29,16 @@ from ksfv.nonlin import (
     sensitivity,
 )
 from ksfv.output import rows_to_csv
-from ksfv.solver import RunConfig, Termination, cfl_dt, run, steady_signal, step
+from ksfv.solver import (
+    RunConfig,
+    TableCache,
+    Termination,
+    cfl_dt,
+    initial_table_key,
+    run,
+    steady_signal,
+    step,
+)
 from oracles import chemotactic_flux, diffusive_flux, growth_cutoff
 
 # derandomized and without an example database, so every run of the suite
@@ -371,3 +383,84 @@ def test_pruned_dt_bound_is_the_unpruned_max_bitwise(case):
         lo, hi = _bisect(skips, 0.0, 1e12)
         for lam in (lo, hi):
             assert _kernel_dt(kern, u, lam * v, True) == expected(lam * v)
+
+
+@st.composite
+def below_s0_configs(draw):
+    """A 10-step config whose density dips below s0 = 1, and a step count.
+
+    The density is either a gauss bump on a vacuum cell, where G is read at
+    s_min, or a cosine below s0 that strong damping (a = 0, b >= 5) drives
+    down, so that the rows' walk below s0 goes on as the run does.
+    """
+    dom = draw(domains())
+    p = draw(params_st)
+    g = ksfv.make_grid(dom)
+    if draw(st.booleans()):
+        amp, width, center = draw(_unit(0.5, 5.0)), draw(_unit(0.05, 0.3)), draw(_unit(0.0, 1.0))
+        u0 = build_field(f"gauss:base=0.0,amp={amp!r},width={width!r},center={center!r}", g)
+        u0[draw(st.integers(0, dom.cells - 1))] = 0.0
+    else:
+        p = dataclasses.replace(p, a=0.0, b=draw(_unit(5.0, 20.0)))
+        base = draw(_unit(0.5, 0.9))
+        u0 = build_field(f"cosine:base={base!r},amp={0.1 * base!r},mode=1.0", g)
+    v0 = steady_signal(u0, g)
+    dt0 = cfl_dt(State(u0, v0, 0.0), g, p, 0.4)
+    return RunConfig(dom, p, u0, v0, t_end=10 * dt0, dt_max=dt0), draw(st.integers(1, 8))
+
+
+def _run_ending(cfg, tables, end, after):
+    """run(cfg, tables=tables), made to end as `end` after `after` steps unless Completed."""
+    import ksfv.solver as solver_mod
+
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        if end == Termination.DT_UNDERFLOW:
+            real_bound = solver_mod._Kernel.dt_bound
+
+            def dt_bound(self, *args):
+                calls.append(1)
+                return real_bound(self, *args) if len(calls) <= after else 0.0
+
+            mp.setattr(solver_mod._Kernel, "dt_bound", dt_bound)
+        elif end == Termination.NUMERICAL_FAILURE:
+            real_advance = solver_mod._Kernel.advance
+
+            def advance(self, u, v, u_new, v_new, *args):
+                real_advance(self, u, v, u_new, v_new, *args)
+                calls.append(1)
+                if len(calls) > after:
+                    u_new[0] = np.nan
+
+            mp.setattr(solver_mod._Kernel, "advance", advance)
+        return run(cfg, tables=tables)
+
+
+def _result_bytes(res):
+    rows = np.array([dataclasses.astuple(r) for r in res.rows]).tobytes()
+    state = res.final_state.u.tobytes() + res.final_state.v.tobytes()
+    numbers = np.array([
+        res.final_state.t, res.steps, res.mass_law_residual_u, res.mass_law_residual_v,
+        res.min_u_seen, res.min_v_seen, res.v_w12_final, res.v_w12_max,
+    ]).tobytes()
+    return rows, state, numbers, repr(res.termination), rows_to_csv(res.rows)
+
+
+@pytest.mark.parametrize("diag_every", [1, 7])
+@pytest.mark.parametrize(
+    "end", [Termination.COMPLETED, Termination.DT_UNDERFLOW, Termination.NUMERICAL_FAILURE]
+)
+@settings(RUN_PROPERTY, max_examples=4)
+@given(case=below_s0_configs())
+def test_run_on_a_table_walked_on_demand_equals_the_eager_table_run(end, diag_every, case):
+    cfg, after = case
+    cfg = dataclasses.replace(cfg, diag_every=diag_every)
+    eager = TableCache()
+    key = initial_table_key(cfg)
+    ratio_spec, s_max, tol = key[-3:]
+    eager._tables[key] = ksfv.build_table(cfg.params, ratio_spec, s_max=s_max, tol=tol)
+    assert eager.get(cfg).low == 0 and TableCache().get(cfg).low > 0
+    lazy_run = _run_ending(cfg, None, end, after)
+    eager_run = _run_ending(cfg, eager, end, after)
+    assert lazy_run.termination.tag == end
+    assert _result_bytes(lazy_run) == _result_bytes(eager_run)

@@ -11,6 +11,7 @@ import ksfv
 from ksfv import nonlin, quadrature
 from ksfv.errors import DivergenceError, QuadratureError
 from ksfv.quadrature import adaptive_simpson, moment_integral
+from oracles import RATIOS, TABLE_GRID
 
 
 @pytest.mark.parametrize(
@@ -212,39 +213,28 @@ def _reference_walk(rho, knots, G, H, Gp, start, stop, seg_tol):
         H[k + step] = H[k] + reference_simpson(lambda t: t * rho(t), a, b, seg_tol)
 
 
-RATIOS = {
-    "model": ksfv.RatioSpec.model(),
-    "unit": ksfv.RatioSpec.unit(),
-    "custom": ksfv.RatioSpec.custom(
-        lambda t: 1.0 / (t * math.sqrt(1.0 + t)), lambda t: -1.0 / t
-    ),
-}
-
-
 @pytest.mark.parametrize("ratio", sorted(RATIOS))
 def test_tables_equal_reference_walk_bitwise(ratio):
     spec = RATIOS[ratio]
-    for alpha in (1.0, 2.0):
-        for beta in (1.0, 2.0, 2.5, 3.0):
-            for eps in (0.0, 1e-3, 1e-2):
-                p = ksfv.ModelParams(alpha=alpha, beta=beta, eps=eps, s0=1.0)
-                t = nonlin.build_table(p, spec, s_max=1e3).covering(5e4).covering(1e7)
-                knots = nonlin._make_knots(1e-8, 1.0, 1e3)
-                assert t.base_knots == len(knots)
-                r = 10.0 ** (1.0 / 48)
-                extension = [knots[-1] * r ** k for k in range(1, len(t.knots) - len(knots) + 1)]
-                knots = np.concatenate([knots, extension])
-                assert np.array_equal(t.knots, knots) and knots[-2] < 1e7 <= knots[-1]
-                G, H, Gp = np.zeros_like(knots), np.zeros_like(knots), np.zeros_like(knots)
-                rho, rho_prime = nonlin._scalar_ratio(p, spec)
-                i0 = int(np.argmin(np.abs(knots - 1.0)))
-                _reference_walk(rho, knots, G, H, Gp, i0, len(knots) - 1, t.seg_tol)
-                _reference_walk(rho, knots, G, H, Gp, i0, 0, t.seg_tol)
-                assert np.array_equal(t.G_vals, G), (alpha, beta, eps)
-                assert np.array_equal(t.H_vals, H), (alpha, beta, eps)
-                assert np.array_equal(t.Gp_vals, Gp), (alpha, beta, eps)
-                assert np.array_equal(t.rho_vals, [rho(x) for x in knots])
-                assert np.array_equal(t.rho_prime_vals, [rho_prime(x) for x in knots])
+    for alpha, beta, eps in TABLE_GRID:
+        p = ksfv.ModelParams(alpha=alpha, beta=beta, eps=eps, s0=1.0)
+        t = nonlin.build_table(p, spec, s_max=1e3).covering(5e4).covering(1e7)
+        knots = nonlin._make_knots(1e-8, 1.0, 1e3)
+        assert t.base_knots == len(knots)
+        r = 10.0 ** (1.0 / 48)
+        extension = [knots[-1] * r ** k for k in range(1, len(t.knots) - len(knots) + 1)]
+        knots = np.concatenate([knots, extension])
+        assert np.array_equal(t.knots, knots) and knots[-2] < 1e7 <= knots[-1]
+        G, H, Gp = np.zeros_like(knots), np.zeros_like(knots), np.zeros_like(knots)
+        rho, rho_prime = nonlin._scalar_ratio(p, spec)
+        i0 = int(np.argmin(np.abs(knots - 1.0)))
+        _reference_walk(rho, knots, G, H, Gp, i0, len(knots) - 1, t.seg_tol)
+        _reference_walk(rho, knots, G, H, Gp, i0, 0, t.seg_tol)
+        assert np.array_equal(t.G_vals, G), (alpha, beta, eps)
+        assert np.array_equal(t.H_vals, H), (alpha, beta, eps)
+        assert np.array_equal(t.Gp_vals, Gp), (alpha, beta, eps)
+        assert np.array_equal(t.rho_vals, [rho(x) for x in knots])
+        assert np.array_equal(t.rho_prime_vals, [rho_prime(x) for x in knots])
 
 
 def test_batch_names_a_non_finite_interval():
