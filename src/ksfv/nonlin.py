@@ -58,8 +58,8 @@ def _sensitivity(u: np.ndarray, p: ModelParams) -> np.ndarray:
     return p.psi_c * u ** p.beta
 
 
-def _growth(u: np.ndarray, p: ModelParams) -> np.ndarray:
-    return p.a - p.b * u ** p.kappa
+def _growth(u: np.ndarray, p: ModelParams, out=None) -> np.ndarray:
+    return np.subtract(p.a, p.b * u ** p.kappa, out=out)
 
 
 def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams, umax=None) -> np.ndarray:
@@ -745,11 +745,20 @@ def effective_psi(p: ModelParams, ov: Optional[Overrides]):
     return lambda u: _sensitivity(u, p)
 
 
+def _zero_f(u, umax=None, out=None):
+    if out is None:
+        return np.zeros_like(u)
+    out[...] = 0.0
+    return out
+
+
 def effective_f(p: ModelParams, ov: Optional[Overrides]):
-    """f(u, umax=None), where umax is max(u) if known."""
+    """f(u, umax=None, out=None), where umax is max(u) if known; out receives f(u) if given."""
     if ov is not None and ov.zero_f:
-        return lambda u, umax=None: np.zeros_like(u)
+        return _zero_f
     if p.b == 1.0:
         a, kappa = p.a, p.kappa
-        return lambda u, umax=None: _cut_off(a - u ** kappa, u, p, umax)
-    return lambda u, umax=None: _cut_off(_growth(u, p), u, p, umax)
+        return lambda u, umax=None, out=None: _cut_off(
+            np.subtract(a, u ** kappa, out=out), u, p, umax
+        )
+    return lambda u, umax=None, out=None: _cut_off(_growth(u, p, out), u, p, umax)

@@ -32,13 +32,33 @@ G of the new and the old u and G' of the old u from one Hermite basis over
 both (energy.lyapunov_terms, energy.dissipation_terms). The exact
 identities of the parameters (ln^1 = ln, psi(u) = u at psi_c = beta = 1,
 b = 1, a constant drift slope at beta = 1) are folded once per run, where
-nonlin.effective_phi/psi/f build the check-free closures and where _Kernel
+nonlin.effective_phi/psi/f build the check-free closures and where _Model
 builds its rate factors. Every result is bitwise the unfolded scheme's.
+
+Lockstep. lockstep.run_lockstep advances B >= 1 runs on one grid
+together, and run(cfg) is the lockstep march of one run, so there is one
+step loop; the per-run state and rows live in lockstep._Point. Each run's
+record is bitwise its solo run's whatever runs beside it. Batched,
+one numpy call for all the runs: the face gradients, phi, psi, the flux,
+its divergence, the u and v right-hand sides, the coefficients of the v
+solves and the min/max checks. Each run's own: f(u) and the reaction rate
+(kappa), dt with its clamps and probes, the mass dots and mass-law
+residuals (a BLAS matrix product is not bitwise per row), one dgtsv call on
+its own cells (a block-diagonal call would carry one run's nan into the
+next), its diagnostics rows, its termination, after which it leaves the
+march, and its KsfvError, which ends it alone while the others go on. phi
+is evaluated once per block of runs with equal alpha and eps, psi and the
+drift slope once per block with equal psi_c and beta, since numpy computes
+u ** 2.0 as a square and an array exponent would not: the runs are ordered
+so that each block is contiguous. Runs that share an initial G-table share
+its walked range (TableCache.covering). A lone run (B = 1) steps with a
+float dt, with no per-cell dt array and no block loop.
 
 Rate pruning. dt = cfl / (max(diffusion, drift, reaction) + guard), and the
 max is all that is used. The reaction rate is O(1) and always computed. The
-rate that limited the previous step is computed first, over the cells; the
-other one is computed only if its bound exceeds the max of those two:
+drift rate is computed first, over the cells, if it limited the last step
+of any run, else the diffusion rate; the other one is computed only if, for
+some run, its bound exceeds the max of that run's rates computed so far:
 - diffusion <= phi(max u) * diff_geom, since phi = ln^alpha(1 + u + eps)
   is nondecreasing; a unit phi is the same formula with alpha = 0;
 - drift <= slope_c * (max u)^(beta-1) * max_i(adv_l + adv_r) * (max v - min v)/h,
@@ -51,14 +71,22 @@ the regrouping of adv_l a + adv_r b as (adv_l + adv_r) D. The relative
 slack is exp((e + 2) 2^-40), e = alpha or beta - 1, over a thousand times
 those errors, and an absolute 2^-1000 covers subnormal intermediates. A
 skipped rate is then at most the max of the computed ones, so the max, and
-dt, is bitwise the unpruned value.
+dt, is bitwise the unpruned value, whichever rate goes first and whether
+or not the other is skipped: each run's dt is its solo dt.
 
-Buffers. run() owns one (2, 2, cells) array: the current (u, v) and the
-next. A step reads the current state, writes the next one, and solves v in
-place in the next state's v row; then the two swap. Only that buffer is
-ever solved in place: step(), cfl_dt() and steady_signal() leave their
-inputs untouched. The kernel owns the face gradients (2, cells + 1) and the
-flux; they hold the last gradients() call's state until the next call.
+Buffers. A march owns one (2, 2, B*cells) array: the current (u, v) and
+the next, each run's cells end to end. A step reads the current state,
+writes the next one, and solves v in place in each run's cells of the next
+state's v row; then the two swap. When a run ends or joins, the runs left
+are tiled afresh into a new array, each keeping its current and previous
+state and its last face mobility. Only those buffers are ever solved in
+place: step(), cfl_dt() and steady_signal() leave their inputs untouched.
+The kernel owns the face gradients (2, B*cells + 1) and the flux; they
+hold the last gradients() call's state until the next call. The face
+between two runs is a boundary face of both, as the grid's end faces are:
+its gradients are set to zero, so that its transmissibility 0 never meets
+an overflowed gradient (0*inf is nan), and its flux is set to +0.0 after
+the flux formula, so that each run's divergence is its own.
 
 Floating-point warnings. The step loop runs under np.errstate(all="ignore"),
 set once per run: a non-finite or negative state is caught by the step's
@@ -74,8 +102,9 @@ import importlib.util
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,12 +118,12 @@ from .core import (
     make_grid,
     validate_field,
 )
-from .discrete import div_cells, grad_faces, interior_flux
+from .discrete import div_cells, interior_flux
 
 # perfbench/tracing.py wraps solver.lyapunov and solver.dissipation by name;
-# run() calls the term helpers instead
-from .energy import dissipation, dissipation_terms, lyapunov, lyapunov_terms  # noqa: F401
-from .errors import ConfigError, DomainError, NumericsError, ScanAbortedError
+# the rows of a run (lockstep._Point) call their term helpers instead
+from .energy import dissipation, lyapunov  # noqa: F401
+from .errors import ConfigError, DomainError, KsfvError, NumericsError, ScanAbortedError
 from .nonlin import (
     FunctionalTable,
     Overrides,
@@ -245,118 +274,250 @@ class RunResult:
     probe_states: List[State] = dc_field(default_factory=list)
 
 
-class _Kernel:
-    """Per-run precomputation and the one-pass explicit step.
+class _Model:
+    """One run's nonlinearities and the scalar factors of its CFL rates.
 
     Built once per run: the effective nonlinearities, which fold the exact
-    identities of the parameters (nonlin.effective_*), the constant factors of
-    the three CFL rates and of their bounds, and the face buffers. The rates
-    have one formula, the model's: an override's zero_psi or zero_f only sets
-    the constants of the drift or reaction slope to 0, the exact slope of
-    zero, and unit_phi sets the diffusion bound's exponent to 0. A step
-    calls gradients(s) on its state s = (u, v), then dt_bound and advance,
-    which read those gradients (grad, with the views dvf of v's row and
-    du_in, dv_in of the interior faces); advance leaves the face mobility
-    phi(u_face) in mob. Its methods take validated float arrays and do no
-    domain checks.
+    identities of the parameters (nonlin.effective_*), and the constant
+    factors of the three CFL rates and of their bounds. The rates have one
+    formula, the model's: an override's zero_psi or zero_f only sets the
+    constants of the drift or reaction slope to 0, the exact slope of zero,
+    and unit_phi sets the diffusion bound's exponent to 0. phi_key holds
+    what phi reads, psi_key what psi and the drift slope read, so that runs
+    with equal keys evaluate them in one call; lead_drift records whether
+    the drift rate limited the run's last dt. umax, v_range and cfl are
+    what _Kernel.dt_bound reads of the run: max(u) and max(v) - min(v) of
+    its current state, and its CFL number.
     """
 
-    def __init__(self, grid: Grid, p: ModelParams, ov: Optional[Overrides]):
-        self.grid = grid
+    __slots__ = (
+        "phi", "psi", "f", "slope_c", "slope_exp", "react_c", "react_exp", "eps", "alpha",
+        "diff_slack", "adv_slack", "phi_key", "psi_key", "lead_drift", "umax", "v_range",
+        "cfl",
+    )
+
+    def __init__(self, p: ModelParams, ov: Optional[Overrides]):
         self.phi = effective_phi(p, ov)
         self.psi = effective_psi(p, ov)
         self.f = effective_f(p, ov)
-        V = grid.cell_volume
-        T = grid.trans
-        self.diff_geom = float(np.maximum.reduce((T[:-1] + T[1:]) / V))  # = 2/h^2 on an interval
-        th = T * grid.h
-        self.adv_l = th[:-1] / V  # A_j/V_i for the left face of each cell
-        self.adv_r = th[1:] / V
-        # the drift slope psi'(u) = psi_c*beta*u^(beta-1); at beta = 1 it is
-        # the constant psi_c*beta, and max(c*g) = c*max(g) exactly for c >= 0.
-        # A zero psi or f has the exact slope 0, so its rate is 0.0.
         unit_phi = ov is not None and ov.unit_phi
         zero_psi = ov is not None and ov.zero_psi
         zero_f = ov is not None and ov.zero_f
+        # the drift slope psi'(u) = psi_c*beta*u^(beta-1); at beta = 1 it is
+        # the constant psi_c*beta, and max(c*g) = c*max(g) exactly for c >= 0.
+        # A zero psi or f has the exact slope 0, so its rate is 0.0.
         self.slope_c = 0.0 if zero_psi else p.psi_c * p.beta
         self.slope_exp = None if zero_psi or p.beta == 1.0 else p.beta - 1.0
         self.react_c = 0.0 if zero_f else p.b * p.kappa
         self.react_exp = 0.0 if zero_f else p.kappa - 1.0
         self.eps = p.eps
-        self.h = grid.h
         # bounds of the diffusion and drift rates (module docstring); a unit
         # phi is ln^0, whose bound is 1 up to the slack
-        self._alpha = 0.0 if unit_phi else p.alpha
-        self._diff_slack = _slack(self._alpha)
-        self._adv_slack = _slack(0.0 if self.slope_exp is None else self.slope_exp)
-        self.lead_drift = False  # whether the drift rate limited the last dt_bound
+        self.alpha = 0.0 if unit_phi else p.alpha
+        self.diff_slack = _slack(self.alpha)
+        self.adv_slack = _slack(0.0 if self.slope_exp is None else self.slope_exp)
+        self.phi_key = (unit_phi, p.alpha, p.eps)
+        self.psi_key = (zero_psi, p.psi_c, p.beta)
+        self.lead_drift = False
+        self.umax = self.v_range = self.cfl = math.nan
+
+
+# the geometry div_cells reads, tiled over the runs of a lockstep kernel
+_Tiles = namedtuple("_Tiles", "face_area cell_volume")
+
+
+def _by_block(blocks, name: str, x: np.ndarray) -> np.ndarray:
+    """The model function `name` of each block on its part of x, cells or interior faces.
+
+    blocks are (model, cells) pairs (_Kernel._blocks). The interior faces are
+    one fewer than the cells: the last block ends one short, and a block's
+    last face lies between two runs.
+    """
+    out = np.empty_like(x)
+    for m, cells in blocks:
+        part = slice(cells.start, min(cells.stop, len(x)))
+        out[part] = getattr(m, name)(x[part])
+    return out
+
+
+class _Kernel:
+    """The one-pass explicit step of B >= 1 runs on one grid, in lockstep.
+
+    The runs' states lie end to end: a state s = (u, v) of the kernel is a
+    (2, B*cells) array, run k's cells are cells(k), its faces faces(k) and
+    its interior faces inner(k). Each elementwise op of the step is one
+    numpy call for all the runs. A face between two runs is a boundary face
+    of both: its gradients are zero and its flux +0.0. phi is evaluated once
+    per block of consecutive runs with equal _Model.phi_key, psi and the
+    drift slope once per block with equal psi_key; f, dt and the v solve are
+    per run. A step calls gradients(s) on its state s = (u, v), then
+    dt_bound and advance, which read those gradients (grad, with the views
+    dvf of v's row and du_in, dv_in of the interior faces); advance leaves
+    the face mobility phi(u_face) in mob. Its methods take validated float
+    arrays and do no domain checks.
+    """
+
+    def __init__(self, grid: Grid, models: Sequence[_Model]):
+        self.grid = grid
+        self.models = models
+        self.n = n = grid.cells
+        self.B = B = len(models)
+        V = grid.cell_volume
+        T = grid.trans
+        self.diff_geom = float(np.maximum.reduce((T[:-1] + T[1:]) / V))  # = 2/h^2 on an interval
+        th = T * grid.h
+        adv_l = th[:-1] / V  # A_j/V_i for the left face of each cell
+        adv_r = th[1:] / V
+        self.h = grid.h
+        self._phi_blocks = self._blocks("phi_key")
+        self._psi_blocks = self._blocks("psi_key")
+        if B == 1:
+            self.adv_l, self.adv_r, self._geom = adv_l, adv_r, grid
+        else:
+            self.adv_l, self.adv_r = np.tile(adv_l, B), np.tile(adv_r, B)
+            A = grid.face_area
+            self._geom = _Tiles(np.concatenate((np.tile(A[:-1], B), A[-1:])), np.tile(V, B))
+            # the interior faces between two runs: n - 1, 2n - 1, ...
+            self._seams = slice(n - 1, None, n)
+        # a partial, not a lambda over self: a kernel in a reference cycle
+        # would keep its runs' table caches alive until the cyclic collector
+        self.phi, self.psi = models[0].phi, models[0].psi
+        if len(self._phi_blocks) > 1:
+            self.phi = partial(_by_block, self._phi_blocks, "phi")
+        if len(self._psi_blocks) > 1:
+            self.psi = partial(_by_block, self._psi_blocks, "psi")
         # face gradients of u and v, and the face flux; boundary faces stay zero
-        n = grid.cells + 1
-        self.grad = np.zeros((2, n))
+        m = B * n + 1
+        self.grad = np.zeros((2, m))
         self.dvf = self.grad[1]
         self._grad_in = self.grad[:, 1:-1]
         self.du_in, self.dv_in = self._grad_in[0], self._grad_in[1]
-        self._flux = np.zeros(n)
+        self._flux = np.zeros(m)
         self._flux_in = self._flux[1:-1]
         self.mob: Optional[np.ndarray] = None
+        self.failed: List[Tuple[int, NumericsError]] = []  # the runs whose last v solve failed
+
+    def cells(self, k: int) -> slice:
+        return slice(k * self.n, (k + 1) * self.n)
+
+    def faces(self, k: int) -> slice:
+        return slice(k * self.n, (k + 1) * self.n + 1)
+
+    def inner(self, k: int) -> slice:
+        return slice(k * self.n, (k + 1) * self.n - 1)
 
     @cached_property
     def _tri(self) -> "_Tridiag":
         # built on the first advance, so that cfl_dt() does not pay for it
-        return _Tridiag(self.grid)
+        return _Tridiag(self.grid, self.B)
 
     @cached_property
     def _adv_geom(self) -> float:
         # max_i (adv_l + adv_r), for the drift bound; step() does not pay for it
         return float(np.maximum.reduce(self.adv_l + self.adv_r))
 
+    def _blocks(self, key: str) -> List[Tuple[_Model, slice]]:
+        """The runs in blocks of equal `key`: each block's first model and its cells."""
+        models, n = self.models, self.n
+        keys = [getattr(m, key) for m in models]
+        starts = [k for k in range(self.B) if k == 0 or keys[k] != keys[k - 1]]
+        return [(models[a], slice(a * n, b * n)) for a, b in zip(starts, starts[1:] + [self.B])]
+
+    def _rowmax(self, x: np.ndarray) -> List[float]:
+        """The max of x over the cells of each run it covers."""
+        if self.B == 1:
+            return [float(np.maximum.reduce(x))]
+        return np.maximum.reduce(x.reshape(-1, self.n), axis=1).tolist()
+
     def gradients(self, s: np.ndarray) -> None:
-        """Set self.grad to the face gradients of u and v, s = (u, v), each bitwise grad_faces."""
+        """Set self.grad to the face gradients of s = (u, v), each run's bitwise grad_faces."""
         g = self._grad_in
         np.subtract(s[:, 1:], s[:, :-1], out=g)
         np.divide(g, self.h, out=g)
+        if self.B > 1:
+            g[:, self._seams] = 0.0
 
-    def _rate_diff(self, u: np.ndarray) -> float:
-        return float(np.maximum.reduce(self.phi(u))) * self.diff_geom
+    def _rate_diff(self, u: np.ndarray) -> List[float]:
+        geom = self.diff_geom
+        return [x * geom for x in self._rowmax(self.phi(u))]
 
-    def _rate_drift(self, u: np.ndarray, dvf: np.ndarray) -> float:
+    def _rate_drift(self, u: np.ndarray, dvf: np.ndarray) -> List[float]:
         # donor-respecting drift rate: cell i loses mass across its left face
         # only when the drift there points left, across its right face only
         # when it points right; the positivity bound needs exactly those terms.
         geom_dv = self.adv_l * np.maximum(-dvf[:-1], 0.0) + self.adv_r * np.maximum(dvf[1:], 0.0)
-        if self.slope_exp is None:
-            return self.slope_c * float(np.maximum.reduce(geom_dv))
-        slope = self.slope_c * u ** self.slope_exp
-        return float(np.maximum.reduce(slope * geom_dv))
+        if len(self._psi_blocks) == 1:
+            m = self.models[0]
+            if m.slope_exp is None:
+                c = m.slope_c
+                return [c * x for x in self._rowmax(geom_dv)]
+            return self._rowmax(m.slope_c * u ** m.slope_exp * geom_dv)
+        # each block's slope into its cells; a constant slope c >= 0 there
+        # gives max(c*g) = c*max(g) exactly
+        slope = np.empty_like(u)
+        for m, cells in self._psi_blocks:
+            if m.slope_exp is None:
+                slope[cells] = m.slope_c
+            else:
+                np.multiply(m.slope_c, u[cells] ** m.slope_exp, out=slope[cells])
+        return self._rowmax(slope * geom_dv)
 
-    def _bound_diff(self, umax: float) -> float:
-        phi_max = _pow(math.log1p(umax + self.eps), self._alpha) * self._diff_slack + _TINY
+    def _bound_diff(self, m: _Model) -> float:
+        phi_max = _pow(math.log1p(m.umax + m.eps), m.alpha) * m.diff_slack + _TINY
         return phi_max * self.diff_geom
 
-    def _bound_drift(self, umax: float, v_range: float) -> float:
-        g = self._adv_geom * (v_range / self.h) * _GEOM_SLACK + _TINY
-        if self.slope_exp is None:
-            return self.slope_c * g
-        return self.slope_c * (_pow(umax, self.slope_exp) * self._adv_slack + _TINY) * g
+    def _bound_drift(self, m: _Model) -> float:
+        g = self._adv_geom * (m.v_range / self.h) * _GEOM_SLACK + _TINY
+        if m.slope_exp is None:
+            return m.slope_c * g
+        return m.slope_c * (_pow(m.umax, m.slope_exp) * m.adv_slack + _TINY) * g
 
-    def dt_bound(self, u: np.ndarray, umax: float, v_range: float, cfl: float) -> float:
-        """cfl / max(diffusive, advective, reaction rate), after gradients(s).
+    def dt_bound(self, u: np.ndarray) -> List[float]:
+        """Each run's cfl / max(diffusive, advective, reaction rate), after gradients(s).
 
-        umax = max(u) and v_range = max(v) - min(v). A rate whose bound is at
-        most the max of the rates already computed is skipped as 0.0, which
-        leaves the max as it is.
+        Each model's umax, v_range and cfl are read. The drift rate goes first
+        if it limited any run's last dt, else the diffusion rate; the other
+        one is skipped as 0.0 when every run's bound of it is at most the max
+        of that run's rates already computed, which leaves each max as it is.
         """
-        rate_react = self.react_c * _pow(umax + self.eps, self.react_exp) if umax > 0.0 else 0.0
-        if self.lead_drift:
-            rate_drift = self._rate_drift(u, self.dvf)
-            skip = self._bound_diff(umax) <= max(rate_drift, rate_react)
-            rate_diff = 0.0 if skip else self._rate_diff(u)
+        models = self.models
+        if self.B == 1:
+            # the same rule, on scalars: one run does the work it does alone
+            m = models[0]
+            umax = m.umax
+            react = m.react_c * _pow(umax + m.eps, m.react_exp) if umax > 0.0 else 0.0
+            if m.lead_drift:
+                (drift,) = self._rate_drift(u, self.dvf)
+                skip = self._bound_diff(m) <= max(drift, react)
+                diff = 0.0 if skip else float(np.maximum.reduce(self.phi(u))) * self.diff_geom
+            else:
+                diff = float(np.maximum.reduce(self.phi(u))) * self.diff_geom
+                skip = self._bound_drift(m) <= max(diff, react)
+                drift = 0.0 if skip else self._rate_drift(u, self.dvf)[0]
+            m.lead_drift = drift > diff
+            return [m.cfl / (max(diff, drift, react) + _RATE_GUARD)]
+        react = [
+            m.react_c * _pow(m.umax + m.eps, m.react_exp) if m.umax > 0.0 else 0.0 for m in models
+        ]
+        if any([m.lead_drift for m in models]):
+            drift = self._rate_drift(u, self.dvf)
+            diff = [0.0] * self.B
+            for m, a, r in zip(models, drift, react):
+                if not self._bound_diff(m) <= max(a, r):
+                    diff = self._rate_diff(u)
+                    break
         else:
-            rate_diff = self._rate_diff(u)
-            skip = self._bound_drift(umax, v_range) <= max(rate_diff, rate_react)
-            rate_drift = 0.0 if skip else self._rate_drift(u, self.dvf)
-        self.lead_drift = rate_drift > rate_diff
-        return cfl / (max(rate_diff, rate_drift, rate_react) + _RATE_GUARD)
+            diff = self._rate_diff(u)
+            drift = [0.0] * self.B
+            for m, d, r in zip(models, diff, react):
+                if not self._bound_drift(m) <= max(d, r):
+                    drift = self._rate_drift(u, self.dvf)
+                    break
+        out = []
+        for m, d, a, r in zip(models, diff, drift, react):
+            m.lead_drift = a > d
+            out.append(m.cfl / (max(d, a, r) + _RATE_GUARD))
+        return out
 
     def advance(
         self,
@@ -364,23 +525,39 @@ class _Kernel:
         v: np.ndarray,
         u_new: np.ndarray,
         v_new: np.ndarray,
-        dt: float,
+        dt,
         f_u: np.ndarray,
     ) -> None:
         """One IMEX update of (u, v) into (u_new, v_new), given gradients((u, v)) and f_u = f(u).
 
-        The outputs must not overlap the inputs; the v solve runs in place in
-        v_new, a contiguous array. No validation: callers check the result for
-        finiteness and positivity.
+        dt is the step of the one run, or the list of each run's step. The
+        outputs must not overlap the inputs; each run's v solve runs in place
+        in its cells of v_new, a contiguous array. A run whose solve fails is
+        listed in failed with its error, and the other runs go on. No
+        validation: callers check the result for finiteness and positivity.
         """
         self.mob = interior_flux(self._flux_in, u, self.du_in, self.dv_in, self.phi, self.psi)
+        if self.B == 1:
+            dt_cells = dt
+        else:
+            # after the flux formula, whose 0*inf there would be nan
+            self._flux_in[self._seams] = 0.0
+            dt = np.array(dt)
+            dt_cells = dt.repeat(self.n)
         # u + dt * (div + f_u) and v + dt * u_new, in the order of those expressions
-        np.add(div_cells(self._flux, self.grid), f_u, out=u_new)
-        np.multiply(dt, u_new, out=u_new)
+        np.add(div_cells(self._flux, self._geom), f_u, out=u_new)
+        np.multiply(dt_cells, u_new, out=u_new)
         np.add(u, u_new, out=u_new)
-        np.multiply(dt, u_new, out=v_new)
+        np.multiply(dt_cells, u_new, out=v_new)
         np.add(v, v_new, out=v_new)
-        self._tri.solve(1.0 + dt, dt, v_new, in_place=True)
+        if self.B > 1:
+            self.failed = self._tri.solve_runs(dt, v_new.reshape(self.B, self.n))
+            return
+        self.failed = []
+        try:
+            self._tri.solve(1.0 + dt, dt, v_new, in_place=True)
+        except NumericsError as exc:
+            self.failed.append((0, exc))
 
 
 class _Tridiag:
@@ -389,37 +566,59 @@ class _Tridiag:
     c = 1 + dt, s = dt is the screened backward-Euler step; c = s = 1 the
     steady signal equation. The couplings are formed as (-s T) / V, in that
     order, so every caller's matrix is rounded identically. The boundary
-    couplings are -0.0, as (-s * 0) / V gives.
+    couplings are -0.0, as (-s * 0) / V gives. With runs > 1 it holds the
+    matrices of that many runs, one row each, formed in one call for all
+    (solve_runs).
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, runs: int = 1):
         V = grid.cell_volume
         t_in = grid.trans[1:-1]
         n = grid.cells
-        couplings = np.empty(2 * n)
-        couplings[0] = couplings[-1] = -0.0
-        self.lower = couplings[:n]  # coupling of row i to i-1
-        self.upper = couplings[n:]  # coupling of row i to i+1
-        self.sub, self.sup = self.lower[1:], self.upper[:-1]
+        couplings = np.empty((runs, 2 * n))
+        couplings[:, 0] = couplings[:, -1] = -0.0
+        if runs == 1:
+            couplings = couplings[0]
+        self.lower = couplings[..., :n]  # coupling of row i to i-1
+        self.upper = couplings[..., n:]  # coupling of row i to i+1
+        self.sub, self.sup = self.lower[..., 1:], self.upper[..., :-1]
         # sub and sup are adjacent in couplings: one product and one quotient
         # form both, (-s T[1:-1]) / V[1:] and (-s T[1:-1]) / V[:-1]
-        self._inner = couplings[1:-1]
+        self._inner = couplings[..., 1:-1]
         self._t_in2 = np.concatenate((t_in, t_in))
         self._v_in2 = np.concatenate((V[1:], V[:-1]))
-        self._diag = np.empty(n)
+        self._diag = np.empty(couplings.shape[:-1] + (n,))
+        self._runs = list(zip(self.sub, self._diag, self.sup)) if runs > 1 else None
+
+    def _bands(self, c, s) -> None:
+        np.multiply(-s, self._t_in2, out=self._inner)
+        np.divide(self._inner, self._v_in2, out=self._inner)
+        np.subtract(c, self.upper, out=self._diag)
+        np.subtract(self._diag, self.lower, out=self._diag)
 
     def solve(self, c: float, s: float, rhs: np.ndarray, in_place: bool = False) -> np.ndarray:
         """The solution; in_place overwrites rhs with it (rhs must be a contiguous float array)."""
-        np.multiply(-s, self._t_in2, out=self._inner)
-        np.divide(self._inner, self._v_in2, out=self._inner)
-        diag = self._diag
-        np.subtract(c, self.upper, out=diag)
-        np.subtract(diag, self.lower, out=diag)
+        self._bands(c, s)
         # dgtsv overwrites sub, diag and sup; solve refills them every call
-        _, _, _, x, info = _dgtsv(self.sub, diag, self.sup, rhs, 1, 1, 1, int(in_place))
+        _, _, _, x, info = _dgtsv(self.sub, self._diag, self.sup, rhs, 1, 1, 1, int(in_place))
         if info != 0:
             raise NumericsError(f"tridiagonal solve failed (info={info})")
         return x
+
+    def solve_runs(self, dt: np.ndarray, rhs: np.ndarray) -> List[Tuple[int, NumericsError]]:
+        """Solve each run's screened step, c = 1 + dt[k] and s = dt[k], in place in its row of rhs.
+
+        One dgtsv call per run, so that one run's nan stays in its row;
+        return the runs whose solve failed, with their errors.
+        """
+        s = dt[:, None]
+        self._bands(1.0 + s, s)
+        failed = []
+        for k, ((sub, diag, sup), x) in enumerate(zip(self._runs, rhs)):
+            info = _dgtsv(sub, diag, sup, x, 1, 1, 1, 1)[4]
+            if info != 0:
+                failed.append((k, NumericsError(f"tridiagonal solve failed (info={info})")))
+        return failed
 
 
 def initial_table_key(cfg: RunConfig) -> tuple:
@@ -431,7 +630,8 @@ def initial_table_key(cfg: RunConfig) -> tuple:
     build_table's s_min, and every table has the same knot density, so those
     are the same for every key. The table is walked from s0 up to s_max only;
     how far below s0 a run walks it depends on the data, so it is not a key:
-    each run's rows walk their own copy down on demand, to the same values.
+    the rows of the runs that share the table walk it on demand, to the same
+    values.
     """
     p = cfg.params
     ov = cfg.overrides
@@ -441,25 +641,26 @@ def initial_table_key(cfg: RunConfig) -> tuple:
 
 
 class TableCache:
-    """The initial G-tables of one call, each built once per distinct input.
+    """The G-tables of one call, each built once per distinct input and walked once.
 
     Runs whose configurations have the same initial_table_key share one
     table. A shared table carries the params of the run that built it; a
-    table reads only their ratio inputs. Each table is walked from s0 up to
-    s_max, with build_table's knots and error bound; below s0, run()'s rows
-    walk it with covering() as far as the densities they evaluate reach, to
-    bitwise the values of build_table's eager walk. A cache belongs to one
+    table reads only their ratio inputs. Each table is built walked from s0
+    up to s_max, with build_table's knots and error bound. The rows of every
+    run that shares it walk it on with covering(), and store the walked table
+    back, so each extension is walked once per cache. covering() of any
+    sequence of ranges gives bitwise build_table's eager walk over them, so
+    a run's rows do not depend on the runs beside it. A cache belongs to one
     process and one thread. There is no module-level cache: each run or
-    continuous_dependence call makes its own, and each run_sweep task (the
-    points of one table group) its own, which lives no longer than that call
-    or task.
+    continuous_dependence call makes its own, and each run_sweep table group
+    its own, which lives no longer than that call or group.
     """
 
     def __init__(self):
         self._tables: Dict[tuple, FunctionalTable] = {}
 
     def get(self, cfg: RunConfig) -> FunctionalTable:
-        """run(cfg)'s initial G-table, built at most once per initial_table_key(cfg)."""
+        """run(cfg)'s G-table, built at most once per initial_table_key(cfg)."""
         key = initial_table_key(cfg)
         table = self._tables.get(key)
         if table is None:
@@ -468,6 +669,11 @@ class TableCache:
                 cfg.params, ratio_spec, s_max=s_max, tol=tol, walk_below_s0=False
             )
             self._tables[key] = table
+        return table
+
+    def covering(self, key: tuple, s: float, lo: float) -> FunctionalTable:
+        """The table of key, walked on to contain s and lo and stored back."""
+        table = self._tables[key] = self._tables[key].covering(s, lo)
         return table
 
 
@@ -505,10 +711,13 @@ def cfl_dt(
     the cells, which bounds phi on the faces, phi being nondecreasing (or 1).
     """
     u, v = _checked_state(state, grid)
-    kern = _Kernel(grid, p, ov)
-    v_range = float(np.maximum.reduce(v)) - float(np.minimum.reduce(v))
+    m = _Model(p, ov)
+    m.umax = float(np.maximum.reduce(u))
+    m.v_range = float(np.maximum.reduce(v)) - float(np.minimum.reduce(v))
+    m.cfl = cfl
+    kern = _Kernel(grid, [m])
     kern.gradients(np.stack((u, v)))
-    return kern.dt_bound(u, float(np.maximum.reduce(u)), v_range, cfl)
+    return kern.dt_bound(u)[0]
 
 
 def step(
@@ -526,10 +735,12 @@ def step(
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
     u, v = _checked_state(state, grid)
-    kern = _Kernel(grid, p, ov)
+    kern = _Kernel(grid, [_Model(p, ov)])
     kern.gradients(np.stack((u, v)))
     u_new, v_new = np.empty((2, grid.cells))
-    kern.advance(u, v, u_new, v_new, dt, kern.f(u))
+    kern.advance(u, v, u_new, v_new, dt, kern.models[0].f(u))
+    if kern.failed:
+        raise kern.failed[0][1]
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise NumericsError(f"non-finite state after step at t={state.t:g}")
     return State(u_new, v_new, state.t + dt)
@@ -555,222 +766,19 @@ def run(
     own row, a NumericalFailure on a row of its last valid state whose step
     columns (dt, dissipation_rhs, identity_residual) are nan. When
     probe_times are given, the step size is clamped so the trajectory lands on
-    each probe time exactly and the state there is recorded. The initial
-    G-table comes from `tables`, so runs that share a cache share their
-    tables; without one the run uses a private cache.
+    each probe time exactly and the state there is recorded. The G-table
+    comes from `tables`, so runs that share a cache share their tables;
+    without one the run uses a private cache. run(cfg) is the lockstep march
+    of one run (lockstep.run_lockstep).
     """
-    grid = make_grid(cfg.domain)
-    cfg.validate(grid)
-    p = cfg.params
-    ov = cfg.overrides
-    kern = _Kernel(grid, p, ov)
-    dt_max = cfg.resolved_dt_max()
-    V = grid.cell_volume
-    n = grid.cells
+    # imported here, so that importing ksfv does not compile the march
+    from .lockstep import run_lockstep
 
-    # the current state (u, v) and the next; each step writes nxt from cur,
-    # then the two swap (see "Buffers" in the module docstring)
-    cur, nxt = np.empty((2, 2, n))
-    u, v = cur
-    u_new, v_new = nxt
-    u[:] = np.asarray(cfg.u0, dtype=float)
-    v[:] = np.asarray(cfg.v0, dtype=float)
-    t = 0.0
-    m0 = linf(u)
-    if tables is None:
-        tables = TableCache()
-    table = tables.get(cfg)
-
-    probes: List[float] = (
-        sorted(float(x) for x in probe_times) if probe_times is not None else []
-    )
-    probe_states: List[State] = []
-    pi = 0
-    while pi < len(probes) and probes[pi] <= 0.0:
-        probe_states.append(State(u.copy(), v.copy(), t))
-        pi += 1
-
-    rows: List[DiagnosticsRow] = []
-    w12: List[float] = []  # the W^{1,2} norm of v at each row
-    caller_err = np.geterr()
-
-    # the two row routines take the state as arguments: a name they closed
-    # over would be a cell variable of run(), slower to reach in the loop
-    def state_row(t, u, v, mass_u, mass_v, umax, dv, fill):
-        """Append a row of the state (u, v) at t, with fill in its step columns; return F.
-
-        umax = max(u) and dv is the face gradient of v.
-        """
-        nonlocal table
-        umin = float(np.minimum.reduce(u))
-        table = table.covering(umax, umin)
-        terms = lyapunov_terms(table.g(np.maximum(u, table.s_min)), u, v, dv, grid)
-        F = terms.F_total
-        rows.append(DiagnosticsRow(t, fill, mass_u, mass_v, umax, umin, F, fill, fill))
-        w12.append(terms.v_w12)
-        return F
-
-    def step_row(
-        t_new, dt, mass_u_new, mass_v_new, new, old, umax_new, umin_new, umax_old, umin_old,
-        F_old, f_u,
-    ):
-        """Append the row of the step from old = (u, v) to new and return F(new).
-
-        The kernel's gradients are old's, and its mobility and f_u are the
-        step's. G at both states and G' at old come from one Hermite basis,
-        on a table covering both states' min and max.
-        F_old, when known, is F(old). Runs under the caller's float settings.
-        """
-        nonlocal table
-        (u_new, v_new), (u_old, v_old) = new, old
-        with np.errstate(**caller_err):
-            table = table.covering(max(umax_new, umax_old), min(umin_new, umin_old))
-            s_min = table.s_min
-            basis = table.basis(np.maximum(np.concatenate((u_new, u_old)), s_min))
-            G = table.g_on(basis)
-            terms = lyapunov_terms(G[:n], u_new, v_new, grad_faces(v_new, grid), grid)
-            if F_old is None:
-                F_old = lyapunov_terms(G[n:], u_old, v_old, kern.dvf, grid).F_total
-            gp = table.gp_on(tuple(b[n:] for b in basis))
-            v_t = (v_new - v_old) / dt
-            rhs = dissipation_terms(
-                u_old, v_old, v_t, kern.du_in, kern.dv_in, kern.mob, kern.psi, f_u, gp, s_min, grid
-            )
-        F_new = terms.F_total
-        rows.append(
-            DiagnosticsRow(
-                t_new, dt, mass_u_new, mass_v_new, umax_new, umin_new,
-                F_new, rhs, abs((F_new - F_old) / dt - rhs),
-            )
-        )
-        w12.append(terms.v_w12)
-        return F_new
-
-    vmin, vmax, dot = np.minimum.reduce, np.maximum.reduce, np.dot
-    mass_u = float(dot(u, V))
-    mass_v = float(dot(v, V))
-    # max u, min u and the range of v of the current state: measured once,
-    # by the previous step's checks
-    umax = float(vmax(u))
-    umin = float(vmin(u))
-    v_range = float(vmax(v)) - float(vmin(v))
-    # F of the current state when its row recorded it, else None. The table
-    # only ever walks further out from s0 and keeps the values it has walked,
-    # so F of a state does not depend on when it is evaluated: reusing the
-    # row's F, or computing F_prev after F_now, gives the same value bitwise.
-    F_cur: Optional[float] = state_row(t, u, v, mass_u, mass_v, umax, grad_faces(v, grid), 0.0)
-
-    mass_res_u = 0.0
-    mass_res_v = 0.0
-    min_u_seen = umin
-    min_v_seen = float(vmin(v))
-
-    steps = 0
-    termination: Optional[TerminationInfo] = None
-    t_end, cfl, dt_min, cap = cfg.t_end, cfg.cfl, cfg.dt_min, cfg.blowup_cap
-    t_goal = t_end * (1.0 - 1e-15)
-    grow_floor = 10.0 * m0
-
-    with np.errstate(all="ignore"):
-        while t < t_goal:
-            kern.gradients(cur)
-            dt_c = min(kern.dt_bound(u, umax, v_range, cfl), dt_max)
-            if dt_c < dt_min:
-                termination = TerminationInfo(Termination.DT_UNDERFLOW, t)
-                break
-            dt = min(dt_c, t_end - t)
-            if pi < len(probes):
-                dt = min(dt, probes[pi] - t)
-
-            will_diag = (steps + 1) % cfg.diag_every == 0
-            f_u = kern.f(u, umax)
-            f_mass = float(dot(f_u, V))
-
-            kern.advance(u, v, u_new, v_new, dt, f_u)
-            min_u_new, min_v_new = vmin(nxt, axis=1).tolist()
-            max_u, max_v_new = vmax(nxt, axis=1).tolist()
-            # min and max propagate NaN, and every comparison with NaN is False:
-            # a NaN or -inf cell fails 0 <= min, a +inf cell fails max < inf, so
-            # this holds exactly when both fields are finite and nonnegative
-            if not (
-                0.0 <= min_u_new
-                and max_u < math.inf
-                and 0.0 <= min_v_new
-                and max_v_new < math.inf
-            ):
-                termination = TerminationInfo(Termination.NUMERICAL_FAILURE, t)
-                break
-            steps += 1
-            t_new = t + dt
-
-            mass_u_new = float(dot(u_new, V))
-            mass_v_new = float(dot(v_new, V))
-            mass_res_u = max(
-                mass_res_u,
-                abs(mass_u_new - mass_u - dt * f_mass) / max(abs(mass_u), 1e-300),
-            )
-            mass_res_v = max(
-                mass_res_v,
-                abs(mass_v_new - mass_v - dt * (mass_u_new - mass_v_new))
-                / max(abs(mass_v), abs(mass_u_new), 1e-300),
-            )
-            min_u_seen = min(min_u_seen, min_u_new)
-            min_v_seen = min(min_v_seen, min_v_new)
-
-            while pi < len(probes) and t_new >= probes[pi] - 1e-12 * max(1.0, probes[pi]):
-                probe_states.append(State(u_new.copy(), v_new.copy(), t_new))
-                pi += 1
-
-            blown = max_u > cap and max_u >= grow_floor
-            final_step = t_new >= t_goal
-
-            F_prev, F_cur = F_cur, None
-            if will_diag or blown or final_step:
-                F_cur = step_row(
-                    t_new, dt, mass_u_new, mass_v_new, nxt, cur, max_u, min_u_new, umax, umin,
-                    F_prev, f_u,
-                )
-
-            cur, nxt, u, v, u_new, v_new = nxt, cur, u_new, v_new, u, v
-            t, umax, umin, v_range = t_new, max_u, min_u_new, max_v_new - min_v_new
-            mass_u, mass_v = mass_u_new, mass_v_new
-
-            if blown:
-                termination = TerminationInfo(Termination.BLOWUP, t, blowup_estimate=t - dt)
-                break
-
-    if termination is None:
-        termination = TerminationInfo(Termination.COMPLETED, t)
-    elif F_cur is None:
-        # the run stopped after steps that wrote no row
-        if termination.tag == Termination.DT_UNDERFLOW:
-            # nxt still holds the state the last step advanced from, and
-            # kern.mob and f_u are still that step's: its own row, bitwise
-            # the one a diag_every = 1 run writes
-            kern.gradients(nxt)
-            umax_old, umin_old = float(vmax(nxt[0])), float(vmin(nxt[0]))
-            step_row(
-                t, dt, mass_u, mass_v, cur, nxt, umax, umin, umax_old, umin_old, F_prev, f_u
-            )
-        else:
-            # the failed step overwrote nxt: a row of the last valid state,
-            # whose face gradients the kernel still holds
-            state_row(t, u, v, mass_u, mass_v, umax, kern.dvf, math.nan)
-
-    return RunResult(
-        termination,
-        rows,
-        State(u.copy(), v.copy(), t),
-        grid,
-        steps,
-        mass_res_u,
-        mass_res_v,
-        min_u_seen,
-        min_v_seen,
-        w12[-1],
-        max(w12),
-        probe_states,
-    )
+    entries = [[(None, cfg, probe_times, TableCache() if tables is None else tables)]]
+    ((_, outcome),) = run_lockstep(lambda: entries.pop() if entries else None)
+    if isinstance(outcome, KsfvError):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------

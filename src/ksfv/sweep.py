@@ -1,14 +1,19 @@
 """Run classification and deterministic parameter sweeps.
 
-Sweep points are expanded to full configurations and grouped into tasks: the
-points that differ only on axes the G-table does not read form one task,
-which runs its points in run-id order with one private table cache, so each
-distinct initial table is built once per sweep. The tasks run in up to
-max_parallel forked worker processes (capped at the usable CPUs and at the
-number of tasks; in-process where fork is unavailable or unsafe), and the
-rows are merged by run id, so the output is independent of the degree of
-parallelism. A point that raises one of the package's own errors becomes an
-Error row instead of aborting the sweep; any other exception propagates.
+Sweep points are expanded to full configurations and grouped into table
+groups: the points that differ only on axes the G-table does not read form
+one group, with one private table cache, so each distinct initial table is
+built, and each extension of it walked, once per sweep. Up to max_parallel
+workers (capped at the usable CPUs and at the number of groups) run in
+forked processes, or one in-process where fork is unavailable or unsafe.
+Each worker advances its points in one lockstep march (lockstep.run_lockstep):
+it claims the largest unclaimed group to start with, and the next one
+whenever one of its points ends, since step counts are not known in
+advance. Every point's result is bitwise its solo run's, and the rows are
+merged by run id, so the output is independent of the degree of
+parallelism and of which points ran together. A point that raises one of
+the package's own errors becomes an Error row while the other points go
+on; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -19,14 +24,15 @@ import os
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import AXIS_KEYS, DEFAULTS, number, numbers, run_config_from, with_defaults
 from .errors import ConfigError, KsfvError
 from .output import fmt
-from .solver import RunResult, TableCache, Termination, run
+# perfbench/tracing.py wraps sweep.run by name; the workers call run_lockstep
+from .solver import RunResult, TableCache, Termination, run  # noqa: F401
 
 GLOBAL = "Global"
 BLOWUP = "BlowUp"
@@ -157,42 +163,86 @@ class SweepRow:
     error: Optional[str] = None  # the message of an Error row
 
 
-def _run_point(
-    spec: SweepSpec, run_id: int, point: Dict[str, float], tables: TableCache
-) -> SweepRow:
-    """One sweep point; a package error becomes an Error row named after its type."""
+def _point_config(spec: SweepSpec, point: Dict[str, float]):
+    """The RunConfig of a sweep point: the base with the point's axis values."""
     mapping = dict(spec.base)
     for name, value in point.items():
         mapping[AXIS_KEYS[name]] = fmt(value)
-    try:
-        cfg, _, _ = run_config_from(mapping)
-        result = run(cfg, tables=tables)
-    except KsfvError as exc:
+    cfg, _, _ = run_config_from(mapping)
+    return cfg
+
+
+def _sweep_row(spec: SweepSpec, run_id: int, point: Dict[str, float], outcome) -> SweepRow:
+    """The row of a point's RunResult, or an Error row named after its KsfvError's type."""
+    if isinstance(outcome, KsfvError):
         nan = float("nan")
         return SweepRow(
-            run_id, point, ERROR, type(exc).__name__, nan, nan, nan, nan, error=str(exc)
+            run_id, point, ERROR, type(outcome).__name__, nan, nan, nan, nan, error=str(outcome)
         )
-    rows = result.rows
+    rows = outcome.rows
     return SweepRow(
         run_id,
         point,
-        classify_run(result, spec.global_factor, spec.blowup_factor),
-        result.termination.tag.value,
-        result.termination.t_final,
+        classify_run(outcome, spec.global_factor, spec.blowup_factor),
+        outcome.termination.tag.value,
+        outcome.termination.t_final,
         rows[0].max_u,
         rows[-1].max_u,
         rows[-1].F,
-        result,
+        outcome,
     )
 
 
-def _run_task(spec: SweepSpec, items: List[Tuple[int, Dict[str, float]]]) -> List[SweepRow]:
-    """Run (run_id, point) items in order with one private table cache.
+# the claim counter a forked worker shares with the others (_share_claims)
+_claims = None
 
-    Module-level, so a worker process receives it by name.
+
+def _share_claims(counter) -> None:
+    global _claims
+    _claims = counter
+
+
+def _claim_shared() -> int:
+    with _claims.get_lock():
+        i = _claims.value
+        _claims.value = i + 1
+    return i
+
+
+def _run_worker(
+    spec: SweepSpec,
+    groups: List[List[Tuple[int, Dict[str, float]]]],
+    claim: Optional[Callable[[], int]] = None,
+) -> List[SweepRow]:
+    """Run table groups of (run_id, point) items in one lockstep march.
+
+    claim() returns the index of the next unclaimed group; a worker claims
+    one group to start with and the next whenever one of its points ends,
+    until none is left. Each group has one private table cache. Module-level,
+    so a worker process receives it by name; there, claim is the counter it
+    shares with the other workers.
     """
-    tables = TableCache()
-    return [_run_point(spec, run_id, point, tables) for run_id, point in items]
+    from .lockstep import run_lockstep
+
+    claim = claim or _claim_shared
+    rows: List[SweepRow] = []
+
+    def feed():
+        i = claim()
+        if i >= len(groups):
+            return None
+        tables = TableCache()
+        entries = []
+        for run_id, point in groups[i]:
+            try:
+                entries.append(((run_id, point), _point_config(spec, point), None, tables))
+            except KsfvError as exc:
+                rows.append(_sweep_row(spec, run_id, point, exc))
+        return entries
+
+    for (run_id, point), outcome in run_lockstep(feed):
+        rows.append(_sweep_row(spec, run_id, point, outcome))
+    return rows
 
 
 def _tasks(points: List[Dict[str, float]]) -> List[List[Tuple[int, Dict[str, float]]]]:
@@ -237,15 +287,22 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
     tasks = _tasks(points)
     workers = min(spec.max_parallel, _usable_cpus(), len(tasks))
     fork = _fork_context() if workers > 1 else None
+    groups = sorted(tasks, key=len, reverse=True)  # the largest are claimed first
     if fork is None:
-        done = list(map(_run_task, itertools.repeat(spec), tasks))
+        done = [_run_worker(spec, groups, itertools.count().__next__)]
     else:
         from concurrent.futures.process import ProcessPoolExecutor
 
-        largest_first = sorted(tasks, key=len, reverse=True)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-            # if a task raises, map cancels the tasks still waiting in the queue
-            done = list(pool.map(_run_task, itertools.repeat(spec), largest_first))
+        claims = fork.Value("q", 0)
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=fork, initializer=_share_claims, initargs=(claims,)
+        ) as pool:
+            futures = [pool.submit(_run_worker, spec, groups) for _ in range(workers)]
+            try:
+                done = [future.result() for future in futures]
+            except BaseException:
+                claims.value = len(groups)  # the other workers claim no more groups
+                raise
     return sorted((row for rows in done for row in rows), key=lambda r: r.run_id)
 
 

@@ -440,17 +440,22 @@ def test_sweep_results_from_workers_keep_frozen_grids(monkeypatch):
 
 def test_foreign_exception_in_worker_propagates(monkeypatch):
     # only ksfv errors become Error rows; anything else aborts the sweep
-    import ksfv.sweep as sweep_mod
+    import ksfv.solver as solver_mod
 
     _pretend_cpus(monkeypatch, 2)
-    real_run = sweep_mod.run
+    real_f = solver_mod.effective_f
 
-    def failing_run(cfg, *args, **kwargs):
-        if cfg.params.beta == 2.0:
+    def failing_f(p, ov):
+        # the growth term of the beta = 2 points raises in their first step
+        if p.beta != 2.0:
+            return real_f(p, ov)
+
+        def f(u, umax=None, out=None):
             raise RuntimeError(f"failed in process {os.getpid()}")
-        return real_run(cfg, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "run", failing_run)
+        return f
+
+    monkeypatch.setattr(solver_mod, "effective_f", failing_f)
     with pytest.raises(RuntimeError, match="failed in process") as info:
         run_sweep(_beta_kappa_spec(2))
     assert str(os.getpid()) not in str(info.value)

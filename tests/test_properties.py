@@ -39,7 +39,15 @@ from ksfv.solver import (
     steady_signal,
     step,
 )
-from oracles import chemotactic_flux, diffusive_flux, growth_cutoff
+from oracles import (
+    chemotactic_flux,
+    diffusive_flux,
+    ending_config,
+    growth_cutoff,
+    march,
+    poisoned_advance,
+    result_bytes,
+)
 
 # derandomized and without an example database, so every run of the suite
 # draws the same examples
@@ -320,10 +328,12 @@ def prune_cases(draw):
 
 
 def _kernel_dt(kern, u, v, lead_drift, cfl=0.4):
-    """The kernel's dt_bound at (u, v), with the drift rate first or not."""
-    kern.lead_drift = lead_drift
+    """The one-run kernel's dt_bound at (u, v), with the drift rate first or not."""
+    (m,) = kern.models
+    m.lead_drift = lead_drift
+    m.umax, m.v_range, m.cfl = float(u.max()), float(v.max()) - float(v.min()), cfl
     kern.gradients(np.stack((u, v)))
-    return kern.dt_bound(u, float(u.max()), float(v.max()) - float(v.min()), cfl)
+    return kern.dt_bound(u)[0]
 
 
 def _bisect(pred, lo, hi):
@@ -341,12 +351,13 @@ def _bisect(pred, lo, hi):
 @settings(PROPERTY, max_examples=40)
 @given(case=prune_cases())
 def test_pruned_dt_bound_is_the_unpruned_max_bitwise(case):
-    from ksfv.solver import _Kernel
+    from ksfv.solver import _Kernel, _Model
 
     dom, p, u, v, ov_name = case
     ov = PRUNE_OVERRIDES[ov_name]
     g = ksfv.make_grid(dom)
-    kern = _Kernel(g, p, ov)
+    m = _Model(p, ov)
+    kern = _Kernel(g, [m])
     umax = float(u.max())
 
     def expected(vv):
@@ -360,12 +371,14 @@ def test_pruned_dt_bound_is_the_unpruned_max_bitwise(case):
 
     # the drift bound exactly at its threshold: the largest scale of v at
     # which the drift rate is skipped, and the next float, where it is not
-    react = kern.react_c * (umax + p.eps) ** kern.react_exp if umax > 0.0 else 0.0
-    best = max(kern._rate_diff(u), react)
+    react = m.react_c * (umax + p.eps) ** m.react_exp if umax > 0.0 else 0.0
+    (rate_diff,) = kern._rate_diff(u)
+    best = max(rate_diff, react)
     spread = float(v.max()) - float(v.min())
 
     def bound_drift(lam):
-        return kern._bound_drift(umax, lam * spread)
+        m.umax, m.v_range = umax, lam * spread
+        return kern._bound_drift(m)
 
     if spread > 0.0 and bound_drift(1e12) > best > bound_drift(0.0):
         lo, hi = _bisect(lambda lam: bound_drift(lam) > best, 0.0, 1e12)
@@ -373,11 +386,13 @@ def test_pruned_dt_bound_is_the_unpruned_max_bitwise(case):
             assert _kernel_dt(kern, u, lam * v, False) == expected(lam * v)
 
     # the diffusion bound exactly at its threshold, with the drift rate first
-    bound = kern._bound_diff(umax)
+    m.umax = umax
+    bound = kern._bound_diff(m)
 
     def skips(lam):
         kern.gradients(np.stack((u, lam * v)))
-        return bound <= max(kern._rate_drift(u, kern.dvf), react)
+        (rate_drift,) = kern._rate_drift(u, kern.dvf)
+        return bound <= max(rate_drift, react)
 
     if not skips(0.0) and skips(1e12):
         lo, hi = _bisect(skips, 0.0, 1e12)
@@ -420,7 +435,8 @@ def _run_ending(cfg, tables, end, after):
 
             def dt_bound(self, *args):
                 calls.append(1)
-                return real_bound(self, *args) if len(calls) <= after else 0.0
+                bounds = real_bound(self, *args)
+                return bounds if len(calls) <= after else [0.0] * len(bounds)
 
             mp.setattr(solver_mod._Kernel, "dt_bound", dt_bound)
         elif end == Termination.NUMERICAL_FAILURE:
@@ -434,16 +450,6 @@ def _run_ending(cfg, tables, end, after):
 
             mp.setattr(solver_mod._Kernel, "advance", advance)
         return run(cfg, tables=tables)
-
-
-def _result_bytes(res):
-    rows = np.array([dataclasses.astuple(r) for r in res.rows]).tobytes()
-    state = res.final_state.u.tobytes() + res.final_state.v.tobytes()
-    numbers = np.array([
-        res.final_state.t, res.steps, res.mass_law_residual_u, res.mass_law_residual_v,
-        res.min_u_seen, res.min_v_seen, res.v_w12_final, res.v_w12_max,
-    ]).tobytes()
-    return rows, state, numbers, repr(res.termination), rows_to_csv(res.rows)
 
 
 @pytest.mark.parametrize("diag_every", [1, 7])
@@ -463,4 +469,95 @@ def test_run_on_a_table_walked_on_demand_equals_the_eager_table_run(end, diag_ev
     lazy_run = _run_ending(cfg, None, end, after)
     eager_run = _run_ending(cfg, eager, end, after)
     assert lazy_run.termination.tag == end
-    assert _result_bytes(lazy_run) == _result_bytes(eager_run)
+    assert result_bytes(lazy_run) == result_bytes(eager_run)
+
+
+# ---------------------------------------------------------------------------
+# lockstep runs: each run of a batch is bitwise its solo run
+
+ENDINGS = ("Completed", "BlowUp", "DtUnderflow", "NumericalFailure")
+
+
+@st.composite
+def lockstep_batches(draw):
+    """A domain, diag_every in {1, 7} and 1-6 runs on it with mixed alpha,
+    beta, kappa and mass, each with the ending it is made to reach."""
+    dom = draw(domains())
+    diag_every = draw(st.sampled_from([1, 7]))
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = ksfv.ModelParams(
+            alpha=draw(st.sampled_from([1.0, 2.0])),
+            beta=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+            kappa=draw(_unit(2.0, 4.0)),
+            a=0.5,
+            eps=draw(st.sampled_from([0.0, 0.01])),
+        )
+        end, after = draw(st.sampled_from(ENDINGS)), draw(st.integers(1, 8))
+        cfg = ending_config(dom, p, draw(_unit(0.5, 2.0)), end, diag_every, after)
+        runs.append((cfg, end, after))
+    return runs, draw(st.integers(1, len(runs)))
+
+
+@settings(RUN_PROPERTY, max_examples=20)
+@given(case=lockstep_batches())
+def test_lockstep_runs_are_their_solo_runs_bitwise(case):
+    runs, first = case
+    entries, fail_after = [], {}
+    tables = TableCache()  # runs with equal initial tables share one walked table
+    for k, (cfg, end, after) in enumerate(runs):
+        if end == "NumericalFailure":
+            cfg = dataclasses.replace(cfg, blowup_cap=3e8 + k)  # names the run to poison
+            fail_after[cfg.blowup_cap] = after
+        probes = [0.0, 0.3 * cfg.t_end, 0.65 * cfg.t_end] if end == "Completed" else None
+        entries.append((k, cfg, probes, tables))
+    with poisoned_advance(fail_after):
+        together = march(entries, first)
+        for k, cfg, probes, _ in entries:
+            alone = run(cfg, probe_times=probes)
+            assert alone.termination.tag.value == runs[k][1]
+            assert result_bytes(together[k]) == result_bytes(alone)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(data=st.data())
+def test_lockstep_dt_bound_is_each_runs_unpruned_max_bitwise(data):
+    from ksfv.solver import _Kernel, _Model
+
+    # 2-4 runs of prune_cases on the first run's domain
+    dom, *_ = first = data.draw(prune_cases())
+    g = ksfv.make_grid(dom)
+    cases = [first]
+    for _ in range(data.draw(st.integers(1, 3))):
+        _, p, _, _, ov_name = data.draw(prune_cases())
+        u, v = (
+            np.array(data.draw(st.lists(_unit(0.0, 3.0), min_size=dom.cells, max_size=dom.cells)))
+            for _ in range(2)
+        )
+        cases.append((dom, p, u, v, ov_name))
+    models = [_Model(p, PRUNE_OVERRIDES[ov_name]) for _, p, _, _, ov_name in cases]
+    order = {}
+    for m in models:  # in blocks, as a march tiles them
+        order.setdefault((m.phi_key, m.psi_key), len(order))
+    ranked = sorted(range(len(models)), key=lambda k: order[models[k].phi_key, models[k].psi_key])
+    kern = _Kernel(g, [models[k] for k in ranked])
+    drawn = [data.draw(st.sampled_from([1e-6, 1.0, 1e6])) for _ in cases]
+    leads = [data.draw(st.booleans()) for _ in cases]
+    # v scaled as drawn, all far down and all far up, so that each rate
+    # limits somewhere; every run's drift rate first, none, or as drawn
+    for scales in (drawn, [1e-6] * len(cases), [1e6] * len(cases)):
+        for lead in (leads, [False] * len(cases), [True] * len(cases)):
+            states = []
+            for k in ranked:
+                _, p, u, v, _ = cases[k]
+                vv = scales[k] * v
+                m = models[k]
+                m.lead_drift = lead[k]
+                m.umax, m.v_range, m.cfl = float(u.max()), float(vv.max()) - float(vv.min()), 0.4
+                states.append(np.stack((u, vv)))
+            s = np.concatenate(states, axis=1)
+            kern.gradients(s)
+            for k, dt in zip(ranked, kern.dt_bound(s[0])):
+                _, p, u, v, ov_name = cases[k]
+                ov = PRUNE_OVERRIDES[ov_name]
+                assert dt == _reference_dt(u, scales[k] * v, g, p, ov, 0.4)

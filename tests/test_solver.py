@@ -254,16 +254,16 @@ def test_run_mass_laws_with_active_growth():
 def test_run_computes_each_rows_energy_once(monkeypatch):
     # diag_every = 1: every step emits a row, and the next step's F_prev is
     # that row's F, so F is computed once per row rather than twice per step
-    import ksfv.solver as solver_mod
+    import ksfv.lockstep as lockstep_mod
 
     calls = []
-    real = solver_mod.lyapunov_terms
+    real = lockstep_mod.lyapunov_terms
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "lyapunov_terms", counting)
+    monkeypatch.setattr(lockstep_mod, "lyapunov_terms", counting)
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 24)
     g = ksfv.make_grid(dom)
     p = ksfv.ModelParams(alpha=1, beta=1, kappa=2, a=1.0, b=1.0, eps=0.02)
@@ -603,10 +603,11 @@ def test_public_entry_points_leave_their_inputs_unchanged():
 
 
 def test_step_loop_ignores_float_warnings_and_rows_keep_the_callers(monkeypatch):
+    import ksfv.lockstep as lockstep_mod
     import ksfv.solver as solver_mod
 
     seen = {"step": [], "row": []}
-    advance, rhs_terms = solver_mod._Kernel.advance, solver_mod.dissipation_terms
+    advance, rhs_terms = solver_mod._Kernel.advance, lockstep_mod.dissipation_terms
 
     def spy_advance(*args):
         seen["step"].append(np.geterr())
@@ -617,7 +618,7 @@ def test_step_loop_ignores_float_warnings_and_rows_keep_the_callers(monkeypatch)
         return rhs_terms(*args)
 
     monkeypatch.setattr(solver_mod._Kernel, "advance", spy_advance)
-    monkeypatch.setattr(solver_mod, "dissipation_terms", spy_rhs)
+    monkeypatch.setattr(lockstep_mod, "dissipation_terms", spy_rhs)
     g = interval(16)
     u0 = 1.0 + 0.2 * np.cos(np.pi * g.centers)
     cfg = RunConfig(g.spec, ksfv.ModelParams(), u0, steady_signal(u0, g), t_end=0.01, diag_every=5)
@@ -701,3 +702,84 @@ def test_missing_extension_falls_back_to_the_public_import(monkeypatch):
 
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
     assert _load_by_file(monkeypatch) is dgtsv
+
+
+# ---------------------------------------------------------------------------
+# lockstep runs: one run's failure stays its own
+
+
+def test_lockstep_isolates_a_failing_run_and_a_raising_run(monkeypatch):
+    import dataclasses
+
+    from ksfv.errors import DivergenceError
+    from ksfv.nonlin import FunctionalTable
+    from oracles import ending_config, march, poisoned_advance, result_bytes
+
+    dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 24)
+
+    def config(beta, kappa, end="Completed"):
+        p = ksfv.ModelParams(alpha=1.0, beta=beta, kappa=kappa, a=0.5, eps=0.01)
+        return ending_config(dom, p, 1.0 + 0.1 * kappa, end, diag_every=3)
+
+    completing = [config(1.0, 2.0), config(2.0, 3.0), config(3.0, 2.5)]
+    # nan in this run's density from its 4th step on, and nowhere else
+    poisoned = dataclasses.replace(config(2.0, 4.0, "NumericalFailure"), blowup_cap=3e8)
+    raising = config(1.5, 3.0)  # its table refuses its rows' third walk
+    walks = []
+    real_covering = FunctionalTable.covering
+
+    def covering(self, s, lo=None):
+        if self.params.beta == 1.5:
+            walks.append(s)
+            if len(walks) > 2:
+                raise DivergenceError("the walk of the beta = 1.5 table diverges")
+        return real_covering(self, s, lo)
+
+    monkeypatch.setattr(FunctionalTable, "covering", covering)
+    runs = completing + [poisoned, raising]
+    with poisoned_advance({3e8: 4}):
+        together = march([(k, cfg, None, TableCache()) for k, cfg in enumerate(runs)], len(runs))
+        alone = [run(cfg) for cfg in completing + [poisoned]]
+        walks.clear()
+        with pytest.raises(DivergenceError) as raised:
+            run(raising)
+    assert len(walks) == 3  # the third row's walk raised, mid-run
+    for k, res in enumerate(alone):
+        assert result_bytes(together[k]) == result_bytes(res)
+    assert [res.termination.tag for res in alone] == [Termination.COMPLETED] * 3 + [
+        Termination.NUMERICAL_FAILURE
+    ]
+    assert type(together[4]) is DivergenceError and str(together[4]) == str(raised.value)
+
+
+def test_lockstep_faces_between_runs_are_boundary_faces():
+    # a gradient across the face between two runs would overflow to inf, and
+    # 0*inf is nan: each run's dt and step must still be its own kernel's
+    from ksfv.solver import _Kernel, _Model
+
+    g = ksfv.make_grid(ksfv.DomainSpec(ksfv.BALL, 0.1, 2, 16))
+    p = ksfv.ModelParams(alpha=1.0, beta=2.0, kappa=2.0, a=0.5, eps=0.01)
+    states = [np.stack((np.full(16, 1.0), np.full(16, 1.0))) for _ in range(3)]
+    states[0][:, -1] = 1e308  # next to the first cell of run 1, at 0.0
+    states[1][:, 0] = 0.0
+    states[2][:, 0] = 1e308
+    models = [_Model(p, None) for _ in states]
+    for m, s in zip(models, states):
+        m.umax, m.v_range, m.cfl = float(s[0].max()), float(s[1].max() - s[1].min()), 0.4
+    kern = _Kernel(g, models)
+    s = np.concatenate(states, axis=1)
+    new = np.empty_like(s)
+    with np.errstate(all="ignore"):  # as in a run's step loop
+        kern.gradients(s)
+        assert np.all(kern.grad[:, 16::16] == 0.0)
+        dts = kern.dt_bound(s[0])
+        f_u = np.concatenate([m.f(x[0]) for m, x in zip(models, states)])
+        kern.advance(s[0], s[1], new[0], new[1], [1e-9] * 3, f_u)
+        for k, (m, x) in enumerate(zip(models, states)):
+            m.lead_drift = False
+            alone = _Kernel(g, [m])
+            alone.gradients(x)
+            assert dts[k] == alone.dt_bound(x[0])[0]
+            y = np.empty_like(x)
+            alone.advance(x[0], x[1], y[0], y[1], 1e-9, m.f(x[0]))
+            assert new[:, kern.cells(k)].tobytes() == y.tobytes()
