@@ -40,8 +40,8 @@ from .nonlin import (
 )
 from .output import (
     config_from_manifest,
+    csv_text,
     final_state_csv,
-    fmt,
     line_chart_svg,
     manifest_text,
     rows_to_csv,
@@ -179,15 +179,14 @@ def _cmd_family(args) -> int:
     table = build_table(params, RatioSpec.model(), s_max=10.0 * max(1.0, 2.0 * params.s0))
     scan = energy_scan(fp, etas, grid, table)
     os.makedirs(args.out, exist_ok=True)
-    lines = ["eta,F,G_term,uv_term,v2_term,gradv_term"]
-    for eta, bd in zip(scan.etas, scan.breakdowns):
-        lines.append(
-            ",".join(
-                fmt(x)
-                for x in (eta, bd.F_total, bd.G_term, bd.uv_term, bd.v2_term, bd.gradv_term)
-            )
-        )
-    write_text(os.path.join(args.out, "family.csv"), "\n".join(lines) + "\n")
+    family_csv = csv_text(
+        ("eta", "F", "G_term", "uv_term", "v2_term", "gradv_term"),
+        (
+            (eta, bd.F_total, bd.G_term, bd.uv_term, bd.v2_term, bd.gradv_term)
+            for eta, bd in zip(scan.etas, scan.breakdowns)
+        ),
+    )
+    write_text(os.path.join(args.out, "family.csv"), family_csv)
     L = [float(np.log(grid.spec.R / e)) for e in scan.etas]
     write_text(
         os.path.join(args.out, "family.svg"),
@@ -233,16 +232,14 @@ def _cmd_convergence(args) -> int:
     except ScanAbortedError as exc:
         print(f"scan aborted: {exc}")
         return 0
+    gaps = list(zip(scan.eps_values, scan.eps_values[1:], scan.gaps))
     print("eps pairs and sup-norm gaps:")
-    for (e1, e2), g in zip(zip(scan.eps_values, scan.eps_values[1:]), scan.gaps):
+    for e1, e2, g in gaps:
         print(f"  {e1:g} -> {e2:g}: {g:.6e}")
     print(f"strictly decreasing: {scan.strictly_decreasing}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        lines = ["eps_hi,eps_lo,gap"]
-        for (e1, e2), g in zip(zip(scan.eps_values, scan.eps_values[1:]), scan.gaps):
-            lines.append(f"{fmt(e1)},{fmt(e2)},{fmt(g)}")
-        write_text(os.path.join(args.out, "gaps.csv"), "\n".join(lines) + "\n")
+        write_text(os.path.join(args.out, "gaps.csv"), csv_text(("eps_hi", "eps_lo", "gap"), gaps))
     return 0
 
 

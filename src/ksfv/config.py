@@ -1,9 +1,11 @@
 """Flat key=value configuration files and initial-field specifications.
 
 The format is deliberately minimal: one `section.key = value` per line, `#`
-comments, no nesting. docs/config_schema.md in the repository enumerates every
-key with defaults and units; `SCHEMA` below is the same table as a string so
-the CLI can print it.
+comments, no nesting. Every key is one row of the key table `_KEYS`, with
+its default and meaning: `DEFAULTS`, `known_keys()` and the `SCHEMA` text
+that `ksfv check --schema` prints (and docs/config_schema.md holds) are
+generated from it. A default of (unset), or one written in words such as
+t_end/64, is printed but not applied.
 """
 
 from __future__ import annotations
@@ -18,96 +20,6 @@ from .core import BALL, INTERVAL, DomainSpec, Grid, ModelParams, integrate, make
 from .errors import ConfigError, UsageError
 from .families import FamilyParams, concentrated_u, concentrated_v
 
-SCHEMA = """\
-# Configuration schema (flat key = value lines, '#' comments).
-# All quantities are nondimensional; R carries the length unit, t_end the time unit.
-# Every number, in a value, a comma list or a field spec, must be finite:
-# nan, inf and -inf are usage errors that name the key.
-#
-# key                      default      meaning
-# domain.kind              interval     'interval' (length 2R, n=1) or 'ball' (radius R, n>=2)
-# domain.R                 0.5          half-length / ball radius (length)
-# domain.n                 1            ambient dimension (>=2 for ball)
-# domain.cells             64           number of cells (>= 8)
-# params.alpha             1.0          diffusivity exponent ln^alpha(1+u), >= 1
-# params.beta              1.0          sensitivity exponent psi_c*u^beta, >= 1
-# params.kappa             2.0          damping exponent of a - b*u^kappa, >= 2
-# params.a                 0.0          growth ceiling, >= 0
-# params.b                 1.0          damping strength, > 0
-# params.eps               0.0          regularization shift, >= 0
-# params.s0                1.0          energy anchor, > 0
-# params.psi_c             1.0          sensitivity coefficient, > 0
-# init.u0                  constant:1   initial density field spec (see below)
-# init.v0                  steady       initial signal field spec, or 'steady'
-# init.mass                (unset)      if set, rescale u0 to this discrete mass
-# run.t_end                1.0          final time, > 0
-# run.cfl                  0.4          CFL fraction in (0, 1]
-# run.dt_max               t_end/64     hard step-size cap
-# run.dt_min               1e-12        underflow threshold (termination DtUnderflow)
-# run.blowup_cap           1e8          max-norm cap (termination BlowUp)
-# run.diag_every           1            diagnostics cadence in steps
-# classify.global_factor   10.0         Global requires max_u growth below this factor
-# classify.blowup_factor   1e3          BlowUp-on-underflow requires growth above this
-# sweep.max_parallel       1            worker processes for a sweep, >= 1; capped at
-#                                       the usable CPUs and the sweep's table groups
-#                                       (1, or no safe fork: run in-process)
-# axis.<name>              (unset)      sweep axis: comma list; name in
-#                                       {alpha, beta, kappa, eps, mass}
-# family.eta_list          (unset)      comma list of eta values for family scans
-# family.kappa_prime       (unset)      n=2 signal exponent (0 < kp < 1 - theta)
-# family.theta             (unset)      growth exponent in (0, 1)
-# family.mass              (unset)      family mass target
-# family.delta             (unset)      n>=3 signal exponent
-# family.gamma             (unset)      n>=3 signal prefactor exponent
-# check.s_max              1000.0       condition-check sample ceiling; --s-max overrides
-#
-# Field specs (init.u0 / init.v0):
-#   constant:<value>
-#   cosine:base=<b>,amp=<a>,mode=<m>       b + a*cos(m*pi*x/extent)
-#   gauss:base=<b>,amp=<a>,width=<w>,center=<c>   b + a*exp(-((xi-c)/w)^2), xi = x/extent
-#   family_u:eta=<e>,mass=<m>              concentrated density (ball only)
-#   family_v:eta=<e>,kappa_prime=<k>,theta=<t>    concentrated signal, n=2
-#   family_v:eta=<e>,delta=<d>,gamma=<g>          concentrated signal, n>=3
-#   steady                                  (v0 only) solve (-Lap+1) v = u0
-"""
-
-DEFAULTS: Dict[str, str] = {
-    "domain.kind": "interval",
-    "domain.R": "0.5",
-    "domain.n": "1",
-    "domain.cells": "64",
-    "params.alpha": "1.0",
-    "params.beta": "1.0",
-    "params.kappa": "2.0",
-    "params.a": "0.0",
-    "params.b": "1.0",
-    "params.eps": "0.0",
-    "params.s0": "1.0",
-    "params.psi_c": "1.0",
-    "init.u0": "constant:1",
-    "init.v0": "steady",
-    "run.t_end": "1.0",
-    "run.cfl": "0.4",
-    "run.dt_min": "1e-12",
-    "run.blowup_cap": "1e8",
-    "run.diag_every": "1",
-    "classify.global_factor": "10.0",
-    "classify.blowup_factor": "1e3",
-    "sweep.max_parallel": "1",
-    "check.s_max": "1000.0",
-}
-
-_OPTIONAL_KEYS = {
-    "init.mass",
-    "run.dt_max",
-    "family.eta_list",
-    "family.kappa_prime",
-    "family.theta",
-    "family.mass",
-    "family.delta",
-    "family.gamma",
-}
-
 # sweep axis name -> the configuration key it sets (file key axis.<name>)
 AXIS_KEYS = {
     "alpha": "params.alpha",
@@ -118,8 +30,82 @@ AXIS_KEYS = {
 }
 
 
+class _Shown(str):
+    """A default the schema prints but a configuration does not take."""
+
+
+_UNSET = _Shown("(unset)")
+
+# every key, in schema order: (key, default, meaning); a meaning may span lines
+_KEYS = (
+    ("domain.kind", "interval", "'interval' (length 2R, n=1) or 'ball' (radius R, n>=2)"),
+    ("domain.R", "0.5", "half-length / ball radius (length)"),
+    ("domain.n", "1", "ambient dimension (>=2 for ball)"),
+    ("domain.cells", "64", "number of cells (>= 8)"),
+    ("params.alpha", "1.0", "diffusivity exponent ln^alpha(1+u), >= 1"),
+    ("params.beta", "1.0", "sensitivity exponent psi_c*u^beta, >= 1"),
+    ("params.kappa", "2.0", "damping exponent of a - b*u^kappa, >= 2"),
+    ("params.a", "0.0", "growth ceiling, >= 0"),
+    ("params.b", "1.0", "damping strength, > 0"),
+    ("params.eps", "0.0", "regularization shift, >= 0"),
+    ("params.s0", "1.0", "energy anchor, > 0"),
+    ("params.psi_c", "1.0", "sensitivity coefficient, > 0"),
+    ("init.u0", "constant:1", "initial density field spec (see below)"),
+    ("init.v0", "steady", "initial signal field spec, or 'steady'"),
+    ("init.mass", _UNSET, "if set, rescale u0 to this discrete mass"),
+    ("run.t_end", "1.0", "final time, > 0"),
+    ("run.cfl", "0.4", "CFL fraction in (0, 1]"),
+    ("run.dt_max", _Shown("t_end/64"), "hard step-size cap"),
+    ("run.dt_min", "1e-12", "underflow threshold (termination DtUnderflow)"),
+    ("run.blowup_cap", "1e8", "max-norm cap (termination BlowUp)"),
+    ("run.diag_every", "1", "diagnostics cadence in steps"),
+    ("classify.global_factor", "10.0", "Global requires max_u growth below this factor"),
+    ("classify.blowup_factor", "1e3", "BlowUp-on-underflow requires growth above this"),
+    ("sweep.max_parallel", "1", "worker processes for a sweep, >= 1; capped at\n"
+     "the usable CPUs and the sweep's table groups\n(1, or no safe fork: run in-process)"),
+    ("axis.<name>", _UNSET, "sweep axis: comma list; name in\n{" + ", ".join(AXIS_KEYS) + "}"),
+    ("family.eta_list", _UNSET, "comma list of eta values for family scans"),
+    ("family.kappa_prime", _UNSET, "n=2 signal exponent (0 < kp < 1 - theta)"),
+    ("family.theta", _UNSET, "growth exponent in (0, 1)"),
+    ("family.mass", _UNSET, "family mass target"),
+    ("family.delta", _UNSET, "n>=3 signal exponent"),
+    ("family.gamma", _UNSET, "n>=3 signal prefactor exponent"),
+    ("check.s_max", "1000.0", "condition-check sample ceiling; --s-max overrides"),
+)
+
+DEFAULTS: Dict[str, str] = {k: d for k, d, _ in _KEYS if not isinstance(d, _Shown)}
+
+
 def known_keys():
-    return set(DEFAULTS) | _OPTIONAL_KEYS | {f"axis.{name}" for name in AXIS_KEYS}
+    return {k for k, _, _ in _KEYS if k != "axis.<name>"} | {f"axis.{name}" for name in AXIS_KEYS}
+
+
+def _schema_line(key: str, default: str, meaning: str) -> str:
+    """A key table row in the schema's columns; a meaning's later lines align under its first."""
+    return f"# {key:<25}{default:<13}" + meaning.replace("\n", "\n#" + " " * 39) + "\n"
+
+
+SCHEMA = (
+    """\
+# Configuration schema (flat key = value lines, '#' comments).
+# All quantities are nondimensional; R carries the length unit, t_end the time unit.
+# Every number, in a value, a comma list or a field spec, must be finite:
+# nan, inf and -inf are usage errors that name the key.
+#
+"""
+    + "".join(_schema_line(*row) for row in (("key", "default", "meaning"), *_KEYS))
+    + """\
+#
+# Field specs (init.u0 / init.v0):
+#   constant:<value>
+#   cosine:base=<b>,amp=<a>,mode=<m>       b + a*cos(m*pi*x/extent)
+#   gauss:base=<b>,amp=<a>,width=<w>,center=<c>   b + a*exp(-((xi-c)/w)^2), xi = x/extent
+#   family_u:eta=<e>,mass=<m>              concentrated density (ball only)
+#   family_v:eta=<e>,kappa_prime=<k>,theta=<t>    concentrated signal, n=2
+#   family_v:eta=<e>,delta=<d>,gamma=<g>          concentrated signal, n>=3
+#   steady                                  (v0 only) solve (-Lap+1) v = u0
+"""
+)
 
 
 def parse_config_text(text: str) -> Dict[str, str]:

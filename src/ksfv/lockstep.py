@@ -206,7 +206,8 @@ class _Point(_Model):
         mass_v_new = float(_dot(v_new, V))
         self.mass_res_u = max(
             self.mass_res_u,
-            abs(mass_u_new - mass_u - dt * self.f_mass) / max(abs(mass_u), 1e-300),
+            abs(mass_u_new - mass_u - dt * self.f_mass)
+            / max(abs(mass_u), abs(mass_u_new), abs(dt * self.f_mass), 1e-300),
         )
         self.mass_res_v = max(
             self.mass_res_v,
@@ -271,12 +272,11 @@ class _Point(_Model):
         """
         state, old = self.ss[par], self.ss[1 - par]
         if self.F_cur is None:
-            alone = _Kernel(self.grid, [self])  # for old's face gradients
-            alone.gradients(old)
+            du, dv = grad_faces(old[0], self.grid), grad_faces(old[1], self.grid)
             self.step_row(
                 self.t, self.dt, self.mass_u, self.mass_v, state, old, self.umax, self.umin,
                 float(np.maximum.reduce(old[0])), float(np.minimum.reduce(old[0])),
-                self.F_prev, self.f_u, alone.dvf, alone.du_in, alone.dv_in, mob,
+                self.F_prev, self.f_u, dv, du[1:-1], dv[1:-1], mob,
             )
         self.finish(Termination.DT_UNDERFLOW, self.t, state)
 

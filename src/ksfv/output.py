@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from .config import parse_config_text
 from .core import Grid, State
 from .errors import UsageError
 from .solver import DiagnosticsRow, RunResult
@@ -30,13 +31,17 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """The CSV file of a header and rows: strings as they are, numbers through fmt."""
+    lines = [",".join(header)]
+    lines.extend(",".join(x if isinstance(x, str) else fmt(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def rows_to_csv(rows: Sequence[DiagnosticsRow]) -> str:
     if not rows:
         raise UsageError("no diagnostics rows to serialize")
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(fmt(x) for x in _row_values(r)))
-    return "\n".join(lines) + "\n"
+    return csv_text(_COLUMNS, map(_row_values, rows))
 
 
 def write_text(path, text: str) -> None:
@@ -45,10 +50,7 @@ def write_text(path, text: str) -> None:
 
 
 def final_state_csv(state: State, grid: Grid) -> str:
-    lines = ["x,u,v"]
-    for x, u, v in zip(grid.centers, state.u, state.v):
-        lines.append(f"{fmt(x)},{fmt(u)},{fmt(v)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("x", "u", "v"), zip(grid.centers, state.u, state.v))
 
 
 def grid_checksum(grid: Grid) -> str:
@@ -233,15 +235,13 @@ def manifest_text(
 
 
 def config_from_manifest(text: str) -> Dict[str, str]:
-    """Recover the configuration section of a manifest (for reproduction runs)."""
-    out: Dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or "=" not in line:
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("config."):
-            out[key[len("config.") :]] = value
+    """The config.* lines of a manifest, without the prefix, parsed as a config file's
+    lines are (with the same key checks, and other lines blank so the line numbers hold)."""
+    prefix = "config."
+    lines = (line.strip() for line in text.splitlines())
+    out = parse_config_text(
+        "\n".join(line[len(prefix):] if line.startswith(prefix) else "" for line in lines)
+    )
     if not out:
         raise UsageError("manifest carries no config section")
     return out

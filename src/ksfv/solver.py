@@ -105,7 +105,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,7 +232,7 @@ class RunConfig:
     blowup_cap: float = 1e8
     diag_every: int = 1
     overrides: Optional[Overrides] = None
-    table_tol: float = 1e-10
+    table_tol: ClassVar[float] = 1e-10  # the G-table quadrature tolerance of every run
 
     def resolved_dt_max(self) -> float:
         return self.dt_max if self.dt_max is not None else self.t_end / 64.0

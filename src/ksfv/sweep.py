@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import AXIS_KEYS, DEFAULTS, number, numbers, run_config_from, with_defaults
 from .errors import ConfigError, KsfvError
-from .output import fmt
+from .output import csv_text, fmt
 # perfbench/tracing.py wraps sweep.run by name; the workers call run_lockstep
 from .solver import RunResult, TableCache, Termination, run  # noqa: F401
 
@@ -315,16 +315,10 @@ _results = attrgetter(*_RESULT_COLUMNS)
 
 def sweep_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
     names = [name for name, _ in spec.axes]
-    lines = [",".join(["run_id", *names, *_RESULT_COLUMNS])]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.run_id)]
-                + [fmt(r.point[name]) for name in names]
-                + [x if isinstance(x, str) else fmt(x) for x in _results(r)]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["run_id", *names, *_RESULT_COLUMNS],
+        ([str(r.run_id), *(r.point[name] for name in names), *_results(r)] for r in rows),
+    )
 
 
 def sweep_heatmap(spec: SweepSpec, rows: Sequence[SweepRow]):

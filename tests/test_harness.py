@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import math
 import multiprocessing
 import os
@@ -26,13 +28,14 @@ from ksfv.output import (
     _CLASS_COLORS,
     CSV_HEADER,
     config_from_manifest,
+    csv_text,
     fmt,
     heatmap_svg,
     line_chart_svg,
     manifest_text,
     rows_to_csv,
 )
-from ksfv.solver import DiagnosticsRow, RunResult, Termination, TerminationInfo, run
+from ksfv.solver import DiagnosticsRow, RunConfig, RunResult, Termination, TerminationInfo, run
 from ksfv.sweep import (
     BLOWUP,
     ERROR,
@@ -93,6 +96,36 @@ def test_schema_documents_every_key():
         assert base in SCHEMA, f"{base} missing from schema"
     for key in DEFAULTS:
         assert key in SCHEMA
+
+
+def _field_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+def test_file_defaults_are_the_library_defaults():
+    # a key left out of a configuration file sets what the library takes
+    # when the argument is left out
+    for name, default in _field_defaults(ksfv.ModelParams).items():
+        assert float(DEFAULTS[f"params.{name}"]) == default, name
+    domain = _field_defaults(ksfv.DomainSpec)
+    assert int(DEFAULTS["domain.n"]) == domain["n"]
+    assert int(DEFAULTS["domain.cells"]) == domain["cells"]
+    run_cfg = _field_defaults(RunConfig)
+    for name, kind in (("cfl", float), ("dt_min", float), ("blowup_cap", float), ("diag_every", int)):
+        assert kind(DEFAULTS[f"run.{name}"]) == run_cfg[name], name
+    assert "run.dt_max" not in DEFAULTS and run_cfg["dt_max"] is None  # t_end/64
+    classify = inspect.signature(classify_run).parameters
+    spec = _field_defaults(SweepSpec)
+    for name in ("global_factor", "blowup_factor"):
+        assert float(DEFAULTS[f"classify.{name}"]) == classify[name].default == spec[name], name
+    assert int(DEFAULTS["sweep.max_parallel"]) == spec["max_parallel"]
+
+
+def test_every_run_takes_the_same_table_tolerance():
+    cfg = RunConfig(ksfv.DomainSpec(ksfv.INTERVAL, 0.5), ksfv.ModelParams(), np.ones(64),
+                    np.ones(64), t_end=1.0)
+    assert cfg.table_tol == RunConfig.table_tol == 1e-10
+    assert "table_tol" not in _field_defaults(RunConfig)
 
 
 def test_schema_doc_matches_schema():
@@ -586,6 +619,32 @@ def test_cli_run_and_manifest_roundtrip(tmp_path):
     assert csv1 == (out3 / "diagnostics.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda text: text.replace("config.run.t_end =", "config.run.t_ed ="), "'run.t_ed'"),
+        (lambda text: text + "config.run.t_end = 0.5\n", "'run.t_end'"),
+    ],
+    ids=["unknown", "repeated"],
+)
+def test_cli_manifest_with_a_bad_key_is_a_usage_error(tmp_path, capsys, edit, named):
+    # a manifest's config lines are checked as a config file's are, with
+    # the manifest's line numbers
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(QUICK_CONFIG)
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
+    lines = edit((tmp_path / "o" / "manifest.txt").read_text()).splitlines()
+    lineno = max(i for i, line in enumerate(lines, start=1) if named.strip("'") in line)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o2")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"usage error: line {lineno}: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_cli_usage_errors(tmp_path):
     assert main(["run", "--out", str(tmp_path)]) == 1  # neither config nor manifest
     assert main(["frobnicate"]) == 1
@@ -663,6 +722,11 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     cfg_file.write_text(QUICK_CONFIG)
     code = main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_csv_text_writes_strings_as_they_are_and_numbers_through_fmt():
+    rows = [("x", 0.1, np.float64(2.0)), ("Error", math.nan, 3)]
+    assert csv_text(("a", "b", "c"), rows) == "a,b,c\nx,0.1,2.0\nError,nan,3.0\n"
 
 
 def test_manifest_text_and_recovery():

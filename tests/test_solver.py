@@ -251,6 +251,19 @@ def test_run_mass_laws_with_active_growth():
     assert res.min_v_seen >= 0.0
 
 
+def test_mass_law_residual_of_a_run_from_zero_mass_is_relative_to_its_growth():
+    # u0 = 0 with a > 0: the mass before the first step is 0, so that step's
+    # rounding (about 1e-21) must be taken relative to the mass it adds
+    cfg, _, _ = run_config_from(parse_config_text(
+        "domain.R = 0.7\ndomain.cells = 16\ninit.u0 = constant:0\n"
+        "params.a = 0.0653\nrun.t_end = 0.002\n"
+    ))
+    res = run(cfg)
+    assert res.termination.tag == Termination.COMPLETED
+    assert res.mass_law_residual_u <= 1e-12
+    assert res.mass_law_residual_v <= 1e-12
+
+
 def test_run_computes_each_rows_energy_once(monkeypatch):
     # diag_every = 1: every step emits a row, and the next step's F_prev is
     # that row's F, so F is computed once per row rather than twice per step
