@@ -17,7 +17,7 @@ from typing import Dict, List
 import numpy as np
 
 from .core import BALL, INTERVAL, DomainSpec, Grid, ModelParams, integrate, make_grid
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, PreconditionError, UsageError
 from .families import FamilyParams, concentrated_u, concentrated_v
 
 # sweep axis name -> the configuration key it sets (file key axis.<name>)
@@ -219,10 +219,10 @@ def build_field(spec: str, grid: Grid) -> np.ndarray:
 
 
 def _field(key: str, spec: str, grid: Grid) -> np.ndarray:
-    """build_field(spec, grid); a malformed spec is a ConfigError naming its key."""
+    """build_field(spec, grid); a bad or out-of-domain spec is a ConfigError naming its key."""
     try:
         return build_field(spec, grid)
-    except (ConfigError, UsageError) as exc:
+    except (ConfigError, PreconditionError, UsageError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 

@@ -631,7 +631,7 @@ def initial_table_key(cfg: RunConfig) -> tuple:
     are the same for every key. The table is walked from s0 up to s_max only;
     how far below s0 a run walks it depends on the data, so it is not a key:
     the rows of the runs that share the table walk it on demand, to the same
-    values.
+    values. sweep.run_sweep groups its points by this key too.
     """
     p = cfg.params
     ov = cfg.overrides

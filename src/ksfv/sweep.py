@@ -1,26 +1,28 @@
 """Run classification and deterministic parameter sweeps.
 
-Sweep points are expanded to full configurations and grouped into table
-groups: the points that differ only on axes the G-table does not read form
-one group, with one private table cache, so each distinct initial table is
-built, and each extension of it walked, once per sweep. Up to max_parallel
-workers (capped at the usable CPUs and at the number of groups) run in
-forked processes, or one in-process where fork is unavailable or unsafe.
-Each worker advances its points in one lockstep march (lockstep.run_lockstep):
-it claims the largest unclaimed group to start with, and the next one
-whenever one of its points ends, since step counts are not known in
-advance. Every point's result is bitwise its solo run's, and the rows are
-merged by run id, so the output is independent of the degree of
-parallelism and of which points ran together. A point that raises one of
-the package's own errors becomes an Error row while the other points go
-on; any other exception propagates.
+run_sweep builds each point's configuration once, in the calling process
+(one that raises one of the package's own errors is an Error row at once),
+and groups the points by solver.initial_table_key. Each table group has one
+private table cache, so each distinct initial table is built, and each
+extension of it walked, once per sweep. Up to max_parallel workers (capped
+at the usable CPUs and at the number of groups) run in forked processes
+that end with their parent, or one in-process where fork is unavailable or
+unsafe. A worker only marches (lockstep.run_lockstep): it claims the
+largest unclaimed group to start with, and the next one whenever one of
+its points ends, since step counts are not known in advance. Every point's
+result is bitwise its solo run's, and the rows are merged by run id, so
+the output is independent of the degree of parallelism and of which points
+ran together. A run that raises one of the package's own errors becomes an
+Error row while the other points go on; any other exception propagates.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import os
+import signal
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -31,17 +33,14 @@ import numpy as np
 from .config import AXIS_KEYS, DEFAULTS, number, numbers, run_config_from, with_defaults
 from .errors import ConfigError, KsfvError
 from .output import csv_text, fmt
+from .solver import RunConfig, RunResult, TableCache, Termination, initial_table_key
 # perfbench/tracing.py wraps sweep.run by name; the workers call run_lockstep
-from .solver import RunResult, TableCache, Termination, run  # noqa: F401
+from .solver import run  # noqa: F401
 
 GLOBAL = "Global"
 BLOWUP = "BlowUp"
 INCONCLUSIVE = "Inconclusive"
 ERROR = "Error"
-
-# Axes the initial G-table does not read (see solver.initial_table_key; a
-# test checks the two agree): points that differ only on these share one table.
-_NON_TABLE_AXES = {"kappa"}
 
 
 def classify_run(
@@ -197,9 +196,15 @@ def _sweep_row(spec: SweepSpec, run_id: int, point: Dict[str, float], outcome) -
 _claims = None
 
 
-def _share_claims(counter) -> None:
+def _share_claims(counter, parent: int) -> None:
+    """Pool initializer: share the claim counter, and end when the parent does."""
     global _claims
     _claims = counter
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG: Linux signals us when the parent dies
+    if os.getppid() != parent:  # it died before the call
+        os._exit(1)
 
 
 def _claim_shared() -> int:
@@ -211,10 +216,10 @@ def _claim_shared() -> int:
 
 def _run_worker(
     spec: SweepSpec,
-    groups: List[List[Tuple[int, Dict[str, float]]]],
+    groups: List[List[Tuple[int, Dict[str, float], RunConfig]]],
     claim: Optional[Callable[[], int]] = None,
 ) -> List[SweepRow]:
-    """Run table groups of (run_id, point) items in one lockstep march.
+    """Run table groups of (run_id, point, config) items in one lockstep march.
 
     claim() returns the index of the next unclaimed group; a worker claims
     one group to start with and the next whenever one of its points ends,
@@ -225,33 +230,15 @@ def _run_worker(
     from .lockstep import run_lockstep
 
     claim = claim or _claim_shared
-    rows: List[SweepRow] = []
 
     def feed():
         i = claim()
         if i >= len(groups):
             return None
         tables = TableCache()
-        entries = []
-        for run_id, point in groups[i]:
-            try:
-                entries.append(((run_id, point), _point_config(spec, point), None, tables))
-            except KsfvError as exc:
-                rows.append(_sweep_row(spec, run_id, point, exc))
-        return entries
+        return [((run_id, point), cfg, None, tables) for run_id, point, cfg in groups[i]]
 
-    for (run_id, point), outcome in run_lockstep(feed):
-        rows.append(_sweep_row(spec, run_id, point, outcome))
-    return rows
-
-
-def _tasks(points: List[Dict[str, float]]) -> List[List[Tuple[int, Dict[str, float]]]]:
-    """Group the points by their table axes, in run-id order."""
-    groups: Dict[tuple, list] = {}
-    for run_id, point in enumerate(points):
-        key = tuple(v for name, v in point.items() if name not in _NON_TABLE_AXES)
-        groups.setdefault(key, []).append((run_id, point))
-    return list(groups.values())
+    return [_sweep_row(spec, *tag, outcome) for tag, outcome in run_lockstep(feed)]
 
 
 def _usable_cpus() -> int:
@@ -278,16 +265,25 @@ def _fork_context():
 
 
 def run_sweep(spec: SweepSpec) -> List[SweepRow]:
-    """Execute every sweep point; results are ordered by run id regardless of parallelism."""
+    """Execute every sweep point; results are ordered by run id regardless of parallelism.
+
+    Each point's configuration is built here, once, and the points are grouped
+    by its initial_table_key; a KsfvError makes the point's Error row at once.
+    """
     names = [name for name, _ in spec.axes]
-    points = [
-        dict(zip(names, combo))
-        for combo in itertools.product(*(values for _, values in spec.axes))
-    ]
-    tasks = _tasks(points)
+    errors: List[SweepRow] = []
+    tasks: Dict[tuple, list] = {}
+    for run_id, combo in enumerate(itertools.product(*(values for _, values in spec.axes))):
+        point = dict(zip(names, combo))
+        try:
+            cfg = _point_config(spec, point)
+        except KsfvError as exc:
+            errors.append(_sweep_row(spec, run_id, point, exc))
+            continue
+        tasks.setdefault(initial_table_key(cfg), []).append((run_id, point, cfg))
     workers = min(spec.max_parallel, _usable_cpus(), len(tasks))
     fork = _fork_context() if workers > 1 else None
-    groups = sorted(tasks, key=len, reverse=True)  # the largest are claimed first
+    groups = sorted(tasks.values(), key=len, reverse=True)  # the largest are claimed first
     if fork is None:
         done = [_run_worker(spec, groups, itertools.count().__next__)]
     else:
@@ -295,7 +291,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
 
         claims = fork.Value("q", 0)
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=fork, initializer=_share_claims, initargs=(claims,)
+            workers, fork, initializer=_share_claims, initargs=(claims, os.getpid())
         ) as pool:
             futures = [pool.submit(_run_worker, spec, groups) for _ in range(workers)]
             try:
@@ -303,7 +299,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
             except BaseException:
                 claims.value = len(groups)  # the other workers claim no more groups
                 raise
-    return sorted((row for rows in done for row in rows), key=lambda r: r.run_id)
+    return sorted(itertools.chain(errors, *done), key=attrgetter("run_id"))
 
 
 # the SweepRow fields that the sweep CSV writes after run_id and the axes

@@ -1,10 +1,15 @@
 import dataclasses
+import glob
 import hashlib
 import inspect
 import math
 import multiprocessing
 import os
 import platform
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +18,6 @@ import scipy
 import ksfv
 from ksfv.cli import main
 from ksfv.config import (
-    AXIS_KEYS,
     DEFAULTS,
     SCHEMA,
     build_field,
@@ -43,8 +47,6 @@ from ksfv.sweep import (
     INCONCLUSIVE,
     SweepRow,
     SweepSpec,
-    _NON_TABLE_AXES,
-    _tasks,
     classify_run,
     run_sweep,
     sweep_csv,
@@ -352,40 +354,6 @@ def _count_table_builds(monkeypatch, tmp_path):
     return builds
 
 
-def test_sweep_tasks_group_points_by_table():
-    points = [{"beta": b, "kappa": k} for b in (1.0, 2.0, 3.0) for k in (2.0, 3.0, 4.0)]
-
-    def ids(tasks):
-        return [[run_id for run_id, _ in task] for task in tasks]
-
-    assert ids(_tasks(points)) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    kappas = [{"kappa": k} for k in (2.0, 3.0, 4.0)]
-    assert ids(_tasks(kappas)) == [[0, 1, 2]]
-
-
-def test_non_table_axes_are_those_the_table_key_ignores():
-    # the sweep groups points by the axes that change solver.initial_table_key
-    from ksfv.solver import initial_table_key
-
-    values = {
-        "alpha": (1.0, 1.5),
-        "beta": (1.0, 2.0),
-        "kappa": (2.0, 3.0),
-        "eps": (0.1, 0.2),
-        "mass": (5.0, 10.0),  # max u0 above 1, where it sets the table's s_max
-    }
-    assert set(values) == set(AXIS_KEYS)
-    base = parse_config_text(SWEEP_BASE)
-
-    def key(axis, value):
-        mapping = dict(base)
-        mapping[AXIS_KEYS[axis]] = fmt(value)
-        return initial_table_key(run_config_from(mapping)[0])
-
-    ignored = {axis for axis, (a, b) in values.items() if key(axis, a) == key(axis, b)}
-    assert ignored == _NON_TABLE_AXES
-
-
 def test_sweep_builds_one_table_per_ratio(monkeypatch, tmp_path):
     # the table depends on beta but not on kappa: 3 builds for 9 points
     _pretend_cpus(monkeypatch, 2)
@@ -410,6 +378,57 @@ def test_sweep_outputs_independent_of_parallelism_and_sharing(monkeypatch):
         mapping = dict(spec1.base)
         mapping.update({f"params.{k}": fmt(v) for k, v in r1.point.items()})
         assert diag == rows_to_csv(run(run_config_from(mapping)[0]).rows)
+
+
+def _mass_beta_spec(max_parallel):
+    """docs/sample_sweep.cfg over mass x beta, from a constant density, to t = 0.05.
+
+    Masses 0.05, 0.1 and 0.2 keep the density below 2 s0, so for each beta they
+    have one initial_table_key; mass 40 has its own.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    mapping = load_config(os.path.join(root, "docs", "sample_sweep.cfg"))
+    dropped = ("init.u0", "init.mass", "run.t_end", "axis.", "sweep.")
+    base = {k: v for k, v in mapping.items() if not k.startswith(dropped)}
+    base.update({"init.u0": "constant:0.1", "run.t_end": "0.05"})
+    return SweepSpec(
+        axes=[("mass", [0.05, 0.1, 0.2, 40.0]), ("beta", [1.0, 2.0])],
+        base=base,
+        max_parallel=max_parallel,
+    )
+
+
+def test_sweep_groups_masses_by_table_key(monkeypatch, tmp_path):
+    # the low masses share a table per beta: 4 builds for 8 points, not one per (mass, beta)
+    _pretend_cpus(monkeypatch, 2)
+    builds = _count_table_builds(monkeypatch, tmp_path)
+    spec2 = _mass_beta_spec(2)
+    rows2 = run_sweep(spec2)
+    assert multiprocessing.active_children() == []
+    assert sorted(beta for _, beta in builds()) == [1.0, 1.0, 2.0, 2.0]
+    assert [r.classification for r in rows2].count(ERROR) == 0
+    spec1 = _mass_beta_spec(1)
+    assert sweep_csv(spec1, run_sweep(spec1)) == sweep_csv(spec2, rows2)
+
+
+def test_sweep_points_without_a_config_start_no_worker(monkeypatch):
+    # kappa = 1.5 is out of range at every point: all Error rows, made without forking
+    import ksfv.sweep as sweep_mod
+
+    def no_fork():
+        raise AssertionError("a sweep with no valid point forked a worker")
+
+    _pretend_cpus(monkeypatch, 2)
+    monkeypatch.setattr(sweep_mod, "_fork_context", no_fork)
+    spec = SweepSpec(
+        axes=[("kappa", [1.5]), ("beta", [1.0, 2.0])],
+        base=parse_config_text(SWEEP_BASE),
+        max_parallel=2,
+    )
+    rows = run_sweep(spec)
+    assert [(r.run_id, r.classification, r.termination) for r in rows] == [
+        (0, ERROR, "ConfigError"), (1, ERROR, "ConfigError"),
+    ]
 
 
 def test_kappa_only_sweep_runs_as_one_task(monkeypatch, tmp_path):
@@ -584,6 +603,67 @@ def test_cli_sweep_with_failing_point(tmp_path, capsys):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3 and lines[2].startswith("1,1.5,Error,ConfigError,")
     assert "run 1 (ConfigError)" in capsys.readouterr().err
+
+
+def _children(pid):
+    pids = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            with open(path) as fh:
+                pids.update(map(int, fh.read().split()))
+        except FileNotFoundError:
+            pass
+    return pids
+
+
+def _state(pid):
+    """A process's state letter (Z for a zombie), or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_forked_sweep_workers_end_with_their_parent(tmp_path, sig):
+    import ksfv.sweep as sweep_mod
+
+    if not glob.glob("/proc/self/task/*/children"):
+        pytest.skip("needs /proc with each task's children")
+    if sweep_mod._fork_context() is None or sweep_mod._usable_cpus() < 2:
+        pytest.skip("needs a forking pool and 2 usable CPUs")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "docs", "sample_sweep.cfg")) as fh:
+        text = fh.read().replace("domain.cells = 32", "domain.cells = 128")
+    spec = tmp_path / "s.cfg"
+    spec.write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ksfv.__file__)))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "ksfv", "sweep", "--spec", str(spec), "--max-parallel", "2",
+            "--out", str(tmp_path / "o")]
+    parent = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = set()
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2 and parent.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            workers = _children(parent.pid)
+        assert len(workers) == 2, f"the sweep should run 2 workers, found {workers}"
+        parent.send_signal(sig)
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and any(_state(w) not in (None, "Z") for w in workers):
+            time.sleep(0.02)
+        assert {w: _state(w) for w in workers if _state(w) not in (None, "Z")} == {}
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for w in workers:
+            if _state(w) not in (None, "Z"):
+                os.kill(w, signal.SIGKILL)
 
 
 def test_sweep_rejects_bad_axis():
@@ -790,6 +870,10 @@ _BALL = "domain.kind = ball\ndomain.n = 2\n"
         ("family", _BALL + "family.eta_list = 0.2,zz\nfamily.mass = 1\n", [], "family.eta_list"),
         ("convergence", _SMALL, ["--eps-list", "0.1,x", "--t-probe", "0.001"], "--eps-list"),
         ("run", _BALL + "init.u0 = family_u:mass=1\n", [], "init.u0"),
+        # specs the family's preconditions reject
+        ("run", _BALL + "init.v0 = family_v:eta=0.1\n", [], "init.v0"),
+        ("run", "init.u0 = family_u:eta=0.1,mass=5\n", [], "init.u0"),
+        ("run", _BALL + "init.u0 = family_u:eta=-1,mass=5\n", [], "init.u0"),
     ],
 )
 def test_cli_malformed_values_are_usage_errors(tmp_path, capsys, command, text, extra, named):
