@@ -11,7 +11,9 @@ encodes the symmetry condition of the radial Laplacian without ghost cells.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +21,9 @@ from .errors import ConfigError, UsageError
 
 INTERVAL = "interval"
 BALL = "ball"
+
+# the grid-only factors of the solver's CFL rates (Grid.rate_geometry)
+RateGeometry = namedtuple("RateGeometry", "diff_geom adv_l adv_r adv_geom")
 
 
 def unit_sphere_area(n: int) -> float:
@@ -127,6 +132,34 @@ class Grid:
     @property
     def cells(self) -> int:
         return self.spec.cells
+
+    @cached_property
+    def rate_geometry(self) -> RateGeometry:
+        """The grid-only factors of the CFL rates, computed on first use and kept.
+
+        diff_geom = max_i (T_left + T_right)/V_i, which is 2/h^2 on an interval;
+        adv_l and adv_r are A h/V of each cell's left and right face, and
+        adv_geom = max_i (adv_l + adv_r), the drift bound's factor.
+        """
+        V = self.cell_volume
+        T = self.trans
+        th = T * self.h
+        adv_l = th[:-1] / V
+        adv_r = th[1:] / V
+        adv_l.flags.writeable = adv_r.flags.writeable = False
+        return RateGeometry(
+            float(np.maximum.reduce((T[:-1] + T[1:]) / V)),
+            adv_l,
+            adv_r,
+            float(np.maximum.reduce(adv_l + adv_r)),
+        )
+
+    def __getstate__(self):
+        # a pickled grid (e.g. in a sweep worker's result) leaves its cached
+        # rate factors behind; they are rebuilt on first use
+        state = dict(self.__dict__)
+        state.pop("rate_geometry", None)
+        return state
 
     def __setstate__(self, state):
         # unpickling (e.g. a result sent back by a sweep worker) makes arrays writeable

@@ -2,10 +2,12 @@
 
 run_lockstep holds one _Point per run: its settings, its state between
 steps and its record, diagnostics rows included. The batched work of a
-step is one solver._Kernel call for all the runs; the rest is each run's
-own (see "Lockstep" in the solver module docstring). solver.run and the
-sweep workers import this module when they first march, so that importing
-ksfv does not compile it.
+step is one numpy call per quantity for all the runs: the solver._Kernel
+calls, the min/max checks and one vecdot for the mass sums. The rest is
+each run's own (see "Lockstep" and "Buffers" in the solver module
+docstring); a lone run takes the same path. solver.run and the sweep
+workers import this module when they first march, so that importing ksfv
+does not compile it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .solver import (
     initial_table_key,
 )
 
-_dot = np.dot  # looked up once: each step of each run takes three
-
 
 class _Point(_Model):
     """One run of a lockstep march: its model, settings, state between steps and record.
@@ -40,20 +40,21 @@ class _Point(_Model):
     Built when the run joins the march, after the API-boundary checks, with
     the row of its initial state. Between steps its state lives in the
     march's buffers at its kernel index k (None until the march first tiles
-    it): uv and ss hold its (u, v), as two rows and as one array, in buffer
-    0 and buffer 1. It keeps the max u, min u and range of v the last
+    it): uv holds its u, v and f rows in buffer 0 and buffer 1, and ss its
+    (u, v) as one array. It keeps the max u, min u and range of v the last
     step's checks measured, its masses and, until it steps again, that
-    step's dt, f(u) and F of the state before it. Its rows run under the
-    float settings it joined under (caller_err). outcome is None while it
-    runs, then its RunResult or the KsfvError that ended it.
+    step's dt, f(u) (a view of the f row it was written into) and F of the
+    state before it. Its rows run under the float settings it joined under
+    (caller_err). outcome is None while it runs, then its RunResult or the
+    KsfvError that ended it.
     """
 
     __slots__ = (
         "tag", "grid", "n", "dt_min", "dt_max", "cap", "t_end", "t_goal", "diag_every",
         "start", "grow_floor", "tables", "key", "probes", "probe_states", "pi", "rows", "w12",
         "t", "steps", "mass_u", "mass_v", "umin", "mass_res_u", "mass_res_v", "min_u_seen",
-        "min_v_seen", "F_cur", "F_prev", "dt", "f_u", "f_mass", "k", "uv", "ss", "faces",
-        "fview", "outcome", "caller_err",
+        "min_v_seen", "F_cur", "F_prev", "dt", "f_u", "k", "uv", "ss", "faces", "outcome",
+        "caller_err",
     )
 
     def __init__(self, tag, cfg: RunConfig, probe_times, tables: TableCache, grid: Grid):
@@ -105,7 +106,6 @@ class _Point(_Model):
         self.F_prev: Optional[float] = None
         self.dt = math.nan
         self.f_u: Optional[np.ndarray] = None
-        self.f_mass = 0.0
         self.k: Optional[int] = None
         self.outcome = None
 
@@ -162,11 +162,14 @@ class _Point(_Model):
         self.w12.append(terms.v_w12)
         return F_new
 
-    def start_step(self, bound: float, par: int, V: np.ndarray, kern: _Kernel) -> float:
-        """This step's dt, from the kernel's CFL bound, with f(u) and its mass.
+    def start_step(self, bound: float, par: int, kern: _Kernel) -> float:
+        """This step's dt, from the kernel's CFL bound, with f(u) written into the next buffer.
 
-        The current state is in buffer par. A dt that underflows ends the run
-        instead; then the run's cells take a null step, 0.0, that nothing reads.
+        The current state is in buffer par, and f(u) goes into the f row of
+        the other buffer, beside the state the step writes, so that one sum
+        over that buffer gives the new masses and the mass of f(u). A dt that
+        underflows ends the run instead; then the run's cells take a null
+        step, 0.0, that nothing reads.
         """
         dt_c = min(bound, self.dt_max)
         if dt_c < self.dt_min:
@@ -177,18 +180,21 @@ class _Point(_Model):
         if self.pi < len(self.probes):
             dt = min(dt, self.probes[self.pi] - t)
         self.dt = dt
-        self.f_u = f_u = self.f(self.uv[par][0], self.umax, self.fview)
-        self.f_mass = float(_dot(f_u, V))
+        uv = self.uv
+        self.f_u = self.f(uv[par][0], self.umax, uv[1 - par][2])
         return dt
 
     def end_step(
-        self, par: int, min_u_new, min_v_new, max_u, max_v_new, V: np.ndarray, kern: _Kernel
+        self, par: int, min_u_new, min_v_new, max_u, max_v_new, mass_u_new, mass_v_new,
+        f_mass, kern: _Kernel,
     ) -> None:
         """Take the step from buffer par to the other, or end the run.
 
-        The min and max of the new u and v are the step's checks. Records the
-        mass laws, probes and the step's row when one is due, and ends the run
-        on a non-finite or negative state, on the cap or at t_end.
+        The min and max of the new u and v are the step's checks, and
+        mass_u_new, mass_v_new and f_mass the integrals (sums against the
+        cell volumes) of the new u, the new v and f(u). Records the mass
+        laws, probes and the step's row when one is due, and ends the run on
+        a non-finite or negative state, on the cap or at t_end.
         """
         # min and max propagate NaN, and every comparison with NaN is False:
         # a NaN or -inf cell fails 0 <= min, a +inf cell fails max < inf, so
@@ -200,14 +206,12 @@ class _Point(_Model):
         self.steps += 1
         dt = self.dt
         t_new = self.t + dt
-        u_new, v_new = self.uv[1 - par]
+        u_new, v_new, _ = self.uv[1 - par]
         mass_u, mass_v = self.mass_u, self.mass_v
-        mass_u_new = float(_dot(u_new, V))
-        mass_v_new = float(_dot(v_new, V))
         self.mass_res_u = max(
             self.mass_res_u,
-            abs(mass_u_new - mass_u - dt * self.f_mass)
-            / max(abs(mass_u), abs(mass_u_new), abs(dt * self.f_mass), 1e-300),
+            abs(mass_u_new - mass_u - dt * f_mass)
+            / max(abs(mass_u), abs(mass_u_new), abs(dt * f_mass), 1e-300),
         )
         self.mass_res_v = max(
             self.mass_res_v,
@@ -267,8 +271,9 @@ class _Point(_Model):
 
         When the last step wrote no row, its own row comes first: the other
         buffer still holds the state that step advanced from, and mob and
-        f_u are still that step's, so the row is bitwise the one a
-        diag_every = 1 run writes.
+        f_u are still that step's (f_u a view of the buffer that step wrote,
+        kept when a retile has since replaced it), so the row is bitwise the
+        one a diag_every = 1 run writes.
         """
         state, old = self.ss[par], self.ss[1 - par]
         if self.F_cur is None:
@@ -296,12 +301,12 @@ class _Point(_Model):
 
 
 def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: int):
-    """The kernel, state buffers and f buffer of points, ordered in blocks.
+    """The kernel and the (2, 3, B*cells) buffers of points, ordered in blocks.
 
     Each point that was tiled before keeps its current state (into buffer
-    0), the state its last step advanced from (buffer 1) and that step's face
-    mobility; a new point starts from its initial state. One lone point's f
-    is the array f returns, so it has no f buffer.
+    0), the state its last step advanced from (buffer 1), both buffers' f
+    rows and its last step's face mobility; a new point starts from its
+    initial state, with f rows of 0.0.
     """
     phi_order: Dict[tuple, int] = {}
     psi_order: Dict[tuple, int] = {}
@@ -310,25 +315,23 @@ def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: i
         psi_order.setdefault(pt.psi_key, len(psi_order))
     points = sorted(points, key=lambda pt: (phi_order[pt.phi_key], psi_order[pt.psi_key]))
     new = _Kernel(grid, points)
-    cells = np.empty((2, 2, new.B * new.n))
+    cells = np.zeros((2, 3, new.B * new.n))
     mob = np.zeros(new.B * new.n - 1)
-    fbuf = np.zeros(new.B * new.n) if new.B > 1 else None
     for k, pt in enumerate(points):
         c = new.cells(k)
         if pt.k is None:
-            cells[0, :, c] = pt.start
+            cells[0, :2, c] = pt.start
         else:
             was = kern.cells(pt.k)
             cells[0, :, c] = buf[par, :, was]
             cells[1, :, c] = buf[1 - par, :, was]
             mob[new.inner(k)] = kern.mob[kern.inner(pt.k)]
         pt.k = k
-        pt.ss = (cells[0, :, c], cells[1, :, c])
-        pt.uv = ((cells[0, 0, c], cells[0, 1, c]), (cells[1, 0, c], cells[1, 1, c]))
+        pt.ss = (cells[0, :2, c], cells[1, :2, c])
+        pt.uv = tuple((b[0, c], b[1, c], b[2, c]) for b in cells)
         pt.faces = (new.dvf[new.faces(k)], new.du_in[new.inner(k)], new.dv_in[new.inner(k)])
-        pt.fview = None if fbuf is None else fbuf[c]
     new.mob = mob
-    return new, cells, points, fbuf
+    return new, cells, points
 
 
 def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
@@ -342,9 +345,11 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     raise, and the other runs go on; any other exception propagates.
 
     Each lockstep step advances every run one step of its own dt: the
-    batched work is one _Kernel call for all the runs, the rest is each
-    run's own, as run() alone does it. A run leaves when it ends, and the
-    runs that join or stay are tiled afresh.
+    batched work is one numpy call per quantity for all the runs (the
+    _Kernel calls, the min/max checks and one vecdot for the masses of the
+    new u, the new v and f(u)), the rest is each run's own, as run() alone
+    does it. A lone run takes the same path. A run leaves when it ends, and
+    the runs that join or stay are tiled afresh.
     """
     caller_err = np.geterr()
     ended: List[tuple] = []
@@ -370,7 +375,7 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                 except KsfvError as exc:
                     ended.append((tag, exc))
 
-    vmin, vmax = np.minimum.reduce, np.maximum.reduce
+    vmin, vmax, vecdot = np.minimum.reduce, np.maximum.reduce, np.vecdot
     kern: Optional[_Kernel] = None
     buf, par = None, 0
     with np.errstate(all="ignore"):
@@ -380,41 +385,45 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
             if not (live or joined):
                 break
             if joined or len(live) != kern.B:
-                kern, buf, live, fbuf = _tile(grid, live + joined, kern, buf, par)
+                kern, buf, live = _tile(grid, live + joined, kern, buf, par)
                 joined, par = [], 0
                 V, B = grid.cell_volume, kern.B
-                states = (buf[0], buf[1])
-                rows = ((buf[0, 0], buf[0, 1]), (buf[1, 0], buf[1, 1]))
-                # each buffer as (u of run 0, ..., u of run B-1, v of run 0, ...),
-                # for the checks' reductions
-                per_run = tuple(buf.reshape(2, 2 * B, kern.n))
-            (u, v), (u_new, v_new) = rows[par], rows[1 - par]
+                states = (buf[0, :2], buf[1, :2])
+                rows = tuple((b[0], b[1], b[2]) for b in buf)
+                # each buffer's (u, v) as (u of run 0, ..., u of run B-1, v of
+                # run 0, ...), for the checks' reductions, and its (u, v, f) as
+                # (3, B, cells), for the sums over each run's cells
+                per_run = tuple(b[:2].reshape(2 * B, kern.n) for b in buf)
+                stacks = tuple(b.reshape(3, B, kern.n) for b in buf)
+            (u, v, _), (u_new, v_new, f_u) = rows[par], rows[1 - par]
             kern.gradients(states[par])
             dts = []
             n_ended = 0
             for pt, bound in zip(live, kern.dt_bound(u)):
                 try:
-                    dts.append(pt.start_step(bound, par, V, kern))
+                    dts.append(pt.start_step(bound, par, kern))
                 except KsfvError as exc:
                     pt.outcome = exc
                     dts.append(0.0)
                 if pt.outcome is not None:
                     n_ended += 1
             if n_ended < B:
-                if B == 1:
-                    kern.advance(u, v, u_new, v_new, dts[0], live[0].f_u)
-                else:
-                    kern.advance(u, v, u_new, v_new, dts, fbuf)
+                kern.advance(u, v, u_new, v_new, dts, f_u)
                 for k, exc in kern.failed:
                     live[k].outcome = exc
                     n_ended += 1
             lows = vmin(per_run[1 - par], axis=1).tolist()
             highs = vmax(per_run[1 - par], axis=1).tolist()
+            # np.dot of each row, bitwise: vecdot sums a row with BLAS ddot too
+            mass_u, mass_v, f_mass = vecdot(stacks[1 - par], V).tolist()
             for k, pt in enumerate(live):
                 if pt.outcome is not None:
                     continue
                 try:
-                    pt.end_step(par, lows[k], lows[B + k], highs[k], highs[B + k], V, kern)
+                    pt.end_step(
+                        par, lows[k], lows[B + k], highs[k], highs[B + k], mass_u[k], mass_v[k],
+                        f_mass[k], kern,
+                    )
                 except KsfvError as exc:
                     pt.outcome = exc
                 if pt.outcome is not None:

@@ -66,6 +66,9 @@ def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams, umax=None) -> np.ndar
     """Multiply f = growth(u) by the cutoff in place, only where it is below 1.
 
     umax, when given, is max(u): a max at or below 1/(2 eps) skips the mask.
+    The saturated cells, u >= 1/eps, are multiplied by 0.0 in place under a
+    mask, with no gather; only the band between the thresholds, usually
+    empty, is gathered to evaluate the window.
     """
     if p.eps > 0.0:
         # smooth_step is exactly 0 at or below its threshold, so the window is
@@ -73,16 +76,19 @@ def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams, umax=None) -> np.ndar
         lo = 1.0 / (2.0 * p.eps)
         if umax is None or umax > lo:
             hot = u > lo
-            if hot.any():
+            n_hot = np.count_nonzero(hot)
+            if n_hot:
                 # the window 1 - smooth_step((u - lo)/(hi - lo)) on the hot
                 # cells, without smooth_step's x <= 0 branch, x > 0 on every
                 # hot cell. On u >= 1/eps, x >= 1 and _rise is exactly 1.0, so
                 # the window there is exactly 0.0
                 hi = 1.0 / p.eps
                 saturated = u >= hi
-                f[saturated] *= 0.0
-                band = hot & ~saturated
-                if band.any():
+                np.multiply(f, 0.0, out=f, where=saturated)
+                # hi > lo, so every saturated cell is hot, and the band is
+                # the hot cells that are not saturated: hot xor saturated
+                if np.count_nonzero(saturated) < n_hot:
+                    band = np.logical_xor(hot, saturated)
                     f[band] *= 1.0 - _rise((u[band] - lo) / (hi - lo))
     return f
 

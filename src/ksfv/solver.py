@@ -37,22 +37,26 @@ builds its rate factors. Every result is bitwise the unfolded scheme's.
 
 Lockstep. lockstep.run_lockstep advances B >= 1 runs on one grid
 together, and run(cfg) is the lockstep march of one run, so there is one
-step loop; the per-run state and rows live in lockstep._Point. Each run's
-record is bitwise its solo run's whatever runs beside it. Batched,
-one numpy call for all the runs: the face gradients, phi, psi, the flux,
-its divergence, the u and v right-hand sides, the coefficients of the v
-solves and the min/max checks. Each run's own: f(u) and the reaction rate
-(kappa), dt with its clamps and probes, the mass dots and mass-law
-residuals (a BLAS matrix product is not bitwise per row), one dgtsv call on
-its own cells (a block-diagonal call would carry one run's nan into the
-next), its diagnostics rows, its termination, after which it leaves the
-march, and its KsfvError, which ends it alone while the others go on. phi
-is evaluated once per block of runs with equal alpha and eps, psi and the
-drift slope once per block with equal psi_c and beta, since numpy computes
-u ** 2.0 as a square and an array exponent would not: the runs are ordered
-so that each block is contiguous. Runs that share an initial G-table share
-its walked range (TableCache.covering). A lone run (B = 1) steps with a
-float dt, with no per-cell dt array and no block loop.
+step loop, and a lone run takes the same path as a batch; the per-run state
+and rows live in lockstep._Point. Each run's record is bitwise its solo
+run's whatever runs beside it. Batched, one numpy call per quantity for all
+the runs: the face gradients, phi, psi, the flux, its divergence, the u and
+v right-hand sides, the coefficients of the v solves, the min/max checks
+and the mass sums. The mass sums are one np.vecdot of each run's new u, new
+v and f(u) against the cell volumes: vecdot sums each row with the BLAS
+ddot that np.dot calls, so each sum is bitwise the run's own np.dot, under
+any OpenBLAS core (a BLAS matrix product would not be bitwise per row).
+Each run's own: f(u) and the reaction rate (kappa), dt with its clamps and
+probes, the mass-law residuals, one dgtsv call on its own cells (a
+block-diagonal call would carry one run's nan into the next), its
+diagnostics rows, its termination, after which it leaves the march, and its
+KsfvError, which ends it alone while the others go on. phi is evaluated
+once per block of runs with equal alpha and eps, psi and the drift slope
+once per block with equal psi_c and beta, since numpy computes u ** 2.0 as
+a square and an array exponent would not: the runs are ordered so that
+each block is contiguous. Runs that share an initial G-table share its
+walked range (TableCache.covering). Inside the kernel a lone run (B = 1)
+steps with a float dt, with no per-cell dt array and no block loop.
 
 Rate pruning. dt = cfl / (max(diffusion, drift, reaction) + guard), and the
 max is all that is used. The reaction rate is O(1) and always computed. The
@@ -74,19 +78,31 @@ skipped rate is then at most the max of the computed ones, so the max, and
 dt, is bitwise the unpruned value, whichever rate goes first and whether
 or not the other is skipped: each run's dt is its solo dt.
 
-Buffers. A march owns one (2, 2, B*cells) array: the current (u, v) and
-the next, each run's cells end to end. A step reads the current state,
-writes the next one, and solves v in place in each run's cells of the next
-state's v row; then the two swap. When a run ends or joins, the runs left
-are tiled afresh into a new array, each keeping its current and previous
-state and its last face mobility. Only those buffers are ever solved in
-place: step(), cfl_dt() and steady_signal() leave their inputs untouched.
-The kernel owns the face gradients (2, B*cells + 1) and the flux; they
-hold the last gradients() call's state until the next call. The face
-between two runs is a boundary face of both, as the grid's end faces are:
-its gradients are set to zero, so that its transmissibility 0 never meets
-an overflowed gradient (0*inf is nan), and its flux is set to +0.0 after
-the flux formula, so that each run's divergence is its own.
+Buffers. A march owns one (2, 3, B*cells) array: two buffers of u, v and
+f rows, the current state and the next, each run's cells end to end. A step
+reads the current state, writes f(u) into the next buffer's f row and the
+next state into its u and v rows, and solves v in place in each run's
+cells of that v row; then the two swap. Each buffer is therefore also a
+(3, B, cells) stack of every run's new u, new v and the f(u) of the step
+to it, which the one vecdot of the mass sums reads. When a run ends or
+joins, the runs left are tiled afresh into a new array, each keeping its
+current and previous state, its f rows and its last face mobility. Only
+those buffers are ever solved in place: step(), cfl_dt() and
+steady_signal() leave their inputs untouched. The kernel owns the face
+gradients and the flux; they hold the last gradients() call's state until
+the next call. The gradients of u and v lie in one flat buffer, u's faces
+then v's, where u's last face is v's first, so that one difference over the
+flattened (2, B*cells) state takes every face at once; grad is a read-only
+(2, B*cells + 1) view of that buffer whose rows overlap at the shared face.
+The face between two runs is a boundary face of both, as the grid's end
+faces are: its gradients are set to zero, with the shared face, by one
+strided assignment over every cells-th face before the division by h, so
+that no difference across it overflows and its transmissibility 0 never
+meets an overflowed gradient (0*inf is nan), and its flux is set to
++0.0 after the flux formula, so that each run's divergence is its own. The
+grid-only factors of the CFL rates are computed once per Grid
+(Grid.rate_geometry), so the kernel that cfl_dt() and step() build per call
+does not recompute them.
 
 Floating-point warnings. The step loop runs under np.errstate(all="ignore"),
 set once per run: a non-finite or negative state is caught by the step's
@@ -350,11 +366,11 @@ class _Kernel:
     of both: its gradients are zero and its flux +0.0. phi is evaluated once
     per block of consecutive runs with equal _Model.phi_key, psi and the
     drift slope once per block with equal psi_key; f, dt and the v solve are
-    per run. A step calls gradients(s) on its state s = (u, v), then
-    dt_bound and advance, which read those gradients (grad, with the views
-    dvf of v's row and du_in, dv_in of the interior faces); advance leaves
-    the face mobility phi(u_face) in mob. Its methods take validated float
-    arrays and do no domain checks.
+    per run. A step calls gradients(s) on its state s = (u, v), a (2,
+    B*cells) array, then dt_bound and advance, which read those gradients
+    (grad, with the views dvf of v's row and du_in, dv_in of the interior
+    faces); advance leaves the face mobility phi(u_face) in mob. Its methods
+    take validated float arrays and do no domain checks.
     """
 
     def __init__(self, grid: Grid, models: Sequence[_Model]):
@@ -362,21 +378,19 @@ class _Kernel:
         self.models = models
         self.n = n = grid.cells
         self.B = B = len(models)
-        V = grid.cell_volume
-        T = grid.trans
-        self.diff_geom = float(np.maximum.reduce((T[:-1] + T[1:]) / V))  # = 2/h^2 on an interval
-        th = T * grid.h
-        adv_l = th[:-1] / V  # A_j/V_i for the left face of each cell
-        adv_r = th[1:] / V
+        rates = grid.rate_geometry
+        self.diff_geom, self._adv_geom = rates.diff_geom, rates.adv_geom
         self.h = grid.h
         self._phi_blocks = self._blocks("phi_key")
         self._psi_blocks = self._blocks("psi_key")
         if B == 1:
-            self.adv_l, self.adv_r, self._geom = adv_l, adv_r, grid
+            self.adv_l, self.adv_r, self._geom = rates.adv_l, rates.adv_r, grid
         else:
-            self.adv_l, self.adv_r = np.tile(adv_l, B), np.tile(adv_r, B)
+            self.adv_l, self.adv_r = np.tile(rates.adv_l, B), np.tile(rates.adv_r, B)
             A = grid.face_area
-            self._geom = _Tiles(np.concatenate((np.tile(A[:-1], B), A[-1:])), np.tile(V, B))
+            self._geom = _Tiles(
+                np.concatenate((np.tile(A[:-1], B), A[-1:])), np.tile(grid.cell_volume, B)
+            )
             # the interior faces between two runs: n - 1, 2n - 1, ...
             self._seams = slice(n - 1, None, n)
         # a partial, not a lambda over self: a kernel in a reference cycle
@@ -386,12 +400,15 @@ class _Kernel:
             self.phi = partial(_by_block, self._phi_blocks, "phi")
         if len(self._psi_blocks) > 1:
             self.psi = partial(_by_block, self._psi_blocks, "psi")
-        # face gradients of u and v, and the face flux; boundary faces stay zero
+        # the face gradients of u and v in one flat buffer, u's faces then v's,
+        # where u's last face is v's first: m = B*n + 1 faces each, 2m - 1 in
+        # all. grad is a read-only (2, m) view of it whose rows overlap there
         m = B * n + 1
-        self.grad = np.zeros((2, m))
-        self.dvf = self.grad[1]
-        self._grad_in = self.grad[:, 1:-1]
-        self.du_in, self.dv_in = self._grad_in[0], self._grad_in[1]
+        self._g = g = np.zeros(2 * m - 1)
+        self.grad = np.ndarray((2, m), buffer=g, strides=(g.itemsize * (m - 1), g.itemsize))
+        self.grad.flags.writeable = False
+        self.dvf = g[m - 1:]
+        self.du_in, self.dv_in = g[1:m - 1], g[m:-1]
         self._flux = np.zeros(m)
         self._flux_in = self._flux[1:-1]
         self.mob: Optional[np.ndarray] = None
@@ -411,11 +428,6 @@ class _Kernel:
         # built on the first advance, so that cfl_dt() does not pay for it
         return _Tridiag(self.grid, self.B)
 
-    @cached_property
-    def _adv_geom(self) -> float:
-        # max_i (adv_l + adv_r), for the drift bound; step() does not pay for it
-        return float(np.maximum.reduce(self.adv_l + self.adv_r))
-
     def _blocks(self, key: str) -> List[Tuple[_Model, slice]]:
         """The runs in blocks of equal `key`: each block's first model and its cells."""
         models, n = self.models, self.n
@@ -430,12 +442,21 @@ class _Kernel:
         return np.maximum.reduce(x.reshape(-1, self.n), axis=1).tolist()
 
     def gradients(self, s: np.ndarray) -> None:
-        """Set self.grad to the face gradients of s = (u, v), each run's bitwise grad_faces."""
-        g = self._grad_in
-        np.subtract(s[:, 1:], s[:, :-1], out=g)
-        np.divide(g, self.h, out=g)
-        if self.B > 1:
-            g[:, self._seams] = 0.0
+        """Set self.grad to the face gradients of s = (u, v), each run's bitwise grad_faces.
+
+        One difference over s flattened, u's cells then v's, takes every face
+        of every run; the faces it takes across the end of a run, between u
+        and v included, are every n-th face (n cells a run), and one strided
+        assignment makes them boundary faces again. It comes before the
+        division, so that no difference across an end can overflow there
+        (0.0/h is +0.0).
+        """
+        g = self._g
+        inner = g[1:-1]
+        flat = s.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=inner)
+        g[::self.n] = 0.0
+        np.divide(inner, self.h, out=inner)
 
     def _rate_diff(self, u: np.ndarray) -> List[float]:
         geom = self.diff_geom
@@ -530,15 +551,16 @@ class _Kernel:
     ) -> None:
         """One IMEX update of (u, v) into (u_new, v_new), given gradients((u, v)) and f_u = f(u).
 
-        dt is the step of the one run, or the list of each run's step. The
-        outputs must not overlap the inputs; each run's v solve runs in place
-        in its cells of v_new, a contiguous array. A run whose solve fails is
-        listed in failed with its error, and the other runs go on. No
-        validation: callers check the result for finiteness and positivity.
+        dt is the list of each run's step, or a lone run's step as a number.
+        The outputs must not overlap the inputs; each run's v solve runs in
+        place in its cells of v_new, a contiguous array. A run whose solve
+        fails is listed in failed with its error, and the other runs go on.
+        No validation: callers check the result for finiteness and positivity.
         """
         self.mob = interior_flux(self._flux_in, u, self.du_in, self.dv_in, self.phi, self.psi)
         if self.B == 1:
-            dt_cells = dt
+            # a scalar dt: no per-cell dt array
+            dt_cells = dt = dt[0] if isinstance(dt, list) else dt
         else:
             # after the flux formula, whose 0*inf there would be nan
             self._flux_in[self._seams] = 0.0

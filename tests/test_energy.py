@@ -358,8 +358,9 @@ def test_run_rows_are_lyapunov_and_dissipation_bitwise(monkeypatch, ov):
     steps = []  # (state before, state after, dt) of every step
     real = solver_mod._Kernel.advance
 
-    def recording(self, u, v, u_new, v_new, dt, f_u):
-        real(self, u, v, u_new, v_new, dt, f_u)
+    def recording(self, u, v, u_new, v_new, dts, f_u):
+        real(self, u, v, u_new, v_new, dts, f_u)
+        (dt,) = dts  # the march passes each run's step: this run's alone
         steps.append(((u.copy(), v.copy()), (u_new.copy(), v_new.copy()), dt))
 
     monkeypatch.setattr(solver_mod._Kernel, "advance", recording)

@@ -796,3 +796,93 @@ def test_lockstep_faces_between_runs_are_boundary_faces():
             y = np.empty_like(x)
             alone.advance(x[0], x[1], y[0], y[1], 1e-9, m.f(x[0]))
             assert new[:, kern.cells(k)].tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", [ksfv.INTERVAL, ksfv.BALL])
+@pytest.mark.parametrize("B", [1, 2, 3])
+def test_lockstep_gradients_are_each_runs_grad_faces_bitwise(kind, B):
+    # one flat difference takes every face of every run; the faces it takes
+    # across the end of a run, and between u and v, must read +0.0
+    from ksfv.solver import _Kernel, _Model
+
+    n = 12
+    g = ksfv.make_grid(ksfv.DomainSpec(kind, 0.7, 1 if kind == ksfv.INTERVAL else 2, n))
+    rng = np.random.default_rng(B)
+    # magnitudes from 1e-3 to 1e3, so that every face across a run's end differs
+    runs = [10.0 ** rng.uniform(-3.0, 3.0, (2, n)) for _ in range(B)]
+    kern = _Kernel(g, [_Model(ksfv.ModelParams(), None) for _ in runs])
+    kern.gradients(np.concatenate(runs, axis=1))
+    for k, (u, v) in enumerate(runs):
+        du, dv = grad_faces(u, g), grad_faces(v, g)
+        assert kern.du_in[kern.inner(k)].tobytes() == du[1:-1].tobytes()
+        assert kern.dv_in[kern.inner(k)].tobytes() == dv[1:-1].tobytes()
+        assert kern.dvf[kern.faces(k)].tobytes() == dv.tobytes()
+        assert kern.grad[0, kern.faces(k)].tobytes() == du.tobytes()
+    ends = kern.grad[:, ::n]  # every boundary face and every face between two runs
+    assert ends.shape == (2, B + 1)
+    assert ends.tobytes() == np.zeros((2, B + 1)).tobytes()  # +0.0, not -0.0
+
+
+def test_cfl_dt_takes_no_gradient_across_the_end_of_a_field():
+    # the gradients are one difference over u's cells then v's: the one it
+    # takes from u's last cell to v's first must not overflow, nor warn
+    g = interval(16)  # h < 1, so a difference of 1e308 over h overflows
+    p = ksfv.ModelParams()
+    flat = np.full(16, 1.0)
+    with np.errstate(all="raise"):
+        for u, v in ((flat, np.full(16, 1e308)), (np.full(16, 1e308), 0.0 * flat)):
+            dt = cfl_dt(State(u, v, 0.0), g, p, 0.4)
+            # v constant: no drift, so the dt of v = 0
+            assert dt == cfl_dt(State(u, 0.0 * flat, 0.0), g, p, 0.4)
+
+
+def test_vecdot_rows_are_blas_dot_bitwise():
+    # the march sums each run's u, v and f(u) against the cell volumes in one
+    # np.vecdot call; each sum must be bitwise the np.dot a run alone takes
+    rng = np.random.default_rng(20)
+    cases = [(k, n) for k in (1, 2, 3, 5, 9, 20) for n in (8, 17, 48, 256, 600)]
+    for k, n in cases:
+        V = 10.0 ** rng.uniform(-5.0, 5.0, n)
+        U = rng.choice([-1.0, 1.0], (k, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (k, n))
+        sums = np.vecdot(U, V)
+        assert sums.tobytes() == np.array([np.dot(u, V) for u in U]).tobytes(), (k, n)
+    # one row holding nan and one holding inf leave the other rows as they are
+    k, n = 6, 48
+    V = 10.0 ** rng.uniform(-5.0, 5.0, n)
+    U = 10.0 ** rng.uniform(-5.0, 5.0, (k, n))
+    U[1, 7] = np.nan
+    U[4, 30] = np.inf
+    sums = np.vecdot(U, V)
+    dots = np.array([np.dot(u, V) for u in U])
+    assert np.isnan(sums[1]) and np.isnan(dots[1])
+    assert sums[4] == dots[4] == np.inf
+    finite = [0, 2, 3, 5]
+    assert np.all(np.isfinite(sums[finite]))
+    assert sums[finite].tobytes() == dots[finite].tobytes()
+
+
+def test_lockstep_underflow_row_after_a_retile_is_its_solo_row():
+    # run 1 completes on the step just before run 0's DtUnderflow, so the
+    # march is retiled between them; run 0's last row is its last step's own
+    # and takes that step's f(u), written into the buffers the retile replaced
+    import dataclasses
+
+    from oracles import ending_config, march, result_bytes
+
+    dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 24)
+    p = ksfv.ModelParams(alpha=1.0, beta=2.0, kappa=3.0, a=0.5, eps=0.01)
+    under = ending_config(dom, p, 1.0, "DtUnderflow", diag_every=7, after=4)
+    alone = run(under)
+    assert alone.termination.tag == Termination.DT_UNDERFLOW
+    assert alone.steps % 7 != 0 and alone.rows[-1].dt > 0.0  # its own step's row
+    longer = ending_config(dom, dataclasses.replace(p, beta=1.5), 1.2, "Completed", diag_every=3)
+    times = [r.t for r in run(dataclasses.replace(longer, diag_every=1)).rows]
+    assert len(times) > alone.steps + 2
+    ending = dataclasses.replace(longer, t_end=times[alone.steps])
+    runs = [under, ending, longer]
+    solo = [run(cfg) for cfg in runs]
+    assert solo[1].steps == alone.steps
+    assert solo[1].termination.tag == Termination.COMPLETED
+    together = march([(k, cfg, None, TableCache()) for k, cfg in enumerate(runs)], len(runs))
+    for k, res in enumerate(solo):
+        assert result_bytes(together[k]) == result_bytes(res)
