@@ -3,7 +3,8 @@
 Exit codes: 0 on success (a detected blow-up is a valid scientific outcome),
 1 on usage/configuration errors and any other ksfv or i/o error, each reported
 as one stderr line, 2 when a run ends in numerical failure or a sweep point
-fails (its Error row is still written to sweep.csv).
+fails (its Error row is still written to sweep.csv), 130 on Ctrl-C (SIGINT),
+reported as one "interrupted" line.
 """
 
 from __future__ import annotations
@@ -267,6 +268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

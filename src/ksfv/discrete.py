@@ -19,9 +19,12 @@ from .core import Grid
 
 
 def grad_faces(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Face-centered gradient; zero on boundary faces (homogeneous Neumann)."""
-    g = np.zeros(grid.cells + 1)
-    g[1:-1] = (values[1:] - values[:-1]) / grid.h
+    """Face-centered gradient; zero on boundary faces (homogeneous Neumann).
+
+    values is one field or a (k, cells) stack of fields, one gradient each.
+    """
+    g = np.zeros(values.shape[:-1] + (grid.cells + 1,))
+    g[..., 1:-1] = (values[..., 1:] - values[..., :-1]) / grid.h
     return g
 
 

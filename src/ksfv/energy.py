@@ -17,18 +17,19 @@ scheme's difference quotient, and the residual against (F_new - F_old)/dt is
 reported in the diagnostics.
 
 Each of the two has one implementation, a term helper that takes the
-quantities it needs already computed: lyapunov_terms takes G(u) and the face
-gradient of v, dissipation_terms the face gradients of u and v, the face
-mobility phi(u_face), f(u) and G'(u). The public lyapunov and dissipation
-compute those from a state and call the helpers; the solver's diagnostics
-rows pass the ones its step has already computed.
+quantities it needs already computed, for a (k, cells) stack of states:
+lyapunov_terms takes G(u) and the face gradient of v, dissipation_terms the
+face gradients of u and v, the face mobility phi(u_face), f(u) and G'(u).
+The public lyapunov and dissipation compute those from a state and call the
+helpers on a stack of one; the solver's diagnostics rows pass the ones its
+steps have already computed, for the runs whose rows share a table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -69,17 +70,24 @@ class EnergyBreakdown:
 
 
 def lyapunov_terms(
-    G_u: np.ndarray, u: np.ndarray, v: np.ndarray, dv: np.ndarray, grid: Grid, clamped: int = 0
-) -> EnergyBreakdown:
-    """F(u, v) from G_u = G(max(u, s_min)) and dv = grad_faces(v, grid)."""
-    V = grid.cell_volume
-    G_term = float(np.dot(G_u, V))
-    uv_term = float(np.dot(u * v, V))
-    v2_term = 0.5 * float(np.dot(v * v, V))
-    gradv_term = 0.5 * float(np.dot(grid.face_weight, dv * dv))
-    return EnergyBreakdown(
-        G_term, uv_term, v2_term, gradv_term, G_term - uv_term + v2_term + gradv_term, clamped
-    )
+    G_u: np.ndarray, u: np.ndarray, v: np.ndarray, dv: np.ndarray, grid: Grid
+) -> List[EnergyBreakdown]:
+    """F(u, v) of each state of a (k, cells) stack, from G_u = G(max(u, s_min)) and dv.
+
+    G_u, u and v are (k, cells) stacks and dv the (k, cells + 1) stack of
+    grad_faces(v, grid). Each sum is one np.vecdot row, which sums with the
+    BLAS ddot that np.dot calls, so each state's terms are bitwise its own;
+    the three cell sums of every state are one vecdot call.
+    """
+    k = len(u)
+    cells = np.vecdot(np.concatenate((G_u, u * v, v * v)), grid.cell_volume).tolist()
+    faces = np.vecdot(grid.face_weight, dv * dv).tolist()
+    out = []
+    for G_term, uv_term, vv, dvdv in zip(cells[:k], cells[k:2 * k], cells[2 * k:], faces):
+        v2_term, gradv_term = 0.5 * vv, 0.5 * dvdv
+        F = G_term - uv_term + v2_term + gradv_term
+        out.append(EnergyBreakdown(G_term, uv_term, v2_term, gradv_term, F))
+    return out
 
 
 def lyapunov(state: State, grid: Grid, table: FunctionalTable) -> EnergyBreakdown:
@@ -88,7 +96,8 @@ def lyapunov(state: State, grid: Grid, table: FunctionalTable) -> EnergyBreakdow
     tab = table.covering(float(np.max(u)), float(np.min(u)))
     clamped = int(np.count_nonzero(u < tab.s_min))
     G_u = tab.g(np.maximum(u, tab.s_min))
-    return lyapunov_terms(G_u, u, v, grad_faces(v, grid), grid, clamped)
+    (terms,) = lyapunov_terms(G_u[None], u[None], v[None], grad_faces(v, grid)[None], grid)
+    return replace(terms, clamped_cells=clamped)
 
 
 def lyapunov_steady(state: State, grid: Grid, table: FunctionalTable) -> float:
@@ -116,19 +125,20 @@ def dissipation(
     u, v = state.u, state.v
     _check_nonneg(u, "dissipation")
     tab = table.covering(float(np.max(u)), float(np.min(u)))
-    return dissipation_terms(
-        u,
-        v,
-        v_t,
-        grad_faces(u, grid)[1:-1],
-        grad_faces(v, grid)[1:-1],
-        effective_phi(p, ov)(0.5 * (u[1:] + u[:-1])),
+    (rhs,) = dissipation_terms(
+        u[None],
+        v[None],
+        v_t[None],
+        grad_faces(u, grid)[None, 1:-1],
+        grad_faces(v, grid)[None, 1:-1],
+        effective_phi(p, ov)(0.5 * (u[1:] + u[:-1]))[None],
         effective_psi(p, ov),
-        effective_f(p, ov)(u),
-        tab.gp(np.maximum(u, tab.s_min)),
+        effective_f(p, ov)(u)[None],
+        tab.gp(np.maximum(u, tab.s_min))[None],
         tab.s_min,
         grid,
     )
+    return rhs
 
 
 def dissipation_terms(
@@ -143,26 +153,27 @@ def dissipation_terms(
     gp_u: np.ndarray,
     s_min: float,
     grid: Grid,
-) -> float:
-    """The right side of the energy identity at (u, v) from the state's face data.
+) -> List[float]:
+    """The right side of the energy identity at each state of a (k, cells) stack (u, v).
 
-    du and dv are the gradients of u and v on the interior faces, mob the
-    mobility phi(0.5*(u[1:] + u[:-1])) there, psi the sensitivity, f_u = f(u)
-    and gp_u = G'(max(u, s_min)). No domain check.
+    From the states' face data, (k, cells - 1) stacks: du and dv are the
+    gradients of u and v on the interior faces, mob the mobility
+    phi(0.5*(u[:, 1:] + u[:, :-1])) there. psi is the sensitivity, and v_t,
+    f_u = f(u) and gp_u = G'(max(u, s_min)) are (k, cells) stacks. Each sum
+    is one np.vecdot row, bitwise the state's own np.dot (as in
+    lyapunov_terms); the two cell sums of every state are one vecdot call.
     """
     w = grid.face_weight[1:-1]
-    u_face = 0.5 * (u[1:] + u[:-1])
+    u_face = 0.5 * (u[:, 1:] + u[:, :-1])
     live = u_face >= s_min
     psi_face = np.where(live, psi(np.maximum(u_face, s_min)), 0.0)
     live &= psi_face > 0.0
     ratio_face = np.where(live, mob / np.where(live, psi_face, 1.0), 0.0)
     x = ratio_face * du - dv
-    quad_term = -float(np.dot(w, np.where(live, psi_face * x * x, 0.0)))
-
-    vt_term = -float(np.dot(v_t * v_t, grid.cell_volume))
-
-    f_term = float(np.dot(f_u * (gp_u - v), grid.cell_volume))
-    return quad_term + vt_term + f_term
+    quad = np.vecdot(w, np.where(live, psi_face * x * x, 0.0)).tolist()
+    k = len(u)
+    cells = np.vecdot(np.concatenate((v_t * v_t, f_u * (gp_u - v))), grid.cell_volume).tolist()
+    return [-q + -vt + f for q, vt, f in zip(quad, cells[:k], cells[k:])]
 
 
 def steady_residual(

@@ -3,11 +3,15 @@
 run_lockstep holds one _Point per run: its settings, its state between
 steps and its record, diagnostics rows included. The batched work of a
 step is one numpy call per quantity for all the runs: the solver._Kernel
-calls, the min/max checks and one vecdot for the mass sums. The rest is
-each run's own (see "Lockstep" and "Buffers" in the solver module
-docstring); a lone run takes the same path. solver.run and the sweep
-workers import this module when they first march, so that importing ksfv
-does not compile it.
+calls, the v solves among them, the min/max checks and one vecdot for the
+mass sums. The rows that fall due on a step are batched per table: one
+_step_rows call for the runs that share a G-table and a psi, over (k,
+cells) stacks of their states, redone run by run when it raises a
+KsfvError; then the runs that end on those rows end. The rest is each
+run's own (see "Lockstep" and "Buffers" in the solver module docstring); a
+lone run takes the same path, with k = 1 and B = 1. solver.run imports this
+module when it first marches, and sweep.run_sweep before it forks its
+workers, so that importing ksfv does not compile it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .core import Grid, State, linf, make_grid
 from .discrete import grad_faces
 from .energy import dissipation_terms, lyapunov_terms
 from .errors import KsfvError
+from .nonlin import _hermite_basis
 from .solver import (
     DiagnosticsRow,
     RunConfig,
@@ -53,8 +58,8 @@ class _Point(_Model):
         "tag", "grid", "n", "dt_min", "dt_max", "cap", "t_end", "t_goal", "diag_every",
         "start", "grow_floor", "tables", "key", "probes", "probe_states", "pi", "rows", "w12",
         "t", "steps", "mass_u", "mass_v", "umin", "mass_res_u", "mass_res_v", "min_u_seen",
-        "min_v_seen", "F_cur", "F_prev", "dt", "f_u", "k", "uv", "ss", "faces", "outcome",
-        "caller_err",
+        "min_v_seen", "F_cur", "F_prev", "dt", "f_u", "k", "uv", "ss", "span", "ending",
+        "batch", "outcome", "caller_err",
     )
 
     def __init__(self, tag, cfg: RunConfig, probe_times, tables: TableCache, grid: Grid):
@@ -107,6 +112,12 @@ class _Point(_Model):
         self.dt = math.nan
         self.f_u: Optional[np.ndarray] = None
         self.k: Optional[int] = None
+        # while a row of the last step is due: the (min, max) of u over the
+        # states before and after it; while the run ends on that step: the
+        # Termination and blow-up estimate it ends with
+        self.span: Optional[tuple] = None
+        self.ending: Optional[tuple] = None
+        self.batch = 0  # the run's row batch: runs with equal table, key and psi_key
         self.outcome = None
 
     def state_row(self, t, u, v, mass_u, mass_v, umax, dv, fill) -> float:
@@ -117,50 +128,12 @@ class _Point(_Model):
         umin = float(np.minimum.reduce(u))
         with np.errstate(**self.caller_err):
             table = self.tables.covering(self.key, umax, umin)
-            terms = lyapunov_terms(table.g(np.maximum(u, table.s_min)), u, v, dv, self.grid)
+            G = table.g(np.maximum(u, table.s_min))
+            (terms,) = lyapunov_terms(G[None], u[None], v[None], dv[None], self.grid)
         F = terms.F_total
         self.rows.append(DiagnosticsRow(t, fill, mass_u, mass_v, umax, umin, F, fill, fill))
         self.w12.append(terms.v_w12)
         return F
-
-    def step_row(
-        self, t_new, dt, mass_u_new, mass_v_new, new, old, umax_new, umin_new, umax_old,
-        umin_old, F_old, f_u, dvf, du_in, dv_in, mob,
-    ) -> float:
-        """Append the row of the step from old = (u, v) to new and return F(new).
-
-        dvf, du_in and dv_in are old's face gradients, mob and f_u the step's
-        face mobility and f(u). G at both states and G' at old come from one
-        Hermite basis, on a table covering both states' min and max. F_old,
-        when known, is F(old). Runs under the float settings the run joined
-        under, as state_row does.
-        """
-        (u_new, v_new), (u_old, v_old) = new, old
-        n, grid = self.n, self.grid
-        with np.errstate(**self.caller_err):
-            table = self.tables.covering(
-                self.key, max(umax_new, umax_old), min(umin_new, umin_old)
-            )
-            s_min = table.s_min
-            basis = table.basis(np.maximum(np.concatenate((u_new, u_old)), s_min))
-            G = table.g_on(basis)
-            terms = lyapunov_terms(G[:n], u_new, v_new, grad_faces(v_new, grid), grid)
-            if F_old is None:
-                F_old = lyapunov_terms(G[n:], u_old, v_old, dvf, grid).F_total
-            gp = table.gp_on(tuple(b[n:] for b in basis))
-            v_t = (v_new - v_old) / dt
-            rhs = dissipation_terms(
-                u_old, v_old, v_t, du_in, dv_in, mob, self.psi, f_u, gp, s_min, grid
-            )
-        F_new = terms.F_total
-        self.rows.append(
-            DiagnosticsRow(
-                t_new, dt, mass_u_new, mass_v_new, umax_new, umin_new,
-                F_new, rhs, abs((F_new - F_old) / dt - rhs),
-            )
-        )
-        self.w12.append(terms.v_w12)
-        return F_new
 
     def start_step(self, bound: float, par: int, kern: _Kernel) -> float:
         """This step's dt, from the kernel's CFL bound, with f(u) written into the next buffer.
@@ -193,15 +166,17 @@ class _Point(_Model):
         The min and max of the new u and v are the step's checks, and
         mass_u_new, mass_v_new and f_mass the integrals (sums against the
         cell volumes) of the new u, the new v and f(u). Records the mass
-        laws, probes and the step's row when one is due, and ends the run on
-        a non-finite or negative state, on the cap or at t_end.
+        laws and probes, and ends the run on a non-finite or negative state.
+        A row that falls due is marked (span), and so is the end on the cap
+        or at t_end (ending): the march writes the rows of the step, then
+        ends those runs, since finish reads the last row's v_w12.
         """
         # min and max propagate NaN, and every comparison with NaN is False:
         # a NaN or -inf cell fails 0 <= min, a +inf cell fails max < inf, so
         # this holds exactly when both fields are finite and nonnegative
         inf = math.inf
         if not (0.0 <= min_u_new and max_u < inf and 0.0 <= min_v_new and max_v_new < inf):
-            self.fail(par)
+            self.fail(par, kern)
             return
         self.steps += 1
         dt = self.dt
@@ -234,19 +209,14 @@ class _Point(_Model):
 
         self.F_prev, self.F_cur = self.F_cur, None
         if self.steps % self.diag_every == 0 or blown or final_step:
-            self.F_cur = self.step_row(
-                t_new, dt, mass_u_new, mass_v_new, self.ss[1 - par], self.ss[par], max_u,
-                min_u_new, self.umax, self.umin, self.F_prev, self.f_u, *self.faces,
-                kern.mob[kern.inner(self.k)],
-            )
-
+            self.span = (min(min_u_new, self.umin), max(max_u, self.umax))
+        if blown:
+            self.ending = (Termination.BLOWUP, t_new - dt)
+        elif final_step:
+            self.ending = (Termination.COMPLETED, None)
         self.t, self.umax, self.umin = t_new, max_u, min_u_new
         self.v_range = max_v_new - min_v_new
         self.mass_u, self.mass_v = mass_u_new, mass_v_new
-        if blown:
-            self.finish(Termination.BLOWUP, t_new, self.ss[1 - par], blowup_estimate=t_new - dt)
-        elif final_step:
-            self.finish(Termination.COMPLETED, t_new, self.ss[1 - par])
 
     def finish(self, tag: Termination, t: float, state, blowup_estimate=None) -> None:
         """End the run in the state (u, v) at t."""
@@ -277,15 +247,18 @@ class _Point(_Model):
         """
         state, old = self.ss[par], self.ss[1 - par]
         if self.F_cur is None:
-            du, dv = grad_faces(old[0], self.grid), grad_faces(old[1], self.grid)
-            self.step_row(
-                self.t, self.dt, self.mass_u, self.mass_v, state, old, self.umax, self.umin,
-                float(np.maximum.reduce(old[0])), float(np.minimum.reduce(old[0])),
-                self.F_prev, self.f_u, dv, du[1:-1], dv[1:-1], mob,
+            du, dv = grad_faces(old, self.grid)
+            self.span = (
+                min(self.umin, float(np.minimum.reduce(old[0]))),
+                max(self.umax, float(np.maximum.reduce(old[0]))),
+            )
+            _step_rows(
+                [self], *state[:, None], self.f_u[None], *old[:, None], du[None, 1:-1],
+                dv[None, 1:-1], mob[None],
             )
         self.finish(Termination.DT_UNDERFLOW, self.t, state)
 
-    def fail(self, par: int) -> None:
+    def fail(self, par: int, kern: _Kernel) -> None:
         """End the run as NumericalFailure in its last valid state, buffer par.
 
         The failed step overwrote the other buffer; when the state has no row
@@ -294,10 +267,86 @@ class _Point(_Model):
         state = self.ss[par]
         if self.F_cur is None:
             self.state_row(
-                self.t, state[0], state[1], self.mass_u, self.mass_v, self.umax, self.faces[0],
-                math.nan,
+                self.t, state[0], state[1], self.mass_u, self.mass_v, self.umax,
+                kern.dvf[kern.faces(self.k)], math.nan,
             )
         self.finish(Termination.NUMERICAL_FAILURE, self.t, state)
+
+
+def _step_rows(pts: List[_Point], u_new, v_new, f_u, u_old, v_old, du, dv, mob) -> None:
+    """Append the row of each point's last step and set its F_cur.
+
+    The points share one table (TableCache and key) and one psi, and each
+    has its row's span marked. u_new, v_new, u_old and v_old are (k, cells)
+    stacks of their states after and before the step and f_u of their
+    steps' f(u); du and dv are the old interior face gradients and mob the
+    steps' face mobility, (k, cells - 1) each. One covering walks the table
+    over every point's span; G at both states and G' at old come from one
+    Hermite basis over all of them; the terms are (k, cells) stacks whose
+    sums are np.vecdot rows (energy.lyapunov_terms, energy.dissipation_terms).
+    So each row is bitwise the one the point's run writes alone. Runs under
+    the float settings the points joined under, as state_row does.
+    """
+    first = pts[0]
+    k, grid = len(pts), first.grid
+    with np.errstate(**first.caller_err):
+        table = first.tables.covering(
+            first.key, max([pt.span[1] for pt in pts]), min([pt.span[0] for pt in pts])
+        )
+        s_min = table.s_min
+        u = np.concatenate((u_new, u_old))
+        # the basis is elementwise: over the cells of all 2k states as one
+        # flat array. The covering holds every max(u, s_min), so
+        # table.basis's range check is moot
+        basis = _hermite_basis(np.maximum(u, s_min).reshape(-1), table.segments)
+        G = table.g_on(basis).reshape(u.shape)
+        F_old = [pt.F_prev for pt in pts]
+        if None in F_old:
+            # F of the old states as well, in the same calls; a known F_prev
+            # is bitwise the same value (see _Point.__init__)
+            v = np.concatenate((v_new, v_old))
+            terms = lyapunov_terms(G, u, v, grad_faces(v, grid), grid)
+            F_old = [t.F_total for t in terms[k:]]
+        else:
+            terms = lyapunov_terms(G[:k], u_new, v_new, grad_faces(v_new, grid), grid)
+        gp = table.gp_on(tuple(b[u_old.size:] for b in basis)).reshape(u_old.shape)
+        dt = [pt.dt for pt in pts]
+        v_t = (v_new - v_old) / np.array(dt)[:, None]
+        rhs = dissipation_terms(u_old, v_old, v_t, du, dv, mob, first.psi, f_u, gp, s_min, grid)
+    for pt, new_terms, F_prev, dt_i, rhs_i in zip(pts, terms, F_old, dt, rhs):
+        F_new = new_terms.F_total
+        pt.rows.append(
+            DiagnosticsRow(
+                pt.t, dt_i, pt.mass_u, pt.mass_v, pt.umax, pt.umin, F_new, rhs_i,
+                abs((F_new - F_prev) / dt_i - rhs_i),
+            )
+        )
+        pt.w12.append(new_terms.v_w12)
+        pt.F_cur = F_new
+        pt.span = None
+
+
+def _write_rows(pts: List[_Point], *stacks) -> int:
+    """_step_rows of pts, or of each point alone when theirs raises a KsfvError.
+
+    A batch's error may come from one point's span or data alone: redone
+    point by point, each point keeps the outcome it has alone, a row or its
+    KsfvError. The stacks are _step_rows' arrays, one row per point. Returns
+    the number of points that a KsfvError ended.
+    """
+    try:
+        _step_rows(pts, *stacks)
+        return 0
+    except KsfvError as exc:
+        if len(pts) == 1:
+            pts[0].outcome = exc
+            return 1
+    for i, pt in enumerate(pts):
+        try:
+            _step_rows([pt], *(x[i:i + 1] for x in stacks))
+        except KsfvError as exc:
+            pt.outcome = exc
+    return sum([pt.outcome is not None for pt in pts])
 
 
 def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: int):
@@ -329,9 +378,14 @@ def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: i
         pt.k = k
         pt.ss = (cells[0, :2, c], cells[1, :2, c])
         pt.uv = tuple((b[0, c], b[1, c], b[2, c]) for b in cells)
-        pt.faces = (new.dvf[new.faces(k)], new.du_in[new.inner(k)], new.dv_in[new.inner(k)])
     new.mob = mob
     return new, cells, points
+
+
+def _by_run(x: np.ndarray, kern: _Kernel) -> np.ndarray:
+    """The (B, cells - 1) view of the kernel's interior faces x, run k's in row k."""
+    step = x.itemsize
+    return np.ndarray((kern.B, kern.n - 1), x.dtype, x, 0, (step * kern.n, step))
 
 
 def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
@@ -344,12 +398,14 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     tables)'s whatever runs beside it, or the KsfvError that run() would
     raise, and the other runs go on; any other exception propagates.
 
-    Each lockstep step advances every run one step of its own dt: the
-    batched work is one numpy call per quantity for all the runs (the
-    _Kernel calls, the min/max checks and one vecdot for the masses of the
-    new u, the new v and f(u)), the rest is each run's own, as run() alone
-    does it. A lone run takes the same path. A run leaves when it ends, and
-    the runs that join or stay are tiled afresh.
+    Each lockstep step advances every run one step of its own dt. Batched
+    for all the runs, one numpy call per quantity: the _Kernel calls, the v
+    solves (one dgtsv), the min/max checks and one vecdot for the masses of
+    the new u, the new v and f(u). Batched per table: the rows that fall due
+    on the step, one _step_rows call for the runs that share a table and a
+    psi. The rest is each run's own, as run() alone does it. A lone run
+    takes the same path. A run leaves when it ends, and the runs that join
+    or stay are tiled afresh.
     """
     caller_err = np.geterr()
     ended: List[tuple] = []
@@ -357,6 +413,7 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     live: List[_Point] = []
     joined: List[_Point] = []
     exhausted = False
+    batches: Dict[tuple, int] = {}
 
     def claim():
         nonlocal grid, exhausted
@@ -370,10 +427,15 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                     g = make_grid(cfg.domain) if grid is None else grid
                     if cfg.domain != g.spec:
                         raise ValueError("the runs of a lockstep march share one domain")
-                    joined.append(_Point(tag, cfg, probe_times, tables, g))
+                    pt = _Point(tag, cfg, probe_times, tables, g)
                     grid = g
                 except KsfvError as exc:
                     ended.append((tag, exc))
+                    continue
+                # by the cache's id, so that a cache lives no longer than its runs:
+                # a cache that is gone has no run left to share its id
+                pt.batch = batches.setdefault((id(tables), pt.key, pt.psi_key), len(batches))
+                joined.append(pt)
 
     vmin, vmax, vecdot = np.minimum.reduce, np.maximum.reduce, np.vecdot
     kern: Optional[_Kernel] = None
@@ -387,14 +449,18 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
             if joined or len(live) != kern.B:
                 kern, buf, live = _tile(grid, live + joined, kern, buf, par)
                 joined, par = [], 0
-                V, B = grid.cell_volume, kern.B
+                V, B, n = grid.cell_volume, kern.B, kern.n
                 states = (buf[0, :2], buf[1, :2])
                 rows = tuple((b[0], b[1], b[2]) for b in buf)
                 # each buffer's (u, v) as (u of run 0, ..., u of run B-1, v of
                 # run 0, ...), for the checks' reductions, and its (u, v, f) as
-                # (3, B, cells), for the sums over each run's cells
-                per_run = tuple(b[:2].reshape(2 * B, kern.n) for b in buf)
-                stacks = tuple(b.reshape(3, B, kern.n) for b in buf)
+                # (3, B, cells), for the sums over each run's cells and the rows
+                per_run = tuple(b[:2].reshape(2 * B, n) for b in buf)
+                stacks = tuple(b.reshape(3, B, n) for b in buf)
+                # each buffer's u, v and f as (B, cells) stacks, and the
+                # kernel's interior face gradients of u and v as (B, cells - 1)
+                runs = tuple(tuple(s) for s in stacks)
+                faces = (_by_run(kern.du_in, kern), _by_run(kern.dv_in, kern))
             (u, v, _), (u_new, v_new, f_u) = rows[par], rows[1 - par]
             kern.gradients(states[par])
             dts = []
@@ -416,6 +482,7 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
             highs = vmax(per_run[1 - par], axis=1).tolist()
             # np.dot of each row, bitwise: vecdot sums a row with BLAS ddot too
             mass_u, mass_v, f_mass = vecdot(stacks[1 - par], V).tolist()
+            due: Dict[int, List[_Point]] = {}
             for k, pt in enumerate(live):
                 if pt.outcome is not None:
                     continue
@@ -426,8 +493,30 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                     )
                 except KsfvError as exc:
                     pt.outcome = exc
-                if pt.outcome is not None:
+                if pt.span is not None:
+                    due.setdefault(pt.batch, []).append(pt)
+                if not (pt.outcome is None and pt.ending is None):
                     n_ended += 1
+            if due:
+                # _step_rows' arrays, of every run
+                arrays = (*runs[1 - par], *runs[par][:2], *faces, _by_run(kern.mob, kern))
+                for pts in due.values():
+                    if len(pts) < B:
+                        # the points' runs, as a slice when they are adjacent
+                        a, b = pts[0].k, pts[-1].k + 1
+                        pick = slice(a, b) if b - a == len(pts) else [pt.k for pt in pts]
+                        n_ended += _write_rows(pts, *(x[pick] for x in arrays))
+                    else:
+                        n_ended += _write_rows(pts, *arrays)
+            if n_ended:
+                # the runs that end on their rows, counted afresh
+                n_ended = 0
+                for pt in live:
+                    if pt.outcome is None and pt.ending is not None:
+                        tag, estimate = pt.ending
+                        pt.finish(tag, pt.t, pt.ss[1 - par], blowup_estimate=estimate)
+                    if pt.outcome is not None:
+                        n_ended += 1
             par = 1 - par
 
             if n_ended:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -233,42 +234,58 @@ def _scalar_ratio(p: ModelParams, spec: RatioSpec):
 # tabulated energy integrands
 
 
-def _hermite_basis(x: np.ndarray, knots) -> tuple:
-    """The segment indices idx and idx + 1, the width dx and dx^2, and the six
-    quintic Hermite basis values at x.
+def _hermite_basis(x: np.ndarray, segments: tuple) -> tuple:
+    """The segment index idx of each point of x and its six quintic Hermite
+    basis values h00, h10, h20, h01, h11, h21.
 
-    Elementwise in x, so the basis of a concatenation is the concatenation
-    of the bases, and a slice of each array is the basis of that slice of x.
+    segments are each segment's left knot and width (FunctionalTable.segments),
+    and every point lies at or above the first knot. Elementwise in x, so the
+    basis of a concatenation is the concatenation of the bases, and a slice
+    of each array is the basis of that slice of x.
     """
-    # np.minimum(np.maximum(...)) is np.clip, without its Python-level dispatch
-    idx = np.minimum(np.maximum(np.searchsorted(knots, x, side="right") - 1, 0), len(knots) - 2)
-    idx1 = idx + 1
-    x0 = knots[idx]
-    dx = knots[idx1] - x0
+    left, width = segments
+    # the last segment holds the points at or above the last knot, and
+    # nothing lies below the first
+    idx = np.searchsorted(left, x, side="right") - 1
+    x0 = left[idx]
+    dx = width[idx]
     t = (x - x0) / dx
     t2 = t * t
     t3 = t2 * t
     t4 = t3 * t
     t5 = t4 * t
-    h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-    h10 = t - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
+    # the products that two of the polynomials share, each formed once
+    a3, a4, a5, b5 = 10.0 * t3, 15.0 * t4, 6.0 * t5, 3.0 * t5
+    h00 = 1.0 - a3 + a4 - a5
+    h10 = t - 6.0 * t3 + 8.0 * t4 - b5
     h20 = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)
-    h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-    h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
+    h01 = a3 - a4 + a5
+    h11 = -4.0 * t3 + 7.0 * t4 - b5
     h21 = 0.5 * (t3 - 2.0 * t4 + t5)
-    return idx, idx1, dx, dx * dx, h00, h10, h20, h01, h11, h21
+    return idx, h00, h10, h20, h01, h11, h21
 
 
-def _hermite_sum(basis: tuple, y, d1, d2) -> np.ndarray:
-    """Piecewise quintic Hermite values with nodal values y and two derivatives d1, d2."""
-    idx, idx1, dx, dx2, h00, h10, h20, h01, h11, h21 = basis
+def _hermite_coeffs(segments: tuple, y, d1, d2) -> tuple:
+    """Each segment's coefficients of the six basis values: the nodal value y,
+    dx d1 and dx^2 d2 at its left knot, then at its right knot (dx its
+    width), one array each."""
+    dx = segments[1]
+    dx2 = dx * dx
+    return y[:-1], dx * d1[:-1], dx2 * d2[:-1], y[1:], dx * d1[1:], dx2 * d2[1:]
+
+
+def _hermite_sum(basis: tuple, coeffs: tuple) -> np.ndarray:
+    """Piecewise quintic Hermite values: each basis value times its segment's
+    coefficient, summed in the order h00, h10, h20, h01, h11, h21."""
+    idx, h00, h10, h20, h01, h11, h21 = basis
+    c00, c10, c20, c01, c11, c21 = coeffs
     return (
-        y[idx] * h00
-        + dx * d1[idx] * h10
-        + dx2 * d2[idx] * h20
-        + y[idx1] * h01
-        + dx * d1[idx1] * h11
-        + dx2 * d2[idx1] * h21
+        c00[idx] * h00
+        + c10[idx] * h10
+        + c20[idx] * h20
+        + c01[idx] * h01
+        + c11[idx] * h11
+        + c21[idx] * h21
     )
 
 
@@ -331,19 +348,32 @@ class FunctionalTable:
                 " use covering() first"
             )
 
+    @cached_property
+    def segments(self) -> tuple:
+        """Each segment's left knot and width, one array each."""
+        return self.knots[:-1], self.knots[1:] - self.knots[:-1]
+
+    @cached_property
+    def _g_coeffs(self) -> tuple:
+        return _hermite_coeffs(self.segments, self.G_vals, self.Gp_vals, self.rho_vals)
+
+    @cached_property
+    def _gp_coeffs(self) -> tuple:
+        return _hermite_coeffs(self.segments, self.Gp_vals, self.rho_vals, self.rho_prime_vals)
+
     def basis(self, s) -> tuple:
         """The interpolation basis at s, which g_on and gp_on evaluate; checks the range."""
         s = np.asarray(s, dtype=float)
         self._check_range(s)
-        return _hermite_basis(s, self.knots)
+        return _hermite_basis(s, self.segments)
 
     def g_on(self, basis: tuple) -> np.ndarray:
         """G at the points of basis; g(s) is g_on(basis(s))."""
-        return _hermite_sum(basis, self.G_vals, self.Gp_vals, self.rho_vals)
+        return _hermite_sum(basis, self._g_coeffs)
 
     def gp_on(self, basis: tuple) -> np.ndarray:
         """G' at the points of basis; gp(s) is gp_on(basis(s))."""
-        return _hermite_sum(basis, self.Gp_vals, self.rho_vals, self.rho_prime_vals)
+        return _hermite_sum(basis, self._gp_coeffs)
 
     def g(self, s):
         return self.g_on(self.basis(s))
@@ -354,7 +384,7 @@ class FunctionalTable:
     def h(self, s):
         hp = self.knots * self.rho_vals
         hpp = self.rho_vals + self.knots * self.rho_prime_vals
-        return _hermite_sum(self.basis(s), self.H_vals, hp, hpp)
+        return _hermite_sum(self.basis(s), _hermite_coeffs(self.segments, self.H_vals, hp, hpp))
 
     def covering(self, s: float, lo: Optional[float] = None) -> "FunctionalTable":
         """Return a table whose walked range contains s and lo (lo defaults to s).

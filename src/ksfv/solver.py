@@ -29,7 +29,8 @@ cutoff test, rate bounds) and range of v (drift bound); f(u) feeds the u
 update, the u-mass law and the diagnostics row. A diagnostics row takes the
 step's face gradients, face mobility phi(u_face) and f(u) as they are, and
 G of the new and the old u and G' of the old u from one Hermite basis over
-both (energy.lyapunov_terms, energy.dissipation_terms). The exact
+both (energy.lyapunov_terms, energy.dissipation_terms, which take stacks of
+states: the rows of the runs that share a table are written together). The exact
 identities of the parameters (ln^1 = ln, psi(u) = u at psi_c = beta = 1,
 b = 1, a constant drift slope at beta = 1) are folded once per run, where
 nonlin.effective_phi/psi/f build the check-free closures and where _Model
@@ -41,22 +42,27 @@ step loop, and a lone run takes the same path as a batch; the per-run state
 and rows live in lockstep._Point. Each run's record is bitwise its solo
 run's whatever runs beside it. Batched, one numpy call per quantity for all
 the runs: the face gradients, phi, psi, the flux, its divergence, the u and
-v right-hand sides, the coefficients of the v solves, the min/max checks
-and the mass sums. The mass sums are one np.vecdot of each run's new u, new
-v and f(u) against the cell volumes: vecdot sums each row with the BLAS
-ddot that np.dot calls, so each sum is bitwise the run's own np.dot, under
-any OpenBLAS core (a BLAS matrix product would not be bitwise per row).
-Each run's own: f(u) and the reaction rate (kappa), dt with its clamps and
-probes, the mass-law residuals, one dgtsv call on its own cells (a
-block-diagonal call would carry one run's nan into the next), its
-diagnostics rows, its termination, after which it leaves the march, and its
-KsfvError, which ends it alone while the others go on. phi is evaluated
-once per block of runs with equal alpha and eps, psi and the drift slope
-once per block with equal psi_c and beta, since numpy computes u ** 2.0 as
-a square and an array exponent would not: the runs are ordered so that
-each block is contiguous. Runs that share an initial G-table share its
-walked range (TableCache.covering). Inside the kernel a lone run (B = 1)
-steps with a float dt, with no per-cell dt array and no block loop.
+v right-hand sides, the v solves, the min/max checks and the mass sums. The
+mass sums are one np.vecdot of each run's new u, new v and f(u) against the
+cell volumes: vecdot sums each row with the BLAS ddot that np.dot calls, so
+each sum is bitwise the run's own np.dot, under any OpenBLAS core (a BLAS
+matrix product would not be bitwise per row). The v solves are one dgtsv
+call on the block-diagonal system of all the runs, whose seams are +0.0
+couplings (_Tridiag): when it fails or gives a non-finite solution, which
+the seams would carry into the neighbouring runs, each run is solved again
+alone from the saved right-hand sides. Batched per table: the diagnostics
+rows that fall due on a step, one call per quantity for the runs that share
+a G-table and a psi (lockstep._step_rows), with sums that are np.vecdot
+rows too; a batch that raises a KsfvError is redone run by run. Each run's
+own: f(u) and the reaction rate (kappa), dt with its clamps and probes, the
+mass-law residuals, its termination, after which it leaves the march, and
+its KsfvError, which ends it alone while the others go on. phi is
+evaluated once per block of runs with equal alpha and eps, psi and the
+drift slope once per block with equal psi_c and beta, since numpy computes
+u ** 2.0 as a square and an array exponent would not: the runs are ordered
+so that each block is contiguous. Runs that share an initial G-table share
+its walked range (TableCache.covering). Inside the kernel a lone run (B =
+1) steps with a float dt, with no per-cell dt array and no block loop.
 
 Rate pruning. dt = cfl / (max(diffusion, drift, reaction) + guard), and the
 max is all that is used. The reaction rate is O(1) and always computed. The
@@ -81,14 +87,14 @@ or not the other is skipped: each run's dt is its solo dt.
 Buffers. A march owns one (2, 3, B*cells) array: two buffers of u, v and
 f rows, the current state and the next, each run's cells end to end. A step
 reads the current state, writes f(u) into the next buffer's f row and the
-next state into its u and v rows, and solves v in place in each run's
-cells of that v row; then the two swap. Each buffer is therefore also a
-(3, B, cells) stack of every run's new u, new v and the f(u) of the step
-to it, which the one vecdot of the mass sums reads. When a run ends or
-joins, the runs left are tiled afresh into a new array, each keeping its
-current and previous state, its f rows and its last face mobility. Only
-those buffers are ever solved in place: step(), cfl_dt() and
-steady_signal() leave their inputs untouched. The kernel owns the face
+next state into its u and v rows, and solves v in place in that v row; then
+the two swap. Each buffer is therefore also a (3, B, cells) stack of every
+run's new u, new v and the f(u) of the step to it, which the one vecdot of
+the mass sums and the rows read. When a run ends or joins, the runs left
+are tiled afresh into a new array, each keeping its current and previous
+state, its f rows and its last face mobility. Only those buffers are ever
+solved in place: step(), cfl_dt() and steady_signal() leave their inputs
+untouched. The kernel owns the face
 gradients and the flux; they hold the last gradients() call's state until
 the next call. The gradients of u and v lie in one flat buffer, u's faces
 then v's, where u's last face is v's first, so that one difference over the
@@ -365,12 +371,13 @@ class _Kernel:
     numpy call for all the runs. A face between two runs is a boundary face
     of both: its gradients are zero and its flux +0.0. phi is evaluated once
     per block of consecutive runs with equal _Model.phi_key, psi and the
-    drift slope once per block with equal psi_key; f, dt and the v solve are
-    per run. A step calls gradients(s) on its state s = (u, v), a (2,
-    B*cells) array, then dt_bound and advance, which read those gradients
-    (grad, with the views dvf of v's row and du_in, dv_in of the interior
-    faces); advance leaves the face mobility phi(u_face) in mob. Its methods
-    take validated float arrays and do no domain checks.
+    drift slope once per block with equal psi_key; f and dt are per run, and
+    the v solves are one _Tridiag.solve. A step calls gradients(s) on its
+    state s = (u, v), a (2, B*cells) array, then dt_bound and advance, which
+    read those gradients (grad, with the views dvf of v's row and du_in,
+    dv_in of the interior faces); advance leaves the face mobility
+    phi(u_face) in mob. Its methods take validated float arrays and do no
+    domain checks.
     """
 
     def __init__(self, grid: Grid, models: Sequence[_Model]):
@@ -412,7 +419,7 @@ class _Kernel:
         self._flux = np.zeros(m)
         self._flux_in = self._flux[1:-1]
         self.mob: Optional[np.ndarray] = None
-        self.failed: List[Tuple[int, NumericsError]] = []  # the runs whose last v solve failed
+        self.failed: Sequence[Tuple[int, NumericsError]] = ()  # the runs whose last v solve failed
 
     def cells(self, k: int) -> slice:
         return slice(k * self.n, (k + 1) * self.n)
@@ -552,10 +559,11 @@ class _Kernel:
         """One IMEX update of (u, v) into (u_new, v_new), given gradients((u, v)) and f_u = f(u).
 
         dt is the list of each run's step, or a lone run's step as a number.
-        The outputs must not overlap the inputs; each run's v solve runs in
-        place in its cells of v_new, a contiguous array. A run whose solve
-        fails is listed in failed with its error, and the other runs go on.
-        No validation: callers check the result for finiteness and positivity.
+        The outputs must not overlap the inputs; the v solves run in place in
+        v_new, a contiguous array, with the per-cell dt the u update uses. A
+        run whose solve fails is listed in failed with its error, and the
+        other runs go on. No validation: callers check the result for
+        finiteness and positivity.
         """
         self.mob = interior_flux(self._flux_in, u, self.du_in, self.dv_in, self.phi, self.psi)
         if self.B == 1:
@@ -572,75 +580,88 @@ class _Kernel:
         np.add(u, u_new, out=u_new)
         np.multiply(dt_cells, u_new, out=v_new)
         np.add(v, v_new, out=v_new)
-        if self.B > 1:
-            self.failed = self._tri.solve_runs(dt, v_new.reshape(self.B, self.n))
-            return
-        self.failed = []
-        try:
-            self._tri.solve(1.0 + dt, dt, v_new, in_place=True)
-        except NumericsError as exc:
-            self.failed.append((0, exc))
+        self.failed = self._tri.solve(1.0 + dt_cells, dt_cells, v_new, in_place=True)[1]
 
 
 class _Tridiag:
-    """Solver for (c I - s Lap) v = rhs with Neumann boundaries (tridiagonal).
+    """Solver for (c I - s Lap) v = rhs with Neumann boundaries, for B >= 1 runs end to end.
 
     c = 1 + dt, s = dt is the screened backward-Euler step; c = s = 1 the
-    steady signal equation. The couplings are formed as (-s T) / V, in that
-    order, so every caller's matrix is rounded identically. The boundary
-    couplings are -0.0, as (-s * 0) / V gives. With runs > 1 it holds the
-    matrices of that many runs, one row each, formed in one call for all
-    (solve_runs).
+    steady signal equation. c and s are numbers, or arrays with each run's
+    value in each of its cells. The couplings lie in one flat (2, B*cells)
+    array, lower (row i to i-1) then upper (row i to i+1), each run's cells
+    end to end, and are formed as (s (-T)) / V, which is bitwise (-s T) / V,
+    in that order, so every caller's matrix is rounded identically. A run's
+    boundary couplings are the seams between runs: (s * +0.0) / V = +0.0.
+    One dgtsv call solves every run. Across a seam its elimination and its
+    back substitution subtract products with that +0.0 from the values on
+    either side, which leaves every finite value as it is, the sign of a zero
+    included, unless a -0.0 meets a neighbour's -0.0 or negative value; a
+    march's right-hand sides v + dt u_new are never -0.0. A call that fails
+    or gives a non-finite solution (a nan or inf times the seam's 0.0 is nan,
+    which would reach the neighbouring runs) is redone run by run from the
+    saved right-hand sides, so each run keeps its own outcome.
     """
 
     def __init__(self, grid: Grid, runs: int = 1):
-        V = grid.cell_volume
-        t_in = grid.trans[1:-1]
         n = grid.cells
-        couplings = np.empty((runs, 2 * n))
-        couplings[:, 0] = couplings[:, -1] = -0.0
-        if runs == 1:
-            couplings = couplings[0]
-        self.lower = couplings[..., :n]  # coupling of row i to i-1
-        self.upper = couplings[..., n:]  # coupling of row i to i+1
-        self.sub, self.sup = self.lower[..., 1:], self.upper[..., :-1]
-        # sub and sup are adjacent in couplings: one product and one quotient
-        # form both, (-s T[1:-1]) / V[1:] and (-s T[1:-1]) / V[:-1]
-        self._inner = couplings[..., 1:-1]
-        self._t_in2 = np.concatenate((t_in, t_in))
-        self._v_in2 = np.concatenate((V[1:], V[:-1]))
-        self._diag = np.empty(couplings.shape[:-1] + (n,))
-        self._runs = list(zip(self.sub, self._diag, self.sup)) if runs > 1 else None
+        self.n, self.B = n, runs
+        # -T on each run's faces below and above its cells, with +0.0 at its ends
+        t = -grid.trans
+        t[0] = t[-1] = 0.0
+        nt = np.concatenate((np.tile(t[:-1], runs), np.tile(t[1:], runs)))
+        vol = np.tile(grid.cell_volume, 2 * runs)
+        coup = np.empty(2 * runs * n)
+        self.lower, self.upper = coup[:runs * n], coup[runs * n:]
+        self.sub, self.sup = self.lower[1:], self.upper[:-1]
+        self.diag = np.empty(runs * n)
+        # one run's s is a number, and flat arrays are the cheaper operands;
+        # the per-cell s of several runs broadcasts over (2, B*cells)
+        shape = (2, runs * n) if runs > 1 else (2 * n,)
+        self._nt, self._vol, self._coup = (a.reshape(shape) for a in (nt, vol, coup))
+        self._saved = np.empty(runs * n) if runs > 1 else None
 
     def _bands(self, c, s) -> None:
-        np.multiply(-s, self._t_in2, out=self._inner)
-        np.divide(self._inner, self._v_in2, out=self._inner)
-        np.subtract(c, self.upper, out=self._diag)
-        np.subtract(self._diag, self.lower, out=self._diag)
+        coup = self._coup
+        np.multiply(s, self._nt, out=coup)
+        np.divide(coup, self._vol, out=coup)
+        np.subtract(c, self.upper, out=self.diag)
+        np.subtract(self.diag, self.lower, out=self.diag)
 
-    def solve(self, c: float, s: float, rhs: np.ndarray, in_place: bool = False) -> np.ndarray:
-        """The solution; in_place overwrites rhs with it (rhs must be a contiguous float array)."""
-        self._bands(c, s)
-        # dgtsv overwrites sub, diag and sup; solve refills them every call
-        _, _, _, x, info = _dgtsv(self.sub, self._diag, self.sup, rhs, 1, 1, 1, int(in_place))
-        if info != 0:
-            raise NumericsError(f"tridiagonal solve failed (info={info})")
-        return x
+    def solve(
+        self, c, s, rhs: np.ndarray, in_place: bool = False
+    ) -> Tuple[np.ndarray, Sequence[Tuple[int, NumericsError]]]:
+        """The solution and the runs whose solve failed, with their errors.
 
-    def solve_runs(self, dt: np.ndarray, rhs: np.ndarray) -> List[Tuple[int, NumericsError]]:
-        """Solve each run's screened step, c = 1 + dt[k] and s = dt[k], in place in its row of rhs.
-
-        One dgtsv call per run, so that one run's nan stays in its row;
-        return the runs whose solve failed, with their errors.
+        in_place overwrites rhs with the solution (rhs must then be a
+        contiguous float array); with B > 1 runs the solve is always in place.
         """
-        s = dt[:, None]
-        self._bands(1.0 + s, s)
+        # dgtsv overwrites sub, diag and sup; solve refills them every call
+        self._bands(c, s)
+        saved = self._saved
+        if saved is None:  # one run
+            _, _, _, x, info = _dgtsv(self.sub, self.diag, self.sup, rhs, 1, 1, 1, int(in_place))
+            return x, () if info == 0 else [(0, _solve_error(info))]
+        np.copyto(saved, rhs)
+        _, _, _, x, info = _dgtsv(self.sub, self.diag, self.sup, rhs, 1, 1, 1, 1)
+        # a non-finite solution gives a non-finite sum (so may a finite one
+        # that overflows it, which only costs the retry)
+        if info == 0 and math.isfinite(np.add.reduce(x)):
+            return x, ()
+        np.copyto(x, saved)
+        self._bands(c, s)
         failed = []
-        for k, ((sub, diag, sup), x) in enumerate(zip(self._runs, rhs)):
-            info = _dgtsv(sub, diag, sup, x, 1, 1, 1, 1)[4]
+        n = self.n
+        for k in range(self.B):
+            a, b = k * n, (k + 1) * n
+            info = _dgtsv(self.sub[a:b - 1], self.diag[a:b], self.sup[a:b - 1], x[a:b], 1, 1, 1, 1)[4]
             if info != 0:
-                failed.append((k, NumericsError(f"tridiagonal solve failed (info={info})")))
-        return failed
+                failed.append((k, _solve_error(info)))
+        return x, failed
+
+
+def _solve_error(info: int) -> NumericsError:
+    return NumericsError(f"tridiagonal solve failed (info={info})")
 
 
 def initial_table_key(cfg: RunConfig) -> tuple:
@@ -695,8 +716,11 @@ class TableCache:
 
     def covering(self, key: tuple, s: float, lo: float) -> FunctionalTable:
         """The table of key, walked on to contain s and lo and stored back."""
-        table = self._tables[key] = self._tables[key].covering(s, lo)
-        return table
+        table = self._tables[key]
+        walked = table.covering(s, lo)
+        if walked is not table:
+            self._tables[key] = walked
+        return walked
 
 
 def _checked_state(state: State, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
@@ -773,7 +797,10 @@ def steady_signal(u: np.ndarray, grid: Grid) -> np.ndarray:
 
     Raises UsageError for a u of the wrong length or with non-finite entries.
     """
-    return _Tridiag(grid).solve(1.0, 1.0, validate_field(u, grid, "u"))
+    v, failed = _Tridiag(grid).solve(1.0, 1.0, validate_field(u, grid, "u"))
+    if failed:
+        raise failed[0][1]
+    return v
 
 
 def run(

@@ -197,9 +197,14 @@ _claims = None
 
 
 def _share_claims(counter, parent: int) -> None:
-    """Pool initializer: share the claim counter, and end when the parent does."""
+    """Pool initializer: share the claim counter, and end when the parent does.
+
+    A worker ignores SIGINT: Ctrl-C reaches the whole process group, and
+    the parent, which gets it too, ends the workers (run_sweep).
+    """
     global _claims
     _claims = counter
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG: Linux signals us when the parent dies
@@ -287,18 +292,27 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
     if fork is None:
         done = [_run_worker(spec, groups, itertools.count().__next__)]
     else:
+        import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
 
-        claims = fork.Value("q", 0)
-        with ProcessPoolExecutor(
-            workers, fork, initializer=_share_claims, initargs=(claims, os.getpid())
-        ) as pool:
+        # compiled here, once, rather than in each forked worker
+        from . import lockstep  # noqa: F401
+
+        before = set(multiprocessing.active_children())
+        pool = ProcessPoolExecutor(
+            workers, fork, initializer=_share_claims, initargs=(fork.Value("q", 0), os.getpid())
+        )
+        try:
             futures = [pool.submit(_run_worker, spec, groups) for _ in range(workers)]
-            try:
-                done = [future.result() for future in futures]
-            except BaseException:
-                claims.value = len(groups)  # the other workers claim no more groups
-                raise
+            done = [future.result() for future in futures]
+        except BaseException:
+            # a worker's error or an interrupt: end the workers now, rather
+            # than wait for their marches; the pool then reaps them
+            for child in set(multiprocessing.active_children()) - before:
+                child.terminate()
+            pool.shutdown(cancel_futures=True)
+            raise
+        pool.shutdown()
     return sorted(itertools.chain(errors, *done), key=attrgetter("run_id"))
 
 

@@ -625,8 +625,12 @@ def _state(pid):
         return None
 
 
-@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
-def test_forked_sweep_workers_end_with_their_parent(tmp_path, sig):
+def _start_sample_sweep(tmp_path, stderr=subprocess.DEVNULL):
+    """`ksfv sweep` of the sample sweep at 128 cells, --max-parallel 2, and its workers.
+
+    Skips without /proc, fork or 2 usable CPUs. Returns the parent process
+    and the set of worker pids once there are two; the caller ends both.
+    """
     import ksfv.sweep as sweep_mod
 
     if not glob.glob("/proc/self/task/*/children"):
@@ -643,27 +647,62 @@ def test_forked_sweep_workers_end_with_their_parent(tmp_path, sig):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     argv = [sys.executable, "-m", "ksfv", "sweep", "--spec", str(spec), "--max-parallel", "2",
             "--out", str(tmp_path / "o")]
-    parent = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    parent = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=stderr)
     workers = set()
+    deadline = time.monotonic() + 60.0
+    while len(workers) < 2 and parent.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.02)
+        workers = _children(parent.pid)
+    return parent, workers
+
+
+def _end(parent, workers):
+    """Kill what is left of a sweep started by _start_sample_sweep."""
+    if parent.poll() is None:
+        parent.kill()
+        parent.wait()
+    for w in workers:
+        if _state(w) not in (None, "Z"):
+            os.kill(w, signal.SIGKILL)
+
+
+def _alive_after(workers, seconds):
+    """The workers still running (not gone, not zombies) after waiting up to seconds."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline and any(_state(w) not in (None, "Z") for w in workers):
+        time.sleep(0.02)
+    return {w: _state(w) for w in workers if _state(w) not in (None, "Z")}
+
+
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_forked_sweep_workers_end_with_their_parent(tmp_path, sig):
+    parent, workers = _start_sample_sweep(tmp_path)
     try:
-        deadline = time.monotonic() + 60.0
-        while len(workers) < 2 and parent.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.02)
-            workers = _children(parent.pid)
         assert len(workers) == 2, f"the sweep should run 2 workers, found {workers}"
         parent.send_signal(sig)
         parent.wait(timeout=10)
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline and any(_state(w) not in (None, "Z") for w in workers):
-            time.sleep(0.02)
-        assert {w: _state(w) for w in workers if _state(w) not in (None, "Z")} == {}
+        assert _alive_after(workers, 2.0) == {}
     finally:
-        if parent.poll() is None:
-            parent.kill()
-            parent.wait()
-        for w in workers:
-            if _state(w) not in (None, "Z"):
-                os.kill(w, signal.SIGKILL)
+        _end(parent, workers)
+
+
+def test_interrupted_sweep_ends_at_once_with_its_workers(tmp_path):
+    # Ctrl-C: the parent ends its workers rather than wait for their
+    # marches, and exits 130 with one line, not a traceback
+    parent, workers = _start_sample_sweep(tmp_path, stderr=subprocess.PIPE)
+    try:
+        assert len(workers) == 2, f"the sweep should run 2 workers, found {workers}"
+        parent.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        parent.wait(timeout=10)
+        assert time.monotonic() - sent < 0.5
+        err = parent.stderr.read().decode()
+        assert parent.returncode == 130
+        assert err == "interrupted\n"
+        assert _alive_after(workers, 2.0) == {}
+    finally:
+        _end(parent, workers)
+        parent.stderr.close()
 
 
 def test_sweep_rejects_bad_axis():

@@ -657,6 +657,16 @@ def test_import_runs_no_scipy_linalg_and_no_f2py():
     assert out.stdout == "[]\n"
 
 
+def test_import_compiles_no_march():
+    # run() and the sweep import the march when they first use it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ksfv.__file__)))
+    code = "import sys, ksfv, ksfv.cli, ksfv.sweep; print('ksfv.lockstep' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def _load_by_file(monkeypatch):
     import ksfv.solver as solver_mod
 
@@ -765,6 +775,73 @@ def test_lockstep_isolates_a_failing_run_and_a_raising_run(monkeypatch):
     assert type(together[4]) is DivergenceError and str(together[4]) == str(raised.value)
 
 
+def test_lockstep_rows_of_one_table_on_one_step_keep_each_runs_outcome(monkeypatch):
+    # three runs share one table and write a row on every step; on step M one
+    # crosses the cap, one completes and one's row walks the table above its
+    # s_max, which raises. Their rows are one batch until then, and the batch
+    # of step M is redone run by run, so each run ends as it does alone
+    import dataclasses
+
+    import ksfv.lockstep as lockstep_mod
+    from ksfv.config import build_field
+    from ksfv.errors import DivergenceError
+    from ksfv.nonlin import FunctionalTable
+    from ksfv.solver import initial_table_key
+    from oracles import march, result_bytes
+
+    dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 24)
+    g = ksfv.make_grid(dom)
+
+    def config(base, a):
+        # f = a - b u^2 ~ a: u grows by about a per unit time
+        p = ksfv.ModelParams(alpha=1.0, beta=2.0, kappa=2.0, a=a, b=1e-4, eps=0.01)
+        u0 = build_field(f"cosine:base={base!r},amp={0.2 * base!r},mode=1.0", g)
+        return RunConfig(dom, p, u0, steady_signal(u0, g), t_end=0.02, dt_max=2e-4)
+
+    walking, capped, completing = config(1.5, 2000.0), config(0.015, 500.0), config(0.5, 2.0)
+    key = initial_table_key(walking)
+    assert initial_table_key(capped) == key == initial_table_key(completing)
+    s_max = key[-2]
+    rows = run(walking).rows
+    M = next(i for i, r in enumerate(rows) if r.max_u > s_max)
+    assert all(a.max_u < b.max_u for a, b in zip(rows[:M], rows[1:M + 1]))
+    capped_rows = run(capped).rows
+    below, above = capped_rows[M - 1].max_u, capped_rows[M].max_u
+    assert below < above and above >= 10.0 * float(np.max(capped.u0))  # the growth floor
+    capped = dataclasses.replace(capped, blowup_cap=0.5 * (below + above))
+    completing = dataclasses.replace(completing, t_end=run(completing).rows[M].t)
+
+    real_covering = FunctionalTable.covering
+
+    def covering(self, s, lo=None):
+        if s > s_max:
+            raise DivergenceError("the walk above s_max diverges")
+        return real_covering(self, s, lo)
+
+    monkeypatch.setattr(FunctionalTable, "covering", covering)
+    alone = [run(capped), run(completing)]
+    assert [res.termination.tag for res in alone] == [Termination.BLOWUP, Termination.COMPLETED]
+    assert [res.steps for res in alone] == [M, M]
+    with pytest.raises(DivergenceError) as raised:
+        run(walking)
+
+    batches = []
+    real_rows = lockstep_mod._step_rows
+
+    def step_rows(pts, *stacks):
+        batches.append(len(pts))
+        real_rows(pts, *stacks)
+
+    monkeypatch.setattr(lockstep_mod, "_step_rows", step_rows)
+    tables = TableCache()
+    runs = [capped, completing, walking]
+    together = march([(k, cfg, None, tables) for k, cfg in enumerate(runs)], len(runs))
+    assert batches == [3] * M + [1, 1, 1]
+    for k, res in enumerate(alone):
+        assert result_bytes(together[k]) == result_bytes(res)
+    assert type(together[2]) is DivergenceError and str(together[2]) == str(raised.value)
+
+
 def test_lockstep_faces_between_runs_are_boundary_faces():
     # a gradient across the face between two runs would overflow to inf, and
     # 0*inf is nan: each run's dt and step must still be its own kernel's
@@ -838,7 +915,9 @@ def test_cfl_dt_takes_no_gradient_across_the_end_of_a_field():
 
 def test_vecdot_rows_are_blas_dot_bitwise():
     # the march sums each run's u, v and f(u) against the cell volumes in one
-    # np.vecdot call; each sum must be bitwise the np.dot a run alone takes
+    # np.vecdot call, and the rows of a batch sum against the cell volumes or
+    # the face weights (the weights first, as in np.dot(w, x)); each sum must
+    # be bitwise the np.dot a run alone takes
     rng = np.random.default_rng(20)
     cases = [(k, n) for k in (1, 2, 3, 5, 9, 20) for n in (8, 17, 48, 256, 600)]
     for k, n in cases:
@@ -846,6 +925,8 @@ def test_vecdot_rows_are_blas_dot_bitwise():
         U = rng.choice([-1.0, 1.0], (k, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (k, n))
         sums = np.vecdot(U, V)
         assert sums.tobytes() == np.array([np.dot(u, V) for u in U]).tobytes(), (k, n)
+        sums = np.vecdot(V, U)
+        assert sums.tobytes() == np.array([np.dot(V, u) for u in U]).tobytes(), (k, n)
     # one row holding nan and one holding inf leave the other rows as they are
     k, n = 6, 48
     V = 10.0 ** rng.uniform(-5.0, 5.0, n)
@@ -859,6 +940,69 @@ def test_vecdot_rows_are_blas_dot_bitwise():
     finite = [0, 2, 3, 5]
     assert np.all(np.isfinite(sums[finite]))
     assert sums[finite].tobytes() == dots[finite].tobytes()
+
+
+def test_block_solve_is_each_runs_own_dgtsv_bitwise(monkeypatch):
+    # the march solves the v step of all its runs with one dgtsv call on the
+    # block-diagonal system; each run's solution must be bitwise the one its
+    # own system gives, a zero's sign included: the +0.0 seam couplings add
+    # only zeros across the seams. A nan or inf run is redone run by run
+    import ksfv.solver as solver_mod
+    from ksfv.solver import _Tridiag
+
+    calls = []
+    real = solver_mod._dgtsv
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "_dgtsv", counting)
+    rng = np.random.default_rng(19)
+
+    def solve(g, dt, rhs):
+        """The block solve of the runs' rows of rhs, and the number of dgtsv calls."""
+        B, n = rhs.shape
+        x = rhs.reshape(-1).copy()
+        calls.clear()
+        dt_cells = dt.repeat(n) if B > 1 else dt[0]
+        _, failed = _Tridiag(g, B).solve(1.0 + dt_cells, dt_cells, x, in_place=True)
+        assert not failed
+        return x.reshape(B, n), len(calls)
+
+    def alone(g, dt, rhs):
+        return [_Tridiag(g).solve(1.0 + d, d, r)[0] for d, r in zip(dt, rhs)]
+
+    for kind, dim in ((ksfv.INTERVAL, 1), (ksfv.BALL, 2), (ksfv.BALL, 3)):
+        for n in (8, 33, 256):
+            g = ksfv.make_grid(ksfv.DomainSpec(kind, 0.5 + 0.5 * rng.random(), dim, n))
+            for B in (1, 2, 3, 7, 16):
+                dt = 10.0 ** rng.uniform(-7.0, 0.0, B)
+                rhs = 10.0 ** rng.uniform(-3.0, 3.0, (B, n))
+                # each run's first and last entry: a number, +0.0 or -0.0;
+                # run 1 all -0.0 and run 3 all +0.0, which no march gives (its
+                # v + dt u_new is never -0.0), to pin the seams' sign
+                rhs[:, [0, -1]] *= rng.choice([1.0, 0.0, -0.0], (B, 2))
+                rhs[1:2] = -0.0
+                rhs[3:4] = 0.0
+                x, n_calls = solve(g, dt, rhs)
+                assert n_calls == 1
+                for k, y in enumerate(alone(g, dt, rhs)):
+                    assert x[k].tobytes() == y.tobytes(), (kind, dim, n, B, k)
+    # a nan run and an inf run: the block's solutions are not finite, and the
+    # runs are solved again one by one, the others bitwise as before
+    g = ksfv.make_grid(ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 48))
+    dt = 10.0 ** rng.uniform(-5.0, -1.0, 6)
+    rhs = 10.0 ** rng.uniform(-3.0, 3.0, (6, 48))
+    rhs[1, 30] = np.nan
+    rhs[4, 0] = np.inf
+    x, n_calls = solve(g, dt, rhs)
+    assert n_calls == 1 + 6
+    ys = alone(g, dt, rhs)
+    assert np.isnan(x[1]).any() and not np.isfinite(x[4]).all()
+    for k in (0, 2, 3, 5):
+        assert np.all(np.isfinite(x[k]))
+        assert x[k].tobytes() == ys[k].tobytes()
 
 
 def test_lockstep_underflow_row_after_a_retile_is_its_solo_row():
