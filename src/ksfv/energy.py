@@ -21,8 +21,11 @@ quantities it needs already computed, for a (k, cells) stack of states:
 lyapunov_terms takes G(u) and the face gradient of v, dissipation_terms the
 face gradients of u and v, the face mobility phi(u_face), f(u) and G'(u).
 The public lyapunov and dissipation compute those from a state and call the
-helpers on a stack of one; the solver's diagnostics rows pass the ones its
-steps have already computed, for the runs whose rows share a table.
+helpers on a stack of one; the solver's step rows pass the ones its steps
+have already computed, for the runs whose rows share a table, and its rows
+of a single state (a run's first row, a NumericalFailure row) call lyapunov.
+The public functions check the state they are given (length, finiteness),
+as solver.step() does; those rows are the only solver calls that pay it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .core import Grid, ModelParams, State, BALL
+from .core import Grid, ModelParams, State, BALL, validate_field
 from .discrete import div_cells, grad_faces, interior_flux, laplacian_apply
 from .errors import DomainError, PreconditionError
 from .nonlin import (
@@ -90,9 +93,14 @@ def lyapunov_terms(
     return out
 
 
+def _fields(state: State, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The state's u and v as float arrays; UsageError for a wrong length or a non-finite entry."""
+    return validate_field(state.u, grid, "u"), validate_field(state.v, grid, "v")
+
+
 def lyapunov(state: State, grid: Grid, table: FunctionalTable) -> EnergyBreakdown:
     """Evaluate F(u, v) on the grid; u below the table floor is clamped and counted."""
-    u, v = state.u, state.v
+    u, v = _fields(state, grid)
     tab = table.covering(float(np.max(u)), float(np.min(u)))
     clamped = int(np.count_nonzero(u < tab.s_min))
     G_u = tab.g(np.maximum(u, tab.s_min))
@@ -103,8 +111,9 @@ def lyapunov(state: State, grid: Grid, table: FunctionalTable) -> EnergyBreakdow
 def lyapunov_steady(state: State, grid: Grid, table: FunctionalTable) -> float:
     """The uv-eliminated steady value -1/2 int|grad v|^2 - 1/2 int v^2 + int G(u).
 
-    Formed from lyapunov()'s terms as G_term - gradv_term - v2_term. Agrees with lyapunov() exactly when the discrete steady signal equation
-    holds; otherwise the gap is bounded by the steady residual.
+    Formed from lyapunov()'s terms as G_term - gradv_term - v2_term. Agrees
+    with lyapunov() exactly when the discrete steady signal equation holds;
+    otherwise the gap is bounded by the steady residual.
     """
     bd = lyapunov(state, grid, table)
     return bd.G_term - bd.gradv_term - bd.v2_term
@@ -120,9 +129,11 @@ def dissipation(
 ) -> float:
     """Right side of the energy identity evaluated at (u, v) with the step's v_t.
 
-    Raises DomainError for a negative density.
+    Raises UsageError for a u, v or v_t of the wrong length or with a
+    non-finite entry and DomainError for a negative density.
     """
-    u, v = state.u, state.v
+    u, v = _fields(state, grid)
+    v_t = validate_field(v_t, grid, "v_t")
     _check_nonneg(u, "dissipation")
     tab = table.covering(float(np.max(u)), float(np.min(u)))
     (rhs,) = dissipation_terms(
@@ -183,9 +194,10 @@ def steady_residual(
 
     The density residual is the divergence of the scheme's own face flux,
     interior_flux, which vanishes on the boundary faces.
-    Raises DomainError for a negative density.
+    Raises UsageError for a u or v of the wrong length or with a non-finite
+    entry and DomainError for a negative density.
     """
-    u, v = state.u, state.v
+    u, v = _fields(state, grid)
     _check_nonneg(u, "steady_residual")
     flux = np.zeros(grid.cells + 1)
     du, dv = grad_faces(u, grid)[1:-1], grad_faces(v, grid)[1:-1]
@@ -278,7 +290,7 @@ def radial_weight_inequality(
     if abs(weight_prime(1e-8 * R)) > 1e-6 * scale / R:
         raise PreconditionError("weight must have zero slope at r = 0")
 
-    u, v = state.u, state.v
+    u, v = _fields(state, grid)
     tab = table.covering(float(np.max(u)), float(np.min(u)))
     r_face = grid.faces[1:-1]
     dv = grad_faces(v, grid)[1:-1]

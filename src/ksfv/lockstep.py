@@ -4,12 +4,13 @@ run_lockstep holds one _Point per run: its settings, its state between
 steps and its record, diagnostics rows included. The batched work of a
 step is one numpy call per quantity for all the runs: the solver._Kernel
 calls, the v solves among them, the min/max checks and one vecdot for the
-mass sums. The rows that fall due on a step are batched per table: one
-_step_rows call for the runs that share a G-table and a psi, over (k,
-cells) stacks of their states, redone run by run when it raises a
-KsfvError; then the runs that end on those rows end. The rest is each
-run's own (see "Lockstep" and "Buffers" in the solver module docstring); a
-lone run takes the same path, with k = 1 and B = 1. solver.run imports this
+mass sums. The rows that fall due on a step are batched per table: each
+due run walks the G-table over its own span, and a walk that raises a
+KsfvError ends that run alone; then one _step_rows call writes the rows of
+the others that share the table and a psi, over (k, cells) stacks of their
+states; then the runs that end on those rows end. The rest is each run's
+own (see "Lockstep" and "Buffers" in the solver module docstring); a lone
+run takes the same path, with k = 1 and B = 1. solver.run imports this
 module when it first marches, and sweep.run_sweep before it forks its
 workers, so that importing ksfv does not compile it.
 """
@@ -23,8 +24,8 @@ import numpy as np
 
 from .core import Grid, State, linf, make_grid
 from .discrete import grad_faces
-from .energy import dissipation_terms, lyapunov_terms
-from .errors import KsfvError
+from .energy import dissipation_terms, lyapunov, lyapunov_terms
+from .errors import ConfigError, KsfvError
 from .nonlin import _hermite_basis
 from .solver import (
     DiagnosticsRow,
@@ -81,6 +82,10 @@ class _Point(_Model):
         self.probes: List[float] = (
             sorted(float(x) for x in probe_times) if probe_times is not None else []
         )
+        # the probe clamps and checks compare t with them: a nan or inf probe
+        # would be recorded at the first step, a -inf one at t = 0
+        if not all(map(math.isfinite, self.probes)):
+            raise ConfigError("probe times must be finite")
         self.probe_states: List[State] = []
         self.pi = 0
         while self.pi < len(self.probes) and self.probes[self.pi] <= 0.0:
@@ -106,7 +111,7 @@ class _Point(_Model):
         # evaluated: reusing the row's F, or computing F_prev after F_cur,
         # gives the same value bitwise.
         self.F_cur: Optional[float] = self.state_row(
-            0.0, u, v, self.mass_u, self.mass_v, self.umax, grad_faces(v, grid), 0.0
+            0.0, u, v, self.mass_u, self.mass_v, self.umax, 0.0
         )
         self.F_prev: Optional[float] = None
         self.dt = math.nan
@@ -120,16 +125,15 @@ class _Point(_Model):
         self.batch = 0  # the run's row batch: runs with equal table, key and psi_key
         self.outcome = None
 
-    def state_row(self, t, u, v, mass_u, mass_v, umax, dv, fill) -> float:
+    def state_row(self, t, u, v, mass_u, mass_v, umax, fill) -> float:
         """Append a row of the state (u, v) at t, with fill in its step columns; return F.
 
-        umax = max(u) and dv is the face gradient of v.
+        umax = max(u); F is energy.lyapunov's on the run's table, walked over u.
         """
         umin = float(np.minimum.reduce(u))
         with np.errstate(**self.caller_err):
             table = self.tables.covering(self.key, umax, umin)
-            G = table.g(np.maximum(u, table.s_min))
-            (terms,) = lyapunov_terms(G[None], u[None], v[None], dv[None], self.grid)
+            terms = lyapunov(State(u, v, t), self.grid, table)
         F = terms.F_total
         self.rows.append(DiagnosticsRow(t, fill, mass_u, mass_v, umax, umin, F, fill, fill))
         self.w12.append(terms.v_w12)
@@ -158,8 +162,7 @@ class _Point(_Model):
         return dt
 
     def end_step(
-        self, par: int, min_u_new, min_v_new, max_u, max_v_new, mass_u_new, mass_v_new,
-        f_mass, kern: _Kernel,
+        self, par: int, min_u_new, min_v_new, max_u, max_v_new, mass_u_new, mass_v_new, f_mass
     ) -> None:
         """Take the step from buffer par to the other, or end the run.
 
@@ -176,7 +179,7 @@ class _Point(_Model):
         # this holds exactly when both fields are finite and nonnegative
         inf = math.inf
         if not (0.0 <= min_u_new and max_u < inf and 0.0 <= min_v_new and max_v_new < inf):
-            self.fail(par, kern)
+            self.fail(par)
             return
         self.steps += 1
         dt = self.dt
@@ -252,23 +255,22 @@ class _Point(_Model):
                 min(self.umin, float(np.minimum.reduce(old[0]))),
                 max(self.umax, float(np.maximum.reduce(old[0]))),
             )
-            _step_rows(
-                [self], *state[:, None], self.f_u[None], *old[:, None], du[None, 1:-1],
-                dv[None, 1:-1], mob[None],
-            )
+            with np.errstate(**self.caller_err):
+                _step_rows(
+                    [self], *state[:, None], self.f_u[None], *old[:, None], du[None, 1:-1],
+                    dv[None, 1:-1], mob[None],
+                )
         self.finish(Termination.DT_UNDERFLOW, self.t, state)
 
-    def fail(self, par: int, kern: _Kernel) -> None:
+    def fail(self, par: int) -> None:
         """End the run as NumericalFailure in its last valid state, buffer par.
 
-        The failed step overwrote the other buffer; when the state has no row
-        yet, its row takes the face gradients the kernel still holds.
+        The failed step overwrote the other buffer, not this one.
         """
         state = self.ss[par]
         if self.F_cur is None:
             self.state_row(
-                self.t, state[0], state[1], self.mass_u, self.mass_v, self.umax,
-                kern.dvf[kern.faces(self.k)], math.nan,
+                self.t, state[0], state[1], self.mass_u, self.mass_v, self.umax, math.nan
             )
         self.finish(Termination.NUMERICAL_FAILURE, self.t, state)
 
@@ -277,42 +279,42 @@ def _step_rows(pts: List[_Point], u_new, v_new, f_u, u_old, v_old, du, dv, mob) 
     """Append the row of each point's last step and set its F_cur.
 
     The points share one table (TableCache and key) and one psi, and each
-    has its row's span marked. u_new, v_new, u_old and v_old are (k, cells)
-    stacks of their states after and before the step and f_u of their
-    steps' f(u); du and dv are the old interior face gradients and mob the
-    steps' face mobility, (k, cells - 1) each. One covering walks the table
-    over every point's span; G at both states and G' at old come from one
+    has its row's span marked and the table walked over it, so the one
+    covering of their joint span returns the walked table and raises
+    nothing. u_new, v_new, u_old and v_old are (k, cells) stacks of their
+    states after and before the step and f_u of their steps' f(u); du and dv
+    are the old interior face gradients and mob the steps' face mobility,
+    (k, cells - 1) each. G at both states and G' at old come from one
     Hermite basis over all of them; the terms are (k, cells) stacks whose
     sums are np.vecdot rows (energy.lyapunov_terms, energy.dissipation_terms).
-    So each row is bitwise the one the point's run writes alone. Runs under
-    the float settings the points joined under, as state_row does.
+    So each row is bitwise the one the point's run writes alone. The caller
+    sets the float settings the points joined under, as state_row runs under.
     """
     first = pts[0]
     k, grid = len(pts), first.grid
-    with np.errstate(**first.caller_err):
-        table = first.tables.covering(
-            first.key, max([pt.span[1] for pt in pts]), min([pt.span[0] for pt in pts])
-        )
-        s_min = table.s_min
-        u = np.concatenate((u_new, u_old))
-        # the basis is elementwise: over the cells of all 2k states as one
-        # flat array. The covering holds every max(u, s_min), so
-        # table.basis's range check is moot
-        basis = _hermite_basis(np.maximum(u, s_min).reshape(-1), table.segments)
-        G = table.g_on(basis).reshape(u.shape)
-        F_old = [pt.F_prev for pt in pts]
-        if None in F_old:
-            # F of the old states as well, in the same calls; a known F_prev
-            # is bitwise the same value (see _Point.__init__)
-            v = np.concatenate((v_new, v_old))
-            terms = lyapunov_terms(G, u, v, grad_faces(v, grid), grid)
-            F_old = [t.F_total for t in terms[k:]]
-        else:
-            terms = lyapunov_terms(G[:k], u_new, v_new, grad_faces(v_new, grid), grid)
-        gp = table.gp_on(tuple(b[u_old.size:] for b in basis)).reshape(u_old.shape)
-        dt = [pt.dt for pt in pts]
-        v_t = (v_new - v_old) / np.array(dt)[:, None]
-        rhs = dissipation_terms(u_old, v_old, v_t, du, dv, mob, first.psi, f_u, gp, s_min, grid)
+    table = first.tables.covering(
+        first.key, max([pt.span[1] for pt in pts]), min([pt.span[0] for pt in pts])
+    )
+    s_min = table.s_min
+    u = np.concatenate((u_new, u_old))
+    # the basis is elementwise: over the cells of all 2k states as one
+    # flat array. The covering holds every max(u, s_min), so
+    # table.basis's range check is moot
+    basis = _hermite_basis(np.maximum(u, s_min).reshape(-1), table.segments)
+    G = table.g_on(basis).reshape(u.shape)
+    F_old = [pt.F_prev for pt in pts]
+    if None in F_old:
+        # F of the old states as well, in the same calls; a known F_prev
+        # is bitwise the same value (see _Point.__init__)
+        v = np.concatenate((v_new, v_old))
+        terms = lyapunov_terms(G, u, v, grad_faces(v, grid), grid)
+        F_old = [t.F_total for t in terms[k:]]
+    else:
+        terms = lyapunov_terms(G[:k], u_new, v_new, grad_faces(v_new, grid), grid)
+    gp = table.gp_on(tuple(b[u_old.size:] for b in basis)).reshape(u_old.shape)
+    dt = [pt.dt for pt in pts]
+    v_t = (v_new - v_old) / np.array(dt)[:, None]
+    rhs = dissipation_terms(u_old, v_old, v_t, du, dv, mob, first.psi, f_u, gp, s_min, grid)
     for pt, new_terms, F_prev, dt_i, rhs_i in zip(pts, terms, F_old, dt, rhs):
         F_new = new_terms.F_total
         pt.rows.append(
@@ -324,29 +326,6 @@ def _step_rows(pts: List[_Point], u_new, v_new, f_u, u_old, v_old, du, dv, mob) 
         pt.w12.append(new_terms.v_w12)
         pt.F_cur = F_new
         pt.span = None
-
-
-def _write_rows(pts: List[_Point], *stacks) -> int:
-    """_step_rows of pts, or of each point alone when theirs raises a KsfvError.
-
-    A batch's error may come from one point's span or data alone: redone
-    point by point, each point keeps the outcome it has alone, a row or its
-    KsfvError. The stacks are _step_rows' arrays, one row per point. Returns
-    the number of points that a KsfvError ended.
-    """
-    try:
-        _step_rows(pts, *stacks)
-        return 0
-    except KsfvError as exc:
-        if len(pts) == 1:
-            pts[0].outcome = exc
-            return 1
-    for i, pt in enumerate(pts):
-        try:
-            _step_rows([pt], *(x[i:i + 1] for x in stacks))
-        except KsfvError as exc:
-            pt.outcome = exc
-    return sum([pt.outcome is not None for pt in pts])
 
 
 def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: int):
@@ -403,9 +382,9 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     solves (one dgtsv), the min/max checks and one vecdot for the masses of
     the new u, the new v and f(u). Batched per table: the rows that fall due
     on the step, one _step_rows call for the runs that share a table and a
-    psi. The rest is each run's own, as run() alone does it. A lone run
-    takes the same path. A run leaves when it ends, and the runs that join
-    or stay are tiled afresh.
+    psi, after each has walked the table over its own span. The rest is each
+    run's own, as run() alone does it. A lone run takes the same path. A run
+    leaves when it ends, and the runs that join or stay are tiled afresh.
     """
     caller_err = np.geterr()
     ended: List[tuple] = []
@@ -489,7 +468,7 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                 try:
                     pt.end_step(
                         par, lows[k], lows[B + k], highs[k], highs[B + k], mass_u[k], mass_v[k],
-                        f_mass[k], kern,
+                        f_mass[k],
                     )
                 except KsfvError as exc:
                     pt.outcome = exc
@@ -500,14 +479,25 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
             if due:
                 # _step_rows' arrays, of every run
                 arrays = (*runs[1 - par], *runs[par][:2], *faces, _by_run(kern.mob, kern))
-                for pts in due.values():
-                    if len(pts) < B:
-                        # the points' runs, as a slice when they are adjacent
-                        a, b = pts[0].k, pts[-1].k + 1
-                        pick = slice(a, b) if b - a == len(pts) else [pt.k for pt in pts]
-                        n_ended += _write_rows(pts, *(x[pick] for x in arrays))
-                    else:
-                        n_ended += _write_rows(pts, *arrays)
+                # under the float settings every run joined under
+                with np.errstate(**caller_err):
+                    for pts in due.values():
+                        # each run walks the table over its own span, so a walk
+                        # that raises ends that run alone, as it does alone
+                        for pt in pts:
+                            try:
+                                pt.tables.covering(pt.key, pt.span[1], pt.span[0])
+                            except KsfvError as exc:
+                                pt.outcome = exc
+                                n_ended += 1
+                        pts = [pt for pt in pts if pt.outcome is None]
+                        if len(pts) == B:
+                            _step_rows(pts, *arrays)
+                        elif pts:
+                            # the points' runs, as a slice when they are adjacent
+                            a, b = pts[0].k, pts[-1].k + 1
+                            pick = slice(a, b) if b - a == len(pts) else [pt.k for pt in pts]
+                            _step_rows(pts, *(x[pick] for x in arrays))
             if n_ended:
                 # the runs that end on their rows, counted afresh
                 n_ended = 0

@@ -53,10 +53,11 @@ the seams would carry into the neighbouring runs, each run is solved again
 alone from the saved right-hand sides. Batched per table: the diagnostics
 rows that fall due on a step, one call per quantity for the runs that share
 a G-table and a psi (lockstep._step_rows), with sums that are np.vecdot
-rows too; a batch that raises a KsfvError is redone run by run. Each run's
-own: f(u) and the reaction rate (kappa), dt with its clamps and probes, the
-mass-law residuals, its termination, after which it leaves the march, and
-its KsfvError, which ends it alone while the others go on. phi is
+rows too; before it, each due run walks the table over its own span, and a
+walk that raises a KsfvError ends that run alone. Each run's own: f(u) and
+the reaction rate (kappa), dt with its clamps and probes, the mass-law
+residuals, its termination, after which it leaves the march, and its
+KsfvError, which ends it alone while the others go on. phi is
 evaluated once per block of runs with equal alpha and eps, psi and the
 drift slope once per block with equal psi_c and beta, since numpy computes
 u ** 2.0 as a square and an array exponent would not: the runs are ordered
@@ -143,7 +144,7 @@ from .core import (
 from .discrete import div_cells, interior_flux
 
 # perfbench/tracing.py wraps solver.lyapunov and solver.dissipation by name;
-# the rows of a run (lockstep._Point) call their term helpers instead
+# the rows of a run (lockstep) call energy.lyapunov and the term helpers
 from .energy import dissipation, lyapunov  # noqa: F401
 from .errors import ConfigError, DomainError, KsfvError, NumericsError, ScanAbortedError
 from .nonlin import (
@@ -366,18 +367,17 @@ class _Kernel:
     """The one-pass explicit step of B >= 1 runs on one grid, in lockstep.
 
     The runs' states lie end to end: a state s = (u, v) of the kernel is a
-    (2, B*cells) array, run k's cells are cells(k), its faces faces(k) and
-    its interior faces inner(k). Each elementwise op of the step is one
-    numpy call for all the runs. A face between two runs is a boundary face
-    of both: its gradients are zero and its flux +0.0. phi is evaluated once
-    per block of consecutive runs with equal _Model.phi_key, psi and the
-    drift slope once per block with equal psi_key; f and dt are per run, and
-    the v solves are one _Tridiag.solve. A step calls gradients(s) on its
-    state s = (u, v), a (2, B*cells) array, then dt_bound and advance, which
-    read those gradients (grad, with the views dvf of v's row and du_in,
-    dv_in of the interior faces); advance leaves the face mobility
-    phi(u_face) in mob. Its methods take validated float arrays and do no
-    domain checks.
+    (2, B*cells) array, run k's cells are cells(k) and its interior faces
+    inner(k). Each elementwise op of the step is one numpy call for all the
+    runs. A face between two runs is a boundary face of both: its gradients
+    are zero and its flux +0.0. phi is evaluated once per block of
+    consecutive runs with equal _Model.phi_key, psi and the drift slope once
+    per block with equal psi_key; f and dt are per run, and the v solves are
+    one _Tridiag.solve. A step calls gradients(s) on its state s = (u, v), a
+    (2, B*cells) array, then dt_bound and advance, which read those
+    gradients (grad, with the views dvf of v's row and du_in, dv_in of the
+    interior faces); advance leaves the face mobility phi(u_face) in mob.
+    Its methods take validated float arrays and do no domain checks.
     """
 
     def __init__(self, grid: Grid, models: Sequence[_Model]):
@@ -390,16 +390,13 @@ class _Kernel:
         self.h = grid.h
         self._phi_blocks = self._blocks("phi_key")
         self._psi_blocks = self._blocks("psi_key")
-        if B == 1:
-            self.adv_l, self.adv_r, self._geom = rates.adv_l, rates.adv_r, grid
-        else:
-            self.adv_l, self.adv_r = np.tile(rates.adv_l, B), np.tile(rates.adv_r, B)
-            A = grid.face_area
-            self._geom = _Tiles(
-                np.concatenate((np.tile(A[:-1], B), A[-1:])), np.tile(grid.cell_volume, B)
-            )
-            # the interior faces between two runs: n - 1, 2n - 1, ...
-            self._seams = slice(n - 1, None, n)
+        self.adv_l, self.adv_r = np.tile(rates.adv_l, B), np.tile(rates.adv_r, B)
+        A = grid.face_area
+        self._geom = _Tiles(
+            np.concatenate((np.tile(A[:-1], B), A[-1:])), np.tile(grid.cell_volume, B)
+        )
+        # the interior faces between two runs: n - 1, 2n - 1, ...
+        self._seams = slice(n - 1, None, n)
         # a partial, not a lambda over self: a kernel in a reference cycle
         # would keep its runs' table caches alive until the cyclic collector
         self.phi, self.psi = models[0].phi, models[0].psi
@@ -424,9 +421,6 @@ class _Kernel:
     def cells(self, k: int) -> slice:
         return slice(k * self.n, (k + 1) * self.n)
 
-    def faces(self, k: int) -> slice:
-        return slice(k * self.n, (k + 1) * self.n + 1)
-
     def inner(self, k: int) -> slice:
         return slice(k * self.n, (k + 1) * self.n - 1)
 
@@ -445,6 +439,8 @@ class _Kernel:
     def _rowmax(self, x: np.ndarray) -> List[float]:
         """The max of x over the cells of each run it covers."""
         if self.B == 1:
+            # a lone run: one flat reduction, 0.2 us a call less than the axis
+            # reduction (48 or 256 cells, 2-vCPU Xeon)
             return [float(np.maximum.reduce(x))]
         return np.maximum.reduce(x.reshape(-1, self.n), axis=1).tolist()
 
@@ -510,7 +506,10 @@ class _Kernel:
         """
         models = self.models
         if self.B == 1:
-            # the same rule, on scalars: one run does the work it does alone
+            # the same rule, on scalars: one run does the work it does alone.
+            # The general path takes 3.3 us a call, not 2.1, on the damped
+            # workload's initial state, and 6.6, not 5.7-5.8, on aggregation's
+            # (2-vCPU Xeon)
             m = models[0]
             umax = m.umax
             react = m.react_c * _pow(umax + m.eps, m.react_exp) if umax > 0.0 else 0.0
@@ -567,7 +566,9 @@ class _Kernel:
         """
         self.mob = interior_flux(self._flux_in, u, self.du_in, self.dv_in, self.phi, self.psi)
         if self.B == 1:
-            # a scalar dt: no per-cell dt array
+            # a scalar dt: no per-cell dt array. With the per-cell dt and the
+            # block dgtsv at B = 1, aggregation's run took 0.334-0.350 s in
+            # process, not 0.312-0.325 (+7%, 2-vCPU Xeon)
             dt_cells = dt = dt[0] if isinstance(dt, list) else dt
         else:
             # after the flux formula, whose 0*inf there would be nan
@@ -580,7 +581,7 @@ class _Kernel:
         np.add(u, u_new, out=u_new)
         np.multiply(dt_cells, u_new, out=v_new)
         np.add(v, v_new, out=v_new)
-        self.failed = self._tri.solve(1.0 + dt_cells, dt_cells, v_new, in_place=True)[1]
+        self.failed = self._tri.solve(1.0 + dt_cells, dt_cells, v_new)[1]
 
 
 class _Tridiag:
@@ -629,18 +630,20 @@ class _Tridiag:
         np.subtract(self.diag, self.lower, out=self.diag)
 
     def solve(
-        self, c, s, rhs: np.ndarray, in_place: bool = False
+        self, c, s, rhs: np.ndarray
     ) -> Tuple[np.ndarray, Sequence[Tuple[int, NumericsError]]]:
-        """The solution and the runs whose solve failed, with their errors.
+        """The solution, written over rhs, and the runs whose solve failed, with their errors.
 
-        in_place overwrites rhs with the solution (rhs must then be a
-        contiguous float array); with B > 1 runs the solve is always in place.
+        rhs must be a contiguous float array.
         """
         # dgtsv overwrites sub, diag and sup; solve refills them every call
         self._bands(c, s)
         saved = self._saved
-        if saved is None:  # one run
-            _, _, _, x, info = _dgtsv(self.sub, self.diag, self.sup, rhs, 1, 1, 1, int(in_place))
+        if saved is None:
+            # one run: no saved copy of rhs and no finiteness sum. The block
+            # path at B = 1 and advance's per-cell dt together cost
+            # aggregation 7% (see advance)
+            _, _, _, x, info = _dgtsv(self.sub, self.diag, self.sup, rhs, 1, 1, 1, 1)
             return x, () if info == 0 else [(0, _solve_error(info))]
         np.copyto(saved, rhs)
         _, _, _, x, info = _dgtsv(self.sub, self.diag, self.sup, rhs, 1, 1, 1, 1)
@@ -797,7 +800,7 @@ def steady_signal(u: np.ndarray, grid: Grid) -> np.ndarray:
 
     Raises UsageError for a u of the wrong length or with non-finite entries.
     """
-    v, failed = _Tridiag(grid).solve(1.0, 1.0, validate_field(u, grid, "u"))
+    v, failed = _Tridiag(grid).solve(1.0, 1.0, validate_field(u, grid, "u").copy())
     if failed:
         raise failed[0][1]
     return v

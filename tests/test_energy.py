@@ -17,7 +17,7 @@ from ksfv.energy import (
     radial_weight_inequality,
     steady_residual,
 )
-from ksfv.errors import DomainError, PreconditionError
+from ksfv.errors import DomainError, PreconditionError, UsageError
 from ksfv.nonlin import Overrides, RatioSpec
 from ksfv.solver import RunConfig, cfl_dt, run, steady_signal, step
 
@@ -321,6 +321,42 @@ def test_weight_inequality_needs_ball():
     w, wp = log_weight(0.5, 0.1)
     with pytest.raises(PreconditionError):
         radial_weight_inequality(State(np.ones(16), np.ones(16), 0.0), g, table, w, 1.0, wp)
+
+
+_W, _WP = log_weight(1.0, 0.1)
+_STATE_FUNCTIONS = {
+    "lyapunov": lambda s, v_t, g, p, table: lyapunov(s, g, table),
+    "lyapunov_steady": lambda s, v_t, g, p, table: lyapunov_steady(s, g, table),
+    "steady_residual": lambda s, v_t, g, p, table: steady_residual(s, g, p),
+    "radial_weight_inequality": lambda s, v_t, g, p, table: radial_weight_inequality(
+        s, g, table, _W, 1.0, _WP
+    ),
+    "dissipation": lambda s, v_t, g, p, table: dissipation(s, v_t, g, p, table),
+}
+
+
+@pytest.mark.parametrize(
+    "name, field, bad",
+    [(name, f, bad) for name in _STATE_FUNCTIONS for f in ("u", "v") for bad in ("short", "nan")]
+    + [("dissipation", "v_t", "short"), ("dissipation", "v_t", "nan")],
+)
+def test_energy_functions_check_the_state(name, field, bad):
+    # unchecked, a 15-entry field on a 16-cell grid raises numpy's bare
+    # ValueError ("could not broadcast"), and a nan entry goes through
+    g = disk(16)
+    p = ksfv.ModelParams(s0=1.0)
+    table = ksfv.build_table(p, ksfv.RatioSpec.model(), s_max=10.0)
+    u = 1.0 + 0.5 * np.cos(np.pi * g.centers)
+    fields = {"u": u, "v": steady_signal(u, g), "v_t": np.zeros(16)}
+    call = _STATE_FUNCTIONS[name]
+    call(State(fields["u"], fields["v"], 0.0), fields["v_t"], g, p, table)  # valid
+    if bad == "short":
+        fields[field] = fields[field][:15]
+    else:
+        fields[field] = fields[field].copy()
+        fields[field][5] = np.nan
+    with pytest.raises(UsageError, match=rf"^{field} "):
+        call(State(fields["u"], fields["v"], 0.0), fields["v_t"], g, p, table)
 
 
 def test_cutoff_weight_requires_large_k():

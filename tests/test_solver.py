@@ -266,7 +266,10 @@ def test_mass_law_residual_of_a_run_from_zero_mass_is_relative_to_its_growth():
 
 def test_run_computes_each_rows_energy_once(monkeypatch):
     # diag_every = 1: every step emits a row, and the next step's F_prev is
-    # that row's F, so F is computed once per row rather than twice per step
+    # that row's F, so F is computed once per row rather than twice per step.
+    # The step rows call lockstep's lyapunov_terms, the initial row
+    # energy.lyapunov, which calls energy's
+    import ksfv.energy as energy_mod
     import ksfv.lockstep as lockstep_mod
 
     calls = []
@@ -277,6 +280,7 @@ def test_run_computes_each_rows_energy_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lockstep_mod, "lyapunov_terms", counting)
+    monkeypatch.setattr(energy_mod, "lyapunov_terms", counting)
     dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 24)
     g = ksfv.make_grid(dom)
     p = ksfv.ModelParams(alpha=1, beta=1, kappa=2, a=1.0, b=1.0, eps=0.02)
@@ -597,6 +601,17 @@ def test_completed_run_reaches_t_end_with_probes():
         assert got.t == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("t_probe", [math.nan, math.inf, -math.inf])
+def test_run_rejects_non_finite_probe_times(t_probe):
+    # every comparison with nan, and with inf - inf, is False: unchecked,
+    # such a probe is recorded at the first step, and a -inf one at t = 0
+    g = interval(16)
+    u0 = np.full(16, 1.0)
+    cfg = RunConfig(g.spec, ksfv.ModelParams(), u0, steady_signal(u0, g), t_end=0.01)
+    with pytest.raises(ConfigError, match="probe times must be finite"):
+        run(cfg, probe_times=[0.005, t_probe])
+
+
 def test_public_entry_points_leave_their_inputs_unchanged():
     # the step loop solves v in place in its own buffer, and only there
     g = interval(16)
@@ -777,9 +792,11 @@ def test_lockstep_isolates_a_failing_run_and_a_raising_run(monkeypatch):
 
 def test_lockstep_rows_of_one_table_on_one_step_keep_each_runs_outcome(monkeypatch):
     # three runs share one table and write a row on every step; on step M one
-    # crosses the cap, one completes and one's row walks the table above its
-    # s_max, which raises. Their rows are one batch until then, and the batch
-    # of step M is redone run by run, so each run ends as it does alone
+    # crosses the cap, one completes and one's row walks the table where the
+    # walk raises: above its s_max, or below s0, in the range the rows walk
+    # on demand, under a floor the other two never reach. Their rows are one
+    # batch until then; on step M the walking run's own walk ends it, and the
+    # other two rows are one batch, so each run ends as it does alone
     import dataclasses
 
     import ksfv.lockstep as lockstep_mod
@@ -792,54 +809,71 @@ def test_lockstep_rows_of_one_table_on_one_step_keep_each_runs_outcome(monkeypat
     dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 24)
     g = ksfv.make_grid(dom)
 
-    def config(base, a):
+    def config(base, a, b=1e-4):
         # f = a - b u^2 ~ a: u grows by about a per unit time
-        p = ksfv.ModelParams(alpha=1.0, beta=2.0, kappa=2.0, a=a, b=1e-4, eps=0.01)
+        p = ksfv.ModelParams(alpha=1.0, beta=2.0, kappa=2.0, a=a, b=b, eps=0.01)
         u0 = build_field(f"cosine:base={base!r},amp={0.2 * base!r},mode=1.0", g)
         return RunConfig(dom, p, u0, steady_signal(u0, g), t_end=0.02, dt_max=2e-4)
 
-    walking, capped, completing = config(1.5, 2000.0), config(0.015, 500.0), config(0.5, 2.0)
-    key = initial_table_key(walking)
-    assert initial_table_key(capped) == key == initial_table_key(completing)
-    s_max = key[-2]
-    rows = run(walking).rows
-    M = next(i for i, r in enumerate(rows) if r.max_u > s_max)
-    assert all(a.max_u < b.max_u for a, b in zip(rows[:M], rows[1:M + 1]))
-    capped_rows = run(capped).rows
-    below, above = capped_rows[M - 1].max_u, capped_rows[M].max_u
-    assert below < above and above >= 10.0 * float(np.max(capped.u0))  # the growth floor
-    capped = dataclasses.replace(capped, blowup_cap=0.5 * (below + above))
-    completing = dataclasses.replace(completing, t_end=run(completing).rows[M].t)
-
     real_covering = FunctionalTable.covering
-
-    def covering(self, s, lo=None):
-        if s > s_max:
-            raise DivergenceError("the walk above s_max diverges")
-        return real_covering(self, s, lo)
-
-    monkeypatch.setattr(FunctionalTable, "covering", covering)
-    alone = [run(capped), run(completing)]
-    assert [res.termination.tag for res in alone] == [Termination.BLOWUP, Termination.COMPLETED]
-    assert [res.steps for res in alone] == [M, M]
-    with pytest.raises(DivergenceError) as raised:
-        run(walking)
-
-    batches = []
     real_rows = lockstep_mod._step_rows
+    floor = 0.01
 
-    def step_rows(pts, *stacks):
-        batches.append(len(pts))
-        real_rows(pts, *stacks)
+    def check(walking, upward):
+        capped, completing = config(0.015, 500.0), config(0.5, 2.0)
+        key = initial_table_key(walking)
+        assert initial_table_key(capped) == key == initial_table_key(completing)
+        s_max = key[-2]
+        rows = run(walking).rows
+        if upward:
+            M = next(i for i, r in enumerate(rows) if r.max_u > s_max)
+            assert all(a.max_u < b.max_u for a, b in zip(rows[:M], rows[1:M + 1]))
+        else:
+            M = next(i for i, r in enumerate(rows) if r.min_u < floor)
+            assert all(a.min_u > b.min_u for a, b in zip(rows[:M], rows[1:M + 1]))
+            assert rows[0].min_u < walking.params.s0
+        capped_rows = run(capped).rows
+        below, above = capped_rows[M - 1].max_u, capped_rows[M].max_u
+        assert below < above and above >= 10.0 * float(np.max(capped.u0))  # the growth floor
+        assert min(r.min_u for r in capped_rows) > floor
+        capped = dataclasses.replace(capped, blowup_cap=0.5 * (below + above))
+        completing_rows = run(completing).rows
+        assert min(r.min_u for r in completing_rows) > floor
+        completing = dataclasses.replace(completing, t_end=completing_rows[M].t)
 
-    monkeypatch.setattr(lockstep_mod, "_step_rows", step_rows)
-    tables = TableCache()
-    runs = [capped, completing, walking]
-    together = march([(k, cfg, None, tables) for k, cfg in enumerate(runs)], len(runs))
-    assert batches == [3] * M + [1, 1, 1]
-    for k, res in enumerate(alone):
-        assert result_bytes(together[k]) == result_bytes(res)
-    assert type(together[2]) is DivergenceError and str(together[2]) == str(raised.value)
+        def covering(self, s, lo=None):
+            if s > s_max if upward else min(s, s if lo is None else lo) < floor:
+                raise DivergenceError("the walk diverges")
+            return real_covering(self, s, lo)
+
+        batches = []
+
+        def step_rows(pts, *stacks):
+            batches.append(len(pts))
+            real_rows(pts, *stacks)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(FunctionalTable, "covering", covering)
+            alone = [run(capped), run(completing)]
+            assert [res.termination.tag for res in alone] == [
+                Termination.BLOWUP, Termination.COMPLETED
+            ]
+            assert [res.steps for res in alone] == [M, M]
+            with pytest.raises(DivergenceError) as raised:
+                run(walking)
+
+            mp.setattr(lockstep_mod, "_step_rows", step_rows)
+            tables = TableCache()
+            runs = [capped, completing, walking]
+            together = march([(k, cfg, None, tables) for k, cfg in enumerate(runs)], len(runs))
+        assert batches == [3] * (M - 1) + [2]
+        for k, res in enumerate(alone):
+            assert result_bytes(together[k]) == result_bytes(res)
+        assert type(together[2]) is DivergenceError and str(together[2]) == str(raised.value)
+
+    check(config(1.5, 2000.0), upward=True)
+    # f = -b u^2: u decays from below s0, and its rows walk the table down
+    check(config(0.5, 0.0, b=3e4), upward=False)
 
 
 def test_lockstep_faces_between_runs_are_boundary_faces():
@@ -893,8 +927,9 @@ def test_lockstep_gradients_are_each_runs_grad_faces_bitwise(kind, B):
         du, dv = grad_faces(u, g), grad_faces(v, g)
         assert kern.du_in[kern.inner(k)].tobytes() == du[1:-1].tobytes()
         assert kern.dv_in[kern.inner(k)].tobytes() == dv[1:-1].tobytes()
-        assert kern.dvf[kern.faces(k)].tobytes() == dv.tobytes()
-        assert kern.grad[0, kern.faces(k)].tobytes() == du.tobytes()
+        faces = slice(k * n, (k + 1) * n + 1)
+        assert kern.dvf[faces].tobytes() == dv.tobytes()
+        assert kern.grad[0, faces].tobytes() == du.tobytes()
     ends = kern.grad[:, ::n]  # every boundary face and every face between two runs
     assert ends.shape == (2, B + 1)
     assert ends.tobytes() == np.zeros((2, B + 1)).tobytes()  # +0.0, not -0.0
@@ -966,12 +1001,12 @@ def test_block_solve_is_each_runs_own_dgtsv_bitwise(monkeypatch):
         x = rhs.reshape(-1).copy()
         calls.clear()
         dt_cells = dt.repeat(n) if B > 1 else dt[0]
-        _, failed = _Tridiag(g, B).solve(1.0 + dt_cells, dt_cells, x, in_place=True)
+        _, failed = _Tridiag(g, B).solve(1.0 + dt_cells, dt_cells, x)
         assert not failed
         return x.reshape(B, n), len(calls)
 
     def alone(g, dt, rhs):
-        return [_Tridiag(g).solve(1.0 + d, d, r)[0] for d, r in zip(dt, rhs)]
+        return [_Tridiag(g).solve(1.0 + d, d, r.copy())[0] for d, r in zip(dt, rhs)]
 
     for kind, dim in ((ksfv.INTERVAL, 1), (ksfv.BALL, 2), (ksfv.BALL, 3)):
         for n in (8, 33, 256):
