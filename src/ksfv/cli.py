@@ -2,9 +2,11 @@
 
 Exit codes: 0 on success (a detected blow-up is a valid scientific outcome),
 1 on usage/configuration errors and any other ksfv or i/o error, each reported
-as one stderr line, 2 when a run ends in numerical failure or a sweep point
-fails (its Error row is still written to sweep.csv), 130 on Ctrl-C (SIGINT),
-reported as one "interrupted" line.
+as one stderr line, 2 when a run ends in numerical failure, a sweep point
+fails (its Error row is still written to sweep.csv) or a convergence scan
+aborts (one "error:" line; the gaps of the runs that completed are still
+written to gaps.csv), 130 on Ctrl-C (SIGINT), reported as one "interrupted"
+line.
 """
 
 from __future__ import annotations
@@ -228,19 +230,24 @@ def _cmd_check(args) -> int:
 def _cmd_convergence(args) -> int:
     cfg, _, _ = run_config_from(load_config(args.config))
     eps_list = numbers({"--eps-list": args.eps_list}, "--eps-list")
+    aborted = None
     try:
         scan = epsilon_convergence_scan(cfg, eps_list, args.t_probe)
     except ScanAbortedError as exc:
-        print(f"scan aborted: {exc}")
-        return 0
+        aborted, scan = exc, exc.completed
     gaps = list(zip(scan.eps_values, scan.eps_values[1:], scan.gaps))
     print("eps pairs and sup-norm gaps:")
     for e1, e2, g in gaps:
         print(f"  {e1:g} -> {e2:g}: {g:.6e}")
-    print(f"strictly decreasing: {scan.strictly_decreasing}")
+    if aborted is None:
+        verdict = scan.strictly_decreasing if len(gaps) > 1 else "undetermined"
+        print(f"strictly decreasing: {verdict}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_text(os.path.join(args.out, "gaps.csv"), csv_text(("eps_hi", "eps_lo", "gap"), gaps))
+    if aborted is not None:
+        print(f"error: scan aborted: {aborted}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -47,8 +47,13 @@ class NumericsError(KsfvError, RuntimeError):
 
 
 class ScanAbortedError(KsfvError, RuntimeError):
-    """A parameter scan hit a run that did not complete (e.g. blow-up before the probe time)."""
+    """A parameter scan hit a run that did not complete (e.g. blow-up before the probe time).
 
-    def __init__(self, message, offender=None):
+    offender is the scanned value of that run, and completed the scan's
+    result over the runs before it, when the scan has one.
+    """
+
+    def __init__(self, message, offender=None, completed=None):
         super().__init__(message)
         self.offender = offender
+        self.completed = completed

@@ -4,13 +4,14 @@ run_lockstep holds one _Point per run: its settings, its state between
 steps and its record, diagnostics rows included. The batched work of a
 step is one numpy call per quantity for all the runs: the solver._Kernel
 calls, the v solves among them, the min/max checks and one vecdot for the
-mass sums. The rows that fall due on a step are batched per table: each
-due run walks the G-table over its own span, and a walk that raises a
-KsfvError ends that run alone; then one _step_rows call writes the rows of
-the others that share the table and a psi, over (k, cells) stacks of their
-states; then the runs that end on those rows end. The rest is each run's
-own (see "Lockstep" and "Buffers" in the solver module docstring); a lone
-run takes the same path, with k = 1 and B = 1. solver.run imports this
+mass sums. The diagnostics rows are evaluated in blocks, per run: on the
+step a row falls due, the run walks its G-table over the row's span (a walk
+that raises a KsfvError ends that run alone, on that step), records the
+row's scalars and copies what the row reads into its block buffer; one
+_step_rows call evaluates the whole block over (k, cells) stacks, when the
+block holds _BLOCK_CELLS cells and before the run ends. The rest is each
+run's own (see "Lockstep" and "Buffers" in the solver module docstring); a
+lone run takes the same path, with B = 1. solver.run imports this
 module when it first marches, and sweep.run_sweep before it forks its
 workers, so that importing ksfv does not compile it.
 """
@@ -39,6 +40,11 @@ from .solver import (
     initial_table_key,
 )
 
+# a run's rows are evaluated together once its block holds this many cells
+# of states, and at least one row. On docs/sample_run.cfg's 48 cells a block
+# of 1 row took 64 us, a block of 21 rows 11 us a row (2-vCPU Xeon)
+_BLOCK_CELLS = 1024
+
 
 class _Point(_Model):
     """One run of a lockstep march: its model, settings, state between steps and record.
@@ -49,18 +55,18 @@ class _Point(_Model):
     it): uv holds its u, v and f rows in buffer 0 and buffer 1, and ss its
     (u, v) as one array. It keeps the max u, min u and range of v the last
     step's checks measured, its masses and, until it steps again, that
-    step's dt, f(u) (a view of the f row it was written into) and F of the
-    state before it. Its rows run under the float settings it joined under
-    (caller_err). outcome is None while it runs, then its RunResult or the
-    KsfvError that ended it.
+    step's dt and f(u) (a view of the f row it was written into). Its rows
+    wait in its block (keep_row) until _step_rows evaluates them (flush),
+    under the float settings it joined under (caller_err). outcome is None
+    while it runs, then its RunResult or the KsfvError that ended it.
     """
 
     __slots__ = (
         "tag", "grid", "n", "dt_min", "dt_max", "cap", "t_end", "t_goal", "diag_every",
-        "start", "grow_floor", "tables", "key", "probes", "probe_states", "pi", "rows", "w12",
-        "t", "steps", "mass_u", "mass_v", "umin", "mass_res_u", "mass_res_v", "min_u_seen",
-        "min_v_seen", "F_cur", "F_prev", "dt", "f_u", "k", "uv", "ss", "span", "ending",
-        "batch", "outcome", "caller_err",
+        "start", "grow_floor", "tables", "key", "table", "probes", "probe_states", "pi",
+        "rows", "w12", "t", "steps", "mass_u", "mass_v", "umin", "mass_res_u", "mass_res_v",
+        "min_u_seen", "min_v_seen", "F_last", "wrote", "wrote_before", "block", "kept", "dt",
+        "f_u", "k", "uv", "ss", "span", "ending", "outcome", "caller_err",
     )
 
     def __init__(self, tag, cfg: RunConfig, probe_times, tables: TableCache, grid: Grid):
@@ -105,15 +111,21 @@ class _Point(_Model):
         self.mass_res_v = 0.0
         self.min_u_seen = self.umin
         self.min_v_seen = float(np.minimum.reduce(v))
-        # F of the current state when its row recorded it, else None. A
-        # table only ever walks further out from s0 and keeps the values it
-        # has walked, so F of a state does not depend on when it is
-        # evaluated: reusing the row's F, or computing F_prev after F_cur,
-        # gives the same value bitwise.
-        self.F_cur: Optional[float] = self.state_row(
-            0.0, u, v, self.mass_u, self.mass_v, self.umax, 0.0
-        )
-        self.F_prev: Optional[float] = None
+        # F of the last row evaluated. A table only ever walks further out
+        # from s0 and keeps the values it has walked, so a row, and F of a
+        # state, do not depend on when they are evaluated or with which
+        # rows: reusing the row before's F, or computing F of the state
+        # before the step in the same call, gives the same value bitwise.
+        self.F_last = self.state_row(0.0, u, v, self.mass_u, self.mass_v, self.umax, 0.0)
+        # whether the current state, and the state before the last step,
+        # have a row
+        self.wrote, self.wrote_before = True, True
+        # the rows kept and not yet evaluated: row i's arrays in block[i]
+        # (keep_row), its scalars in kept[i], evaluated on the table walked
+        # over all their spans
+        self.block = np.empty((max(1, _BLOCK_CELLS // self.n), 8, self.n))
+        self.kept: List[tuple] = []
+        self.table = None
         self.dt = math.nan
         self.f_u: Optional[np.ndarray] = None
         self.k: Optional[int] = None
@@ -122,7 +134,6 @@ class _Point(_Model):
         # Termination and blow-up estimate it ends with
         self.span: Optional[tuple] = None
         self.ending: Optional[tuple] = None
-        self.batch = 0  # the run's row batch: runs with equal table, key and psi_key
         self.outcome = None
 
     def state_row(self, t, u, v, mass_u, mass_v, umax, fill) -> float:
@@ -171,8 +182,8 @@ class _Point(_Model):
         cell volumes) of the new u, the new v and f(u). Records the mass
         laws and probes, and ends the run on a non-finite or negative state.
         A row that falls due is marked (span), and so is the end on the cap
-        or at t_end (ending): the march writes the rows of the step, then
-        ends those runs, since finish reads the last row's v_w12.
+        or at t_end (ending): the march keeps the rows of the step, then
+        ends those runs.
         """
         # min and max propagate NaN, and every comparison with NaN is False:
         # a NaN or -inf cell fails 0 <= min, a +inf cell fails max < inf, so
@@ -210,9 +221,9 @@ class _Point(_Model):
         blown = max_u > self.cap and max_u >= self.grow_floor
         final_step = t_new >= self.t_goal
 
-        self.F_prev, self.F_cur = self.F_cur, None
-        if self.steps % self.diag_every == 0 or blown or final_step:
-            self.span = (min(min_u_new, self.umin), max(max_u, self.umax))
+        due = self.steps % self.diag_every == 0 or blown or final_step
+        self.wrote_before, self.wrote = self.wrote, due
+        self.span = (min(min_u_new, self.umin), max(max_u, self.umax)) if due else None
         if blown:
             self.ending = (Termination.BLOWUP, t_new - dt)
         elif final_step:
@@ -221,8 +232,35 @@ class _Point(_Model):
         self.v_range = max_v_new - min_v_new
         self.mass_u, self.mass_v = mass_u_new, mass_v_new
 
+    def keep_row(self, new, old, grads, mob) -> None:
+        """Keep the row of the last step in the block; evaluate the block once it is full.
+
+        new is the step's new u, v and f(u), old the u and v it advanced from,
+        grads their interior face gradients of u and v and mob the step's face
+        mobility, all copied. The row's scalars are the run's now, and the
+        table must have been walked over its span (self.table).
+        """
+        kept = self.kept
+        row = self.block[len(kept)]
+        row[:3] = new
+        row[3:5] = old
+        row[5:7, :-1] = grads
+        row[7, :-1] = mob
+        kept.append(
+            (self.t, self.dt, self.mass_u, self.mass_v, self.umax, self.umin, self.wrote_before)
+        )
+        if len(kept) == len(self.block):
+            self.flush()
+
+    def flush(self) -> None:
+        """Evaluate the kept rows, in one _step_rows call under the run's float settings."""
+        if self.kept:
+            with np.errstate(**self.caller_err):
+                _step_rows(self)
+
     def finish(self, tag: Termination, t: float, state, blowup_estimate=None) -> None:
-        """End the run in the state (u, v) at t."""
+        """End the run in the state (u, v) at t, after the rows it has kept."""
+        self.flush()
         u, v = state
         self.outcome = RunResult(
             TerminationInfo(tag, t, blowup_estimate),
@@ -242,24 +280,21 @@ class _Point(_Model):
     def underflow(self, par: int, mob: np.ndarray) -> None:
         """End the run as DtUnderflow in its current state, buffer par.
 
-        When the last step wrote no row, its own row comes first: the other
+        When the last step wrote no row, it keeps that row first: the other
         buffer still holds the state that step advanced from, and mob and
         f_u are still that step's (f_u a view of the buffer that step wrote,
         kept when a retile has since replaced it), so the row is bitwise the
         one a diag_every = 1 run writes.
         """
         state, old = self.ss[par], self.ss[1 - par]
-        if self.F_cur is None:
-            du, dv = grad_faces(old, self.grid)
-            self.span = (
-                min(self.umin, float(np.minimum.reduce(old[0]))),
-                max(self.umax, float(np.maximum.reduce(old[0]))),
-            )
+        if not self.wrote:
             with np.errstate(**self.caller_err):
-                _step_rows(
-                    [self], *state[:, None], self.f_u[None], *old[:, None], du[None, 1:-1],
-                    dv[None, 1:-1], mob[None],
+                self.table = self.tables.covering(
+                    self.key,
+                    max(self.umax, float(np.maximum.reduce(old[0]))),
+                    min(self.umin, float(np.minimum.reduce(old[0]))),
                 )
+            self.keep_row((*state, self.f_u), old, grad_faces(old, self.grid)[:, 1:-1], mob)
         self.finish(Termination.DT_UNDERFLOW, self.t, state)
 
     def fail(self, par: int) -> None:
@@ -268,64 +303,68 @@ class _Point(_Model):
         The failed step overwrote the other buffer, not this one.
         """
         state = self.ss[par]
-        if self.F_cur is None:
+        self.flush()
+        if not self.wrote:
             self.state_row(
                 self.t, state[0], state[1], self.mass_u, self.mass_v, self.umax, math.nan
             )
         self.finish(Termination.NUMERICAL_FAILURE, self.t, state)
 
 
-def _step_rows(pts: List[_Point], u_new, v_new, f_u, u_old, v_old, du, dv, mob) -> None:
-    """Append the row of each point's last step and set its F_cur.
+def _step_rows(pt: _Point) -> None:
+    """Append the point's kept rows, in order, and empty its block.
 
-    The points share one table (TableCache and key) and one psi, and each
-    has its row's span marked and the table walked over it, so the one
-    covering of their joint span returns the walked table and raises
-    nothing. u_new, v_new, u_old and v_old are (k, cells) stacks of their
-    states after and before the step and f_u of their steps' f(u); du and dv
-    are the old interior face gradients and mob the steps' face mobility,
-    (k, cells - 1) each. G at both states and G' at old come from one
-    Hermite basis over all of them; the terms are (k, cells) stacks whose
-    sums are np.vecdot rows (energy.lyapunov_terms, energy.dissipation_terms).
-    So each row is bitwise the one the point's run writes alone. The caller
-    sets the float settings the points joined under, as state_row runs under.
+    Row i of the block holds a kept step's new u, v and f(u), the old u and
+    v, and the old interior face gradients of u and v and the step's face
+    mobility (the first cells - 1 entries of rows 5 to 7); kept[i] its
+    scalars and whether the step before it wrote a row. The point's table
+    was walked over every kept row's span. G at both states and G' at old
+    come from one Hermite basis over all of them; the terms are (k, cells)
+    stacks whose sums are np.vecdot rows (energy.lyapunov_terms,
+    energy.dissipation_terms). F before a step is the row before's F when
+    that step wrote one, else F of the old state, from the same call. So
+    each row is bitwise the one the run writes alone, on its own step. The
+    caller sets the float settings the point joined under, as state_row
+    runs under.
     """
-    first = pts[0]
-    k, grid = len(pts), first.grid
-    table = first.tables.covering(
-        first.key, max([pt.span[1] for pt in pts]), min([pt.span[0] for pt in pts])
-    )
+    kept, grid, table = pt.kept, pt.grid, pt.table
+    k = len(kept)
+    block = pt.block[:k]
+    u_new, v_new, f_u, u_old, v_old = block[:, :5].transpose(1, 0, 2)
+    du, dv, mob = block[:, 5:, :-1].transpose(1, 0, 2)
     s_min = table.s_min
     u = np.concatenate((u_new, u_old))
     # the basis is elementwise: over the cells of all 2k states as one
-    # flat array. The covering holds every max(u, s_min), so
-    # table.basis's range check is moot
+    # flat array. The table holds every max(u, s_min), so table.basis's
+    # range check is moot
     basis = _hermite_basis(np.maximum(u, s_min).reshape(-1), table.segments)
     G = table.g_on(basis).reshape(u.shape)
-    F_old = [pt.F_prev for pt in pts]
-    if None in F_old:
-        # F of the old states as well, in the same calls; a known F_prev
-        # is bitwise the same value (see _Point.__init__)
+    if all([row[-1] for row in kept]):
+        terms = lyapunov_terms(G[:k], u_new, v_new, grad_faces(v_new, grid), grid)
+    else:
         v = np.concatenate((v_new, v_old))
         terms = lyapunov_terms(G, u, v, grad_faces(v, grid), grid)
-        F_old = [t.F_total for t in terms[k:]]
-    else:
-        terms = lyapunov_terms(G[:k], u_new, v_new, grad_faces(v_new, grid), grid)
     gp = table.gp_on(tuple(b[u_old.size:] for b in basis)).reshape(u_old.shape)
-    dt = [pt.dt for pt in pts]
+    dt = [row[1] for row in kept]
     v_t = (v_new - v_old) / np.array(dt)[:, None]
-    rhs = dissipation_terms(u_old, v_old, v_t, du, dv, mob, first.psi, f_u, gp, s_min, grid)
-    for pt, new_terms, F_prev, dt_i, rhs_i in zip(pts, terms, F_old, dt, rhs):
-        F_new = new_terms.F_total
+    rhs = dissipation_terms(u_old, v_old, v_t, du, dv, mob, pt.psi, f_u, gp, s_min, grid)
+    F_prev = pt.F_last
+    for i, ((t, dt_i, mass_u, mass_v, umax, umin, wrote_before), rhs_i) in enumerate(
+        zip(kept, rhs)
+    ):
+        if not wrote_before:
+            F_prev = terms[k + i].F_total
+        F_new = terms[i].F_total
         pt.rows.append(
             DiagnosticsRow(
-                pt.t, dt_i, pt.mass_u, pt.mass_v, pt.umax, pt.umin, F_new, rhs_i,
+                t, dt_i, mass_u, mass_v, umax, umin, F_new, rhs_i,
                 abs((F_new - F_prev) / dt_i - rhs_i),
             )
         )
-        pt.w12.append(new_terms.v_w12)
-        pt.F_cur = F_new
-        pt.span = None
+        pt.w12.append(terms[i].v_w12)
+        F_prev = F_new
+    pt.F_last = F_prev
+    kept.clear()
 
 
 def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: int):
@@ -361,12 +400,6 @@ def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: i
     return new, cells, points
 
 
-def _by_run(x: np.ndarray, kern: _Kernel) -> np.ndarray:
-    """The (B, cells - 1) view of the kernel's interior faces x, run k's in row k."""
-    step = x.itemsize
-    return np.ndarray((kern.B, kern.n - 1), x.dtype, x, 0, (step * kern.n, step))
-
-
 def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     """Run the runs feed() hands out in lockstep; return (tag, outcome) pairs as they end.
 
@@ -380,10 +413,11 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     Each lockstep step advances every run one step of its own dt. Batched
     for all the runs, one numpy call per quantity: the _Kernel calls, the v
     solves (one dgtsv), the min/max checks and one vecdot for the masses of
-    the new u, the new v and f(u). Batched per table: the rows that fall due
-    on the step, one _step_rows call for the runs that share a table and a
-    psi, after each has walked the table over its own span. The rest is each
-    run's own, as run() alone does it. A lone run takes the same path. A run
+    the new u, the new v and f(u). Each run's own, as run() alone does it:
+    the rest, the rows among it. A run whose row falls due on the step walks
+    its table over the row's span and keeps the row in its block
+    (_Point.keep_row); the block is evaluated in one _step_rows call when it
+    is full and when the run ends. A lone run takes the same path. A run
     leaves when it ends, and the runs that join or stay are tiled afresh.
     """
     caller_err = np.geterr()
@@ -392,7 +426,6 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     live: List[_Point] = []
     joined: List[_Point] = []
     exhausted = False
-    batches: Dict[tuple, int] = {}
 
     def claim():
         nonlocal grid, exhausted
@@ -411,9 +444,6 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                 except KsfvError as exc:
                     ended.append((tag, exc))
                     continue
-                # by the cache's id, so that a cache lives no longer than its runs:
-                # a cache that is gone has no run left to share its id
-                pt.batch = batches.setdefault((id(tables), pt.key, pt.psi_key), len(batches))
                 joined.append(pt)
 
     vmin, vmax, vecdot = np.minimum.reduce, np.maximum.reduce, np.vecdot
@@ -433,13 +463,9 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                 rows = tuple((b[0], b[1], b[2]) for b in buf)
                 # each buffer's (u, v) as (u of run 0, ..., u of run B-1, v of
                 # run 0, ...), for the checks' reductions, and its (u, v, f) as
-                # (3, B, cells), for the sums over each run's cells and the rows
+                # (3, B, cells), for the sums over each run's cells
                 per_run = tuple(b[:2].reshape(2 * B, n) for b in buf)
                 stacks = tuple(b.reshape(3, B, n) for b in buf)
-                # each buffer's u, v and f as (B, cells) stacks, and the
-                # kernel's interior face gradients of u and v as (B, cells - 1)
-                runs = tuple(tuple(s) for s in stacks)
-                faces = (_by_run(kern.du_in, kern), _by_run(kern.dv_in, kern))
             (u, v, _), (u_new, v_new, f_u) = rows[par], rows[1 - par]
             kern.gradients(states[par])
             dts = []
@@ -461,7 +487,7 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
             highs = vmax(per_run[1 - par], axis=1).tolist()
             # np.dot of each row, bitwise: vecdot sums a row with BLAS ddot too
             mass_u, mass_v, f_mass = vecdot(stacks[1 - par], V).tolist()
-            due: Dict[int, List[_Point]] = {}
+            due: List[_Point] = []
             for k, pt in enumerate(live):
                 if pt.outcome is not None:
                     continue
@@ -472,32 +498,28 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                     )
                 except KsfvError as exc:
                     pt.outcome = exc
-                if pt.span is not None:
-                    due.setdefault(pt.batch, []).append(pt)
+                if pt.outcome is None and pt.span is not None:
+                    due.append(pt)
                 if not (pt.outcome is None and pt.ending is None):
                     n_ended += 1
             if due:
-                # _step_rows' arrays, of every run
-                arrays = (*runs[1 - par], *runs[par][:2], *faces, _by_run(kern.mob, kern))
+                new, old, grad, mob = buf[1 - par], buf[par, :2], kern.grad, kern.mob
                 # under the float settings every run joined under
                 with np.errstate(**caller_err):
-                    for pts in due.values():
-                        # each run walks the table over its own span, so a walk
-                        # that raises ends that run alone, as it does alone
-                        for pt in pts:
-                            try:
-                                pt.tables.covering(pt.key, pt.span[1], pt.span[0])
-                            except KsfvError as exc:
-                                pt.outcome = exc
-                                n_ended += 1
-                        pts = [pt for pt in pts if pt.outcome is None]
-                        if len(pts) == B:
-                            _step_rows(pts, *arrays)
-                        elif pts:
-                            # the points' runs, as a slice when they are adjacent
-                            a, b = pts[0].k, pts[-1].k + 1
-                            pick = slice(a, b) if b - a == len(pts) else [pt.k for pt in pts]
-                            _step_rows(pts, *(x[pick] for x in arrays))
+                    for pt in due:
+                        # a walk that raises ends this run alone, as it does alone
+                        try:
+                            pt.table = pt.tables.covering(pt.key, pt.span[1], pt.span[0])
+                        except KsfvError as exc:
+                            pt.outcome = exc
+                            n_ended += 1
+                            continue
+                        c = kern.cells(pt.k)
+                        # run k's interior faces are kernel faces kn + 1 .. kn + n - 1
+                        pt.keep_row(
+                            new[:, c], old[:, c], grad[:, c.start + 1:c.stop],
+                            mob[kern.inner(pt.k)],
+                        )
             if n_ended:
                 # the runs that end on their rows, counted afresh
                 n_ended = 0

@@ -30,7 +30,7 @@ update, the u-mass law and the diagnostics row. A diagnostics row takes the
 step's face gradients, face mobility phi(u_face) and f(u) as they are, and
 G of the new and the old u and G' of the old u from one Hermite basis over
 both (energy.lyapunov_terms, energy.dissipation_terms, which take stacks of
-states: the rows of the runs that share a table are written together). The exact
+states: a run's rows are evaluated in blocks, see "Lockstep"). The exact
 identities of the parameters (ln^1 = ln, psi(u) = u at psi_c = beta = 1,
 b = 1, a constant drift slope at beta = 1) are folded once per run, where
 nonlin.effective_phi/psi/f build the check-free closures and where _Model
@@ -50,11 +50,14 @@ matrix product would not be bitwise per row). The v solves are one dgtsv
 call on the block-diagonal system of all the runs, whose seams are +0.0
 couplings (_Tridiag): when it fails or gives a non-finite solution, which
 the seams would carry into the neighbouring runs, each run is solved again
-alone from the saved right-hand sides. Batched per table: the diagnostics
-rows that fall due on a step, one call per quantity for the runs that share
-a G-table and a psi (lockstep._step_rows), with sums that are np.vecdot
-rows too; before it, each due run walks the table over its own span, and a
-walk that raises a KsfvError ends that run alone. Each run's own: f(u) and
+alone from the saved right-hand sides. Batched per run, in blocks: the
+diagnostics rows. On the step a row falls due, the run walks its G-table
+over the row's span (a walk that raises a KsfvError ends that run alone, on
+that step) and copies what the row reads into its block; one call per
+quantity evaluates the block (lockstep._step_rows), with sums that are
+np.vecdot rows too, once it holds about 2^10 cells and before the run ends.
+A walked table only grows, so each row is bitwise the one evaluated on its
+own step. Each run's own: f(u) and
 the reaction rate (kappa), dt with its clamps and probes, the mass-law
 residuals, its termination, after which it leaves the march, and its
 KsfvError, which ends it alone while the others go on. phi is
@@ -901,7 +904,13 @@ class EpsScanResult:
     eps_values: List[float]
     states: List[State]
     gaps: List[float]  # sup-norm distance between consecutive eps states
-    strictly_decreasing: bool
+    strictly_decreasing: bool  # False with fewer than two gaps: nothing was compared
+
+    @classmethod
+    def of(cls, eps_values: List[float], states: List[State]) -> "EpsScanResult":
+        gaps = [linf(a.u - b.u) for a, b in zip(states, states[1:])]
+        decreasing = len(gaps) > 1 and all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
+        return cls(eps_values, states, gaps, decreasing)
 
 
 def epsilon_convergence_scan(
@@ -910,7 +919,8 @@ def epsilon_convergence_scan(
     """Run the same configuration for each eps and compare states at t_probe.
 
     All runs must complete to the probe time; a blow-up or failure aborts the
-    scan with the offending eps attached to the error.
+    scan with a ScanAbortedError that holds the offending eps and the result
+    over the runs that completed before it.
     """
     eps_values = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
@@ -924,8 +934,7 @@ def epsilon_convergence_scan(
                 f"run with eps={e:g} terminated {res.termination.tag.value} "
                 f"at t={res.termination.t_final:g}",
                 offender=e,
+                completed=EpsScanResult.of(eps_values[:len(states)], states),
             )
         states.append(res.final_state)
-    gaps = [linf(states[i].u - states[i + 1].u) for i in range(len(states) - 1)]
-    decreasing = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:])) if len(gaps) > 1 else True
-    return EpsScanResult(eps_values, states, gaps, decreasing)
+    return EpsScanResult.of(eps_values, states)

@@ -821,6 +821,46 @@ def test_cli_convergence(tmp_path):
     assert (out / "gaps.csv").exists()
 
 
+def test_cli_convergence_from_one_gap_is_undetermined(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(QUICK_CONFIG.replace("params.kappa = 2.0", "params.kappa = 4.0"))
+    for eps_list, gaps in (("0.1,0.05", 1), ("0.1", 0)):
+        code = main(["convergence", "--config", str(cfg), "--eps-list", eps_list, "--t-probe", "0.01"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(out) == 2 + gaps and out[-1] == "strictly decreasing: undetermined"
+
+
+@pytest.mark.parametrize("eps_list, gaps", [("0.01,0.005", 0), ("0.2,0.1,0.05", 1)])
+def test_cli_convergence_scan_that_aborts_exits_2(tmp_path, capsys, eps_list, gaps):
+    # a = 5000 lifts u past the cap of 1 and the growth floor 10 max(u0) = 12
+    # unless eps cuts the growth off below u = 1/eps = 10: the scan aborts on
+    # its first eps of at most 0.05, after the gaps of the runs before it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "docs", "sample_run.cfg")) as fh:
+        text = fh.read()
+    cfg = tmp_path / "abort.cfg"
+    cfg.write_text(
+        text.replace("params.a = 1.0", "params.a = 5000").replace("params.b = 1.0", "params.b = 1e-6")
+        + "run.blowup_cap = 1\n"
+    )
+    out = tmp_path / "conv"
+    code = main([
+        "convergence", "--config", str(cfg), "--eps-list", eps_list, "--t-probe", "0.05",
+        "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: scan aborted: run with eps=")
+    assert "BlowUp" in err[0]
+    assert "strictly decreasing" not in captured.out
+    rows = (out / "gaps.csv").read_text().splitlines()
+    assert rows[0] == "eps_hi,eps_lo,gap" and len(rows) == 1 + gaps
+    if gaps:
+        assert rows[1].startswith("0.2,0.1,")
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     # force a failing run: huge fixed step on a stiff state (non-finite u)
     import ksfv.cli as cli_mod

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import importlib.machinery
 import math
 import os
@@ -9,7 +11,7 @@ import pytest
 
 import ksfv
 from conftest import aggregation_config, damped_reference_config
-from ksfv.config import parse_config_text, run_config_from
+from ksfv.config import load_config, parse_config_text, run_config_from
 from ksfv.core import State
 from ksfv.discrete import grad_faces
 from ksfv.energy import lyapunov
@@ -266,18 +268,19 @@ def test_mass_law_residual_of_a_run_from_zero_mass_is_relative_to_its_growth():
 
 def test_run_computes_each_rows_energy_once(monkeypatch):
     # diag_every = 1: every step emits a row, and the next step's F_prev is
-    # that row's F, so F is computed once per row rather than twice per step.
-    # The step rows call lockstep's lyapunov_terms, the initial row
-    # energy.lyapunov, which calls energy's
+    # that row's F, so F is evaluated once per row rather than twice per step.
+    # The step rows call lockstep's lyapunov_terms on a block of states, the
+    # initial row energy.lyapunov, which calls energy's on one state: count
+    # the states
     import ksfv.energy as energy_mod
     import ksfv.lockstep as lockstep_mod
 
-    calls = []
+    states = []
     real = lockstep_mod.lyapunov_terms
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(G_u, *args, **kwargs):
+        states.extend([1] * len(G_u))
+        return real(G_u, *args, **kwargs)
 
     monkeypatch.setattr(lockstep_mod, "lyapunov_terms", counting)
     monkeypatch.setattr(energy_mod, "lyapunov_terms", counting)
@@ -288,7 +291,7 @@ def test_run_computes_each_rows_energy_once(monkeypatch):
     res = run(RunConfig(dom, p, u0, steady_signal(u0, g), t_end=0.02, diag_every=1))
     assert res.steps == 64
     assert len(res.rows) == 65
-    assert len(calls) == 65
+    assert len(states) == 65
     for prev, row in zip(res.rows, res.rows[1:]):
         assert row.identity_residual == abs((row.F - prev.F) / row.dt - row.dissipation_rhs)
 
@@ -523,6 +526,37 @@ def test_eps_scan_aborts_on_blowup():
     with pytest.raises(ScanAbortedError) as info:
         epsilon_convergence_scan(cfg, [0.1, 0.05], 1.0)
     assert info.value.offender == 0.1
+
+
+def test_eps_scan_with_fewer_than_two_gaps_is_not_decreasing():
+    # a verdict needs two gaps to compare, as families.energy_scan needs two points
+    dom = ksfv.DomainSpec(ksfv.INTERVAL, 0.5, 1, 32)
+    g = ksfv.make_grid(dom)
+    p = ksfv.ModelParams(alpha=1, beta=1, kappa=4, a=1, b=1)
+    u0 = 1.0 + 0.2 * np.cos(np.pi * g.centers)
+    cfg = RunConfig(dom, p, u0, steady_signal(u0, g), t_end=0.01)
+    for eps_list, gaps in (([0.1], 0), ([0.1, 0.05], 1)):
+        scan = epsilon_convergence_scan(cfg, eps_list, 0.01)
+        assert len(scan.gaps) == gaps and scan.gaps[:1] != [0.0]
+        assert scan.strictly_decreasing is False
+    assert epsilon_convergence_scan(cfg, [0.1, 0.05, 0.025], 0.01).strictly_decreasing
+
+
+def test_eps_scan_abort_keeps_the_runs_that_completed():
+    # eps = 0.1 cuts the growth a = 5000 off below the growth floor 10 max(u0)
+    # of the blow-up check; eps = 0.05 does not, and its run crosses the cap
+    dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 48)
+    g = ksfv.make_grid(dom)
+    p = ksfv.ModelParams(alpha=1, beta=1, kappa=4, a=5000, b=1e-6)
+    u0 = 1.0 + 0.2 * np.cos(np.pi * g.centers)
+    cfg = RunConfig(dom, p, u0, steady_signal(u0, g), t_end=0.05, blowup_cap=1.0)
+    with pytest.raises(ScanAbortedError) as info:
+        epsilon_convergence_scan(cfg, [0.2, 0.1, 0.05, 0.025], 0.05)
+    assert info.value.offender == 0.05
+    done = info.value.completed
+    assert done.eps_values == [0.2, 0.1] and len(done.states) == 2
+    assert done.gaps == [float(np.max(np.abs(done.states[0].u - done.states[1].u)))]
+    assert done.strictly_decreasing is False
 
 
 # ---------------------------------------------------------------------------
@@ -794,9 +828,10 @@ def test_lockstep_rows_of_one_table_on_one_step_keep_each_runs_outcome(monkeypat
     # three runs share one table and write a row on every step; on step M one
     # crosses the cap, one completes and one's row walks the table where the
     # walk raises: above its s_max, or below s0, in the range the rows walk
-    # on demand, under a floor the other two never reach. Their rows are one
-    # batch until then; on step M the walking run's own walk ends it, and the
-    # other two rows are one batch, so each run ends as it does alone
+    # on demand, under a floor the other two never reach. Together, each run
+    # evaluates its rows in blocks of 10; on step M the walking run's own
+    # walk ends it with its last block unevaluated, and the other two
+    # evaluate their last blocks as they end, so each run ends as it does alone
     import dataclasses
 
     import ksfv.lockstep as lockstep_mod
@@ -846,11 +881,11 @@ def test_lockstep_rows_of_one_table_on_one_step_keep_each_runs_outcome(monkeypat
                 raise DivergenceError("the walk diverges")
             return real_covering(self, s, lo)
 
-        batches = []
+        blocks = {}
 
-        def step_rows(pts, *stacks):
-            batches.append(len(pts))
-            real_rows(pts, *stacks)
+        def step_rows(pt):
+            blocks.setdefault(pt.tag, []).append(len(pt.kept))
+            real_rows(pt)
 
         with monkeypatch.context() as mp:
             mp.setattr(FunctionalTable, "covering", covering)
@@ -863,10 +898,13 @@ def test_lockstep_rows_of_one_table_on_one_step_keep_each_runs_outcome(monkeypat
                 run(walking)
 
             mp.setattr(lockstep_mod, "_step_rows", step_rows)
+            mp.setattr(lockstep_mod, "_BLOCK_CELLS", 10 * g.cells)
             tables = TableCache()
             runs = [capped, completing, walking]
             together = march([(k, cfg, None, tables) for k, cfg in enumerate(runs)], len(runs))
-        assert batches == [3] * (M - 1) + [2]
+        assert M > 10 and M % 10 not in (0, 1)
+        rows = [10] * (M // 10) + [M % 10]
+        assert blocks == {0: rows, 1: rows, 2: [10] * (M // 10)}
         for k, res in enumerate(alone):
             assert result_bytes(together[k]) == result_bytes(res)
         assert type(together[2]) is DivergenceError and str(together[2]) == str(raised.value)
@@ -1065,3 +1103,78 @@ def test_lockstep_underflow_row_after_a_retile_is_its_solo_row():
     together = march([(k, cfg, None, TableCache()) for k, cfg in enumerate(runs)], len(runs))
     for k, res in enumerate(solo):
         assert result_bytes(together[k]) == result_bytes(res)
+
+
+# ---------------------------------------------------------------------------
+# rows in blocks: a row does not depend on when it is evaluated or with which rows
+
+ENDINGS = ("Completed", "BlowUp", "DtUnderflow", "NumericalFailure")
+SAMPLE_RUN = os.path.join(os.path.dirname(__file__), "..", "docs", "sample_run.cfg")
+
+
+def _ending_run(end, diag_every):
+    """A run made to end as `end` (oracles.ending_config) and the poisoning its end needs.
+
+    Each ends off the cadence of diag_every = 7: BlowUp on its 80th step,
+    more rows than a default block holds on 24 cells, DtUnderflow on its
+    12th, NumericalFailure on its 9th of 10.
+    """
+    from oracles import ending_config, poisoned_advance
+
+    dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 24)
+    p = ksfv.ModelParams(alpha=1.0, beta=2.0, kappa=3.0, a=0.5, eps=0.01)
+    mass = 10.0 if end == "BlowUp" else 1.0
+    cfg = ending_config(dom, p, mass, end, diag_every, after=12)
+    if end == "NumericalFailure":
+        cfg = dataclasses.replace(cfg, blowup_cap=3e8)
+    return cfg, poisoned_advance({3e8: 9})
+
+
+@pytest.mark.parametrize("diag_every", [1, 7])
+@pytest.mark.parametrize("end", ENDINGS)
+def test_rows_at_a_block_of_one_row_are_the_default_blocks_rows(monkeypatch, end, diag_every):
+    import ksfv.lockstep as lockstep_mod
+    from oracles import result_bytes
+
+    cfg, poisoned = _ending_run(end, diag_every)
+    with poisoned:
+        blocked = run(cfg)
+        monkeypatch.setattr(lockstep_mod, "_BLOCK_CELLS", 1)
+        single = run(cfg)
+    assert blocked.termination.tag.value == end
+    assert len(blocked.rows) > 2
+    assert result_bytes(single) == result_bytes(blocked)
+
+
+def _row_bytes(row):
+    return np.array(dataclasses.astuple(row)).tobytes()
+
+
+@pytest.mark.parametrize("end", ENDINGS + ("sample run",))
+def test_sparse_rows_are_the_dense_runs_rows_bitwise(end):
+    # each row of a diag_every = 7 run is the row at the same step of the
+    # diag_every = 1 run. A NumericalFailure run ends on a row of its last
+    # valid state with nan step columns, where the dense run has that
+    # state's step row
+    if end == "sample run":
+        cfg, _, _ = run_config_from(load_config(SAMPLE_RUN))
+        cfg = dataclasses.replace(cfg, t_end=0.05)
+        poisoned = contextlib.nullcontext()
+    else:
+        cfg, poisoned = _ending_run(end, 1)
+    with poisoned:
+        dense, sparse = (run(dataclasses.replace(cfg, diag_every=d)) for d in (1, 7))
+    assert sparse.steps == dense.steps > 7
+    by_t = {row.t: row for row in dense.rows}
+    assert len(by_t) == len(dense.rows) == dense.steps + 1
+    rows = sparse.rows
+    if end == "NumericalFailure":
+        *rows, last = rows
+        state_columns = ("t", "mass_u", "mass_v", "max_u", "min_u", "F")
+        assert [getattr(last, c) for c in state_columns] == [
+            getattr(dense.rows[-1], c) for c in state_columns
+        ]
+        assert math.isnan(last.dt)
+    assert len(rows) >= 2
+    for row in rows:
+        assert _row_bytes(row) == _row_bytes(by_t[row.t])
