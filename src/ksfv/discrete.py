@@ -28,15 +28,22 @@ def grad_faces(values: np.ndarray, grid: Grid) -> np.ndarray:
     return g
 
 
-def div_cells(flux: np.ndarray, grid: Grid) -> np.ndarray:
-    """Cell divergence of a face flux density: (A_{j+1} F_{j+1} - A_j F_j) / V_i."""
-    af = grid.face_area * flux
-    return (af[1:] - af[:-1]) / grid.cell_volume
+def div_cells(flux: np.ndarray, geom, out=None, work=None) -> np.ndarray:
+    """Cell divergence of a face flux density: (A_{j+1} F_{j+1} - A_j F_j) / V_i.
+
+    geom is a Grid, or any object with its face_area and cell_volume. The
+    face products A*F go into work and the divergence into out, when given
+    (arrays of cells + 1 and cells entries); each is allocated otherwise.
+    """
+    af = np.multiply(geom.face_area, flux, work)
+    out = np.subtract(af[1:], af[:-1], out)
+    return np.divide(out, geom.cell_volume, out)
 
 
 def interior_flux(
     out: np.ndarray,
-    u: np.ndarray,
+    ul: np.ndarray,
+    ur: np.ndarray,
     du: np.ndarray,
     dv: np.ndarray,
     phi: Callable[[np.ndarray], np.ndarray],
@@ -44,15 +51,15 @@ def interior_flux(
 ) -> np.ndarray:
     """Write phi(u_face) du - psi(u_donor) dv into out; return the mobility phi(u_face).
 
-    The scheme's one flux formula. du and dv are the gradients of u and v on
-    the interior faces, u_face = 0.5*(u[1:] + u[:-1]) is the arithmetic mean
-    and the donor is the upwind cell of dv. It does no domain check: callers
-    validate u >= 0 at their API boundary.
+    The scheme's one flux formula. ul and ur are u's cells left and right of
+    each interior face (u[:-1] and u[1:] of one field), du and dv the
+    gradients of u and v on those faces; u_face = 0.5*(ur + ul) is the
+    arithmetic mean and the donor is the upwind cell of dv. It does no domain
+    check: callers validate u >= 0 at their API boundary.
     """
-    ul, ur = u[:-1], u[1:]
     mob = phi(0.5 * (ur + ul))
     donor = np.where(dv > 0.0, ul, ur)
-    np.subtract(mob * du, psi(donor) * dv, out=out)
+    np.subtract(mob * du, psi(donor) * dv, out)
     return mob
 
 

@@ -201,7 +201,7 @@ def steady_residual(
     _check_nonneg(u, "steady_residual")
     flux = np.zeros(grid.cells + 1)
     du, dv = grad_faces(u, grid)[1:-1], grad_faces(v, grid)[1:-1]
-    interior_flux(flux[1:-1], u, du, dv, effective_phi(p, ov), effective_psi(p, ov))
+    interior_flux(flux[1:-1], u[:-1], u[1:], du, dv, effective_phi(p, ov), effective_psi(p, ov))
     r1 = div_cells(flux, grid)
     r2 = laplacian_apply(v, grid) - v + u
     V = grid.cell_volume

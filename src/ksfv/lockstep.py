@@ -5,9 +5,10 @@ steps and its record, diagnostics rows included. The batched work of a
 step is one numpy call per quantity for all the runs: the solver._Kernel
 calls, the v solves among them, the min/max checks and one vecdot for the
 mass sums. The diagnostics rows are evaluated in blocks, per run: on the
-step a row falls due, the run walks its G-table over the row's span (a walk
-that raises a KsfvError ends that run alone, on that step), records the
-row's scalars and copies what the row reads into its block buffer; one
+step a row falls due, the run walks its G-table over the row's span when
+the span leaves the range it walked last (a walk that raises a KsfvError
+ends that run alone, on that step), records the row's scalars and copies
+what the row reads into its block buffer; one
 _step_rows call evaluates the whole block over (k, cells) stacks, when the
 block holds _BLOCK_CELLS cells and before the run ends. The rest is each
 run's own (see "Lockstep" and "Buffers" in the solver module docstring); a
@@ -195,26 +196,30 @@ class _Point(_Model):
         self.steps += 1
         dt = self.dt
         t_new = self.t + dt
-        u_new, v_new, _ = self.uv[1 - par]
         mass_u, mass_v = self.mass_u, self.mass_v
-        self.mass_res_u = max(
-            self.mass_res_u,
-            abs(mass_u_new - mass_u - dt * f_mass)
-            / max(abs(mass_u), abs(mass_u_new), abs(dt * f_mass), 1e-300),
+        # the running maxima and minima as max() and min() update them: a new
+        # value replaces the old only if it compares greater (less), so a nan
+        # residual leaves the maximum as it is
+        dt_f = dt * f_mass
+        res = abs(mass_u_new - mass_u - dt_f) / max(abs(mass_u), abs(mass_u_new), abs(dt_f), 1e-300)
+        if res > self.mass_res_u:
+            self.mass_res_u = res
+        res = abs(mass_v_new - mass_v - dt * (mass_u_new - mass_v_new)) / max(
+            abs(mass_v), abs(mass_u_new), 1e-300
         )
-        self.mass_res_v = max(
-            self.mass_res_v,
-            abs(mass_v_new - mass_v - dt * (mass_u_new - mass_v_new))
-            / max(abs(mass_v), abs(mass_u_new), 1e-300),
-        )
-        self.min_u_seen = min(self.min_u_seen, min_u_new)
-        self.min_v_seen = min(self.min_v_seen, min_v_new)
+        if res > self.mass_res_v:
+            self.mass_res_v = res
+        if min_u_new < self.min_u_seen:
+            self.min_u_seen = min_u_new
+        if min_v_new < self.min_v_seen:
+            self.min_v_seen = min_v_new
 
         probes = self.probes
         while self.pi < len(probes):
             t_probe = probes[self.pi]
             if t_new < t_probe - 1e-12 * max(1.0, t_probe):
                 break
+            u_new, v_new, _ = self.uv[1 - par]
             self.probe_states.append(State(u_new.copy(), v_new.copy(), t_new))
             self.pi += 1
 
@@ -367,13 +372,13 @@ def _step_rows(pt: _Point) -> None:
     kept.clear()
 
 
-def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: int):
-    """The kernel and the (2, 3, B*cells) buffers of points, ordered in blocks.
+def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], par: int):
+    """The kernel of points, ordered in blocks, with their states in its buffers.
 
-    Each point that was tiled before keeps its current state (into buffer
-    0), the state its last step advanced from (buffer 1), both buffers' f
-    rows and its last step's face mobility; a new point starts from its
-    initial state, with f rows of 0.0.
+    Each point that was tiled before keeps its current state (from kern's
+    buffer par into buffer 0), the state its last step advanced from (buffer
+    1), both buffers' f rows and its last step's face mobility; a new point
+    starts from its initial state, with f rows of 0.0.
     """
     phi_order: Dict[tuple, int] = {}
     psi_order: Dict[tuple, int] = {}
@@ -382,7 +387,7 @@ def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: i
         psi_order.setdefault(pt.psi_key, len(psi_order))
     points = sorted(points, key=lambda pt: (phi_order[pt.phi_key], psi_order[pt.psi_key]))
     new = _Kernel(grid, points)
-    cells = np.zeros((2, 3, new.B * new.n))
+    cells = new.buf
     mob = np.zeros(new.B * new.n - 1)
     for k, pt in enumerate(points):
         c = new.cells(k)
@@ -390,14 +395,14 @@ def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], buf, par: i
             cells[0, :2, c] = pt.start
         else:
             was = kern.cells(pt.k)
-            cells[0, :, c] = buf[par, :, was]
-            cells[1, :, c] = buf[1 - par, :, was]
+            cells[0, :, c] = kern.buf[par, :, was]
+            cells[1, :, c] = kern.buf[1 - par, :, was]
             mob[new.inner(k)] = kern.mob[kern.inner(pt.k)]
         pt.k = k
         pt.ss = (cells[0, :2, c], cells[1, :2, c])
         pt.uv = tuple((b[0, c], b[1, c], b[2, c]) for b in cells)
     new.mob = mob
-    return new, cells, points
+    return new, points
 
 
 def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
@@ -415,9 +420,9 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     solves (one dgtsv), the min/max checks and one vecdot for the masses of
     the new u, the new v and f(u). Each run's own, as run() alone does it:
     the rest, the rows among it. A run whose row falls due on the step walks
-    its table over the row's span and keeps the row in its block
-    (_Point.keep_row); the block is evaluated in one _step_rows call when it
-    is full and when the run ends. A lone run takes the same path. A run
+    its table over the row's span, unless it has already, and keeps the row
+    in its block (_Point.keep_row); the block is evaluated in one _step_rows
+    call when it is full and when the run ends. A lone run takes the same path. A run
     leaves when it ends, and the runs that join or stay are tiled afresh.
     """
     caller_err = np.geterr()
@@ -448,7 +453,7 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
 
     vmin, vmax, vecdot = np.minimum.reduce, np.maximum.reduce, np.vecdot
     kern: Optional[_Kernel] = None
-    buf, par = None, 0
+    par = 0
     with np.errstate(all="ignore"):
         while True:
             while not (live or joined or exhausted):
@@ -456,18 +461,12 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
             if not (live or joined):
                 break
             if joined or len(live) != kern.B:
-                kern, buf, live = _tile(grid, live + joined, kern, buf, par)
+                kern, live = _tile(grid, live + joined, kern, par)
                 joined, par = [], 0
-                V, B, n = grid.cell_volume, kern.B, kern.n
-                states = (buf[0, :2], buf[1, :2])
-                rows = tuple((b[0], b[1], b[2]) for b in buf)
-                # each buffer's (u, v) as (u of run 0, ..., u of run B-1, v of
-                # run 0, ...), for the checks' reductions, and its (u, v, f) as
-                # (3, B, cells), for the sums over each run's cells
-                per_run = tuple(b[:2].reshape(2 * B, n) for b in buf)
-                stacks = tuple(b.reshape(3, B, n) for b in buf)
-            (u, v, _), (u_new, v_new, f_u) = rows[par], rows[1 - par]
-            kern.gradients(states[par])
+                V, B, sides = grid.cell_volume, kern.B, kern.sides
+            side = sides[par]
+            u = side.u
+            kern.gradients(par)
             dts = []
             n_ended = 0
             for pt, bound in zip(live, kern.dt_bound(u)):
@@ -479,14 +478,15 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                 if pt.outcome is not None:
                     n_ended += 1
             if n_ended < B:
-                kern.advance(u, v, u_new, v_new, dts, f_u)
+                kern.advance(u, side.v, side.u_new, side.v_new, dts, side.f_u)
                 for k, exc in kern.failed:
                     live[k].outcome = exc
                     n_ended += 1
-            lows = vmin(per_run[1 - par], axis=1).tolist()
-            highs = vmax(per_run[1 - par], axis=1).tolist()
+            checks = side.checks
+            lows = vmin(checks, axis=1).tolist()
+            highs = vmax(checks, axis=1).tolist()
             # np.dot of each row, bitwise: vecdot sums a row with BLAS ddot too
-            mass_u, mass_v, f_mass = vecdot(stacks[1 - par], V).tolist()
+            mass_u, mass_v, f_mass = vecdot(side.sums, V).tolist()
             due: List[_Point] = []
             for k, pt in enumerate(live):
                 if pt.outcome is not None:
@@ -503,23 +503,27 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                 if not (pt.outcome is None and pt.ending is None):
                     n_ended += 1
             if due:
-                new, old, grad, mob = buf[1 - par], buf[par, :2], kern.grad, kern.mob
-                # under the float settings every run joined under
-                with np.errstate(**caller_err):
-                    for pt in due:
-                        # a walk that raises ends this run alone, as it does alone
+                new, old, grad, mob = kern.buf[1 - par], kern.buf[par, :2], kern.grad, kern.mob
+                for pt in due:
+                    lo, hi = pt.span
+                    table = pt.table
+                    # the run walks its table only when the row's span leaves
+                    # the range it walked last: a walked table only grows
+                    if table is None or not (table.knots[table.low] <= lo and hi <= table.s_max):
+                        # under the float settings every run joined under; a
+                        # walk that raises ends this run alone, as it does alone
                         try:
-                            pt.table = pt.tables.covering(pt.key, pt.span[1], pt.span[0])
+                            with np.errstate(**caller_err):
+                                pt.table = pt.tables.covering(pt.key, hi, lo)
                         except KsfvError as exc:
                             pt.outcome = exc
                             n_ended += 1
                             continue
-                        c = kern.cells(pt.k)
-                        # run k's interior faces are kernel faces kn + 1 .. kn + n - 1
-                        pt.keep_row(
-                            new[:, c], old[:, c], grad[:, c.start + 1:c.stop],
-                            mob[kern.inner(pt.k)],
-                        )
+                    c = kern.cells(pt.k)
+                    # run k's interior faces are kernel faces kn + 1 .. kn + n - 1
+                    pt.keep_row(
+                        new[:, c], old[:, c], grad[:, c.start + 1:c.stop], mob[kern.inner(pt.k)]
+                    )
             if n_ended:
                 # the runs that end on their rows, counted afresh
                 n_ended = 0

@@ -60,13 +60,12 @@ def _sensitivity(u: np.ndarray, p: ModelParams) -> np.ndarray:
 
 
 def _growth(u: np.ndarray, p: ModelParams, out=None) -> np.ndarray:
-    return np.subtract(p.a, p.b * u ** p.kappa, out=out)
+    return np.subtract(p.a, p.b * u ** p.kappa, out)
 
 
-def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams, umax=None) -> np.ndarray:
+def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams) -> np.ndarray:
     """Multiply f = growth(u) by the cutoff in place, only where it is below 1.
 
-    umax, when given, is max(u): a max at or below 1/(2 eps) skips the mask.
     The saturated cells, u >= 1/eps, are multiplied by 0.0 in place under a
     mask, with no gather; only the band between the thresholds, usually
     empty, is gathered to evaluate the window.
@@ -75,22 +74,21 @@ def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams, umax=None) -> np.ndar
         # smooth_step is exactly 0 at or below its threshold, so the window is
         # exactly 1 on u <= 1/(2 eps) and multiplying by it there changes nothing
         lo = 1.0 / (2.0 * p.eps)
-        if umax is None or umax > lo:
-            hot = u > lo
-            n_hot = np.count_nonzero(hot)
-            if n_hot:
-                # the window 1 - smooth_step((u - lo)/(hi - lo)) on the hot
-                # cells, without smooth_step's x <= 0 branch, x > 0 on every
-                # hot cell. On u >= 1/eps, x >= 1 and _rise is exactly 1.0, so
-                # the window there is exactly 0.0
-                hi = 1.0 / p.eps
-                saturated = u >= hi
-                np.multiply(f, 0.0, out=f, where=saturated)
-                # hi > lo, so every saturated cell is hot, and the band is
-                # the hot cells that are not saturated: hot xor saturated
-                if np.count_nonzero(saturated) < n_hot:
-                    band = np.logical_xor(hot, saturated)
-                    f[band] *= 1.0 - _rise((u[band] - lo) / (hi - lo))
+        hot = u > lo
+        n_hot = np.count_nonzero(hot)
+        if n_hot:
+            # the window 1 - smooth_step((u - lo)/(hi - lo)) on the hot
+            # cells, without smooth_step's x <= 0 branch, x > 0 on every
+            # hot cell. On u >= 1/eps, x >= 1 and _rise is exactly 1.0, so
+            # the window there is exactly 0.0
+            hi = 1.0 / p.eps
+            saturated = u >= hi
+            np.multiply(f, 0.0, out=f, where=saturated)
+            # hi > lo, so every saturated cell is hot, and the band is
+            # the hot cells that are not saturated: hot xor saturated
+            if np.count_nonzero(saturated) < n_hot:
+                band = np.logical_xor(hot, saturated)
+                f[band] *= 1.0 - _rise((u[band] - lo) / (hi - lo))
     return f
 
 
@@ -789,12 +787,29 @@ def _zero_f(u, umax=None, out=None):
 
 
 def effective_f(p: ModelParams, ov: Optional[Overrides]):
-    """f(u, umax=None, out=None), where umax is max(u) if known; out receives f(u) if given."""
+    """f(u, umax=None, out=None), where umax is max(u) if known; out receives f(u) if given.
+
+    f calls _cut_off only when umax is unknown or above 1/(2 eps), at or
+    below which the window is exactly 1 (as it is everywhere at eps = 0).
+    """
     if ov is not None and ov.zero_f:
         return _zero_f
+    lo = 1.0 / (2.0 * p.eps) if p.eps > 0.0 else math.inf
     if p.b == 1.0:
         a, kappa = p.a, p.kappa
-        return lambda u, umax=None, out=None: _cut_off(
-            np.subtract(a, u ** kappa, out=out), u, p, umax
-        )
-    return lambda u, umax=None, out=None: _cut_off(_growth(u, p, out), u, p, umax)
+
+        def f(u, umax=None, out=None):
+            f_u = np.subtract(a, u ** kappa, out)
+            if umax is None or umax > lo:
+                _cut_off(f_u, u, p)
+            return f_u
+
+        return f
+
+    def f(u, umax=None, out=None):
+        f_u = _growth(u, p, out)
+        if umax is None or umax > lo:
+            _cut_off(f_u, u, p)
+        return f_u
+
+    return f

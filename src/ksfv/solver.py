@@ -52,8 +52,9 @@ couplings (_Tridiag): when it fails or gives a non-finite solution, which
 the seams would carry into the neighbouring runs, each run is solved again
 alone from the saved right-hand sides. Batched per run, in blocks: the
 diagnostics rows. On the step a row falls due, the run walks its G-table
-over the row's span (a walk that raises a KsfvError ends that run alone, on
-that step) and copies what the row reads into its block; one call per
+over the row's span when the span leaves the range it walked last (a walk
+that raises a KsfvError ends that run alone, on that step) and copies what
+the row reads into its block; one call per
 quantity evaluates the block (lockstep._step_rows), with sums that are
 np.vecdot rows too, once it holds about 2^10 cells and before the run ends.
 A walked table only grows, so each row is bitwise the one evaluated on its
@@ -88,28 +89,37 @@ skipped rate is then at most the max of the computed ones, so the max, and
 dt, is bitwise the unpruned value, whichever rate goes first and whether
 or not the other is skipped: each run's dt is its solo dt.
 
-Buffers. A march owns one (2, 3, B*cells) array: two buffers of u, v and
-f rows, the current state and the next, each run's cells end to end. A step
-reads the current state, writes f(u) into the next buffer's f row and the
-next state into its u and v rows, and solves v in place in that v row; then
-the two swap. Each buffer is therefore also a (3, B, cells) stack of every
-run's new u, new v and the f(u) of the step to it, which the one vecdot of
-the mass sums and the rows read. When a run ends or joins, the runs left
-are tiled afresh into a new array, each keeping its current and previous
-state, its f rows and its last face mobility. Only those buffers are ever
-solved in place: step(), cfl_dt() and steady_signal() leave their inputs
-untouched. The kernel owns the face
-gradients and the flux; they hold the last gradients() call's state until
-the next call. The gradients of u and v lie in one flat buffer, u's faces
-then v's, where u's last face is v's first, so that one difference over the
-flattened (2, B*cells) state takes every face at once; grad is a read-only
-(2, B*cells + 1) view of that buffer whose rows overlap at the shared face.
-The face between two runs is a boundary face of both, as the grid's end
-faces are: its gradients are set to zero, with the shared face, by one
-strided assignment over every cells-th face before the division by h, so
+Buffers. A march's kernel owns one (2, 3, B*cells) array: two buffers of
+u, v and f rows, the current state and the next, each run's cells end to
+end. A step reads the current state, writes f(u) into the next buffer's f
+row and the next state into its u and v rows, and solves v in place in that
+v row; then the two swap. Each buffer is therefore also a (3, B, cells)
+stack of every run's new u, new v and the f(u) of the step to it, which the
+one vecdot of the mass sums and the rows read. Everything a step reads or
+writes, other than its numbers, is bound once per tiling, when the kernel
+is built with its buffers, and selected by parity (_Side): the flat state
+and its two shifted views for the one gradient difference, u's cells left
+and right of each face, the next buffer's rows and its per-run views for
+the checks and the mass sums; and, in the kernel, the views of the face
+gradients, the flux and its seams, and the face products of the
+divergence, which is written into the new u row. So a step slices,
+reshapes and allocates nothing of its own bookkeeping. When a run ends or
+joins, the runs left are tiled afresh into a new kernel, each keeping its
+current and previous state, its f rows and its last face mobility. Only
+those buffers are ever solved in place: step() and cfl_dt() build a one-run
+kernel and copy the checked state into its buffer, and steady_signal()
+solves a copy, so they leave their inputs untouched. The kernel owns the
+face gradients and the flux; they hold the last gradients() call's state
+until the next call. The gradients of u and v lie in one flat buffer, u's
+faces then v's, where u's last face is v's first, so that one difference
+over the flattened (2, B*cells) state takes every face at once; grad is a
+read-only (2, B*cells + 1) view of that buffer whose rows overlap at the
+shared face. The face between two runs is a boundary face of both, as the
+grid's end faces are: its gradients are set to zero, with the shared face,
+by one strided fill of every cells-th face before the division by h, so
 that no difference across it overflows and its transmissibility 0 never
-meets an overflowed gradient (0*inf is nan), and its flux is set to
-+0.0 after the flux formula, so that each run's divergence is its own. The
+meets an overflowed gradient (0*inf is nan), and its flux is set to +0.0
+after the flux formula, so that each run's divergence is its own. The
 grid-only factors of the CFL rates are computed once per Grid
 (Grid.rate_geometry), so the kernel that cfl_dt() and step() build per call
 does not recompute them.
@@ -366,21 +376,46 @@ def _by_block(blocks, name: str, x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Kernel:
-    """The one-pass explicit step of B >= 1 runs on one grid, in lockstep.
+class _Side:
+    """The views of a step from buffer p of a kernel's (2, 3, B*cells) buffers, bound once.
 
-    The runs' states lie end to end: a state s = (u, v) of the kernel is a
-    (2, B*cells) array, run k's cells are cells(k) and its interior faces
-    inner(k). Each elementwise op of the step is one numpy call for all the
-    runs. A face between two runs is a boundary face of both: its gradients
-    are zero and its flux +0.0. phi is evaluated once per block of
-    consecutive runs with equal _Model.phi_key, psi and the drift slope once
-    per block with equal psi_key; f and dt are per run, and the v solves are
-    one _Tridiag.solve. A step calls gradients(s) on its state s = (u, v), a
-    (2, B*cells) array, then dt_bound and advance, which read those
-    gradients (grad, with the views dvf of v's row and du_in, dv_in of the
-    interior faces); advance leaves the face mobility phi(u_face) in mob.
-    Its methods take validated float arrays and do no domain checks.
+    lo and hi: buffer p's (u, v) flattened, but its last or first cell, for
+    the gradients' one difference; u, v, and ul, ur: u's cells left and right
+    of each interior face; u_new, v_new, f_u: the rows the step writes;
+    checks: their (u, v) as (2B, cells) rows, u of each run then v of each;
+    sums: their (u, v, f) as a (3, B, cells) stack.
+    """
+
+    __slots__ = ("lo", "hi", "u", "v", "ul", "ur", "u_new", "v_new", "f_u", "checks", "sums")
+
+    def __init__(self, buf: np.ndarray, p: int, B: int):
+        flat = buf[p, :2].reshape(-1)
+        self.lo, self.hi = flat[:-1], flat[1:]
+        self.u, self.v = buf[p, 0], buf[p, 1]
+        self.ul, self.ur = self.u[:-1], self.u[1:]
+        new = buf[1 - p]
+        self.u_new, self.v_new, self.f_u = new
+        self.checks = new[:2].reshape(2 * B, -1)
+        self.sums = new.reshape(3, B, -1)
+
+
+class _Kernel:
+    """The one-pass explicit step of B >= 1 runs on one grid, in lockstep, and its buffers.
+
+    The runs' states lie end to end in the kernel's (2, 3, B*cells) buffers
+    buf (module docstring, "Buffers"): run k's cells are cells(k) and its
+    interior faces inner(k). Each elementwise op of the step is one numpy
+    call for all the runs. A face between two runs is a boundary face of
+    both: its gradients are zero and its flux +0.0. phi is evaluated once per
+    block of consecutive runs with equal _Model.phi_key, psi and the drift
+    slope once per block with equal psi_key; f and dt are per run, and the v
+    solves are one _Tridiag.solve. A step from buffer par calls
+    gradients(par), then dt_bound and advance with the views of sides[par],
+    which read those gradients (grad, with the views dvf of v's row and
+    du_in, dv_in of the interior faces); advance leaves the face mobility
+    phi(u_face) in mob. Every view and scratch array a step uses is bound
+    when the kernel is built. Its methods take validated float arrays and do
+    no domain checks.
     """
 
     def __init__(self, grid: Grid, models: Sequence[_Model]):
@@ -398,8 +433,6 @@ class _Kernel:
         self._geom = _Tiles(
             np.concatenate((np.tile(A[:-1], B), A[-1:])), np.tile(grid.cell_volume, B)
         )
-        # the interior faces between two runs: n - 1, 2n - 1, ...
-        self._seams = slice(n - 1, None, n)
         # a partial, not a lambda over self: a kernel in a reference cycle
         # would keep its runs' table caches alive until the cyclic collector
         self.phi, self.psi = models[0].phi, models[0].psi
@@ -411,14 +444,22 @@ class _Kernel:
         # where u's last face is v's first: m = B*n + 1 faces each, 2m - 1 in
         # all. grad is a read-only (2, m) view of it whose rows overlap there
         m = B * n + 1
-        self._g = g = np.zeros(2 * m - 1)
+        g = np.zeros(2 * m - 1)
         self.grad = np.ndarray((2, m), buffer=g, strides=(g.itemsize * (m - 1), g.itemsize))
         self.grad.flags.writeable = False
-        self.dvf = g[m - 1:]
+        # the differences, and the faces across the end of a run or a field
+        self._g_in, self._g_ends = g[1:-1], g[::n]
+        self.dvf = dvf = g[m - 1:]
+        self._dvf_l, self._dvf_r = dvf[:-1], dvf[1:]
         self.du_in, self.dv_in = g[1:m - 1], g[m:-1]
         self._flux = np.zeros(m)
         self._flux_in = self._flux[1:-1]
+        self._flux_seams = self._flux_in[n - 1::n]  # the interior faces between two runs
+        self._af = np.empty(m)  # the face products A*F of div_cells
         self.mob: Optional[np.ndarray] = None
+        self.buf = np.zeros((2, 3, B * n))
+        self.sides = (_Side(self.buf, 0, B), _Side(self.buf, 1, B))
+        self._side = self.sides[0]  # the side of the last gradients() call
         self.failed: Sequence[Tuple[int, NumericsError]] = ()  # the runs whose last v solve failed
 
     def cells(self, k: int) -> slice:
@@ -441,38 +482,41 @@ class _Kernel:
 
     def _rowmax(self, x: np.ndarray) -> List[float]:
         """The max of x over the cells of each run it covers."""
-        if self.B == 1:
-            # a lone run: one flat reduction, 0.2 us a call less than the axis
-            # reduction (48 or 256 cells, 2-vCPU Xeon)
-            return [float(np.maximum.reduce(x))]
         return np.maximum.reduce(x.reshape(-1, self.n), axis=1).tolist()
 
-    def gradients(self, s: np.ndarray) -> None:
-        """Set self.grad to the face gradients of s = (u, v), each run's bitwise grad_faces.
+    def gradients(self, par: int) -> None:
+        """Set self.grad to the face gradients of buffer par's (u, v), each run's grad_faces.
 
-        One difference over s flattened, u's cells then v's, takes every face
-        of every run; the faces it takes across the end of a run, between u
-        and v included, are every n-th face (n cells a run), and one strided
-        assignment makes them boundary faces again. It comes before the
-        division, so that no difference across an end can overflow there
-        (0.0/h is +0.0).
+        Bitwise. One difference over the state flattened, u's cells then v's,
+        takes every face of every run; the faces it takes across the end of a
+        run, between u and v included, are every n-th face (n cells a run),
+        and one strided fill makes them boundary faces again. It comes before
+        the division, so that no difference across an end can overflow there
+        (0.0/h is +0.0). Selects sides[par] for advance.
         """
-        g = self._g
-        inner = g[1:-1]
-        flat = s.reshape(-1)
-        np.subtract(flat[1:], flat[:-1], out=inner)
-        g[::self.n] = 0.0
-        np.divide(inner, self.h, out=inner)
+        side = self._side = self.sides[par]
+        inner = self._g_in
+        np.subtract(side.hi, side.lo, inner)
+        self._g_ends.fill(0.0)
+        np.divide(inner, self.h, inner)
+
+    def load(self, s) -> _Side:
+        """Copy the state s = (u, v) into buffer 0, take its gradients and return sides[0]."""
+        side = self.sides[0]
+        side.u[...], side.v[...] = s
+        self.gradients(0)
+        return side
 
     def _rate_diff(self, u: np.ndarray) -> List[float]:
         geom = self.diff_geom
         return [x * geom for x in self._rowmax(self.phi(u))]
 
-    def _rate_drift(self, u: np.ndarray, dvf: np.ndarray) -> List[float]:
+    def _rate_drift(self, u: np.ndarray) -> List[float]:
         # donor-respecting drift rate: cell i loses mass across its left face
         # only when the drift there points left, across its right face only
         # when it points right; the positivity bound needs exactly those terms.
-        geom_dv = self.adv_l * np.maximum(-dvf[:-1], 0.0) + self.adv_r * np.maximum(dvf[1:], 0.0)
+        left, right = self._dvf_l, self._dvf_r
+        geom_dv = self.adv_l * np.maximum(-left, 0.0) + self.adv_r * np.maximum(right, 0.0)
         if len(self._psi_blocks) == 1:
             m = self.models[0]
             if m.slope_exp is None:
@@ -486,7 +530,7 @@ class _Kernel:
             if m.slope_exp is None:
                 slope[cells] = m.slope_c
             else:
-                np.multiply(m.slope_c, u[cells] ** m.slope_exp, out=slope[cells])
+                np.multiply(m.slope_c, u[cells] ** m.slope_exp, slope[cells])
         return self._rowmax(slope * geom_dv)
 
     def _bound_diff(self, m: _Model) -> float:
@@ -500,7 +544,7 @@ class _Kernel:
         return m.slope_c * (_pow(m.umax, m.slope_exp) * m.adv_slack + _TINY) * g
 
     def dt_bound(self, u: np.ndarray) -> List[float]:
-        """Each run's cfl / max(diffusive, advective, reaction rate), after gradients(s).
+        """Each run's cfl / max(diffusive, advective, reaction rate) at u, after gradients().
 
         Each model's umax, v_range and cfl are read. The drift rate goes first
         if it limited any run's last dt, else the diffusion rate; the other
@@ -510,27 +554,27 @@ class _Kernel:
         models = self.models
         if self.B == 1:
             # the same rule, on scalars: one run does the work it does alone.
-            # The general path takes 3.3 us a call, not 2.1, on the damped
-            # workload's initial state, and 6.6, not 5.7-5.8, on aggregation's
-            # (2-vCPU Xeon)
+            # With the general path at B = 1, damped's run took 20.0-20.1 us
+            # a step in process, not 18.5-19.0 (+6%), and aggregation's
+            # 34.5-34.7, not 33.5-34.2 (+3%, 2-vCPU Xeon)
             m = models[0]
             umax = m.umax
             react = m.react_c * _pow(umax + m.eps, m.react_exp) if umax > 0.0 else 0.0
             if m.lead_drift:
-                (drift,) = self._rate_drift(u, self.dvf)
+                (drift,) = self._rate_drift(u)
                 skip = self._bound_diff(m) <= max(drift, react)
                 diff = 0.0 if skip else float(np.maximum.reduce(self.phi(u))) * self.diff_geom
             else:
                 diff = float(np.maximum.reduce(self.phi(u))) * self.diff_geom
                 skip = self._bound_drift(m) <= max(diff, react)
-                drift = 0.0 if skip else self._rate_drift(u, self.dvf)[0]
+                drift = 0.0 if skip else self._rate_drift(u)[0]
             m.lead_drift = drift > diff
             return [m.cfl / (max(diff, drift, react) + _RATE_GUARD)]
         react = [
             m.react_c * _pow(m.umax + m.eps, m.react_exp) if m.umax > 0.0 else 0.0 for m in models
         ]
         if any([m.lead_drift for m in models]):
-            drift = self._rate_drift(u, self.dvf)
+            drift = self._rate_drift(u)
             diff = [0.0] * self.B
             for m, a, r in zip(models, drift, react):
                 if not self._bound_diff(m) <= max(a, r):
@@ -541,7 +585,7 @@ class _Kernel:
             drift = [0.0] * self.B
             for m, d, r in zip(models, diff, react):
                 if not self._bound_drift(m) <= max(d, r):
-                    drift = self._rate_drift(u, self.dvf)
+                    drift = self._rate_drift(u)
                     break
         out = []
         for m, d, a, r in zip(models, diff, drift, react):
@@ -558,32 +602,41 @@ class _Kernel:
         dt,
         f_u: np.ndarray,
     ) -> None:
-        """One IMEX update of (u, v) into (u_new, v_new), given gradients((u, v)) and f_u = f(u).
+        """One IMEX update of (u, v) into (u_new, v_new), after gradients(par), with f_u = f(u).
 
-        dt is the list of each run's step, or a lone run's step as a number.
-        The outputs must not overlap the inputs; the v solves run in place in
-        v_new, a contiguous array, with the per-cell dt the u update uses. A
-        run whose solve fails is listed in failed with its error, and the
-        other runs go on. No validation: callers check the result for
-        finiteness and positivity.
+        u, v, u_new, v_new and f_u are the rows of sides[par], whose ul and ur
+        the flux reads; u and v must be those very arrays (ValueError if not),
+        so that the flux and the update read one state. dt is the list of
+        each run's step, or a lone run's step as a number. The v solves run
+        in place in v_new, with the per-cell dt the u update uses. A run whose
+        solve fails is listed in failed with its error, and the other runs go
+        on. No validation: callers check the result for finiteness and
+        positivity.
         """
-        self.mob = interior_flux(self._flux_in, u, self.du_in, self.dv_in, self.phi, self.psi)
+        side = self._side
+        if u is not side.u or v is not side.v:
+            raise ValueError("advance: u and v must be the rows of the side of gradients()")
+        self.mob = interior_flux(
+            self._flux_in, side.ul, side.ur, self.du_in, self.dv_in, self.phi, self.psi
+        )
         if self.B == 1:
-            # a scalar dt: no per-cell dt array. With the per-cell dt and the
-            # block dgtsv at B = 1, aggregation's run took 0.334-0.350 s in
-            # process, not 0.312-0.325 (+7%, 2-vCPU Xeon)
+            # a scalar dt: no per-cell dt array. With the per-cell dt (and
+            # _Tridiag's (2, cells) operands) at B = 1, damped's run took
+            # 19.7-20.1 us a step in process, not 18.5-19.0 (+5%), and
+            # aggregation's 35.0-35.4, not 33.5-34.2 (+4%, 2-vCPU Xeon)
             dt_cells = dt = dt[0] if isinstance(dt, list) else dt
         else:
             # after the flux formula, whose 0*inf there would be nan
-            self._flux_in[self._seams] = 0.0
+            self._flux_seams.fill(0.0)
             dt = np.array(dt)
             dt_cells = dt.repeat(self.n)
         # u + dt * (div + f_u) and v + dt * u_new, in the order of those expressions
-        np.add(div_cells(self._flux, self._geom), f_u, out=u_new)
-        np.multiply(dt_cells, u_new, out=u_new)
-        np.add(u, u_new, out=u_new)
-        np.multiply(dt_cells, u_new, out=v_new)
-        np.add(v, v_new, out=v_new)
+        div_cells(self._flux, self._geom, u_new, self._af)
+        np.add(u_new, f_u, u_new)
+        np.multiply(dt_cells, u_new, u_new)
+        np.add(u, u_new, u_new)
+        np.multiply(dt_cells, u_new, v_new)
+        np.add(v, v_new, v_new)
         self.failed = self._tri.solve(1.0 + dt_cells, dt_cells, v_new)[1]
 
 
@@ -627,10 +680,10 @@ class _Tridiag:
 
     def _bands(self, c, s) -> None:
         coup = self._coup
-        np.multiply(s, self._nt, out=coup)
-        np.divide(coup, self._vol, out=coup)
-        np.subtract(c, self.upper, out=self.diag)
-        np.subtract(self.diag, self.lower, out=self.diag)
+        np.multiply(s, self._nt, coup)
+        np.divide(coup, self._vol, coup)
+        np.subtract(c, self.upper, self.diag)
+        np.subtract(self.diag, self.lower, self.diag)
 
     def solve(
         self, c, s, rhs: np.ndarray
@@ -643,9 +696,10 @@ class _Tridiag:
         self._bands(c, s)
         saved = self._saved
         if saved is None:
-            # one run: no saved copy of rhs and no finiteness sum. The block
-            # path at B = 1 and advance's per-cell dt together cost
-            # aggregation 7% (see advance)
+            # one run: no saved copy of rhs and no finiteness sum. With the
+            # block path at B = 1, damped's run took 19.7-19.9 us a step in
+            # process, not 18.5-19.0 (+4%), and aggregation's 34.4-34.9, not
+            # 33.5-34.2 (+2%, 2-vCPU Xeon)
             _, _, _, x, info = _dgtsv(self.sub, self.diag, self.sup, rhs, 1, 1, 1, 1)
             return x, () if info == 0 else [(0, _solve_error(info))]
         np.copyto(saved, rhs)
@@ -768,8 +822,7 @@ def cfl_dt(
     m.v_range = float(np.maximum.reduce(v)) - float(np.minimum.reduce(v))
     m.cfl = cfl
     kern = _Kernel(grid, [m])
-    kern.gradients(np.stack((u, v)))
-    return kern.dt_bound(u)[0]
+    return kern.dt_bound(kern.load((u, v)).u)[0]
 
 
 def step(
@@ -787,10 +840,11 @@ def step(
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
     u, v = _checked_state(state, grid)
-    kern = _Kernel(grid, [_Model(p, ov)])
-    kern.gradients(np.stack((u, v)))
-    u_new, v_new = np.empty((2, grid.cells))
-    kern.advance(u, v, u_new, v_new, dt, kern.models[0].f(u))
+    m = _Model(p, ov)
+    kern = _Kernel(grid, [m])
+    side = kern.load((u, v))
+    u_new, v_new = side.u_new, side.v_new
+    kern.advance(side.u, side.v, u_new, v_new, dt, m.f(side.u, None, side.f_u))
     if kern.failed:
         raise kern.failed[0][1]
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):

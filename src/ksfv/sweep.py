@@ -51,7 +51,10 @@ def classify_run(
     Global: completed, max_u grew less than global_factor, and the max_u trend
     over the final quarter of the run is non-increasing. BlowUp: the cap was
     crossed, or dt underflowed while max_u had grown at least blowup_factor.
-    Everything else is inconclusive.
+    Everything else is inconclusive, including a completed run whose final
+    quarter holds fewer than two rows, or rows at one time only: those show
+    no trend, and a verdict from them would depend on how often rows are
+    written.
     """
     rows = result.rows
     m0 = max(rows[0].max_u, 1e-300)
@@ -73,15 +76,20 @@ _REL_DRIFT = 1e-6
 
 
 def _trend_nonincreasing(rows) -> bool:
+    """Whether max_u does not rise over the final quarter of the rows' times.
+
+    False when fewer than two rows, or rows at one time only, lie there:
+    then nothing was compared.
+    """
     t_final = rows[-1].t
     tail = [r for r in rows if r.t >= 0.75 * t_final]
     if len(tail) < 2:
-        return True
+        return False
     ts = np.array([r.t for r in tail])
     ms = np.array([r.max_u for r in tail])
     span = ts[-1] - ts[0]
     if span <= 0.0:
-        return True
+        return False
     A = np.vstack([np.ones(len(ts)), ts]).T
     coef, *_ = np.linalg.lstsq(A, ms, rcond=None)
     drift = coef[1] * span

@@ -47,6 +47,26 @@ def test_div_zero_flux():
     assert np.all(div_cells(np.zeros(g.cells + 1), g) == 0.0)
 
 
+@pytest.mark.parametrize("grid", [interval_grid(20), ball_grid(20, 2), ball_grid(20, 3)])
+def test_div_into_out_and_work_is_the_allocating_form_bitwise(grid):
+    # the lockstep kernel writes each step's divergence into the new u row,
+    # with its face products in a scratch array bound to the kernel
+    from ksfv.solver import _Kernel, _Model
+
+    rng = np.random.default_rng(22)
+    kern = _Kernel(grid, [_Model(ksfv.ModelParams(), None) for _ in range(3)])
+    for geom in (grid, kern._geom):  # one field, and the geometry tiled over 3 runs
+        cells = len(geom.cell_volume)
+        F = rng.choice([-1.0, 1.0], cells + 1) * 10.0 ** rng.uniform(-5.0, 5.0, cells + 1)
+        af = geom.face_area * F
+        expected = (af[1:] - af[:-1]) / geom.cell_volume
+        assert div_cells(F, geom).tobytes() == expected.tobytes()
+        out, work = np.full(cells, np.nan), np.full(cells + 1, np.nan)
+        assert div_cells(F, geom, out, work) is out
+        assert out.tobytes() == expected.tobytes()
+        assert work.tobytes() == af.tobytes()
+
+
 def test_div_telescopes_to_zero_mass():
     g = ball_grid(48, 2)
     rng = np.random.default_rng(5)

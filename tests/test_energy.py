@@ -218,6 +218,51 @@ def test_steady_residual_matches_dense_oracle():
     assert r2 == pytest.approx(float(np.sqrt(np.dot(res2 ** 2, g.cell_volume))), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind, p, ov",
+    [
+        (ksfv.INTERVAL, ksfv.ModelParams(alpha=2.0, beta=1.5, psi_c=0.7, eps=0.05), None),
+        (ksfv.BALL, ksfv.ModelParams(alpha=1.0, beta=1.0, kappa=3.0, eps=0.01), None),
+        (ksfv.BALL, ksfv.ModelParams(beta=2.0), Overrides(unit_phi=True)),
+    ],
+)
+def test_flux_callers_are_the_written_out_flux_bitwise(kind, p, ov):
+    # the steady residual divides the scheme's face flux, and dissipation
+    # reads its face mobility phi(u_face), each bitwise the formula written
+    # out with its operands in the same order
+    from ksfv.discrete import interior_flux
+    from ksfv.energy import dissipation_terms
+    from ksfv.nonlin import effective_f, effective_phi, effective_psi
+
+    g = ksfv.make_grid(ksfv.DomainSpec(kind, 0.9, 1 if kind == ksfv.INTERVAL else 2, 24))
+    rng = np.random.default_rng(22)
+    u = rng.uniform(0.0, 3.0, 24)
+    v = rng.uniform(0.1, 2.0, 24)
+    phi, psi = effective_phi(p, ov), effective_psi(p, ov)
+    du, dv = grad_faces(u, g)[1:-1], grad_faces(v, g)[1:-1]
+    mob = phi(0.5 * (u[1:] + u[:-1]))
+    flux = np.zeros(25)
+    flux[1:-1] = mob * du - psi(np.where(dv > 0.0, u[:-1], u[1:])) * dv
+    af = g.face_area * flux
+    r1 = (af[1:] - af[:-1]) / g.cell_volume
+    r2 = laplacian_apply(v, g) - v + u
+    V = g.cell_volume
+    expected = (float(np.sqrt(np.dot(r1 * r1, V))), float(np.sqrt(np.dot(r2 * r2, V))))
+    assert steady_residual(State(u, v, 0.0), g, p, ov) == expected
+
+    out = np.full(23, np.nan)
+    assert interior_flux(out, u[:-1], u[1:], du, dv, phi, psi).tobytes() == mob.tobytes()
+    assert out.tobytes() == flux[1:-1].tobytes()
+    table = ksfv.build_table(p, RatioSpec.model(), s_max=30.0)
+    tab = table.covering(float(u.max()), float(u.min()))
+    v_t = rng.uniform(-1.0, 1.0, 24)
+    (rhs,) = dissipation_terms(
+        u[None], v[None], v_t[None], du[None], dv[None], mob[None], psi,
+        effective_f(p, ov)(u)[None], tab.gp(np.maximum(u, tab.s_min))[None], tab.s_min, g,
+    )
+    assert dissipation(State(u, v, 0.0), v_t, g, p, table, ov) == rhs
+
+
 def test_steady_residual_late_time(damped_run):
     r1, r2 = steady_residual(
         damped_run.final_state, damped_run.grid, ksfv.ModelParams(

@@ -264,6 +264,31 @@ def test_classify_underflow_without_growth_inconclusive():
     assert classify_run(_fake_result(Termination.DT_UNDERFLOW, rows)) == INCONCLUSIVE
 
 
+def test_classify_without_a_trend_in_the_final_quarter_inconclusive():
+    # one row there, or rows at one time only, compare nothing
+    for ts in ([0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 1.0, 1.0]):
+        rows = _rows(ts, [2.0] + [1.0] * (len(ts) - 1))
+        assert classify_run(_fake_result(Termination.COMPLETED, rows)) == INCONCLUSIVE, ts
+
+
+@pytest.mark.parametrize("diag_every", [1, 20, 1000000])
+def test_sweep_verdict_does_not_depend_on_the_row_cadence(tmp_path, capsys, diag_every):
+    # the sample sweep's beta = 2, kappa = 2 point over 64 steps: max u rises
+    # from 63.4 to 221.6, under global_factor times, and at diag_every =
+    # 1000000 its final quarter holds one row
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    mapping = load_config(os.path.join(root, "docs", "sample_sweep.cfg"))
+    mapping = {k: v for k, v in mapping.items() if not k.startswith(("axis.", "sweep."))}
+    mapping.update({
+        "params.beta": "2", "axis.kappa": "2.0", "run.t_end": "5e-4",
+        "run.diag_every": str(diag_every),
+    })
+    spec = tmp_path / "s.cfg"
+    spec.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1 runs: Inconclusive=1"
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -332,8 +332,8 @@ def _kernel_dt(kern, u, v, lead_drift, cfl=0.4):
     (m,) = kern.models
     m.lead_drift = lead_drift
     m.umax, m.v_range, m.cfl = float(u.max()), float(v.max()) - float(v.min()), cfl
-    kern.gradients(np.stack((u, v)))
-    return kern.dt_bound(u)[0]
+    side = kern.load(np.stack((u, v)))
+    return kern.dt_bound(side.u)[0]
 
 
 def _bisect(pred, lo, hi):
@@ -390,8 +390,8 @@ def test_pruned_dt_bound_is_the_unpruned_max_bitwise(case):
     bound = kern._bound_diff(m)
 
     def skips(lam):
-        kern.gradients(np.stack((u, lam * v)))
-        (rate_drift,) = kern._rate_drift(u, kern.dvf)
+        side = kern.load(np.stack((u, lam * v)))
+        (rate_drift,) = kern._rate_drift(side.u)
         return bound <= max(rate_drift, react)
 
     if not skips(0.0) and skips(1e12):
@@ -556,8 +556,8 @@ def test_lockstep_dt_bound_is_each_runs_unpruned_max_bitwise(data):
                 m.umax, m.v_range, m.cfl = float(u.max()), float(vv.max()) - float(vv.min()), 0.4
                 states.append(np.stack((u, vv)))
             s = np.concatenate(states, axis=1)
-            kern.gradients(s)
-            for k, dt in zip(ranked, kern.dt_bound(s[0])):
+            side = kern.load(s)
+            for k, dt in zip(ranked, kern.dt_bound(side.u)):
                 _, p, u, v, ov_name = cases[k]
                 ov = PRUNE_OVERRIDES[ov_name]
                 assert dt == _reference_dt(u, scales[k] * v, g, p, ov, 0.4)

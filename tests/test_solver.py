@@ -929,22 +929,40 @@ def test_lockstep_faces_between_runs_are_boundary_faces():
     for m, s in zip(models, states):
         m.umax, m.v_range, m.cfl = float(s[0].max()), float(s[1].max() - s[1].min()), 0.4
     kern = _Kernel(g, models)
-    s = np.concatenate(states, axis=1)
-    new = np.empty_like(s)
     with np.errstate(all="ignore"):  # as in a run's step loop
-        kern.gradients(s)
+        side = kern.load(np.concatenate(states, axis=1))
         assert np.all(kern.grad[:, 16::16] == 0.0)
-        dts = kern.dt_bound(s[0])
+        dts = kern.dt_bound(side.u)
         f_u = np.concatenate([m.f(x[0]) for m, x in zip(models, states)])
-        kern.advance(s[0], s[1], new[0], new[1], [1e-9] * 3, f_u)
+        kern.advance(side.u, side.v, side.u_new, side.v_new, [1e-9] * 3, f_u)
+        new = np.stack((side.u_new, side.v_new))
         for k, (m, x) in enumerate(zip(models, states)):
             m.lead_drift = False
             alone = _Kernel(g, [m])
-            alone.gradients(x)
-            assert dts[k] == alone.dt_bound(x[0])[0]
-            y = np.empty_like(x)
-            alone.advance(x[0], x[1], y[0], y[1], 1e-9, m.f(x[0]))
+            one = alone.load(x)
+            assert dts[k] == alone.dt_bound(one.u)[0]
+            alone.advance(one.u, one.v, one.u_new, one.v_new, 1e-9, m.f(x[0]))
+            y = np.stack((one.u_new, one.v_new))
             assert new[:, kern.cells(k)].tobytes() == y.tobytes()
+
+
+def test_advance_refuses_rows_other_than_the_gradients_side():
+    # the flux reads the face neighbours of the side that gradients() chose,
+    # and the update the u and v passed: two states must not mix silently
+    from ksfv.solver import _Kernel, _Model
+
+    g = ksfv.make_grid(ksfv.DomainSpec(ksfv.INTERVAL, 1.0, 1, 8))
+    p = ksfv.ModelParams(alpha=1.0, beta=1.0, kappa=2.0, a=0.5, eps=0.01)
+    m = _Model(p, None)
+    kern = _Kernel(g, [m])
+    side = kern.load(np.ones((2, 8)))
+    f_u = m.f(side.u)
+    other = kern.sides[1]
+    for u, v in ((side.u.copy(), side.v), (side.u, side.v.copy()), (other.u, other.v)):
+        with pytest.raises(ValueError, match="side of gradients"):
+            kern.advance(u, v, side.u_new, side.v_new, 1e-6, f_u)
+    kern.advance(side.u, side.v, side.u_new, side.v_new, 1e-6, f_u)
+    assert np.all(np.isfinite(side.u_new)) and np.all(np.isfinite(side.v_new))
 
 
 @pytest.mark.parametrize("kind", [ksfv.INTERVAL, ksfv.BALL])
@@ -960,7 +978,7 @@ def test_lockstep_gradients_are_each_runs_grad_faces_bitwise(kind, B):
     # magnitudes from 1e-3 to 1e3, so that every face across a run's end differs
     runs = [10.0 ** rng.uniform(-3.0, 3.0, (2, n)) for _ in range(B)]
     kern = _Kernel(g, [_Model(ksfv.ModelParams(), None) for _ in runs])
-    kern.gradients(np.concatenate(runs, axis=1))
+    kern.load(np.concatenate(runs, axis=1))
     for k, (u, v) in enumerate(runs):
         du, dv = grad_faces(u, g), grad_faces(v, g)
         assert kern.du_in[kern.inner(k)].tobytes() == du[1:-1].tobytes()
@@ -1103,6 +1121,47 @@ def test_lockstep_underflow_row_after_a_retile_is_its_solo_row():
     together = march([(k, cfg, None, TableCache()) for k, cfg in enumerate(runs)], len(runs))
     for k, res in enumerate(solo):
         assert result_bytes(together[k]) == result_bytes(res)
+
+
+def test_lockstep_runs_carried_over_retiles_are_their_solo_runs(monkeypatch):
+    # each tiling binds a new kernel's views to new buffers: a run carried
+    # over must step, keep rows and record probes from the new ones. The
+    # march starts with one run; when it completes, two join (B = 1 -> 2);
+    # when the shorter of those completes, a third joins beside the longer
+    # (2 -> 2), and when that one completes the longer goes on alone (2 -> 1)
+    import ksfv.lockstep as lockstep_mod
+    from oracles import ending_config, result_bytes
+
+    dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 24)
+    p = ksfv.ModelParams(alpha=1.0, beta=2.0, kappa=3.0, a=0.5, eps=0.01)
+    first = ending_config(dom, p, 1.0, "Completed", diag_every=3)
+    short = ending_config(dom, dataclasses.replace(p, alpha=2.0), 1.5, "Completed", diag_every=3)
+    long_ = ending_config(dom, dataclasses.replace(p, beta=1.5), 1.2, "Completed", diag_every=3)
+    long_ = dataclasses.replace(long_, t_end=4.0 * long_.t_end)
+    late = ending_config(dom, p, 0.8, "Completed", diag_every=2)
+    probes = [0.3 * long_.t_end, 0.6 * long_.t_end, 0.9 * long_.t_end]
+    entries = [
+        [(0, first, None, TableCache())],
+        [(1, long_, probes, TableCache()), (2, short, None, TableCache())],
+        [(3, late, None, TableCache())],
+    ]
+    tiles = []
+    real_tile = lockstep_mod._tile
+
+    def tile(grid, points, *args):
+        tiles.append(sorted(pt.tag for pt in points))
+        return real_tile(grid, points, *args)
+
+    monkeypatch.setattr(lockstep_mod, "_tile", tile)
+    together = dict(lockstep_mod.run_lockstep(lambda: entries.pop(0) if entries else None))
+    monkeypatch.setattr(lockstep_mod, "_tile", real_tile)
+    assert tiles == [[0], [1, 2], [1, 3], [1]]
+    for tag, (cfg, probe_times) in enumerate(
+        [(first, None), (long_, probes), (short, None), (late, None)]
+    ):
+        alone = run(cfg, probe_times=probe_times)
+        assert alone.termination.tag == Termination.COMPLETED
+        assert result_bytes(together[tag]) == result_bytes(alone), tag
 
 
 # ---------------------------------------------------------------------------
