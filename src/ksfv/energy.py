@@ -22,10 +22,11 @@ lyapunov_terms takes G(u) and the face gradient of v, dissipation_terms the
 face gradients of u and v, the face mobility phi(u_face), f(u) and G'(u).
 The public lyapunov and dissipation compute those from a state and call the
 helpers on a stack of one; the solver's step rows pass the ones its steps
-have already computed, for the runs whose rows share a table, and its rows
-of a single state (a run's first row, a NumericalFailure row) call lyapunov.
-The public functions check the state they are given (length, finiteness),
-as solver.step() does; those rows are the only solver calls that pay it.
+have already computed, in blocks of a run's rows, and its rows of a single
+state (a run's first row, a NumericalFailure row) pass G(u) on the run's
+table and the face gradient of v. The public functions check the state
+they are given (length, finiteness), as solver.step() does; no solver row
+pays it.
 """
 
 from __future__ import annotations

@@ -4,17 +4,20 @@ run_lockstep holds one _Point per run: its settings, its state between
 steps and its record, diagnostics rows included. The batched work of a
 step is one numpy call per quantity for all the runs: the solver._Kernel
 calls, the v solves among them, the min/max checks and one vecdot for the
-mass sums. The diagnostics rows are evaluated in blocks, per run: on the
-step a row falls due, the run walks its G-table over the row's span when
-the span leaves the range it walked last (a walk that raises a KsfvError
-ends that run alone, on that step), records the row's scalars and copies
-what the row reads into its block buffer; one
+mass sums. Each run's next dt is decided at the end of the step that
+produced its state, so every way a step can end a run (a failed check,
+the cap, t_end, a next dt below dt_min) is decided on that step, and the
+run ends on that step's row. The diagnostics rows are evaluated in blocks,
+per run: on the step a row falls due, the run walks its G-table over the
+row's span when the span leaves the range it walked last (a walk that
+raises a KsfvError ends that run alone, on that step), records the row's
+scalars and copies what the row reads into its block buffer; one
 _step_rows call evaluates the whole block over (k, cells) stacks, when the
 block holds _BLOCK_CELLS cells and before the run ends. The rest is each
 run's own (see "Lockstep" and "Buffers" in the solver module docstring); a
-lone run takes the same path, with B = 1. solver.run imports this
-module when it first marches, and sweep.run_sweep before it forks its
-workers, so that importing ksfv does not compile it.
+lone run takes the same path, with B = 1. solver.run imports this module
+when it first marches, and sweep.run_sweep before it forks its workers, so
+that importing ksfv does not compile it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .core import Grid, State, linf, make_grid
 from .discrete import grad_faces
-from .energy import dissipation_terms, lyapunov, lyapunov_terms
+from .energy import dissipation_terms, lyapunov_terms
 from .errors import ConfigError, KsfvError
 from .nonlin import _hermite_basis
 from .solver import (
@@ -51,15 +54,15 @@ class _Point(_Model):
     """One run of a lockstep march: its model, settings, state between steps and record.
 
     Built when the run joins the march, after the API-boundary checks, with
-    the row of its initial state. Between steps its state lives in the
-    march's buffers at its kernel index k (None until the march first tiles
-    it): uv holds its u, v and f rows in buffer 0 and buffer 1, and ss its
-    (u, v) as one array. It keeps the max u, min u and range of v the last
-    step's checks measured, its masses and, until it steps again, that
-    step's dt and f(u) (a view of the f row it was written into). Its rows
-    wait in its block (keep_row) until _step_rows evaluates them (flush),
-    under the float settings it joined under (caller_err). outcome is None
-    while it runs, then its RunResult or the KsfvError that ended it.
+    the row of its initial state and the table walked for it (table). Between
+    steps its state lives in the march's buffers at its kernel index k (None
+    until the march first tiles it): uv holds its u, v and f rows in buffer
+    0 and buffer 1. It keeps the max u, min u and range of v the last step's
+    checks measured, that step's dt and span, and its masses. Its rows wait
+    in its block (keep_row) until _step_rows evaluates them (flush), under
+    the float settings it joined under (caller_err). ending is None until a
+    step decides how the run ends on its row; outcome is None while it runs,
+    then its RunResult or the KsfvError that ended it.
     """
 
     __slots__ = (
@@ -67,7 +70,7 @@ class _Point(_Model):
         "start", "grow_floor", "tables", "key", "table", "probes", "probe_states", "pi",
         "rows", "w12", "t", "steps", "mass_u", "mass_v", "umin", "mass_res_u", "mass_res_v",
         "min_u_seen", "min_v_seen", "F_last", "wrote", "wrote_before", "block", "kept", "dt",
-        "f_u", "k", "uv", "ss", "span", "ending", "outcome", "caller_err",
+        "k", "uv", "span", "ending", "outcome", "caller_err",
     )
 
     def __init__(self, tag, cfg: RunConfig, probe_times, tables: TableCache, grid: Grid):
@@ -126,65 +129,66 @@ class _Point(_Model):
         # over all their spans
         self.block = np.empty((max(1, _BLOCK_CELLS // self.n), 8, self.n))
         self.kept: List[tuple] = []
-        self.table = None
         self.dt = math.nan
-        self.f_u: Optional[np.ndarray] = None
         self.k: Optional[int] = None
-        # while a row of the last step is due: the (min, max) of u over the
-        # states before and after it; while the run ends on that step: the
-        # Termination and blow-up estimate it ends with
+        # the (min, max) of u over the states before and after the last step
         self.span: Optional[tuple] = None
+        # once a step decides that the run ends on its row: the Termination
+        # and blow-up estimate it ends with
         self.ending: Optional[tuple] = None
         self.outcome = None
 
     def state_row(self, t, u, v, mass_u, mass_v, umax, fill) -> float:
         """Append a row of the state (u, v) at t, with fill in its step columns; return F.
 
-        umax = max(u); F is energy.lyapunov's on the run's table, walked over u.
+        umax = max(u). F is energy.lyapunov's, bitwise, from its term helper
+        on the run's table walked over u, which the run keeps (table).
         """
         umin = float(np.minimum.reduce(u))
+        grid = self.grid
         with np.errstate(**self.caller_err):
-            table = self.tables.covering(self.key, umax, umin)
-            terms = lyapunov(State(u, v, t), self.grid, table)
+            table = self.table = self.tables.covering(self.key, umax, umin)
+            G_u = table.g(np.maximum(u, table.s_min))
+            (terms,) = lyapunov_terms(G_u[None], u[None], v[None], grad_faces(v, grid)[None], grid)
         F = terms.F_total
         self.rows.append(DiagnosticsRow(t, fill, mass_u, mass_v, umax, umin, F, fill, fill))
         self.w12.append(terms.v_w12)
         return F
 
-    def start_step(self, bound: float, par: int, kern: _Kernel) -> float:
-        """This step's dt, from the kernel's CFL bound, with f(u) written into the next buffer.
+    def prepare(self, bound: float, par: int) -> float:
+        """The next step's dt, from the kernel's CFL bound, with f(u) written into the next buffer.
 
         The current state is in buffer par, and f(u) goes into the f row of
         the other buffer, beside the state the step writes, so that one sum
         over that buffer gives the new masses and the mass of f(u). A dt that
-        underflows ends the run instead; then the run's cells take a null
-        step, 0.0, that nothing reads.
+        underflows ends the run in its current state instead (ending), on
+        that state's row: when the step to it wrote none, its row falls due.
         """
         dt_c = min(bound, self.dt_max)
         if dt_c < self.dt_min:
-            self.underflow(par, kern.mob[kern.inner(self.k)])
-            return 0.0
+            self.wrote = True
+            self.ending = (Termination.DT_UNDERFLOW, None)
+            return math.nan
         t = self.t
         dt = min(dt_c, self.t_end - t)
         if self.pi < len(self.probes):
             dt = min(dt, self.probes[self.pi] - t)
-        self.dt = dt
         uv = self.uv
-        self.f_u = self.f(uv[par][0], self.umax, uv[1 - par][2])
+        self.f(uv[par][0], self.umax, uv[1 - par][2])
         return dt
 
     def end_step(
-        self, par: int, min_u_new, min_v_new, max_u, max_v_new, mass_u_new, mass_v_new, f_mass
+        self, par: int, dt, min_u_new, min_v_new, max_u, max_v_new, mass_u_new, mass_v_new, f_mass
     ) -> None:
-        """Take the step from buffer par to the other, or end the run.
+        """Take the step of dt from buffer par to the other, or end the run.
 
         The min and max of the new u and v are the step's checks, and
         mass_u_new, mass_v_new and f_mass the integrals (sums against the
         cell volumes) of the new u, the new v and f(u). Records the mass
         laws and probes, and ends the run on a non-finite or negative state.
-        A row that falls due is marked (span), and so is the end on the cap
-        or at t_end (ending): the march keeps the rows of the step, then
-        ends those runs.
+        A row that falls due is marked (wrote, with the step's span), and so
+        is the end on the cap or at t_end (ending): the march keeps the rows
+        of the step, then ends those runs.
         """
         # min and max propagate NaN, and every comparison with NaN is False:
         # a NaN or -inf cell fails 0 <= min, a +inf cell fails max < inf, so
@@ -194,7 +198,7 @@ class _Point(_Model):
             self.fail(par)
             return
         self.steps += 1
-        dt = self.dt
+        self.dt = dt
         t_new = self.t + dt
         mass_u, mass_v = self.mass_u, self.mass_v
         # the running maxima and minima as max() and min() update them: a new
@@ -228,7 +232,7 @@ class _Point(_Model):
 
         due = self.steps % self.diag_every == 0 or blown or final_step
         self.wrote_before, self.wrote = self.wrote, due
-        self.span = (min(min_u_new, self.umin), max(max_u, self.umax)) if due else None
+        self.span = (min(min_u_new, self.umin), max(max_u, self.umax))
         if blown:
             self.ending = (Termination.BLOWUP, t_new - dt)
         elif final_step:
@@ -263,10 +267,11 @@ class _Point(_Model):
             with np.errstate(**self.caller_err):
                 _step_rows(self)
 
-    def finish(self, tag: Termination, t: float, state, blowup_estimate=None) -> None:
-        """End the run in the state (u, v) at t, after the rows it has kept."""
+    def finish(self, tag: Termination, par: int, blowup_estimate=None) -> None:
+        """End the run in its current state, buffer par, after the rows it has kept."""
         self.flush()
-        u, v = state
+        u, v, _ = self.uv[par]
+        t = self.t
         self.outcome = RunResult(
             TerminationInfo(tag, t, blowup_estimate),
             self.rows,
@@ -282,38 +287,16 @@ class _Point(_Model):
             self.probe_states,
         )
 
-    def underflow(self, par: int, mob: np.ndarray) -> None:
-        """End the run as DtUnderflow in its current state, buffer par.
-
-        When the last step wrote no row, it keeps that row first: the other
-        buffer still holds the state that step advanced from, and mob and
-        f_u are still that step's (f_u a view of the buffer that step wrote,
-        kept when a retile has since replaced it), so the row is bitwise the
-        one a diag_every = 1 run writes.
-        """
-        state, old = self.ss[par], self.ss[1 - par]
-        if not self.wrote:
-            with np.errstate(**self.caller_err):
-                self.table = self.tables.covering(
-                    self.key,
-                    max(self.umax, float(np.maximum.reduce(old[0]))),
-                    min(self.umin, float(np.minimum.reduce(old[0]))),
-                )
-            self.keep_row((*state, self.f_u), old, grad_faces(old, self.grid)[:, 1:-1], mob)
-        self.finish(Termination.DT_UNDERFLOW, self.t, state)
-
     def fail(self, par: int) -> None:
         """End the run as NumericalFailure in its last valid state, buffer par.
 
         The failed step overwrote the other buffer, not this one.
         """
-        state = self.ss[par]
         self.flush()
         if not self.wrote:
-            self.state_row(
-                self.t, state[0], state[1], self.mass_u, self.mass_v, self.umax, math.nan
-            )
-        self.finish(Termination.NUMERICAL_FAILURE, self.t, state)
+            u, v, _ = self.uv[par]
+            self.state_row(self.t, u, v, self.mass_u, self.mass_v, self.umax, math.nan)
+        self.finish(Termination.NUMERICAL_FAILURE, par)
 
 
 def _step_rows(pt: _Point) -> None:
@@ -373,12 +356,11 @@ def _step_rows(pt: _Point) -> None:
 
 
 def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], par: int):
-    """The kernel of points, ordered in blocks, with their states in its buffers.
+    """The kernel of points, ordered in blocks, with their current states in its buffer 0.
 
-    Each point that was tiled before keeps its current state (from kern's
-    buffer par into buffer 0), the state its last step advanced from (buffer
-    1), both buffers' f rows and its last step's face mobility; a new point
-    starts from its initial state, with f rows of 0.0.
+    A point that was tiled before brings its (u, v) from kern's buffer par,
+    a new point its initial state. Nothing else carries over: the march
+    prepares the new kernel's first step from those states.
     """
     phi_order: Dict[tuple, int] = {}
     psi_order: Dict[tuple, int] = {}
@@ -388,20 +370,11 @@ def _tile(grid: Grid, points: List[_Point], kern: Optional[_Kernel], par: int):
     points = sorted(points, key=lambda pt: (phi_order[pt.phi_key], psi_order[pt.psi_key]))
     new = _Kernel(grid, points)
     cells = new.buf
-    mob = np.zeros(new.B * new.n - 1)
     for k, pt in enumerate(points):
         c = new.cells(k)
-        if pt.k is None:
-            cells[0, :2, c] = pt.start
-        else:
-            was = kern.cells(pt.k)
-            cells[0, :, c] = kern.buf[par, :, was]
-            cells[1, :, c] = kern.buf[1 - par, :, was]
-            mob[new.inner(k)] = kern.mob[kern.inner(pt.k)]
+        cells[0, :2, c] = pt.start if pt.k is None else kern.buf[par, :2, kern.cells(pt.k)]
         pt.k = k
-        pt.ss = (cells[0, :2, c], cells[1, :2, c])
         pt.uv = tuple((b[0, c], b[1, c], b[2, c]) for b in cells)
-    new.mob = mob
     return new, points
 
 
@@ -419,11 +392,17 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     for all the runs, one numpy call per quantity: the _Kernel calls, the v
     solves (one dgtsv), the min/max checks and one vecdot for the masses of
     the new u, the new v and f(u). Each run's own, as run() alone does it:
-    the rest, the rows among it. A run whose row falls due on the step walks
-    its table over the row's span, unless it has already, and keeps the row
-    in its block (_Point.keep_row); the block is evaluated in one _step_rows
-    call when it is full and when the run ends. A lone run takes the same path. A run
-    leaves when it ends, and the runs that join or stay are tiled afresh.
+    the rest, the rows among it. A step is: advance, the checks (end_step),
+    then the next step's gradients, dt bounds, dt clamps and f(u)
+    (_Point.prepare), then the rows that fell due, then the runs that end.
+    So every ending is decided on the step that reaches it: the cap, t_end,
+    a failed check and a next dt that underflows alike. A run whose row
+    falls due walks its table over the row's span, unless it has already,
+    and keeps the row in its block (_Point.keep_row); the block is evaluated
+    in one _step_rows call when it is full and when the run ends. A lone run
+    takes the same path. A run leaves when it ends, and the runs that join
+    or stay are tiled afresh, with their first step prepared there: a
+    joined run whose first dt underflows ends on its initial row.
     """
     caller_err = np.geterr()
     ended: List[tuple] = []
@@ -454,62 +433,61 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     vmin, vmax, vecdot = np.minimum.reduce, np.maximum.reduce, np.vecdot
     kern: Optional[_Kernel] = None
     par = 0
+    dts: List[float] = []
     with np.errstate(all="ignore"):
         while True:
             while not (live or joined or exhausted):
                 claim()
             if not (live or joined):
                 break
-            if joined or len(live) != kern.B:
+            stepped = not joined and len(live) == kern.B
+            if stepped:
+                # the step from buffer par, prepared for every run
+                kern.advance(dts)
+                for k, exc in kern.failed:
+                    live[k].outcome = exc
+                side = sides[par]
+                checks = side.checks
+                lows = vmin(checks, axis=1).tolist()
+                highs = vmax(checks, axis=1).tolist()
+                # np.dot of each row, bitwise: vecdot sums a row with BLAS ddot too
+                mass_u, mass_v, f_mass = vecdot(side.sums, V).tolist()
+                for k, pt in enumerate(live):
+                    if pt.outcome is None:
+                        try:
+                            pt.end_step(
+                                par, dts[k], lows[k], lows[B + k], highs[k], highs[B + k],
+                                mass_u[k], mass_v[k], f_mass[k],
+                            )
+                        except KsfvError as exc:
+                            pt.outcome = exc
+                par = 1 - par
+            else:
                 kern, live = _tile(grid, live + joined, kern, par)
                 joined, par = [], 0
                 V, B, sides = grid.cell_volume, kern.B, kern.sides
-            side = sides[par]
-            u = side.u
+            # the next step from buffer par
             kern.gradients(par)
-            dts = []
-            n_ended = 0
-            for pt, bound in zip(live, kern.dt_bound(u)):
-                try:
-                    dts.append(pt.start_step(bound, par, kern))
-                except KsfvError as exc:
-                    pt.outcome = exc
-                    dts.append(0.0)
-                if pt.outcome is not None:
-                    n_ended += 1
-            if n_ended < B:
-                kern.advance(u, side.v, side.u_new, side.v_new, dts, side.f_u)
-                for k, exc in kern.failed:
-                    live[k].outcome = exc
-                    n_ended += 1
-            checks = side.checks
-            lows = vmin(checks, axis=1).tolist()
-            highs = vmax(checks, axis=1).tolist()
-            # np.dot of each row, bitwise: vecdot sums a row with BLAS ddot too
-            mass_u, mass_v, f_mass = vecdot(side.sums, V).tolist()
+            dts = kern.dt_bound()
             due: List[_Point] = []
+            n_ended = 0
             for k, pt in enumerate(live):
-                if pt.outcome is not None:
-                    continue
-                try:
-                    pt.end_step(
-                        par, lows[k], lows[B + k], highs[k], highs[B + k], mass_u[k], mass_v[k],
-                        f_mass[k],
-                    )
-                except KsfvError as exc:
-                    pt.outcome = exc
-                if pt.outcome is None and pt.span is not None:
-                    due.append(pt)
-                if not (pt.outcome is None and pt.ending is None):
+                if pt.outcome is None and pt.ending is None:
+                    dts[k] = pt.prepare(dts[k], par)
+                if pt.outcome is not None or pt.ending is not None:
                     n_ended += 1
+                if stepped and pt.outcome is None and pt.wrote:
+                    due.append(pt)
             if due:
-                new, old, grad, mob = kern.buf[1 - par], kern.buf[par, :2], kern.grad, kern.mob
+                # the step from buffer 1 - par, and that state's gradients
+                new, old, grad = kern.buf[par], kern.buf[1 - par, :2], sides[1 - par].grad
+                mob = kern.mob
                 for pt in due:
                     lo, hi = pt.span
                     table = pt.table
                     # the run walks its table only when the row's span leaves
                     # the range it walked last: a walked table only grows
-                    if table is None or not (table.knots[table.low] <= lo and hi <= table.s_max):
+                    if not (table.knots[table.low] <= lo and hi <= table.s_max):
                         # under the float settings every run joined under; a
                         # walk that raises ends this run alone, as it does alone
                         try:
@@ -525,17 +503,14 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
                         new[:, c], old[:, c], grad[:, c.start + 1:c.stop], mob[kern.inner(pt.k)]
                     )
             if n_ended:
-                # the runs that end on their rows, counted afresh
+                # the runs that end on this step, counted afresh
                 n_ended = 0
                 for pt in live:
                     if pt.outcome is None and pt.ending is not None:
                         tag, estimate = pt.ending
-                        pt.finish(tag, pt.t, pt.ss[1 - par], blowup_estimate=estimate)
+                        pt.finish(tag, par, blowup_estimate=estimate)
                     if pt.outcome is not None:
                         n_ended += 1
-            par = 1 - par
-
-            if n_ended:
                 ended.extend((pt.tag, pt.outcome) for pt in live if pt.outcome is not None)
                 live = [pt for pt in live if pt.outcome is None]
                 for _ in range(n_ended):

@@ -54,20 +54,22 @@ alone from the saved right-hand sides. Batched per run, in blocks: the
 diagnostics rows. On the step a row falls due, the run walks its G-table
 over the row's span when the span leaves the range it walked last (a walk
 that raises a KsfvError ends that run alone, on that step) and copies what
-the row reads into its block; one call per
-quantity evaluates the block (lockstep._step_rows), with sums that are
-np.vecdot rows too, once it holds about 2^10 cells and before the run ends.
-A walked table only grows, so each row is bitwise the one evaluated on its
-own step. Each run's own: f(u) and
-the reaction rate (kappa), dt with its clamps and probes, the mass-law
-residuals, its termination, after which it leaves the march, and its
-KsfvError, which ends it alone while the others go on. phi is
-evaluated once per block of runs with equal alpha and eps, psi and the
-drift slope once per block with equal psi_c and beta, since numpy computes
-u ** 2.0 as a square and an array exponent would not: the runs are ordered
-so that each block is contiguous. Runs that share an initial G-table share
-its walked range (TableCache.covering). Inside the kernel a lone run (B =
-1) steps with a float dt, with no per-cell dt array and no block loop.
+the row reads into its block; one call per quantity evaluates the block
+(lockstep._step_rows), with sums that are np.vecdot rows too, once it
+holds about 2^10 cells and before the run ends. A walked table only grows,
+so each row is bitwise the one evaluated on its own step. Each run's own:
+f(u) and the reaction rate (kappa), dt with its clamps and probes, the
+mass-law residuals, its termination, after which it leaves the march, and
+its KsfvError, which ends it alone while the others go on. A run's next
+dt, with its clamps and f(u), is decided at the end of the step that
+produced its state, so a dt below dt_min ends the run on that step and its
+row, as the cap and t_end do. phi is evaluated once per block of runs with
+equal alpha and eps, psi and the drift slope once per block with equal
+psi_c and beta, since numpy computes u ** 2.0 as a square and an array
+exponent would not: the runs are ordered so that each block is
+contiguous. Runs that share an initial G-table share its walked range
+(TableCache.covering). Inside the kernel a lone run (B = 1) steps with a
+float dt, with no per-cell dt array and no block loop.
 
 Rate pruning. dt = cfl / (max(diffusion, drift, reaction) + guard), and the
 max is all that is used. The reaction rate is O(1) and always computed. The
@@ -99,30 +101,32 @@ one vecdot of the mass sums and the rows read. Everything a step reads or
 writes, other than its numbers, is bound once per tiling, when the kernel
 is built with its buffers, and selected by parity (_Side): the flat state
 and its two shifted views for the one gradient difference, u's cells left
-and right of each face, the next buffer's rows and its per-run views for
-the checks and the mass sums; and, in the kernel, the views of the face
-gradients, the flux and its seams, and the face products of the
-divergence, which is written into the new u row. So a step slices,
-reshapes and allocates nothing of its own bookkeeping. When a run ends or
-joins, the runs left are tiled afresh into a new kernel, each keeping its
-current and previous state, its f rows and its last face mobility. Only
-those buffers are ever solved in place: step() and cfl_dt() build a one-run
-kernel and copy the checked state into its buffer, and steady_signal()
-solves a copy, so they leave their inputs untouched. The kernel owns the
-face gradients and the flux; they hold the last gradients() call's state
-until the next call. The gradients of u and v lie in one flat buffer, u's
-faces then v's, where u's last face is v's first, so that one difference
-over the flattened (2, B*cells) state takes every face at once; grad is a
-read-only (2, B*cells + 1) view of that buffer whose rows overlap at the
-shared face. The face between two runs is a boundary face of both, as the
-grid's end faces are: its gradients are set to zero, with the shared face,
-by one strided fill of every cells-th face before the division by h, so
-that no difference across it overflows and its transmissibility 0 never
-meets an overflowed gradient (0*inf is nan), and its flux is set to +0.0
-after the flux formula, so that each run's divergence is its own. The
-grid-only factors of the CFL rates are computed once per Grid
-(Grid.rate_geometry), so the kernel that cfl_dt() and step() build per call
-does not recompute them.
+and right of each face, the face gradients of the state, the next buffer's
+rows and its per-run views for the checks and the mass sums; and, in the
+kernel, the flux and its seams, and the face products of the divergence,
+which is written into the new u row. So a step slices, reshapes and
+allocates nothing of its own bookkeeping. When a run ends or joins, the
+runs left are tiled afresh into a new kernel, each keeping only its
+current (u, v), from which the march prepares the new kernel's first step.
+Only those buffers are ever solved in place: step() and cfl_dt() build a
+one-run kernel and copy the checked state into its buffer, and
+steady_signal() solves a copy, so they leave their inputs untouched. Each
+side owns the face gradients of its buffer's state, which hold until the
+next gradients() call on that side: a step's row reads the gradients of
+the state it advanced from after the next step's gradients() call has
+taken the new state's. The gradients of u and v lie in one flat buffer,
+u's faces then v's, where u's last face is v's first, so that one
+difference over the flattened (2, B*cells) state takes every face at once;
+grad is a read-only (2, B*cells + 1) view of that buffer whose rows overlap
+at the shared face. The face between two runs is a boundary face of both,
+as the grid's end faces are: its gradients are set to zero, with the
+shared face, by one strided fill of every cells-th face before the
+division by h, so that no difference across it overflows and its
+transmissibility 0 never meets an overflowed gradient (0*inf is nan), and
+its flux is set to +0.0 after the flux formula, so that each run's
+divergence is its own. The grid-only factors of the CFL rates are computed
+once per Grid (Grid.rate_geometry), so the kernel that cfl_dt() and step()
+build per call does not recompute them.
 
 Floating-point warnings. The step loop runs under np.errstate(all="ignore"),
 set once per run: a non-finite or negative state is caught by the step's
@@ -157,7 +161,7 @@ from .core import (
 from .discrete import div_cells, interior_flux
 
 # perfbench/tracing.py wraps solver.lyapunov and solver.dissipation by name;
-# the rows of a run (lockstep) call energy.lyapunov and the term helpers
+# the rows of a run (lockstep) call the term helpers
 from .energy import dissipation, lyapunov  # noqa: F401
 from .errors import ConfigError, DomainError, KsfvError, NumericsError, ScanAbortedError
 from .nonlin import (
@@ -383,10 +387,16 @@ class _Side:
     the gradients' one difference; u, v, and ul, ur: u's cells left and right
     of each interior face; u_new, v_new, f_u: the rows the step writes;
     checks: their (u, v) as (2B, cells) rows, u of each run then v of each;
-    sums: their (u, v, f) as a (3, B, cells) stack.
+    sums: their (u, v, f) as a (3, B, cells) stack. The side owns the face
+    gradients of buffer p's (u, v), which _Kernel.gradients(p) writes
+    (module docstring, "Buffers"): grad, their read-only (2, B*cells + 1)
+    view, dvf v's row of it, du_in and dv_in the interior faces'.
     """
 
-    __slots__ = ("lo", "hi", "u", "v", "ul", "ur", "u_new", "v_new", "f_u", "checks", "sums")
+    __slots__ = (
+        "lo", "hi", "u", "v", "ul", "ur", "u_new", "v_new", "f_u", "checks", "sums", "grad",
+        "g_in", "g_ends", "dvf", "dvf_l", "dvf_r", "du_in", "dv_in",
+    )
 
     def __init__(self, buf: np.ndarray, p: int, B: int):
         flat = buf[p, :2].reshape(-1)
@@ -397,6 +407,16 @@ class _Side:
         self.u_new, self.v_new, self.f_u = new
         self.checks = new[:2].reshape(2 * B, -1)
         self.sums = new.reshape(3, B, -1)
+        n = len(self.u) // B
+        m = B * n + 1
+        g = np.zeros(2 * m - 1)
+        self.grad = np.ndarray((2, m), buffer=g, strides=(g.itemsize * (m - 1), g.itemsize))
+        self.grad.flags.writeable = False
+        # the differences, and the faces across the end of a run or a field
+        self.g_in, self.g_ends = g[1:-1], g[::n]
+        self.dvf = dvf = g[m - 1:]
+        self.dvf_l, self.dvf_r = dvf[:-1], dvf[1:]
+        self.du_in, self.dv_in = g[1:m - 1], g[m:-1]
 
 
 class _Kernel:
@@ -410,12 +430,11 @@ class _Kernel:
     block of consecutive runs with equal _Model.phi_key, psi and the drift
     slope once per block with equal psi_key; f and dt are per run, and the v
     solves are one _Tridiag.solve. A step from buffer par calls
-    gradients(par), then dt_bound and advance with the views of sides[par],
-    which read those gradients (grad, with the views dvf of v's row and
-    du_in, dv_in of the interior faces); advance leaves the face mobility
-    phi(u_face) in mob. Every view and scratch array a step uses is bound
-    when the kernel is built. Its methods take validated float arrays and do
-    no domain checks.
+    gradients(par), which selects sides[par] (side) and writes its face
+    gradients; dt_bound and advance then read that side's state, gradients
+    and f row, and advance leaves the face mobility phi(u_face) in mob. Every
+    view and scratch array a step uses is bound when the kernel is built. Its
+    methods take validated float arrays and do no domain checks.
     """
 
     def __init__(self, grid: Grid, models: Sequence[_Model]):
@@ -440,18 +459,7 @@ class _Kernel:
             self.phi = partial(_by_block, self._phi_blocks, "phi")
         if len(self._psi_blocks) > 1:
             self.psi = partial(_by_block, self._psi_blocks, "psi")
-        # the face gradients of u and v in one flat buffer, u's faces then v's,
-        # where u's last face is v's first: m = B*n + 1 faces each, 2m - 1 in
-        # all. grad is a read-only (2, m) view of it whose rows overlap there
-        m = B * n + 1
-        g = np.zeros(2 * m - 1)
-        self.grad = np.ndarray((2, m), buffer=g, strides=(g.itemsize * (m - 1), g.itemsize))
-        self.grad.flags.writeable = False
-        # the differences, and the faces across the end of a run or a field
-        self._g_in, self._g_ends = g[1:-1], g[::n]
-        self.dvf = dvf = g[m - 1:]
-        self._dvf_l, self._dvf_r = dvf[:-1], dvf[1:]
-        self.du_in, self.dv_in = g[1:m - 1], g[m:-1]
+        m = B * n + 1  # the faces of all the runs
         self._flux = np.zeros(m)
         self._flux_in = self._flux[1:-1]
         self._flux_seams = self._flux_in[n - 1::n]  # the interior faces between two runs
@@ -459,7 +467,7 @@ class _Kernel:
         self.mob: Optional[np.ndarray] = None
         self.buf = np.zeros((2, 3, B * n))
         self.sides = (_Side(self.buf, 0, B), _Side(self.buf, 1, B))
-        self._side = self.sides[0]  # the side of the last gradients() call
+        self.side = self.sides[0]  # the side of the last gradients() call
         self.failed: Sequence[Tuple[int, NumericsError]] = ()  # the runs whose last v solve failed
 
     def cells(self, k: int) -> slice:
@@ -485,19 +493,19 @@ class _Kernel:
         return np.maximum.reduce(x.reshape(-1, self.n), axis=1).tolist()
 
     def gradients(self, par: int) -> None:
-        """Set self.grad to the face gradients of buffer par's (u, v), each run's grad_faces.
+        """Select sides[par] and set its grad to the face gradients of buffer par's (u, v).
 
-        Bitwise. One difference over the state flattened, u's cells then v's,
-        takes every face of every run; the faces it takes across the end of a
-        run, between u and v included, are every n-th face (n cells a run),
-        and one strided fill makes them boundary faces again. It comes before
-        the division, so that no difference across an end can overflow there
-        (0.0/h is +0.0). Selects sides[par] for advance.
+        Each run's are its grad_faces, bitwise. One difference over the state
+        flattened, u's cells then v's, takes every face of every run; the
+        faces it takes across the end of a run, between u and v included, are
+        every n-th face (n cells a run), and one strided fill makes them
+        boundary faces again. It comes before the division, so that no
+        difference across an end can overflow there (0.0/h is +0.0).
         """
-        side = self._side = self.sides[par]
-        inner = self._g_in
+        side = self.side = self.sides[par]
+        inner = side.g_in
         np.subtract(side.hi, side.lo, inner)
-        self._g_ends.fill(0.0)
+        side.g_ends.fill(0.0)
         np.divide(inner, self.h, inner)
 
     def load(self, s) -> _Side:
@@ -515,7 +523,7 @@ class _Kernel:
         # donor-respecting drift rate: cell i loses mass across its left face
         # only when the drift there points left, across its right face only
         # when it points right; the positivity bound needs exactly those terms.
-        left, right = self._dvf_l, self._dvf_r
+        left, right = self.side.dvf_l, self.side.dvf_r
         geom_dv = self.adv_l * np.maximum(-left, 0.0) + self.adv_r * np.maximum(right, 0.0)
         if len(self._psi_blocks) == 1:
             m = self.models[0]
@@ -543,15 +551,15 @@ class _Kernel:
             return m.slope_c * g
         return m.slope_c * (_pow(m.umax, m.slope_exp) * m.adv_slack + _TINY) * g
 
-    def dt_bound(self, u: np.ndarray) -> List[float]:
-        """Each run's cfl / max(diffusive, advective, reaction rate) at u, after gradients().
+    def dt_bound(self) -> List[float]:
+        """Each run's cfl / max(diffusive, advective, reaction rate) on the side of gradients().
 
         Each model's umax, v_range and cfl are read. The drift rate goes first
         if it limited any run's last dt, else the diffusion rate; the other
         one is skipped as 0.0 when every run's bound of it is at most the max
         of that run's rates already computed, which leaves each max as it is.
         """
-        models = self.models
+        models, u = self.models, self.side.u
         if self.B == 1:
             # the same rule, on scalars: one run does the work it does alone.
             # With the general path at B = 1, damped's run took 20.0-20.1 us
@@ -593,31 +601,19 @@ class _Kernel:
             out.append(m.cfl / (max(d, a, r) + _RATE_GUARD))
         return out
 
-    def advance(
-        self,
-        u: np.ndarray,
-        v: np.ndarray,
-        u_new: np.ndarray,
-        v_new: np.ndarray,
-        dt,
-        f_u: np.ndarray,
-    ) -> None:
-        """One IMEX update of (u, v) into (u_new, v_new), after gradients(par), with f_u = f(u).
+    def advance(self, dt) -> None:
+        """One IMEX update of the side of gradients(): its (u, v) into its (u_new, v_new).
 
-        u, v, u_new, v_new and f_u are the rows of sides[par], whose ul and ur
-        the flux reads; u and v must be those very arrays (ValueError if not),
-        so that the flux and the update read one state. dt is the list of
-        each run's step, or a lone run's step as a number. The v solves run
-        in place in v_new, with the per-cell dt the u update uses. A run whose
-        solve fails is listed in failed with its error, and the other runs go
-        on. No validation: callers check the result for finiteness and
-        positivity.
+        The side's f_u must hold f(u). dt is the list of each run's step, or a
+        lone run's step as a number. The v solves run in place in v_new, with
+        the per-cell dt the u update uses. A run whose solve fails is listed
+        in failed with its error, and the other runs go on. No validation:
+        callers check the result for finiteness and positivity.
         """
-        side = self._side
-        if u is not side.u or v is not side.v:
-            raise ValueError("advance: u and v must be the rows of the side of gradients()")
+        side = self.side
+        u, v, u_new, v_new = side.u, side.v, side.u_new, side.v_new
         self.mob = interior_flux(
-            self._flux_in, side.ul, side.ur, self.du_in, self.dv_in, self.phi, self.psi
+            self._flux_in, side.ul, side.ur, side.du_in, side.dv_in, self.phi, self.psi
         )
         if self.B == 1:
             # a scalar dt: no per-cell dt array. With the per-cell dt (and
@@ -632,7 +628,7 @@ class _Kernel:
             dt_cells = dt.repeat(self.n)
         # u + dt * (div + f_u) and v + dt * u_new, in the order of those expressions
         div_cells(self._flux, self._geom, u_new, self._af)
-        np.add(u_new, f_u, u_new)
+        np.add(u_new, side.f_u, u_new)
         np.multiply(dt_cells, u_new, u_new)
         np.add(u, u_new, u_new)
         np.multiply(dt_cells, u_new, v_new)
@@ -822,7 +818,8 @@ def cfl_dt(
     m.v_range = float(np.maximum.reduce(v)) - float(np.minimum.reduce(v))
     m.cfl = cfl
     kern = _Kernel(grid, [m])
-    return kern.dt_bound(kern.load((u, v)).u)[0]
+    kern.load((u, v))
+    return kern.dt_bound()[0]
 
 
 def step(
@@ -843,8 +840,9 @@ def step(
     m = _Model(p, ov)
     kern = _Kernel(grid, [m])
     side = kern.load((u, v))
+    m.f(side.u, None, side.f_u)
+    kern.advance(dt)
     u_new, v_new = side.u_new, side.v_new
-    kern.advance(side.u, side.v, u_new, v_new, dt, m.f(side.u, None, side.f_u))
     if kern.failed:
         raise kern.failed[0][1]
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):

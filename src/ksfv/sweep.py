@@ -346,10 +346,12 @@ def sweep_heatmap(spec: SweepSpec, rows: Sequence[SweepRow]):
     if len(spec.axes) < 2:
         return None
     (xname, xvals), (yname, yvals) = spec.axes[0], spec.axes[1]
+    # a run's cell is its position in the axis product (run_sweep's run ids),
+    # not its values, which may repeat along an axis
+    inner = math.prod(len(values) for _, values in spec.axes[2:])
     labels = {}
     for r in rows:
-        i = xvals.index(r.point[xname])
-        j = yvals.index(r.point[yname])
+        i, j = divmod(r.run_id // inner, len(yvals))
         labels[(i, j)] = r.classification  # last write wins on collapsed axes
     return heatmap_svg(
         xvals, yvals, labels, "sweep classification", xname, yname

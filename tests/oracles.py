@@ -131,12 +131,12 @@ def poisoned_advance(fail_after: Dict[float, int]):
 
     real = solver_mod._Kernel.advance
 
-    def advance(self, u, v, u_new, v_new, *args):
-        real(self, u, v, u_new, v_new, *args)
+    def advance(self, dt):
+        real(self, dt)
         for k, m in enumerate(self.models):
             after = fail_after.get(m.cap)
             if after is not None and m.steps + 1 >= after:
-                u_new[self.cells(k)][0] = np.nan
+                self.side.u_new[self.cells(k)][0] = np.nan
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_mod._Kernel, "advance", advance)

@@ -439,10 +439,11 @@ def test_run_rows_are_lyapunov_and_dissipation_bitwise(monkeypatch, ov):
     steps = []  # (state before, state after, dt) of every step
     real = solver_mod._Kernel.advance
 
-    def recording(self, u, v, u_new, v_new, dts, f_u):
-        real(self, u, v, u_new, v_new, dts, f_u)
+    def recording(self, dts):
+        real(self, dts)
         (dt,) = dts  # the march passes each run's step: this run's alone
-        steps.append(((u.copy(), v.copy()), (u_new.copy(), v_new.copy()), dt))
+        side = self.side
+        steps.append(((side.u.copy(), side.v.copy()), (side.u_new.copy(), side.v_new.copy()), dt))
 
     monkeypatch.setattr(solver_mod._Kernel, "advance", recording)
     dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 15)

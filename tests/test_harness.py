@@ -2,6 +2,7 @@ import dataclasses
 import glob
 import hashlib
 import inspect
+import itertools
 import math
 import multiprocessing
 import os
@@ -217,6 +218,34 @@ def test_chart_and_sweep_csv_bytes_are_golden():
         SweepRow(1, {"beta": 2.5, "kappa": 3.0}, ERROR, "ConfigError", nan, nan, nan, nan),
     ]
     assert _sha(sweep_csv(spec, rows)) == "578cdb31b56d3716a847fc7c0ebe0a8ce430109314e60efcae5c85e6128fa60f"
+
+
+def test_sweep_heatmap_places_each_run_by_its_run_id():
+    # a value may repeat along an axis: kappa = 2,2 is two runs in two cells.
+    # Placed by the index of its value, each run fell into the first cell,
+    # and the second was drawn grey, Inconclusive, for no run at all
+    def svg(axes, classes):
+        spec = SweepSpec(axes=axes, base={})
+        values = itertools.product(*(v for _, v in axes))
+        names = [name for name, _ in axes]
+        rows = [
+            SweepRow(k, dict(zip(names, combo)), c, "Completed", 1.0, 1.0, 1.0, 0.0)
+            for k, (combo, c) in enumerate(zip(values, classes))
+        ]
+        return sweep_heatmap(spec, rows)
+
+    two = svg([("kappa", [2.0, 2.0]), ("beta", [1.0])], [GLOBAL, GLOBAL])
+    assert two.count(_CLASS_COLORS[GLOBAL]) == 3  # both cells and the legend entry
+    assert two.count(_CLASS_COLORS[INCONCLUSIVE]) == 1  # the legend entry alone
+    # a third axis collapses onto the first two: its last run fills the cell
+    three = svg(
+        [("kappa", [2.0, 2.0]), ("beta", [1.0]), ("eps", [0.01, 0.02])],
+        [ERROR, BLOWUP, ERROR, GLOBAL],
+    )
+    assert three.count(_CLASS_COLORS[BLOWUP]) == 2
+    assert three.count(_CLASS_COLORS[GLOBAL]) == 2
+    assert three.count(_CLASS_COLORS[ERROR]) == 1
+    assert three.count(_CLASS_COLORS[INCONCLUSIVE]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -332,8 +332,8 @@ def _kernel_dt(kern, u, v, lead_drift, cfl=0.4):
     (m,) = kern.models
     m.lead_drift = lead_drift
     m.umax, m.v_range, m.cfl = float(u.max()), float(v.max()) - float(v.min()), cfl
-    side = kern.load(np.stack((u, v)))
-    return kern.dt_bound(side.u)[0]
+    kern.load(np.stack((u, v)))
+    return kern.dt_bound()[0]
 
 
 def _bisect(pred, lo, hi):
@@ -433,20 +433,20 @@ def _run_ending(cfg, tables, end, after):
         if end == Termination.DT_UNDERFLOW:
             real_bound = solver_mod._Kernel.dt_bound
 
-            def dt_bound(self, *args):
+            def dt_bound(self):
                 calls.append(1)
-                bounds = real_bound(self, *args)
+                bounds = real_bound(self)
                 return bounds if len(calls) <= after else [0.0] * len(bounds)
 
             mp.setattr(solver_mod._Kernel, "dt_bound", dt_bound)
         elif end == Termination.NUMERICAL_FAILURE:
             real_advance = solver_mod._Kernel.advance
 
-            def advance(self, u, v, u_new, v_new, *args):
-                real_advance(self, u, v, u_new, v_new, *args)
+            def advance(self, dt):
+                real_advance(self, dt)
                 calls.append(1)
                 if len(calls) > after:
-                    u_new[0] = np.nan
+                    self.side.u_new[0] = np.nan
 
             mp.setattr(solver_mod._Kernel, "advance", advance)
         return run(cfg, tables=tables)
@@ -556,8 +556,8 @@ def test_lockstep_dt_bound_is_each_runs_unpruned_max_bitwise(data):
                 m.umax, m.v_range, m.cfl = float(u.max()), float(vv.max()) - float(vv.min()), 0.4
                 states.append(np.stack((u, vv)))
             s = np.concatenate(states, axis=1)
-            side = kern.load(s)
-            for k, dt in zip(ranked, kern.dt_bound(side.u)):
+            kern.load(s)
+            for k, dt in zip(ranked, kern.dt_bound()):
                 _, p, u, v, ov_name = cases[k]
                 ov = PRUNE_OVERRIDES[ov_name]
                 assert dt == _reference_dt(u, scales[k] * v, g, p, ov, 0.4)

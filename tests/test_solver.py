@@ -270,7 +270,7 @@ def test_run_computes_each_rows_energy_once(monkeypatch):
     # diag_every = 1: every step emits a row, and the next step's F_prev is
     # that row's F, so F is evaluated once per row rather than twice per step.
     # The step rows call lockstep's lyapunov_terms on a block of states, the
-    # initial row energy.lyapunov, which calls energy's on one state: count
+    # initial row on one state; energy.lyapunov would call energy's: count
     # the states
     import ksfv.energy as energy_mod
     import ksfv.lockstep as lockstep_mod
@@ -796,7 +796,10 @@ def test_lockstep_isolates_a_failing_run_and_a_raising_run(monkeypatch):
     completing = [config(1.0, 2.0), config(2.0, 3.0), config(3.0, 2.5)]
     # nan in this run's density from its 4th step on, and nowhere else
     poisoned = dataclasses.replace(config(2.0, 4.0, "NumericalFailure"), blowup_cap=3e8)
-    raising = config(1.5, 3.0)  # its table refuses its rows' third walk
+    # f = -3e4 u^2 drives u down from below s0, so that each of its rows
+    # walks its table further down; its table refuses the third walk, mid-run
+    decaying = ksfv.ModelParams(alpha=1.0, beta=1.5, kappa=2.0, a=0.0, b=3e4, eps=0.01)
+    raising = ending_config(dom, decaying, 0.5, "Completed", diag_every=3)
     walks = []
     real_covering = FunctionalTable.covering
 
@@ -815,7 +818,7 @@ def test_lockstep_isolates_a_failing_run_and_a_raising_run(monkeypatch):
         walks.clear()
         with pytest.raises(DivergenceError) as raised:
             run(raising)
-    assert len(walks) == 3  # the third row's walk raised, mid-run
+    assert len(walks) == 3  # the third walk raised, mid-run
     for k, res in enumerate(alone):
         assert result_bytes(together[k]) == result_bytes(res)
     assert [res.termination.tag for res in alone] == [Termination.COMPLETED] * 3 + [
@@ -931,38 +934,20 @@ def test_lockstep_faces_between_runs_are_boundary_faces():
     kern = _Kernel(g, models)
     with np.errstate(all="ignore"):  # as in a run's step loop
         side = kern.load(np.concatenate(states, axis=1))
-        assert np.all(kern.grad[:, 16::16] == 0.0)
-        dts = kern.dt_bound(side.u)
-        f_u = np.concatenate([m.f(x[0]) for m, x in zip(models, states)])
-        kern.advance(side.u, side.v, side.u_new, side.v_new, [1e-9] * 3, f_u)
+        assert np.all(side.grad[:, 16::16] == 0.0)
+        dts = kern.dt_bound()
+        side.f_u[...] = np.concatenate([m.f(x[0]) for m, x in zip(models, states)])
+        kern.advance([1e-9] * 3)
         new = np.stack((side.u_new, side.v_new))
         for k, (m, x) in enumerate(zip(models, states)):
             m.lead_drift = False
             alone = _Kernel(g, [m])
             one = alone.load(x)
-            assert dts[k] == alone.dt_bound(one.u)[0]
-            alone.advance(one.u, one.v, one.u_new, one.v_new, 1e-9, m.f(x[0]))
+            assert dts[k] == alone.dt_bound()[0]
+            one.f_u[...] = m.f(x[0])
+            alone.advance(1e-9)
             y = np.stack((one.u_new, one.v_new))
             assert new[:, kern.cells(k)].tobytes() == y.tobytes()
-
-
-def test_advance_refuses_rows_other_than_the_gradients_side():
-    # the flux reads the face neighbours of the side that gradients() chose,
-    # and the update the u and v passed: two states must not mix silently
-    from ksfv.solver import _Kernel, _Model
-
-    g = ksfv.make_grid(ksfv.DomainSpec(ksfv.INTERVAL, 1.0, 1, 8))
-    p = ksfv.ModelParams(alpha=1.0, beta=1.0, kappa=2.0, a=0.5, eps=0.01)
-    m = _Model(p, None)
-    kern = _Kernel(g, [m])
-    side = kern.load(np.ones((2, 8)))
-    f_u = m.f(side.u)
-    other = kern.sides[1]
-    for u, v in ((side.u.copy(), side.v), (side.u, side.v.copy()), (other.u, other.v)):
-        with pytest.raises(ValueError, match="side of gradients"):
-            kern.advance(u, v, side.u_new, side.v_new, 1e-6, f_u)
-    kern.advance(side.u, side.v, side.u_new, side.v_new, 1e-6, f_u)
-    assert np.all(np.isfinite(side.u_new)) and np.all(np.isfinite(side.v_new))
 
 
 @pytest.mark.parametrize("kind", [ksfv.INTERVAL, ksfv.BALL])
@@ -978,15 +963,15 @@ def test_lockstep_gradients_are_each_runs_grad_faces_bitwise(kind, B):
     # magnitudes from 1e-3 to 1e3, so that every face across a run's end differs
     runs = [10.0 ** rng.uniform(-3.0, 3.0, (2, n)) for _ in range(B)]
     kern = _Kernel(g, [_Model(ksfv.ModelParams(), None) for _ in runs])
-    kern.load(np.concatenate(runs, axis=1))
+    side = kern.load(np.concatenate(runs, axis=1))
     for k, (u, v) in enumerate(runs):
         du, dv = grad_faces(u, g), grad_faces(v, g)
-        assert kern.du_in[kern.inner(k)].tobytes() == du[1:-1].tobytes()
-        assert kern.dv_in[kern.inner(k)].tobytes() == dv[1:-1].tobytes()
+        assert side.du_in[kern.inner(k)].tobytes() == du[1:-1].tobytes()
+        assert side.dv_in[kern.inner(k)].tobytes() == dv[1:-1].tobytes()
         faces = slice(k * n, (k + 1) * n + 1)
-        assert kern.dvf[faces].tobytes() == dv.tobytes()
-        assert kern.grad[0, faces].tobytes() == du.tobytes()
-    ends = kern.grad[:, ::n]  # every boundary face and every face between two runs
+        assert side.dvf[faces].tobytes() == dv.tobytes()
+        assert side.grad[0, faces].tobytes() == du.tobytes()
+    ends = side.grad[:, ::n]  # every boundary face and every face between two runs
     assert ends.shape == (2, B + 1)
     assert ends.tobytes() == np.zeros((2, B + 1)).tobytes()  # +0.0, not -0.0
 
@@ -1097,9 +1082,9 @@ def test_block_solve_is_each_runs_own_dgtsv_bitwise(monkeypatch):
 
 
 def test_lockstep_underflow_row_after_a_retile_is_its_solo_row():
-    # run 1 completes on the step just before run 0's DtUnderflow, so the
-    # march is retiled between them; run 0's last row is its last step's own
-    # and takes that step's f(u), written into the buffers the retile replaced
+    # run 1 completes on run 0's last step, the step after which run 0's dt
+    # underflows, so both end on that step and the march is retiled after
+    # it; run 0's last row is its last step's own and takes that step's f(u)
     import dataclasses
 
     from oracles import ending_config, march, result_bytes
@@ -1121,6 +1106,31 @@ def test_lockstep_underflow_row_after_a_retile_is_its_solo_row():
     together = march([(k, cfg, None, TableCache()) for k, cfg in enumerate(runs)], len(runs))
     for k, res in enumerate(solo):
         assert result_bytes(together[k]) == result_bytes(res)
+
+
+def test_run_whose_first_dt_underflows_ends_on_its_initial_row():
+    # dt_min above the first CFL step: the run ends DtUnderflow at t = 0,
+    # after 0 steps, on its initial row, before anything is advanced. Alone,
+    # and beside a completing run whether it starts with that run or before
+    # it, each run is bitwise its solo run
+    from oracles import ending_config, march, result_bytes
+
+    dom = ksfv.DomainSpec(ksfv.BALL, 1.0, 2, 24)
+    p = ksfv.ModelParams(alpha=1.0, beta=2.0, kappa=3.0, a=0.5, eps=0.01)
+    completing = ending_config(dom, p, 1.0, "Completed", diag_every=3)
+    dt0 = completing.dt_max  # its first CFL step
+    stopped = dataclasses.replace(completing, dt_max=4.0 * dt0, dt_min=2.0 * dt0)
+    solo = [run(stopped), run(completing)]
+    alone = solo[0]
+    assert alone.termination.tag == Termination.DT_UNDERFLOW
+    assert alone.termination.t_final == 0.0 and alone.steps == 0 and len(alone.rows) == 1
+    assert alone.final_state.u.tobytes() == stopped.u0.tobytes()
+    assert solo[1].termination.tag == Termination.COMPLETED and solo[1].steps > 0
+    for order, first in (((0, 1), 2), ((1, 0), 2), ((0, 1), 1)):
+        runs = [(k, (stopped, completing)[k], None, TableCache()) for k in order]
+        together = march(runs, first)
+        for k, res in enumerate(solo):
+            assert result_bytes(together[k]) == result_bytes(res)
 
 
 def test_lockstep_runs_carried_over_retiles_are_their_solo_runs(monkeypatch):
