@@ -203,6 +203,18 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
     return float(np.dot(values, grid.cell_volume))
 
 
+def frozen(x: float) -> np.ndarray:
+    """x as a read-only 0-d float64 array, a ufunc operand bound once.
+
+    numpy converts a Python-float operand on every ufunc call and takes a 0-d
+    array as it is. +, -, *, /, min, max and the comparisons are correctly
+    rounded, so a result is bitwise the one with the Python float.
+    """
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def linf(values: np.ndarray) -> float:
     """Max-norm of a cell field."""
     return float(np.max(np.abs(values)))

@@ -15,7 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Grid
+from .core import Grid, frozen
+
+# interior_flux's constants, bound as 0-d operands (core.frozen)
+_HALF, _ZERO = frozen(0.5), frozen(0.0)
 
 
 def grad_faces(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -57,8 +60,8 @@ def interior_flux(
     arithmetic mean and the donor is the upwind cell of dv. It does no domain
     check: callers validate u >= 0 at their API boundary.
     """
-    mob = phi(0.5 * (ur + ul))
-    donor = np.where(dv > 0.0, ul, ur)
+    mob = phi(_HALF * (ur + ul))
+    donor = np.where(dv > _ZERO, ul, ur)
     np.subtract(mob * du, psi(donor) * dv, out)
     return mob
 

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, frozen
 from .errors import (
     DivergenceError,
     DomainError,
@@ -48,47 +48,62 @@ def _check_nonneg(u, what: str):
 
 # Each nonlinearity has one formula, in a check-free private form that the
 # solver kernel calls on float arrays it has already validated; the public
-# function checks the domain and wraps it.
+# function checks the domain and wraps it. The private forms take their
+# constants as arguments: the public functions pass p's floats, the effective
+# closures (effective_*) 0-d arrays bound once. Exponents stay floats
+# (effective_phi).
+
+# the constants of _cut_off and _rise, bound as 0-d operands (core.frozen)
+_ZERO, _ONE, _MINUS_ONE = frozen(0.0), frozen(1.0), frozen(-1.0)
+_RISE_LO, _RISE_HI = frozen(1e-12), frozen(1.0 - 1e-12)
 
 
-def _diffusivity_reg(u: np.ndarray, p: ModelParams) -> np.ndarray:
-    return np.log1p(u + p.eps) ** p.alpha
+def _diffusivity_reg(u: np.ndarray, eps, alpha: float) -> np.ndarray:
+    return np.log1p(u + eps) ** alpha
 
 
-def _sensitivity(u: np.ndarray, p: ModelParams) -> np.ndarray:
-    return p.psi_c * u ** p.beta
+def _sensitivity(u: np.ndarray, psi_c, beta: float) -> np.ndarray:
+    return psi_c * u ** beta
 
 
-def _growth(u: np.ndarray, p: ModelParams, out=None) -> np.ndarray:
-    return np.subtract(p.a, p.b * u ** p.kappa, out)
+def _growth(u: np.ndarray, a, b, kappa: float, out=None) -> np.ndarray:
+    return np.subtract(a, b * u ** kappa, out)
 
 
-def _cut_off(f: np.ndarray, u: np.ndarray, p: ModelParams) -> np.ndarray:
+def _thresholds(eps: float) -> Tuple[float, float, float]:
+    """_cut_off's thresholds lo = 1/(2 eps) and hi = 1/eps, and hi - lo.
+
+    Both are inf at eps = 0, where nothing is cut.
+    """
+    lo, hi = (1.0 / (2.0 * eps), 1.0 / eps) if eps > 0.0 else (math.inf, math.inf)
+    return lo, hi, hi - lo
+
+
+def _cut_off(f: np.ndarray, u: np.ndarray, cut) -> np.ndarray:
     """Multiply f = growth(u) by the cutoff in place, only where it is below 1.
 
-    The saturated cells, u >= 1/eps, are multiplied by 0.0 in place under a
-    mask, with no gather; only the band between the thresholds, usually
-    empty, is gathered to evaluate the window.
+    cut is _thresholds(eps), as floats or as 0-d arrays. The saturated
+    cells, u >= hi, are multiplied by 0.0 in place under a mask, with no
+    gather; only the band between the thresholds, usually empty, is gathered
+    to evaluate the window.
     """
-    if p.eps > 0.0:
-        # smooth_step is exactly 0 at or below its threshold, so the window is
-        # exactly 1 on u <= 1/(2 eps) and multiplying by it there changes nothing
-        lo = 1.0 / (2.0 * p.eps)
-        hot = u > lo
-        n_hot = np.count_nonzero(hot)
-        if n_hot:
-            # the window 1 - smooth_step((u - lo)/(hi - lo)) on the hot
-            # cells, without smooth_step's x <= 0 branch, x > 0 on every
-            # hot cell. On u >= 1/eps, x >= 1 and _rise is exactly 1.0, so
-            # the window there is exactly 0.0
-            hi = 1.0 / p.eps
-            saturated = u >= hi
-            np.multiply(f, 0.0, out=f, where=saturated)
-            # hi > lo, so every saturated cell is hot, and the band is
-            # the hot cells that are not saturated: hot xor saturated
-            if np.count_nonzero(saturated) < n_hot:
-                band = np.logical_xor(hot, saturated)
-                f[band] *= 1.0 - _rise((u[band] - lo) / (hi - lo))
+    lo, hi, width = cut
+    # smooth_step is exactly 0 at or below its threshold, so the window is
+    # exactly 1 on u <= lo and multiplying by it there changes nothing
+    hot = u > lo
+    n_hot = np.count_nonzero(hot)
+    if n_hot:
+        # the window 1 - smooth_step((u - lo)/(hi - lo)) on the hot cells,
+        # without smooth_step's x <= 0 branch, x > 0 on every hot cell. On
+        # u >= hi, x >= 1 and _rise is exactly 1.0, so the window there is
+        # exactly 0.0
+        saturated = u >= hi
+        np.multiply(f, _ZERO, out=f, where=saturated)
+        # hi > lo, so every saturated cell is hot, and the band is the hot
+        # cells that are not saturated: hot xor saturated
+        if np.count_nonzero(saturated) < n_hot:
+            band = np.logical_xor(hot, saturated)
+            f[band] *= _ONE - _rise((u[band] - lo) / width)
     return f
 
 
@@ -101,19 +116,19 @@ def diffusivity(u, p: ModelParams):
 def diffusivity_reg(u, p: ModelParams):
     """ln^alpha(1+u+eps); strictly positive for eps > 0, equals diffusivity at eps = 0."""
     _check_nonneg(u, "diffusivity_reg")
-    return _diffusivity_reg(np.asarray(u, dtype=float), p)
+    return _diffusivity_reg(np.asarray(u, dtype=float), p.eps, p.alpha)
 
 
 def sensitivity(u, p: ModelParams):
     """psi_c * u^beta; the drift mobility of the density."""
     _check_nonneg(u, "sensitivity")
-    return _sensitivity(np.asarray(u, dtype=float), p)
+    return _sensitivity(np.asarray(u, dtype=float), p.psi_c, p.beta)
 
 
 def growth(u, p: ModelParams):
     """Upper-envelope growth term a - b*u^kappa (set a=0 for the lower envelope)."""
     _check_nonneg(u, "growth")
-    return _growth(np.asarray(u, dtype=float), p)
+    return _growth(np.asarray(u, dtype=float), p.a, p.b, p.kappa)
 
 
 def _rise(x: np.ndarray) -> np.ndarray:
@@ -122,9 +137,9 @@ def _rise(x: np.ndarray) -> np.ndarray:
     On x >= 1 the clamp gives xc = 1 - 1e-12, where g1 = exp(-1e12) is 0.0
     and the quotient is exactly 1.0.
     """
-    xc = np.minimum(np.maximum(x, 1e-12), 1.0 - 1e-12)
-    g0 = np.exp(-1.0 / xc)
-    g1 = np.exp(-1.0 / (1.0 - xc))
+    xc = np.minimum(np.maximum(x, _RISE_LO), _RISE_HI)
+    g0 = np.exp(_MINUS_ONE / xc)
+    g1 = np.exp(_MINUS_ONE / (_ONE - xc))
     return g0 / (g0 + g1)
 
 
@@ -144,7 +159,8 @@ def growth_reg(u, p: ModelParams):
     _check_nonneg(u, "growth_reg")
     u = np.asarray(u, dtype=float)
     flat = u.reshape(-1)
-    return _cut_off(_growth(flat, p), flat, p).reshape(u.shape)
+    f = _growth(flat, p.a, p.b, p.kappa)
+    return _cut_off(f, flat, _thresholds(p.eps)).reshape(u.shape)
 
 
 def damping_is_weak(p: ModelParams, n: int) -> bool:
@@ -755,28 +771,43 @@ class Overrides:
 # at their own API boundary, and pass 1-D float arrays. Each closure folds the
 # exact identities of its parameters once, where it is built (x ** 1.0 = x,
 # 1.0 * x = x, so psi(u) = u at psi_c = beta = 1), and returns bitwise what
-# the unfolded formula returns. No caller writes into a result, so a closure
-# may return its argument itself.
+# the unfolded formula returns. Each binds its other constants once, as 0-d
+# arrays (core.frozen), so that no ufunc call converts a Python float; its
+# exponents stay floats, from which numpy picks its square and sqrt fast
+# paths. No caller writes into a result, so a closure may return its
+# argument itself.
 
 
 def effective_phi(p: ModelParams, ov: Optional[Overrides]):
+    """phi(u) = ln^alpha(1 + u + eps), with eps bound as a 0-d array.
+
+    alpha stays a float, the operand from which numpy picks its square and
+    sqrt fast paths: a per-cell exponent array changes bits, and a 0-d one
+    has no premise test.
+    """
     if ov is not None and ov.unit_phi:
         return np.ones_like
+    eps = frozen(p.eps)
     if p.alpha == 1.0:
-        eps = p.eps
         return lambda u: np.log1p(u + eps)  # ln^1 = ln
-    return lambda u: _diffusivity_reg(u, p)
+    alpha = p.alpha
+    return lambda u: _diffusivity_reg(u, eps, alpha)
 
 
 def effective_psi(p: ModelParams, ov: Optional[Overrides]):
+    """psi(u) = psi_c u^beta, with psi_c bound as a 0-d array.
+
+    beta stays a float, as effective_phi's alpha does.
+    """
     if ov is not None and ov.zero_psi:
         return np.zeros_like
     c, beta = p.psi_c, p.beta
-    if beta == 1.0:
-        return (lambda u: u) if c == 1.0 else (lambda u: c * u)
     if c == 1.0:
-        return lambda u: u ** beta
-    return lambda u: _sensitivity(u, p)
+        return (lambda u: u) if beta == 1.0 else (lambda u: u ** beta)
+    c = frozen(c)
+    if beta == 1.0:
+        return lambda u: c * u
+    return lambda u: _sensitivity(u, c, beta)
 
 
 def _zero_f(u, umax=None, out=None):
@@ -791,25 +822,31 @@ def effective_f(p: ModelParams, ov: Optional[Overrides]):
 
     f calls _cut_off only when umax is unknown or above 1/(2 eps), at or
     below which the window is exactly 1 (as it is everywhere at eps = 0).
+    a, b and _cut_off's thresholds are bound once as 0-d arrays; umax, a
+    float, is compared with the float threshold, and kappa stays a float, as
+    effective_phi's alpha does.
     """
     if ov is not None and ov.zero_f:
         return _zero_f
-    lo = 1.0 / (2.0 * p.eps) if p.eps > 0.0 else math.inf
+    lo, hi, width = _thresholds(p.eps)
+    cut = frozen(lo), frozen(hi), frozen(width)
+    a, kappa = frozen(p.a), p.kappa
     if p.b == 1.0:
-        a, kappa = p.a, p.kappa
 
         def f(u, umax=None, out=None):
             f_u = np.subtract(a, u ** kappa, out)
             if umax is None or umax > lo:
-                _cut_off(f_u, u, p)
+                _cut_off(f_u, u, cut)
             return f_u
 
         return f
 
+    b = frozen(p.b)
+
     def f(u, umax=None, out=None):
-        f_u = _growth(u, p, out)
+        f_u = _growth(u, a, b, kappa, out)
         if umax is None or umax > lo:
-            _cut_off(f_u, u, p)
+            _cut_off(f_u, u, cut)
         return f_u
 
     return f

@@ -105,9 +105,21 @@ and right of each face, the face gradients of the state, the next buffer's
 rows and its per-run views for the checks and the mass sums; and, in the
 kernel, the flux and its seams, and the face products of the divergence,
 which is written into the new u row. So a step slices, reshapes and
-allocates nothing of its own bookkeeping. When a run ends or joins, the
-runs left are tiled afresh into a new kernel, each keeping only its
-current (u, v), from which the march prepares the new kernel's first step.
+allocates nothing of its own bookkeeping. No ufunc call of a step takes a
+Python float, which numpy would convert on every call: each scalar operand
+is a 0-d float64 array bound once (core.frozen), read-only at module level
+(interior_flux's 0.5 and 0.0, _rate_drift's zeros, the v solves' 1.0 at
+B > 1), per kernel (the gradients' h), per model (the drift slope's
+constant) or per closure (eps, psi_c, a, b and the growth cut-off's
+thresholds, nonlin.effective_*); a lone run's dt and 1 + dt are 0-d arrays
+the kernel owns and writes on each advance. +, -, *, /, min, max and the
+comparisons are correctly rounded, so each result is bitwise the one with
+the float. The exponents of the powers stay floats, the operand from which
+numpy picks its square and sqrt fast paths: a per-cell exponent array
+changes bits, and a 0-d one has no premise test. When a run ends or
+joins, the runs left are tiled afresh into a new kernel, each keeping only
+its current (u, v), from which the march prepares the new kernel's first
+step.
 Only those buffers are ever solved in place: step() and cfl_dt() build a
 one-run kernel and copy the checked state into its buffer, and
 steady_signal() solves a copy, so they leave their inputs untouched. Each
@@ -154,6 +166,7 @@ from .core import (
     Grid,
     ModelParams,
     State,
+    frozen,
     linf,
     make_grid,
     validate_field,
@@ -228,6 +241,9 @@ def _slack(e: float) -> float:
 
 
 _GEOM_SLACK = _slack(0.0)  # the drift bound's geometric factor, which has no power
+
+# the step's constant operands, bound as 0-d arrays (core.frozen)
+_ZERO, _ONE = frozen(0.0), frozen(1.0)
 
 
 class Termination(enum.Enum):
@@ -331,7 +347,8 @@ class _Model:
     """
 
     __slots__ = (
-        "phi", "psi", "f", "slope_c", "slope_exp", "react_c", "react_exp", "eps", "alpha",
+        "phi", "psi", "f", "slope_c", "slope_op", "slope_exp", "react_c", "react_exp", "eps",
+        "alpha",
         "diff_slack", "adv_slack", "phi_key", "psi_key", "lead_drift", "umax", "v_range",
         "cfl",
     )
@@ -347,6 +364,7 @@ class _Model:
         # the constant psi_c*beta, and max(c*g) = c*max(g) exactly for c >= 0.
         # A zero psi or f has the exact slope 0, so its rate is 0.0.
         self.slope_c = 0.0 if zero_psi else p.psi_c * p.beta
+        self.slope_op = frozen(self.slope_c)  # slope_c as the drift rate's ufunc operand
         self.slope_exp = None if zero_psi or p.beta == 1.0 else p.beta - 1.0
         self.react_c = 0.0 if zero_f else p.b * p.kappa
         self.react_exp = 0.0 if zero_f else p.kappa - 1.0
@@ -433,7 +451,11 @@ class _Kernel:
     gradients(par), which selects sides[par] (side) and writes its face
     gradients; dt_bound and advance then read that side's state, gradients
     and f row, and advance leaves the face mobility phi(u_face) in mob. Every
-    view and scratch array a step uses is bound when the kernel is built. Its
+    view and scratch array a step uses is bound when the kernel is built, and
+    so is every scalar operand of its ufunc calls, as a 0-d array: h, which
+    the gradients divide by, and the _ZERO and _ONE of the module; at B = 1
+    advance writes dt and 1 + dt into the kernel's own 0-d _dt and _c. The
+    exponents of the powers stay floats (module docstring, "Buffers"). Its
     methods take validated float arrays and do no domain checks.
     """
 
@@ -445,6 +467,7 @@ class _Kernel:
         rates = grid.rate_geometry
         self.diff_geom, self._adv_geom = rates.diff_geom, rates.adv_geom
         self.h = grid.h
+        self._h = frozen(self.h)
         self._phi_blocks = self._blocks("phi_key")
         self._psi_blocks = self._blocks("psi_key")
         self.adv_l, self.adv_r = np.tile(rates.adv_l, B), np.tile(rates.adv_r, B)
@@ -465,6 +488,8 @@ class _Kernel:
         self._flux_seams = self._flux_in[n - 1::n]  # the interior faces between two runs
         self._af = np.empty(m)  # the face products A*F of div_cells
         self.mob: Optional[np.ndarray] = None
+        # a lone run's dt and 1 + dt, written by each advance (B = 1)
+        self._dt, self._c = np.zeros(()), np.zeros(())
         self.buf = np.zeros((2, 3, B * n))
         self.sides = (_Side(self.buf, 0, B), _Side(self.buf, 1, B))
         self.side = self.sides[0]  # the side of the last gradients() call
@@ -506,7 +531,7 @@ class _Kernel:
         inner = side.g_in
         np.subtract(side.hi, side.lo, inner)
         side.g_ends.fill(0.0)
-        np.divide(inner, self.h, inner)
+        np.divide(inner, self._h, inner)
 
     def load(self, s) -> _Side:
         """Copy the state s = (u, v) into buffer 0, take its gradients and return sides[0]."""
@@ -524,13 +549,13 @@ class _Kernel:
         # only when the drift there points left, across its right face only
         # when it points right; the positivity bound needs exactly those terms.
         left, right = self.side.dvf_l, self.side.dvf_r
-        geom_dv = self.adv_l * np.maximum(-left, 0.0) + self.adv_r * np.maximum(right, 0.0)
+        geom_dv = self.adv_l * np.maximum(-left, _ZERO) + self.adv_r * np.maximum(right, _ZERO)
         if len(self._psi_blocks) == 1:
             m = self.models[0]
             if m.slope_exp is None:
                 c = m.slope_c
                 return [c * x for x in self._rowmax(geom_dv)]
-            return self._rowmax(m.slope_c * u ** m.slope_exp * geom_dv)
+            return self._rowmax(m.slope_op * u ** m.slope_exp * geom_dv)
         # each block's slope into its cells; a constant slope c >= 0 there
         # gives max(c*g) = c*max(g) exactly
         slope = np.empty_like(u)
@@ -538,7 +563,7 @@ class _Kernel:
             if m.slope_exp is None:
                 slope[cells] = m.slope_c
             else:
-                np.multiply(m.slope_c, u[cells] ** m.slope_exp, slope[cells])
+                np.multiply(m.slope_op, u[cells] ** m.slope_exp, slope[cells])
         return self._rowmax(slope * geom_dv)
 
     def _bound_diff(self, m: _Model) -> float:
@@ -562,9 +587,10 @@ class _Kernel:
         models, u = self.models, self.side.u
         if self.B == 1:
             # the same rule, on scalars: one run does the work it does alone.
-            # With the general path at B = 1, damped's run took 20.0-20.1 us
-            # a step in process, not 18.5-19.0 (+6%), and aggregation's
-            # 34.5-34.7, not 33.5-34.2 (+3%, 2-vCPU Xeon)
+            # With the general path at B = 1, damped's run took 26.6-28.3 us
+            # a step in process, not 24.1-25.3 (median +11%), and
+            # aggregation's 46.2-50.2, not 42.5-49.2 (+7%; 2-vCPU Xeon, six
+            # alternations, each the min of 5 runs)
             m = models[0]
             umax = m.umax
             react = m.react_c * _pow(umax + m.eps, m.react_exp) if umax > 0.0 else 0.0
@@ -616,16 +642,21 @@ class _Kernel:
             self._flux_in, side.ul, side.ur, side.du_in, side.dv_in, self.phi, self.psi
         )
         if self.B == 1:
-            # a scalar dt: no per-cell dt array. With the per-cell dt (and
-            # _Tridiag's (2, cells) operands) at B = 1, damped's run took
-            # 19.7-20.1 us a step in process, not 18.5-19.0 (+5%), and
-            # aggregation's 35.0-35.4, not 33.5-34.2 (+4%, 2-vCPU Xeon)
-            dt_cells = dt = dt[0] if isinstance(dt, list) else dt
+            # a scalar dt, in the kernel's 0-d _dt and _c: no per-cell dt
+            # array. With the per-cell dt (and _Tridiag's (2, cells)
+            # operands) at B = 1, damped's run took 25.8-26.7 us a step in
+            # process, not 24.1-25.3 (median +6%), and aggregation's
+            # 45.9-53.1, not 42.5-49.2 (+8%; in the runs of dt_bound's
+            # figures)
+            dt = dt[0] if isinstance(dt, list) else dt
+            dt_cells, c = self._dt, self._c
+            dt_cells[()] = dt
+            c[()] = 1.0 + dt
         else:
             # after the flux formula, whose 0*inf there would be nan
             self._flux_seams.fill(0.0)
-            dt = np.array(dt)
-            dt_cells = dt.repeat(self.n)
+            dt_cells = np.array(dt).repeat(self.n)
+            c = _ONE + dt_cells
         # u + dt * (div + f_u) and v + dt * u_new, in the order of those expressions
         div_cells(self._flux, self._geom, u_new, self._af)
         np.add(u_new, side.f_u, u_new)
@@ -633,7 +664,7 @@ class _Kernel:
         np.add(u, u_new, u_new)
         np.multiply(dt_cells, u_new, v_new)
         np.add(v, v_new, v_new)
-        self.failed = self._tri.solve(1.0 + dt_cells, dt_cells, v_new)[1]
+        self.failed = self._tri.solve(c, dt_cells, v_new)[1]
 
 
 class _Tridiag:
@@ -668,7 +699,7 @@ class _Tridiag:
         self.lower, self.upper = coup[:runs * n], coup[runs * n:]
         self.sub, self.sup = self.lower[1:], self.upper[:-1]
         self.diag = np.empty(runs * n)
-        # one run's s is a number, and flat arrays are the cheaper operands;
+        # one run's s is a 0-d array, and flat arrays are the cheaper operands;
         # the per-cell s of several runs broadcasts over (2, B*cells)
         shape = (2, runs * n) if runs > 1 else (2 * n,)
         self._nt, self._vol, self._coup = (a.reshape(shape) for a in (nt, vol, coup))
@@ -693,9 +724,10 @@ class _Tridiag:
         saved = self._saved
         if saved is None:
             # one run: no saved copy of rhs and no finiteness sum. With the
-            # block path at B = 1, damped's run took 19.7-19.9 us a step in
-            # process, not 18.5-19.0 (+4%), and aggregation's 34.4-34.9, not
-            # 33.5-34.2 (+2%, 2-vCPU Xeon)
+            # block path at B = 1, damped's run took 25.6-27.5 us a step in
+            # process, not 24.1-25.3 (median +7%), and aggregation's
+            # 45.3-49.7, not 42.5-49.2 (+7%; in the runs of
+            # _Kernel.dt_bound's figures)
             _, _, _, x, info = _dgtsv(self.sub, self.diag, self.sup, rhs, 1, 1, 1, 1)
             return x, () if info == 0 else [(0, _solve_error(info))]
         np.copyto(saved, rhs)
@@ -855,7 +887,7 @@ def steady_signal(u: np.ndarray, grid: Grid) -> np.ndarray:
 
     Raises UsageError for a u of the wrong length or with non-finite entries.
     """
-    v, failed = _Tridiag(grid).solve(1.0, 1.0, validate_field(u, grid, "u").copy())
+    v, failed = _Tridiag(grid).solve(_ONE, _ONE, validate_field(u, grid, "u").copy())
     if failed:
         raise failed[0][1]
     return v

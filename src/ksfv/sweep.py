@@ -307,11 +307,20 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         from . import lockstep  # noqa: F401
 
         before = set(multiprocessing.active_children())
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # the signal mask, unchanged
         pool = ProcessPoolExecutor(
             workers, fork, initializer=_share_claims, initargs=(fork.Value("q", 0), os.getpid())
         )
         try:
-            futures = [pool.submit(_run_worker, spec, groups) for _ in range(workers)]
+            # Ctrl-C is held while the first submit forks the workers and
+            # starts the pool's manager thread: raised in a fork's at-fork
+            # hooks it would be printed and dropped, and raised before the
+            # thread has started, shutdown() could not join it
+            try:
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                futures = [pool.submit(_run_worker, spec, groups) for _ in range(workers)]
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)  # a held Ctrl-C is raised here
             done = [future.result() for future in futures]
         except BaseException:
             # a worker's error or an interrupt: end the workers now, rather

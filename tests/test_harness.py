@@ -759,6 +759,33 @@ def test_interrupted_sweep_ends_at_once_with_its_workers(tmp_path):
         parent.stderr.close()
 
 
+def test_ctrl_c_while_the_pool_forks_its_workers_ends_the_sweep(tmp_path):
+    # a SIGINT that lands while the pool forks its workers, sent here from the
+    # parent's own at-fork hook, must end the sweep like any other Ctrl-C: not
+    # be dropped by the hook, and not leave a manager thread that shutdown()
+    # cannot join
+    import ksfv.sweep as sweep_mod
+
+    if sweep_mod._fork_context() is None or sweep_mod._usable_cpus() < 2:
+        pytest.skip("needs a forking pool and 2 usable CPUs")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import os, signal, sys\n"
+        "os.register_at_fork(after_in_parent=lambda: os.kill(os.getpid(), signal.SIGINT))\n"
+        "from ksfv.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ksfv.__file__)))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    spec = os.path.join(root, "docs", "sample_sweep.cfg")
+    argv = [sys.executable, "-c", code, "sweep", "--spec", spec, "--max-parallel", "2",
+            "--out", str(tmp_path / "o")]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (130, "interrupted\n")
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
 def test_sweep_rejects_bad_axis():
     base = parse_config_text(SWEEP_BASE)
     with pytest.raises(ConfigError):

@@ -1018,6 +1018,63 @@ def test_vecdot_rows_are_blas_dot_bitwise():
     assert sums[finite].tobytes() == dots[finite].tobytes()
 
 
+def test_bound_scalar_operands_are_python_floats_bitwise():
+    # the step's scalar operands are 0-d float64 arrays bound once (core.frozen,
+    # and a lone run's dt and 1 + dt in its kernel): each ufunc the step calls
+    # with one must give bitwise what it gives with the Python float, with the
+    # scalar on either side, into a fresh array or in place, and under where=
+    from ksfv import discrete, nonlin, solver
+
+    rng = np.random.default_rng(25)
+    special = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    scalars = special + [0.5, 1.0, -1.0, 1e-12, 1.0 - 1e-12, 1.0 + 2.0 ** -52]
+    scalars += (rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(-300.0, 300.0, 8)).tolist()
+    arith = (np.add, np.subtract, np.multiply, np.divide, np.maximum, np.minimum)
+    compare = (np.greater, np.greater_equal)
+
+    def same(a, b):
+        if a.dtype == np.float64:
+            return np.array_equal(a.view(np.int64), b.view(np.int64))
+        return a.dtype == b.dtype and np.array_equal(a, b)
+
+    vectors = [np.array(special)]
+    for n in (1, 2, 7, 48, 257, 1000):
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        x[rng.integers(0, n, min(n, 3))] = rng.choice(special, min(n, 3))
+        vectors.append(x)
+    # the step runs under errstate(all="ignore") too
+    with np.errstate(all="ignore"):
+        for x in vectors:
+            mask = rng.random(len(x)) < 0.5
+            for s in scalars:
+                z = np.array(s)
+                for uf in arith + compare:
+                    assert same(uf(z, x), uf(s, x)), (uf.__name__, s, len(x))
+                    assert same(uf(x, z), uf(x, s)), (uf.__name__, s, len(x))
+                for uf in arith:
+                    a, b = x.copy(), x.copy()
+                    uf(a, z, out=a)
+                    uf(b, s, out=b)
+                    assert same(a, b), (uf.__name__, "in place", s, len(x))
+                    a, b = x.copy(), x.copy()
+                    uf(z, a, out=a)
+                    uf(s, b, out=b)
+                    assert same(a, b), (uf.__name__, "in place, scalar first", s, len(x))
+                a, b = x.copy(), x.copy()
+                np.multiply(a, z, out=a, where=mask)
+                np.multiply(b, s, out=b, where=mask)
+                assert same(a, b), ("multiply where", s, len(x))
+    # the module-level constants cannot be written
+    constants = [
+        discrete._HALF, discrete._ZERO, solver._ZERO, solver._ONE, nonlin._ZERO, nonlin._ONE,
+        nonlin._MINUS_ONE, nonlin._RISE_LO, nonlin._RISE_HI,
+    ]
+    for c in constants:
+        assert c.shape == () and c.dtype == np.float64
+        with pytest.raises(ValueError):
+            c[()] = 2.0
+
+
 def test_block_solve_is_each_runs_own_dgtsv_bitwise(monkeypatch):
     # the march solves the v step of all its runs with one dgtsv call on the
     # block-diagonal system; each run's solution must be bitwise the one its
