@@ -215,6 +215,17 @@ def frozen(x: float) -> np.ndarray:
     return a
 
 
+def frozen_exponent(e: float):
+    """The exponent e of an array power, bound once: frozen(e), or the float 0.5 itself.
+
+    numpy's power gives bitwise the same result for a 0-d exponent as for the
+    Python float (tests/test_solver.py::test_bound_exponents_are_python_floats_bitwise)
+    and converts only the float on every call. At 0.5 the float is kept:
+    numpy takes its sqrt fast path for it, which is the quicker one.
+    """
+    return e if e == 0.5 else frozen(e)
+
+
 def linf(values: np.ndarray) -> float:
     """Max-norm of a cell field."""
     return float(np.max(np.abs(values)))

@@ -9,9 +9,10 @@ produced its state, so every way a step can end a run (a failed check,
 the cap, t_end, a next dt below dt_min) is decided on that step, and the
 run ends on that step's row. The diagnostics rows are evaluated in blocks,
 per run: on the step a row falls due, the run walks its G-table over the
-row's span when the span leaves the range it walked last (a walk that
-raises a KsfvError ends that run alone, on that step), records the row's
-scalars and copies what the row reads into its block buffer; one
+row's span when the span leaves the range it walked last, a walk upward
+going on ahead to twice the span's max (solver.TableCache.covering; a
+walk that raises a KsfvError ends that run alone, on that step), records
+the row's scalars and copies what the row reads into its block buffer; one
 _step_rows call evaluates the whole block over (k, cells) stacks, when the
 block holds _BLOCK_CELLS cells and before the run ends. The rest is each
 run's own (see "Lockstep" and "Buffers" in the solver module docstring); a
@@ -398,8 +399,9 @@ def run_lockstep(feed: Callable[[], Optional[Sequence[tuple]]]) -> List[tuple]:
     So every ending is decided on the step that reaches it: the cap, t_end,
     a failed check and a next dt that underflows alike. A run whose row
     falls due walks its table over the row's span, unless it has already,
-    and keeps the row in its block (_Point.keep_row); the block is evaluated
-    in one _step_rows call when it is full and when the run ends. A lone run
+    upward on ahead (TableCache.covering), and keeps the row in its block
+    (_Point.keep_row); the block is evaluated in one _step_rows call when
+    it is full and when the run ends. A lone run
     takes the same path. A run leaves when it ends, and the runs that join
     or stay are tiled afresh, with their first step prepared there: a
     joined run whose first dt underflows ends on its initial row.

@@ -27,7 +27,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import ModelParams, frozen
+# the C function np.count_nonzero calls, without its Python-level dispatch
+from numpy._core.multiarray import count_nonzero as _count_nonzero
+
+from .core import ModelParams, frozen, frozen_exponent
 from .errors import (
     DivergenceError,
     DomainError,
@@ -49,60 +52,60 @@ def _check_nonneg(u, what: str):
 # Each nonlinearity has one formula, in a check-free private form that the
 # solver kernel calls on float arrays it has already validated; the public
 # function checks the domain and wraps it. The private forms take their
-# constants as arguments: the public functions pass p's floats, the effective
-# closures (effective_*) 0-d arrays bound once. Exponents stay floats
-# (effective_phi).
+# constants and exponents as arguments: the public functions pass p's floats,
+# the effective closures (effective_*) 0-d arrays bound once
+# (core.frozen_exponent for the exponents).
 
 # the constants of _cut_off and _rise, bound as 0-d operands (core.frozen)
-_ZERO, _ONE, _MINUS_ONE = frozen(0.0), frozen(1.0), frozen(-1.0)
+_ONE, _MINUS_ONE = frozen(1.0), frozen(-1.0)
 _RISE_LO, _RISE_HI = frozen(1e-12), frozen(1.0 - 1e-12)
 
 
-def _diffusivity_reg(u: np.ndarray, eps, alpha: float) -> np.ndarray:
+def _diffusivity_reg(u: np.ndarray, eps, alpha) -> np.ndarray:
     return np.log1p(u + eps) ** alpha
 
 
-def _sensitivity(u: np.ndarray, psi_c, beta: float) -> np.ndarray:
+def _sensitivity(u: np.ndarray, psi_c, beta) -> np.ndarray:
     return psi_c * u ** beta
 
 
-def _growth(u: np.ndarray, a, b, kappa: float, out=None) -> np.ndarray:
+def _growth(u: np.ndarray, a, b, kappa, out=None) -> np.ndarray:
     return np.subtract(a, b * u ** kappa, out)
 
 
 def _thresholds(eps: float) -> Tuple[float, float, float]:
-    """_cut_off's thresholds lo = 1/(2 eps) and hi = 1/eps, and hi - lo.
-
-    Both are inf at eps = 0, where nothing is cut.
-    """
-    lo, hi = (1.0 / (2.0 * eps), 1.0 / eps) if eps > 0.0 else (math.inf, math.inf)
+    """_cut_off's thresholds lo = 1/(2 eps) and hi = 1/eps, and hi - lo; eps > 0."""
+    lo, hi = 1.0 / (2.0 * eps), 1.0 / eps
     return lo, hi, hi - lo
 
 
 def _cut_off(f: np.ndarray, u: np.ndarray, cut) -> np.ndarray:
-    """Multiply f = growth(u) by the cutoff in place, only where it is below 1.
+    """Multiply f = growth(u) by the cutoff window in place.
 
-    cut is _thresholds(eps), as floats or as 0-d arrays. The saturated
-    cells, u >= hi, are multiplied by 0.0 in place under a mask, with no
-    gather; only the band between the thresholds, usually empty, is gathered
-    to evaluate the window.
+    cut is _thresholds(eps) of an eps > 0 (at eps = 0 nothing is cut), as
+    floats or as 0-d arrays. Nothing changes when every cell is at or below
+    lo. Otherwise one product by the mask u < hi, with no gather, multiplies
+    the saturated cells, u >= hi, by 0.0 and every other cell by 1.0, which
+    leaves it as it is; only the band between the thresholds, usually empty,
+    is gathered to evaluate the window. A NaN u is neither at or below lo
+    nor below hi, so it lies outside the band; its f is NaN too (kappa >=
+    2), and NaN times 0.0 is that NaN.
     """
     lo, hi, width = cut
     # smooth_step is exactly 0 at or below its threshold, so the window is
     # exactly 1 on u <= lo and multiplying by it there changes nothing
-    hot = u > lo
-    n_hot = np.count_nonzero(hot)
-    if n_hot:
-        # the window 1 - smooth_step((u - lo)/(hi - lo)) on the hot cells,
-        # without smooth_step's x <= 0 branch, x > 0 on every hot cell. On
-        # u >= hi, x >= 1 and _rise is exactly 1.0, so the window there is
-        # exactly 0.0
-        saturated = u >= hi
-        np.multiply(f, _ZERO, out=f, where=saturated)
-        # hi > lo, so every saturated cell is hot, and the band is the hot
-        # cells that are not saturated: hot xor saturated
-        if np.count_nonzero(saturated) < n_hot:
-            band = np.logical_xor(hot, saturated)
+    cold = u <= lo
+    n_cold = _count_nonzero(cold)
+    if n_cold < len(u):
+        # the window 1 - smooth_step((u - lo)/(hi - lo)) on u > lo, without
+        # smooth_step's x <= 0 branch, x > 0 there. On u >= hi, x >= 1 and
+        # _rise is exactly 1.0, so the window there is exactly 0.0
+        keep = u < hi
+        np.multiply(f, keep, f)
+        # lo < hi, so every cold cell is kept, and the band is the kept cells
+        # that are not cold: keep xor cold
+        if _count_nonzero(keep) > n_cold:
+            band = np.logical_xor(keep, cold)
             f[band] *= _ONE - _rise((u[band] - lo) / width)
     return f
 
@@ -160,7 +163,9 @@ def growth_reg(u, p: ModelParams):
     u = np.asarray(u, dtype=float)
     flat = u.reshape(-1)
     f = _growth(flat, p.a, p.b, p.kappa)
-    return _cut_off(f, flat, _thresholds(p.eps)).reshape(u.shape)
+    if p.eps > 0.0:
+        _cut_off(f, flat, _thresholds(p.eps))
+    return f.reshape(u.shape)
 
 
 def damping_is_weak(p: ModelParams, n: int) -> bool:
@@ -770,42 +775,34 @@ class Overrides:
 # The effective nonlinearities are check-free: callers validate u >= 0 once,
 # at their own API boundary, and pass 1-D float arrays. Each closure folds the
 # exact identities of its parameters once, where it is built (x ** 1.0 = x,
-# 1.0 * x = x, so psi(u) = u at psi_c = beta = 1), and returns bitwise what
-# the unfolded formula returns. Each binds its other constants once, as 0-d
-# arrays (core.frozen), so that no ufunc call converts a Python float; its
-# exponents stay floats, from which numpy picks its square and sqrt fast
-# paths. No caller writes into a result, so a closure may return its
-# argument itself.
+# 1.0 * x = x, so psi(u) = u at psi_c = beta = 1; no cut-off at eps = 0), and
+# returns bitwise what the unfolded formula returns. Each binds its constants
+# and exponents once, as 0-d arrays (core.frozen, core.frozen_exponent), so
+# that no ufunc call converts a Python float, but for an exponent of 0.5,
+# which stays the float of numpy's sqrt fast path. No caller writes into a
+# result, so a closure may return its argument itself.
 
 
 def effective_phi(p: ModelParams, ov: Optional[Overrides]):
-    """phi(u) = ln^alpha(1 + u + eps), with eps bound as a 0-d array.
-
-    alpha stays a float, the operand from which numpy picks its square and
-    sqrt fast paths: a per-cell exponent array changes bits, and a 0-d one
-    has no premise test.
-    """
+    """phi(u) = ln^alpha(1 + u + eps), with eps and alpha bound as 0-d arrays."""
     if ov is not None and ov.unit_phi:
         return np.ones_like
     eps = frozen(p.eps)
     if p.alpha == 1.0:
         return lambda u: np.log1p(u + eps)  # ln^1 = ln
-    alpha = p.alpha
+    alpha = frozen_exponent(p.alpha)
     return lambda u: _diffusivity_reg(u, eps, alpha)
 
 
 def effective_psi(p: ModelParams, ov: Optional[Overrides]):
-    """psi(u) = psi_c u^beta, with psi_c bound as a 0-d array.
-
-    beta stays a float, as effective_phi's alpha does.
-    """
+    """psi(u) = psi_c u^beta, with psi_c and beta bound as 0-d arrays."""
     if ov is not None and ov.zero_psi:
         return np.zeros_like
-    c, beta = p.psi_c, p.beta
+    c, beta = p.psi_c, frozen_exponent(p.beta)
     if c == 1.0:
-        return (lambda u: u) if beta == 1.0 else (lambda u: u ** beta)
+        return (lambda u: u) if p.beta == 1.0 else (lambda u: u ** beta)
     c = frozen(c)
-    if beta == 1.0:
+    if p.beta == 1.0:
         return lambda u: c * u
     return lambda u: _sensitivity(u, c, beta)
 
@@ -820,22 +817,24 @@ def _zero_f(u, umax=None, out=None):
 def effective_f(p: ModelParams, ov: Optional[Overrides]):
     """f(u, umax=None, out=None), where umax is max(u) if known; out receives f(u) if given.
 
-    f calls _cut_off only when umax is unknown or above 1/(2 eps), at or
-    below which the window is exactly 1 (as it is everywhere at eps = 0).
-    a, b and _cut_off's thresholds are bound once as 0-d arrays; umax, a
-    float, is compared with the float threshold, and kappa stays a float, as
-    effective_phi's alpha does.
+    At eps > 0, f calls _cut_off only when umax is unknown or above
+    1/(2 eps), at or below which the window is exactly 1; at eps = 0 the
+    window is 1 everywhere, and f never calls it. a, b, kappa and
+    _cut_off's thresholds are bound once as 0-d arrays; umax, a float, is
+    compared with the float threshold.
     """
     if ov is not None and ov.zero_f:
         return _zero_f
-    lo, hi, width = _thresholds(p.eps)
-    cut = frozen(lo), frozen(hi), frozen(width)
-    a, kappa = frozen(p.a), p.kappa
+    lo, cut = math.inf, None
+    if p.eps > 0.0:
+        lo, hi, width = _thresholds(p.eps)
+        cut = frozen(lo), frozen(hi), frozen(width)
+    a, kappa = frozen(p.a), frozen_exponent(p.kappa)
     if p.b == 1.0:
 
         def f(u, umax=None, out=None):
             f_u = np.subtract(a, u ** kappa, out)
-            if umax is None or umax > lo:
+            if (umax is None or umax > lo) and cut:
                 _cut_off(f_u, u, cut)
             return f_u
 
@@ -845,7 +844,7 @@ def effective_f(p: ModelParams, ov: Optional[Overrides]):
 
     def f(u, umax=None, out=None):
         f_u = _growth(u, a, b, kappa, out)
-        if umax is None or umax > lo:
+        if (umax is None or umax > lo) and cut:
             _cut_off(f_u, u, cut)
         return f_u
 

@@ -52,21 +52,22 @@ couplings (_Tridiag): when it fails or gives a non-finite solution, which
 the seams would carry into the neighbouring runs, each run is solved again
 alone from the saved right-hand sides. Batched per run, in blocks: the
 diagnostics rows. On the step a row falls due, the run walks its G-table
-over the row's span when the span leaves the range it walked last (a walk
-that raises a KsfvError ends that run alone, on that step) and copies what
-the row reads into its block; one call per quantity evaluates the block
-(lockstep._step_rows), with sums that are np.vecdot rows too, once it
-holds about 2^10 cells and before the run ends. A walked table only grows,
-so each row is bitwise the one evaluated on its own step. Each run's own:
-f(u) and the reaction rate (kappa), dt with its clamps and probes, the
-mass-law residuals, its termination, after which it leaves the march, and
-its KsfvError, which ends it alone while the others go on. A run's next
-dt, with its clamps and f(u), is decided at the end of the step that
-produced its state, so a dt below dt_min ends the run on that step and its
-row, as the cap and t_end do. phi is evaluated once per block of runs with
-equal alpha and eps, psi and the drift slope once per block with equal
-psi_c and beta, since numpy computes u ** 2.0 as a square and an array
-exponent would not: the runs are ordered so that each block is
+over the row's span when the span leaves the range it walked last, a
+walk upward going on ahead to twice the span's max (TableCache.covering;
+a walk that raises a KsfvError ends that run alone, on that step), and
+copies what the row reads into its block; one call per quantity evaluates
+the block (lockstep._step_rows), with sums that are np.vecdot rows too,
+once it holds about 2^10 cells and before the run ends. A walked table
+only grows, so each row is bitwise the one evaluated on its own step. Each
+run's own: f(u) and the reaction rate (kappa), dt with its clamps and
+probes, the mass-law residuals, its termination, after which it leaves the
+march, and its KsfvError, which ends it alone while the others go on. A
+run's next dt, with its clamps and f(u), is decided at the end of the step
+that produced its state, so a dt below dt_min ends the run on that step
+and its row, as the cap and t_end do. phi is evaluated once per block of
+runs with equal alpha and eps, psi and the drift slope once per block with
+equal psi_c and beta, since numpy computes u ** 2.0 as a square and an
+array exponent would not: the runs are ordered so that each block is
 contiguous. Runs that share an initial G-table share its walked range
 (TableCache.covering). Inside the kernel a lone run (B = 1) steps with a
 float dt, with no per-cell dt array and no block loop.
@@ -106,17 +107,20 @@ rows and its per-run views for the checks and the mass sums; and, in the
 kernel, the flux and its seams, and the face products of the divergence,
 which is written into the new u row. So a step slices, reshapes and
 allocates nothing of its own bookkeeping. No ufunc call of a step takes a
-Python float, which numpy would convert on every call: each scalar operand
-is a 0-d float64 array bound once (core.frozen), read-only at module level
-(interior_flux's 0.5 and 0.0, _rate_drift's zeros, the v solves' 1.0 at
-B > 1), per kernel (the gradients' h), per model (the drift slope's
-constant) or per closure (eps, psi_c, a, b and the growth cut-off's
+Python float, which numpy would convert on every call, but a power of
+exponent 0.5: each scalar operand is a 0-d float64 array bound once
+(core.frozen), read-only at module level (interior_flux's 0.5 and 0.0,
+_rate_drift's zeros, the v solves' 1.0 at B > 1), per kernel (the
+gradients' h), per model (the drift slope's constant) or per closure (eps, psi_c, a, b and the growth cut-off's
 thresholds, nonlin.effective_*); a lone run's dt and 1 + dt are 0-d arrays
 the kernel owns and writes on each advance. +, -, *, /, min, max and the
 comparisons are correctly rounded, so each result is bitwise the one with
-the float. The exponents of the powers stay floats, the operand from which
-numpy picks its square and sqrt fast paths: a per-cell exponent array
-changes bits, and a 0-d one has no premise test. When a run ends or
+the float. The exponents of the powers (alpha, beta and kappa in the
+closures, beta - 1 in the drift rate) are bound alike, per closure and per
+model (core.frozen_exponent), as numpy's power gives bitwise the float
+exponent's result for a 0-d one (a premise test pins it; a per-cell
+exponent array would change bits); an exponent of 0.5 stays the float,
+for which numpy's sqrt fast path is the quicker. When a run ends or
 joins, the runs left are tiled afresh into a new kernel, each keeping only
 its current (u, v), from which the march prepares the new kernel's first
 step.
@@ -167,6 +171,7 @@ from .core import (
     ModelParams,
     State,
     frozen,
+    frozen_exponent,
     linf,
     make_grid,
     validate_field,
@@ -347,8 +352,8 @@ class _Model:
     """
 
     __slots__ = (
-        "phi", "psi", "f", "slope_c", "slope_op", "slope_exp", "react_c", "react_exp", "eps",
-        "alpha",
+        "phi", "psi", "f", "slope_c", "slope_op", "slope_exp", "slope_exp_op", "react_c",
+        "react_exp", "eps", "alpha",
         "diff_slack", "adv_slack", "phi_key", "psi_key", "lead_drift", "umax", "v_range",
         "cfl",
     )
@@ -366,6 +371,8 @@ class _Model:
         self.slope_c = 0.0 if zero_psi else p.psi_c * p.beta
         self.slope_op = frozen(self.slope_c)  # slope_c as the drift rate's ufunc operand
         self.slope_exp = None if zero_psi or p.beta == 1.0 else p.beta - 1.0
+        # slope_exp as the drift rate's power exponent (the bounds keep the float)
+        self.slope_exp_op = None if self.slope_exp is None else frozen_exponent(self.slope_exp)
         self.react_c = 0.0 if zero_f else p.b * p.kappa
         self.react_exp = 0.0 if zero_f else p.kappa - 1.0
         self.eps = p.eps
@@ -455,8 +462,9 @@ class _Kernel:
     so is every scalar operand of its ufunc calls, as a 0-d array: h, which
     the gradients divide by, and the _ZERO and _ONE of the module; at B = 1
     advance writes dt and 1 + dt into the kernel's own 0-d _dt and _c. The
-    exponents of the powers stay floats (module docstring, "Buffers"). Its
-    methods take validated float arrays and do no domain checks.
+    drift rate's exponent is each model's slope_exp_op (module docstring,
+    "Buffers"). Its methods take validated float arrays and do no domain
+    checks.
     """
 
     def __init__(self, grid: Grid, models: Sequence[_Model]):
@@ -555,7 +563,7 @@ class _Kernel:
             if m.slope_exp is None:
                 c = m.slope_c
                 return [c * x for x in self._rowmax(geom_dv)]
-            return self._rowmax(m.slope_op * u ** m.slope_exp * geom_dv)
+            return self._rowmax(m.slope_op * u ** m.slope_exp_op * geom_dv)
         # each block's slope into its cells; a constant slope c >= 0 there
         # gives max(c*g) = c*max(g) exactly
         slope = np.empty_like(u)
@@ -563,7 +571,7 @@ class _Kernel:
             if m.slope_exp is None:
                 slope[cells] = m.slope_c
             else:
-                np.multiply(m.slope_op, u[cells] ** m.slope_exp, slope[cells])
+                np.multiply(m.slope_op, u[cells] ** m.slope_exp_op, slope[cells])
         return self._rowmax(slope * geom_dv)
 
     def _bound_diff(self, m: _Model) -> float:
@@ -771,6 +779,11 @@ def initial_table_key(cfg: RunConfig) -> tuple:
     return (p.alpha, p.beta, p.eps, p.psi_c, p.s0, ratio_spec, s_max, cfg.table_tol)
 
 
+# a walk upward goes on to this multiple of the largest point it must cover
+# (TableCache.covering)
+_AHEAD = 2.0
+
+
 class TableCache:
     """The G-tables of one call, each built once per distinct input and walked once.
 
@@ -789,6 +802,7 @@ class TableCache:
 
     def __init__(self):
         self._tables: Dict[tuple, FunctionalTable] = {}
+        self._exact: set = set()  # the keys whose walk ahead raised, walked exactly since
 
     def get(self, cfg: RunConfig) -> FunctionalTable:
         """run(cfg)'s G-table, built at most once per initial_table_key(cfg)."""
@@ -803,11 +817,32 @@ class TableCache:
         return table
 
     def covering(self, key: tuple, s: float, lo: float) -> FunctionalTable:
-        """The table of key, walked on to contain s and lo and stored back."""
+        """The table of key, walked on to contain s >= lo and lo and stored back.
+
+        A walk upward goes on ahead, to _AHEAD * s, so that the spans of the
+        next rows find most of their range walked: the aggregation run of
+        tests/conftest.py, at dt_min = 3e-10, walks 4 times, not 28. The walk ahead runs under np.errstate(all="raise"); if
+        it raises a KsfvError or an ArithmeticError it is discarded, the walk
+        to s alone is taken under the caller's float settings, and key is not
+        walked ahead again. A walked value does not depend on how far a walk
+        went (FunctionalTable.covering), and a walk ahead that raised nothing
+        met no floating-point condition on the segments that the walks to s
+        alone would have taken, so every value, error and warning is the one
+        of walking to each s alone.
+        """
         table = self._tables[key]
-        walked = table.covering(s, lo)
-        if walked is not table:
-            self._tables[key] = walked
+        if table.knots[table.low] <= lo and s <= table.s_max:
+            return table
+        walked = None
+        if s > table.s_max and key not in self._exact:
+            try:
+                with np.errstate(all="raise"):
+                    walked = table.covering(_AHEAD * s, lo)
+            except (KsfvError, ArithmeticError):
+                self._exact.add(key)
+        if walked is None:
+            walked = table.covering(s, lo)
+        self._tables[key] = walked
         return walked
 
 

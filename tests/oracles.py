@@ -5,7 +5,9 @@ optional mobility callable, so that the tests can hold the scheme's one flux
 formula (discrete.interior_flux, used by step, run and steady_residual) to a
 second, plain implementation of the same discretisation. The cutoff window
 is written out from smooth_step, so that the tests can hold the library's
-one cutoff (nonlin._cut_off, behind growth_reg) to the formula it folds.
+one cutoff (nonlin._cut_off, behind growth_reg) to the formula it folds,
+and so is the masked cut-off that the library's took before, which zeroed
+the saturated cells under a where= mask.
 RATIOS and TABLE_GRID are the ratio kinds and parameters (alpha, beta, eps)
 that the G-table oracles walk. The lockstep helpers build runs made to end
 one way or another, march them together and compare each run's record with
@@ -83,6 +85,25 @@ def growth_cutoff(u, p: ModelParams):
     lo = 1.0 / (2.0 * p.eps)
     hi = 1.0 / p.eps
     return 1.0 - smooth_step((u - lo) / (hi - lo))
+
+
+def masked_growth_reg(u, p: ModelParams) -> np.ndarray:
+    """growth_reg(u, p) as the masked cut-off computed it, on u flattened.
+
+    f = a - b u^kappa; where u > 1/(2 eps), f times 0.0 under the mask
+    u >= 1/eps, in place, and f times the window, gathered, on the band
+    between the thresholds; at eps = 0 nothing is cut.
+    """
+    u = np.asarray(u, dtype=float).reshape(-1)
+    f = np.subtract(p.a, p.b * u ** p.kappa)
+    lo, hi = (1.0 / (2.0 * p.eps), 1.0 / p.eps) if p.eps > 0.0 else (math.inf, math.inf)
+    hot = u > lo
+    if np.count_nonzero(hot):
+        saturated = u >= hi
+        np.multiply(f, 0.0, out=f, where=saturated)
+        band = hot & ~saturated
+        f[band] *= 1.0 - smooth_step((u[band] - lo) / (hi - lo))
+    return f
 
 
 # ---------------------------------------------------------------------------

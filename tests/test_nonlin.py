@@ -18,7 +18,7 @@ from ksfv.nonlin import (
     sensitivity,
     smooth_step,
 )
-from oracles import RATIOS, TABLE_GRID, growth_cutoff
+from oracles import RATIOS, TABLE_GRID, growth_cutoff, masked_growth_reg
 
 E = math.e
 
@@ -552,6 +552,72 @@ def test_effective_growth_is_growth_times_cutoff_bitwise(b, eps):
     assert np.array_equal(f(u), expected)
     assert np.array_equal(f(u).view(np.int64), expected.view(np.int64))  # signed zeros too
     assert np.all(expected[u >= hi] == 0.0)
+
+
+def _cut_off_cases(lo, hi):
+    """(name, u) of the cut-off's cases for thresholds lo < hi."""
+    tiny = 5e-324
+    band = np.linspace(lo, hi, 7)[1:-1]
+    saturated = [hi, np.nextafter(hi, np.inf), 1.5 * hi, 1e6 * hi]
+    cold = [0.0, -0.0, tiny, 2.0 ** -1030, 1.0, np.nextafter(lo, 0.0), lo]
+    return [
+        ("no hot cell", np.array(cold)),
+        ("every hot cell saturated", np.array(cold + saturated)),
+        ("a band only", np.array(cold + list(band))),
+        ("a band and saturated cells", np.array(cold + list(band) + saturated)),
+        ("nan, +inf, zeros and subnormals", np.array(cold + [np.nan, np.inf, -np.nan] + [0.7 * hi])),
+        ("nan with band and saturated cells", np.array([np.nan] + list(band) + saturated + cold)),
+        # f = -inf where u**kappa overflows, nan where u is nan
+        ("f of -inf and nan", np.array(cold + [1e200, 1e300, np.inf, np.nan, 0.6 * hi, 2.0 * hi])),
+        ("one saturated cell", np.array([2.0 * hi])),
+        ("one band cell", np.array([0.75 * hi])),
+        ("one band cell and nan", np.array([np.nan, 0.75 * hi, 1.0])),
+    ]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("b", [1.0, 0.7])
+@pytest.mark.parametrize("kappa", [2.0, 3.0])
+@pytest.mark.parametrize("eps", [1e-3, 0.3, 0.0])
+def test_cut_off_is_the_masked_cut_off_bitwise(b, kappa, eps):
+    # growth_reg and the effective f zero the saturated cells with one product
+    # by the mask u < hi; they must give bitwise what the masked multiply by
+    # 0.0 gave (oracles.masked_growth_reg), signed zeros, infinities and the
+    # nan of a nan u included
+    from ksfv.nonlin import effective_f
+
+    p = params(a=0.5, b=b, kappa=kappa, eps=eps)
+    lo, hi = (1.0 / (2.0 * eps), 1.0 / eps) if eps > 0.0 else (50.0, 100.0)
+    f = effective_f(p, None)
+    with np.errstate(all="ignore"):
+        for name, u in _cut_off_cases(lo, hi):
+            expected = masked_growth_reg(u, p)
+            assert _same_bits(growth_reg(u, p), expected), name
+            umaxes = [None, float(np.nanmax(u))]
+            for umax in umaxes:
+                out = np.empty_like(u)
+                assert f(u, umax, out) is out
+                assert _same_bits(out, expected), (name, umax)
+                assert _same_bits(f(u, umax), expected), (name, umax)
+            plain = p.a - p.b * u ** kappa
+            if eps > 0.0:
+                # a saturated cell's finite f is negative, and times 0.0 is -0.0
+                fin = (u >= hi) & np.isfinite(plain)
+                assert np.all(plain[fin] < 0.0), name
+                assert np.all(np.signbit(expected[fin]) & (expected[fin] == 0.0)), name
+            # the cut-off changes nothing on the cold cells and the nan cells
+            keep = ~(u > lo) | (eps == 0.0)
+            assert _same_bits(expected[keep], plain[keep]), name
+    # a negative u, which only the check-free f takes: f = +inf at u = -inf
+    u = np.array([-np.inf, -5e-324, -1.0, 2.0 * hi])
+    with np.errstate(all="ignore"):
+        expected = masked_growth_reg(u, params(a=0.5, b=b, kappa=3.0, eps=eps))
+        got = effective_f(params(a=0.5, b=b, kappa=3.0, eps=eps), None)(u)
+    assert expected[0] == np.inf
+    assert _same_bits(got, expected)
 
 
 def test_build_table_refuses_an_underflowing_psi_at_s_min():

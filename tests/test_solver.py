@@ -15,7 +15,7 @@ from ksfv.config import load_config, parse_config_text, run_config_from
 from ksfv.core import State
 from ksfv.discrete import grad_faces
 from ksfv.energy import lyapunov
-from ksfv.errors import ConfigError, DomainError, ScanAbortedError, UsageError
+from ksfv.errors import ConfigError, DomainError, QuadratureError, ScanAbortedError, UsageError
 from ksfv.nonlin import Overrides, RatioSpec
 from ksfv.solver import (
     RunConfig,
@@ -917,6 +917,90 @@ def test_lockstep_rows_of_one_table_on_one_step_keep_each_runs_outcome(monkeypat
     check(config(0.5, 0.0, b=3e4), upward=False)
 
 
+# the pinned aggregation run at perfbench's horizon: under a second, and it
+# walks its table upward 28 times when each walk stops at the row's span
+SHORT_AGGREGATION = dict(dt_min=3e-10)
+
+
+@pytest.fixture(scope="module")
+def exact_walk_aggregation():
+    """The short aggregation run with every walk stopping at its span (_AHEAD = 1),
+    and the FunctionalTable.covering calls it made."""
+    import ksfv.solver as solver_mod
+    from ksfv.nonlin import FunctionalTable
+
+    calls = []
+    real = FunctionalTable.covering
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "_AHEAD", 1.0)
+        mp.setattr(FunctionalTable, "covering", lambda t, s, lo=None: calls.append(s) or real(t, s, lo))
+        res = run(dataclasses.replace(aggregation_config(), **SHORT_AGGREGATION))
+    return res, len(calls)
+
+
+def test_rows_walk_ahead_in_few_walks_to_bitwise_the_exact_walks_rows(
+    monkeypatch, exact_walk_aggregation
+):
+    # a walk upward goes on to twice the span's max, so the run walks its table
+    # a few times rather than once or twice a row; a walked value does not
+    # depend on how far the walk went, so the run is bitwise the one whose
+    # walks stop at each span
+    from ksfv.nonlin import FunctionalTable
+    from oracles import result_bytes
+
+    exact, exact_calls = exact_walk_aggregation
+    calls = []
+    real = FunctionalTable.covering
+    monkeypatch.setattr(
+        FunctionalTable, "covering", lambda t, s, lo=None: calls.append(s) or real(t, s, lo)
+    )
+    res = run(dataclasses.replace(aggregation_config(), **SHORT_AGGREGATION))
+    assert exact.termination.tag == Termination.DT_UNDERFLOW
+    assert exact_calls >= 25
+    assert len(calls) <= 6
+    assert result_bytes(res) == result_bytes(exact)
+
+
+@pytest.mark.parametrize("error", [
+    QuadratureError("the walk ahead cannot converge"),
+    FloatingPointError("overflow encountered in the walk ahead"),
+])
+def test_a_walk_ahead_that_raises_leaves_the_run_as_it_is(monkeypatch, exact_walk_aggregation, error):
+    # every walk ahead raises, as a quadrature that cannot converge above the
+    # span (a DivergenceError out of the table's walk) or as a floating-point
+    # error: the run takes the walk to its span instead, is bitwise the run
+    # whose walks stop there, warns of nothing, and tries one walk ahead only
+    import warnings
+
+    import ksfv.nonlin as nonlin_mod
+    from oracles import result_bytes
+
+    exact, _ = exact_walk_aggregation
+    real_walk, real_covering = nonlin_mod._walk, TableCache.covering
+    spans, raised = [], []
+
+    def covering(self, key, s, lo):
+        spans.append(s)
+        return real_covering(self, key, s, lo)
+
+    def walk(rho, knots, G, H, Gp, start, stop, seg_tol):
+        # past the first knot at or above the span's max: a walk ahead (the
+        # build's walk comes before any span)
+        if spans and stop > start and knots[stop - 1] >= spans[-1]:
+            raised.append(stop)
+            raise error
+        real_walk(rho, knots, G, H, Gp, start, stop, seg_tol)
+
+    monkeypatch.setattr(TableCache, "covering", covering)
+    monkeypatch.setattr(nonlin_mod, "_walk", walk)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run(dataclasses.replace(aggregation_config(), **SHORT_AGGREGATION))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(raised) == 1  # one table key, tried ahead once
+    assert result_bytes(res) == result_bytes(exact)
+
+
 def test_lockstep_faces_between_runs_are_boundary_faces():
     # a gradient across the face between two runs would overflow to inf, and
     # 0*inf is nan: each run's dt and step must still be its own kernel's
@@ -1066,13 +1150,58 @@ def test_bound_scalar_operands_are_python_floats_bitwise():
                 assert same(a, b), ("multiply where", s, len(x))
     # the module-level constants cannot be written
     constants = [
-        discrete._HALF, discrete._ZERO, solver._ZERO, solver._ONE, nonlin._ZERO, nonlin._ONE,
+        discrete._HALF, discrete._ZERO, solver._ZERO, solver._ONE, nonlin._ONE,
         nonlin._MINUS_ONE, nonlin._RISE_LO, nonlin._RISE_HI,
     ]
     for c in constants:
         assert c.shape == () and c.dtype == np.float64
         with pytest.raises(ValueError):
             c[()] = 2.0
+
+
+def test_bound_exponents_are_python_floats_bitwise():
+    # the powers of the step take their exponents as 0-d float64 arrays bound
+    # once (core.frozen_exponent): alpha, beta, beta - 1 and kappa. For each
+    # exponent across the schema's ranges (alpha, beta >= 1, kappa >= 2), x ** z
+    # and np.power(x, z), into a fresh array and in place, must give bitwise
+    # x ** e with the Python float e
+    from ksfv.core import frozen, frozen_exponent
+
+    rng = np.random.default_rng(26)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, -(2.0 ** -1030), math.inf, -math.inf,
+               math.nan]
+    exponents = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0,
+                 10.0, 1.0 + 2.0 ** -52, 2.0 - 2.0 ** -52, 1.0 / 3.0, 2.0 / 3.0]
+    exponents += rng.uniform(0.0, 12.0, 12).tolist()
+
+    def same(a, b):
+        return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    vectors = [np.array(special)]
+    for n in (1, 2, 7, 48, 256, 257, 1000):
+        x = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        x[: n // 4] = rng.uniform(0.0, 20.0, n // 4)  # the range of the march's u
+        x[rng.random(n) < 0.1] *= -1.0
+        x[rng.integers(0, n, min(n, 4))] = rng.choice(special, min(n, 4))
+        vectors.append(x)
+    with np.errstate(all="ignore"):
+        for e in exponents:
+            z = frozen(e)
+            assert frozen_exponent(e) is e if e == 0.5 else same(frozen_exponent(e), z)
+            for x in vectors:
+                want = x ** e
+                assert same(x ** z, want), (e, len(x))
+                assert same(np.power(x, z), want), (e, len(x))
+                assert same(np.power(x, e), want), (e, len(x))
+                a = x.copy()
+                a **= z
+                assert same(a, want), ("**= in place", e, len(x))
+                a = x.copy()
+                np.power(a, z, out=a)
+                assert same(a, want), ("power in place", e, len(x))
+                out = np.empty_like(x)
+                np.power(x, z, out=out)
+                assert same(out, want), ("power into out", e, len(x))
 
 
 def test_block_solve_is_each_runs_own_dgtsv_bitwise(monkeypatch):

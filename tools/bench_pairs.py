@@ -14,7 +14,15 @@ for example made with `git archive`. Each pair runs
 once in each tree, with T the run_seconds of the change's BENCHMARK.json
 and PYTHONDONTWRITEBYTECODE=1, the parent first in odd pairs and the
 change first in even pairs, and reads the tree's
-.perfbench_out/<W>-seed<S>/result-trace0.json. Each metric of a run is
+.perfbench_out/<W>-seed<S>/result-trace0.json. The file records the
+change's last perfbench environment; numpy_build, numpy's SIMD levels
+(__cpu_baseline__, __cpu_dispatch__ and the enabled __cpu_features__) and
+the OpenBLAS configuration string of numpy.show_config(mode="dicts"); and
+parallelism, before and after the pairs: the wall time of a process that
+runs a fixed pure-Python loop, alone and then two at once. Their speedup
+2 * alone / pair reads 2 where two CPUs are free and 1 where only one is,
+so it tells how much of the host other load left to the pairs. Each
+metric of a run is
 perfbench's rescaled median; each side's median and quartiles
 (statistics.quantiles, n=4) are taken over the pairs, and a pair counts for
 the change when its value is better by the metric's direction in the
@@ -31,6 +39,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+import time
 from typing import Dict, List, Optional
 
 
@@ -44,6 +53,39 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
     path = tree / ".perfbench_out" / f"{workload}-seed{seed}" / "result-trace0.json"
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+# the parallelism probe's loop: no ksfv code, about 0.2-0.4 s of one CPU
+_PROBE_LOOP = "s = 0\nfor i in range(4_000_000):\n    s += i\n"
+
+
+def parallelism() -> dict:
+    """The wall time of the probe loop's process alone, of two at once, and 2 * alone / pair."""
+
+    def wall(k: int) -> float:
+        t0 = time.perf_counter()
+        procs = [subprocess.Popen([sys.executable, "-c", _PROBE_LOOP]) for _ in range(k)]
+        if any(p.wait() != 0 for p in procs):
+            raise RuntimeError("the parallelism probe's loop failed")
+        return time.perf_counter() - t0
+
+    alone = wall(1)
+    pair = wall(2)
+    return {"alone_s": alone, "pair_s": pair, "speedup": 2.0 * alone / pair}
+
+
+def numpy_build() -> dict:
+    """numpy's SIMD levels (baseline, dispatched, enabled) and its OpenBLAS configuration."""
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy_cpu_baseline": list(umath.__cpu_baseline__),
+        "numpy_cpu_dispatch": list(umath.__cpu_dispatch__),
+        "numpy_cpu_features": [k for k, on in umath.__cpu_features__.items() if on],
+        "openblas_configuration": blas.get("openblas configuration"),
+    }
 
 
 def summary(values: List[float]) -> dict:
@@ -117,6 +159,8 @@ def main(argv=None) -> int:
             "(statistics.quantiles, n=4) are taken over the pairs (tools/bench_pairs.py)"
         ),
         "environment": None,
+        "numpy_build": numpy_build(),
+        "parallelism": {"before": parallelism(), "after": None},
         "workloads": {},
     }
     for name in workloads:
@@ -135,6 +179,8 @@ def main(argv=None) -> int:
         record["environment"] = results["change"][-1]["environment"]
         record["workloads"][name] = workload_entry(args.seed, results, spec["end_to_end"])
         args.out.write_text(json.dumps(record, indent=1, sort_keys=False) + "\n", encoding="utf-8")
+    record["parallelism"]["after"] = parallelism()
+    args.out.write_text(json.dumps(record, indent=1, sort_keys=False) + "\n", encoding="utf-8")
     return 0
 
 
